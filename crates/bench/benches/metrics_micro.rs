@@ -1,12 +1,14 @@
 //! Micro-benchmarks of the deviation metrics (every `DistanceKind` over
 //! distributions of increasing width) and of the engine's scan→aggregate
-//! hot path (scalar vs vectorized execution modes on both store layouts).
+//! hot path (scalar vs vectorized execution modes on both store layouts),
+//! down to the bare accumulator update against a naive `+=`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seedb_bench::BENCH_SEED;
 use seedb_data::syn::{syn, SynConfig};
 use seedb_engine::{
-    execute_combined_with_mode, AggFunc, AggSpec, CombinedQuery, ExecMode, ExecStats, SplitSpec,
+    execute_combined_with_mode, Accumulator, AggFunc, AggSpec, CombinedQuery, ExecMode, ExecStats,
+    SplitSpec,
 };
 use seedb_metrics::{normalize, DistanceKind};
 use seedb_storage::StoreKind;
@@ -43,6 +45,72 @@ fn normalize_micro(c: &mut Criterion) {
             b.iter(|| normalize(black_box(raw)))
         });
     }
+    group.finish();
+}
+
+/// The innermost loop of every recommendation, isolated: 64k DIAB-like
+/// measure values (Gaussian, clamped at zero) fed to a naive `f64 +=` and to
+/// [`Accumulator::update`] (exact sum + count + min + max), into one
+/// accumulator (`ungrouped`: every update depends on the previous one) and
+/// scattered over 8 groups (`grouped`: the shape `PartialAggregation` runs).
+/// Divide by 65 536 for ns per row·aggregate; the naive rows are the
+/// roofline the exact accumulator is held against.
+fn accumulate(c: &mut Criterion) {
+    const ROWS: usize = 1 << 16;
+    const GROUPS: usize = 8;
+    // SplitMix64: a few lines, so the bench needs no RNG dependency.
+    let mut state = BENCH_SEED;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut uniform = || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let values: Vec<f64> = (0..ROWS)
+        .map(|_| {
+            // Irwin–Hall(12) − 6 ≈ N(0, 1); mean 16, sd 8 like DIAB's
+            // `num_medications`.
+            let z: f64 = (0..12).map(|_| uniform()).sum::<f64>() - 6.0;
+            f64::max(16.0 + 8.0 * z, 0.0)
+        })
+        .collect();
+    let group_of: Vec<u32> = (0..ROWS)
+        .map(|_| (uniform() * GROUPS as f64) as u32)
+        .collect();
+
+    let mut group = c.benchmark_group("accumulate");
+    group.sample_size(20);
+    group.bench_function("naive_ungrouped", |b| {
+        b.iter(|| black_box(&values).iter().sum::<f64>())
+    });
+    group.bench_function("exact_ungrouped", |b| {
+        b.iter(|| {
+            let mut acc = Accumulator::new();
+            for &x in black_box(&values) {
+                acc.update(Some(x));
+            }
+            acc
+        })
+    });
+    group.bench_function("naive_grouped", |b| {
+        b.iter(|| {
+            let mut sums = [0.0f64; GROUPS];
+            for (&x, &g) in black_box(&values).iter().zip(&group_of) {
+                sums[g as usize] += x;
+            }
+            sums
+        })
+    });
+    group.bench_function("exact_grouped", |b| {
+        b.iter(|| {
+            let mut accs = vec![Accumulator::new(); GROUPS];
+            for (&x, &g) in black_box(&values).iter().zip(&group_of) {
+                accs[g as usize].update(Some(x));
+            }
+            accs
+        })
+    });
     group.finish();
 }
 
@@ -195,6 +263,7 @@ criterion_group!(
     benches,
     metrics_micro,
     normalize_micro,
+    accumulate,
     scan_aggregate_micro,
     morsel_scan_aggregate,
     server_cache

@@ -105,3 +105,39 @@ fn generators_are_deterministic_in_seed() {
         .unwrap();
     assert_eq!(rec_a.all_utilities, rec_b.all_utilities);
 }
+
+/// Footprint guard: an accumulator's exact sum lives in an inline window of
+/// five 32-bit-spaced chunks and only reaches for the heap when one sum's
+/// values span more than that. Real measure columns must not — per-group
+/// state, cached partials and peak RSS are all sized on the inline form — so
+/// hold the paper-scale DIAB twin (100K rows, Gaussian measures clamped at
+/// zero) to it: every group of every dimension, every measure, both sides.
+#[test]
+fn diab_sums_never_leave_the_inline_window() {
+    use seedb_engine::{execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, SplitSpec};
+    let ds = generate_by_name("DIAB", 1.0, 17, StoreKind::Column).expect("generator exists");
+    assert_eq!(ds.rows(), 100_000);
+    let schema = ds.table.schema();
+    let aggregates: Vec<AggSpec> = schema
+        .measures()
+        .iter()
+        .map(|m| AggSpec::new(AggFunc::Avg, *m))
+        .collect();
+    for dim in schema.dimensions() {
+        let query = CombinedQuery {
+            group_by: vec![dim],
+            aggregates: aggregates.clone(),
+            filter: None,
+            split: SplitSpec::TargetVsAll(ds.target.clone()),
+        };
+        let result = execute_combined(ds.table.as_ref(), &query, &mut ExecStats::new());
+        let mut reference_rows = 0;
+        for group in &result.groups {
+            reference_rows += group.reference[0].count;
+            for acc in group.target.iter().chain(&group.reference) {
+                assert!(!acc.sum_spilled(), "{dim:?} {:?}: {acc:?}", group.key);
+            }
+        }
+        assert_eq!(reference_rows, 100_000);
+    }
+}

@@ -5,8 +5,9 @@
 //! feeds it one partition per phase) and produce a consistent snapshot
 //! after each. [`execute_combined`] is the one-shot convenience wrapper.
 //!
-//! Two execution modes share one accumulator representation
-//! ([`crate::ExecMode`]):
+//! Two execution modes share one accumulator representation and one
+//! storage layout ([`crate::ExecMode`]): every group's accumulators live in
+//! one flat `[group][side][aggregate]` array.
 //!
 //! * **Scalar** — the original row-at-a-time path: `Table::scan_range`
 //!   yields a `Cell` slice per row and every row pays a hash lookup.
@@ -19,12 +20,19 @@
 //!   clusters (per-attribute codes encode into one slot index — no
 //!   `GroupKey` allocation, no hash probe per row). Stray codes spill to
 //!   the hash map; non-categorical attributes and oversized domains keep
-//!   the hash path.
+//!   the hash path. Each batch resolves its selected rows to accumulator
+//!   slots **once**, then runs one tight loop per aggregate over that
+//!   vector and the measure's typed slice.
 //!
-//! Both modes consume rows in the same order, and partials
-//! ([`PartialAggregation::merge`]) fold exactly, so results are
-//! bit-identical across modes, phase partitions, and morsel-parallel
-//! execution — a property the equivalence test suites assert exactly.
+//! A `TargetVsAll` split accumulates target and non-target rows into
+//! disjoint sides — one update per selected row and aggregate, not two —
+//! and forms reference = target ⊕ non-target by exact merge when a result
+//! is produced.
+//!
+//! Accumulators are exact and partials ([`PartialAggregation::merge`]) fold
+//! exactly, so results are bit-identical across modes, phase partitions,
+//! and morsel-parallel execution — a property the equivalence test suites
+//! assert exactly.
 
 use crate::agg::Accumulator;
 use crate::expr::BoundPredicate;
@@ -57,12 +65,21 @@ enum BoundSplit {
 }
 
 impl BoundSplit {
-    /// Classifies a row: `(is_target, is_reference)`.
+    /// Whether the reference is the target side plus the second side:
+    /// `TargetVsAll` accumulates non-target rows on the second side, so
+    /// every row feeds exactly one side.
+    fn reference_includes_target(&self) -> bool {
+        matches!(self, BoundSplit::TargetVsAll(_))
+    }
+
+    /// Classifies a row: `(feeds side 0, feeds side 1)`. Side 0 is the
+    /// target; side 1 is the reference, except under `TargetVsAll`, where it
+    /// is the non-target rest (see
+    /// [`BoundSplit::reference_includes_target`]).
     #[inline]
     fn classify(&self, cells: &[seedb_storage::Cell]) -> (bool, bool) {
         match self {
-            BoundSplit::TargetVsAll(p) => (p.eval(cells), true),
-            BoundSplit::TargetVsComplement(p) => {
+            BoundSplit::TargetVsAll(p) | BoundSplit::TargetVsComplement(p) => {
                 let t = p.eval(cells);
                 (t, !t)
             }
@@ -71,16 +88,12 @@ impl BoundSplit {
         }
     }
 
-    /// Vectorized classification: fills per-row `target`/`reference`
+    /// Vectorized [`BoundSplit::classify`]: fills per-row side-0 / side-1
     /// selection bitmaps for a whole batch.
     fn classify_batch(&self, batch: &Batch<'_>, target: &mut Bitmap, reference: &mut Bitmap) {
         let n = batch.len();
         match self {
-            BoundSplit::TargetVsAll(p) => {
-                p.eval_batch(batch, target);
-                reference.reset(n, true);
-            }
-            BoundSplit::TargetVsComplement(p) => {
+            BoundSplit::TargetVsAll(p) | BoundSplit::TargetVsComplement(p) => {
                 p.eval_batch(batch, target);
                 reference.copy_from(target);
                 reference.invert();
@@ -145,20 +158,56 @@ enum DenseIndex {
     },
 }
 
-/// Accumulated state of one group.
-struct GroupState {
-    key: GroupKey,
-    target: Vec<Accumulator>,
-    reference: Vec<Accumulator>,
+/// Every group's key (in discovery order) and accumulators, flat:
+/// `accs[(group * 2 + side) * n_aggs + agg]`. Side 0 is the target; side 1
+/// the reference (or the non-target rest, see
+/// [`BoundSplit::reference_includes_target`]). `group * 2 + side` is a
+/// group-side **slot**.
+struct Groups {
+    n_aggs: usize,
+    keys: Vec<GroupKey>,
+    accs: Vec<Accumulator>,
 }
 
-impl GroupState {
-    fn new(key: GroupKey, n_aggs: usize) -> Self {
-        GroupState {
-            key,
-            target: vec![Accumulator::new(); n_aggs],
-            reference: vec![Accumulator::new(); n_aggs],
+impl Groups {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Appends a group with empty accumulators; returns its index.
+    fn push(&mut self, key: GroupKey) -> usize {
+        self.keys.push(key);
+        self.accs
+            .resize_with(self.keys.len() * 2 * self.n_aggs, Accumulator::new);
+        self.keys.len() - 1
+    }
+
+    /// The group recorded in a dense-index `slot` (`index + 1`, 0 = none
+    /// yet), created from `key` on first sight.
+    #[inline]
+    fn at_dense_slot(&mut self, slot: &mut u32, key: impl FnOnce() -> GroupKey) -> usize {
+        if *slot == 0 {
+            *slot = self.push(key()) as u32 + 1;
         }
+        *slot as usize - 1
+    }
+
+    /// The group `map` records for `key`, created on first sight.
+    fn at_key(&mut self, map: &mut FxHashMap<GroupKey, u32>, key: GroupKey) -> usize {
+        match map.get(&key) {
+            Some(&idx) => idx as usize,
+            None => {
+                let idx = self.push(key.clone());
+                map.insert(key, idx as u32);
+                idx
+            }
+        }
+    }
+
+    /// One side's accumulators of one group, one per aggregate.
+    fn side(&self, group: usize, side: usize) -> &[Accumulator] {
+        let start = (group * 2 + side) * self.n_aggs;
+        &self.accs[start..start + self.n_aggs]
     }
 }
 
@@ -173,7 +222,7 @@ pub struct PartialAggregation {
     mode: ExecMode,
     map: FxHashMap<GroupKey, u32>,
     dense: DenseIndex,
-    entries: Vec<GroupState>,
+    groups: Groups,
     rows_consumed: u64,
     target_rows: u64,
 }
@@ -234,6 +283,11 @@ impl PartialAggregation {
             SplitSpec::TargetOnly(p) => BoundSplit::TargetOnly(p.bind(&slot_of)),
         };
 
+        let groups = Groups {
+            n_aggs: query.aggregates.len(),
+            keys: Vec::new(),
+            accs: Vec::new(),
+        };
         PartialAggregation {
             query,
             projection,
@@ -244,7 +298,7 @@ impl PartialAggregation {
             mode,
             map: FxHashMap::default(),
             dense: DenseIndex::Undecided,
-            entries: Vec::new(),
+            groups,
             rows_consumed: 0,
             target_rows: 0,
         }
@@ -272,7 +326,7 @@ impl PartialAggregation {
 
     /// Number of groups currently maintained (the memory-budget quantity).
     pub fn num_groups(&self) -> usize {
-        self.entries.len()
+        self.groups.len()
     }
 
     /// Consumes rows `range` of `table`, updating accumulators and `stats`.
@@ -285,14 +339,14 @@ impl PartialAggregation {
 
     /// Row-at-a-time update through [`Table::scan_range`].
     fn update_scalar(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.query.aggregates.len();
+        let n_aggs = self.groups.n_aggs;
         let proj_width = self.projection.len();
         let start = range.start.min(table.num_rows());
         let end = range.end.min(table.num_rows());
 
         // Split borrows so the closure can touch disjoint fields.
         let map = &mut self.map;
-        let entries = &mut self.entries;
+        let groups = &mut self.groups;
         let group_slots = &self.group_slots;
         let measure_slots = &self.measure_slots;
         let filter = &self.filter;
@@ -309,38 +363,26 @@ impl PartialAggregation {
                     return;
                 }
             }
-            let (is_target, is_ref) = split.classify(cells);
-            if !is_target && !is_ref {
+            let (is_t, is_r) = split.classify(cells);
+            if !is_t && !is_r {
                 return;
             }
-            if is_target {
+            if is_t {
                 target_rows += 1;
             }
             for (dst, &slot) in codes.iter_mut().zip(group_slots) {
                 *dst = cells[slot].group_code();
             }
-            let key = GroupKey::from_codes(&codes);
-            let idx = match map.get(&key) {
-                Some(&i) => i as usize,
-                None => {
-                    let i = entries.len();
-                    map.insert(key.clone(), i as u32);
-                    entries.push(GroupState {
-                        key,
-                        target: vec![Accumulator::new(); n_aggs],
-                        reference: vec![Accumulator::new(); n_aggs],
-                    });
-                    i
-                }
-            };
-            let entry = &mut entries[idx];
-            for (agg_idx, &slot) in measure_slots.iter().enumerate() {
+            let group = groups.at_key(map, GroupKey::from_codes(&codes));
+            let first = group * 2 * n_aggs;
+            let (target, second) = groups.accs[first..first + 2 * n_aggs].split_at_mut(n_aggs);
+            for (agg, &slot) in measure_slots.iter().enumerate() {
                 let v = cells[slot].as_f64();
-                if is_target {
-                    entry.target[agg_idx].update(v);
+                if is_t {
+                    target[agg].update(v);
                 }
-                if is_ref {
-                    entry.reference[agg_idx].update(v);
+                if is_r {
+                    second[agg].update(v);
                 }
             }
         });
@@ -350,7 +392,7 @@ impl PartialAggregation {
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
-        stats.groups_max = stats.groups_max.max(self.entries.len() as u64);
+        stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
     /// Picks the vectorized path's group index on the first batch:
@@ -412,11 +454,11 @@ impl PartialAggregation {
     }
 
     /// Batched update through [`Table::scan_batches`]: per-batch selection
-    /// bitmaps, then a tight per-row accumulation loop over typed slices.
-    /// Row order matches the scalar path exactly, so results are
-    /// bit-identical.
+    /// bitmaps, one pass resolving every selected row to its group-side
+    /// slot, then one tight accumulation loop per aggregate over typed
+    /// slices.
     fn update_vectorized(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.query.aggregates.len();
+        let n_aggs = self.groups.n_aggs;
         let proj_width = self.projection.len();
         let start = range.start.min(table.num_rows());
         let end = range.end.min(table.num_rows());
@@ -426,7 +468,7 @@ impl PartialAggregation {
         // Split borrows so the closure can touch disjoint fields.
         let map = &mut self.map;
         let dense = &mut self.dense;
-        let entries = &mut self.entries;
+        let groups = &mut self.groups;
         let group_slots = &self.group_slots;
         let measure_slots = &self.measure_slots;
         let filter = &self.filter;
@@ -440,14 +482,16 @@ impl PartialAggregation {
         let mut r_bits = Bitmap::new();
         let mut f_bits = Bitmap::new();
         let mut codes: Vec<u64> = vec![0; group_slots.len()];
+        // (row in batch, group-side slot) of every update the batch owes,
+        // in row order.
+        let mut selected: Vec<(u32, u32)> = Vec::new();
 
         table.scan_batches(
             &self.projection,
             start..end,
             DEFAULT_BATCH_SIZE,
             &mut |batch| {
-                let n = batch.len();
-                rows += n as u64;
+                rows += batch.len() as u64;
 
                 split.classify_batch(batch, &mut t_bits, &mut r_bits);
                 if let Some(f) = filter {
@@ -456,44 +500,20 @@ impl PartialAggregation {
                     r_bits.and_assign(&f_bits);
                 }
 
-                // Hoist each measure's typed slice when it is a dense
-                // `f64` column (the overwhelmingly common measure shape) so
-                // the per-row loop skips the `BatchData` dispatch.
-                let measures: Vec<(usize, Option<&[f64]>)> = measure_slots
-                    .iter()
-                    .map(|&slot| {
-                        let col = batch.column(slot);
-                        let fast = match (col.data, col.validity) {
-                            (seedb_storage::BatchData::Float(v), None) => Some(v),
-                            _ => None,
-                        };
-                        (slot, fast)
-                    })
-                    .collect();
-                let visit = |entries: &mut Vec<GroupState>,
-                             i: usize,
-                             entry_idx: usize,
-                             is_t: bool,
-                             is_r: bool| {
-                    let entry = &mut entries[entry_idx];
-                    for (agg_idx, &(slot, fast)) in measures.iter().enumerate() {
-                        let v = match fast {
-                            Some(values) => Some(values[i]),
-                            None => batch.column(slot).value_f64(i),
-                        };
-                        if is_t {
-                            entry.target[agg_idx].update(v);
-                        }
-                        if is_r {
-                            entry.reference[agg_idx].update(v);
-                        }
+                selected.clear();
+                let mut select = |row: usize, group: usize, is_t: bool, is_r: bool| {
+                    if is_t {
+                        target_rows += 1;
+                        selected.push((row as u32, group as u32 * 2));
+                    }
+                    if is_r {
+                        selected.push((row as u32, group as u32 * 2 + 1));
                     }
                 };
-
                 match dense {
                     DenseIndex::Single { slots } => {
                         // Dense dictionary-direct path: one group attribute,
-                        // entry index looked up by dictionary code. The common
+                        // group looked up by dictionary code. The common
                         // case — a dense categorical batch slice — reads codes
                         // straight from the slice without per-row dispatch.
                         let gcol = *batch.column(group_slots[0]);
@@ -502,9 +522,6 @@ impl PartialAggregation {
                             _ => None,
                         };
                         for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
                             let code = match cat_codes {
                                 Some(v) => v[i] as u64,
                                 None => gcol.group_code(i),
@@ -514,40 +531,23 @@ impl PartialAggregation {
                             } else {
                                 code as usize + 1
                             };
-                            let entry_idx = if si <= DENSE_CARDINALITY_MAX + 1 {
+                            let group = if si <= DENSE_CARDINALITY_MAX + 1 {
                                 if si >= slots.len() {
                                     // A code beyond the planning-time dictionary
                                     // (e.g. a different table instance): grow,
                                     // bounded by the dense cardinality cap.
                                     slots.resize(si + 1, 0);
                                 }
-                                match slots[si] {
-                                    0 => {
-                                        let idx = entries.len();
-                                        slots[si] = idx as u32 + 1;
-                                        entries.push(GroupState::new(GroupKey::One(code), n_aggs));
-                                        idx
-                                    }
-                                    v => v as usize - 1,
-                                }
+                                groups.at_dense_slot(&mut slots[si], || GroupKey::One(code))
                             } else {
                                 // A stray code past the dense cap must not
                                 // force a huge, mostly-empty dense table:
                                 // overflow such groups into the hash map (keys
                                 // stay disjoint — the dense table owns every
                                 // code at or below the cap).
-                                let key = GroupKey::One(code);
-                                match map.get(&key) {
-                                    Some(&idx) => idx as usize,
-                                    None => {
-                                        let idx = entries.len();
-                                        map.insert(key, idx as u32);
-                                        entries.push(GroupState::new(GroupKey::One(code), n_aggs));
-                                        idx
-                                    }
-                                }
+                                groups.at_key(map, GroupKey::One(code))
                             };
-                            visit(entries, i, entry_idx, is_t, is_r);
+                            select(i, group, is_t, is_r);
                         });
                     }
                     DenseIndex::Composite { slots, dims } => {
@@ -559,62 +559,48 @@ impl PartialAggregation {
                         // spaces are disjoint because the dense table owns
                         // exactly the in-radix tuples.
                         for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
                             for (dst, &slot) in codes.iter_mut().zip(group_slots) {
                                 *dst = batch.column(slot).group_code(i);
                             }
-                            let entry_idx = match composite_slot(dims, &codes) {
-                                Some(si) => match slots[si] {
-                                    0 => {
-                                        let idx = entries.len();
-                                        slots[si] = idx as u32 + 1;
-                                        entries.push(GroupState::new(
-                                            GroupKey::from_codes(&codes),
-                                            n_aggs,
-                                        ));
-                                        idx
-                                    }
-                                    v => v as usize - 1,
-                                },
-                                None => {
-                                    let key = GroupKey::from_codes(&codes);
-                                    match map.get(&key) {
-                                        Some(&idx) => idx as usize,
-                                        None => {
-                                            let idx = entries.len();
-                                            map.insert(key.clone(), idx as u32);
-                                            entries.push(GroupState::new(key, n_aggs));
-                                            idx
-                                        }
-                                    }
-                                }
+                            let group = match composite_slot(dims, &codes) {
+                                Some(si) => groups
+                                    .at_dense_slot(&mut slots[si], || GroupKey::from_codes(&codes)),
+                                None => groups.at_key(map, GroupKey::from_codes(&codes)),
                             };
-                            visit(entries, i, entry_idx, is_t, is_r);
+                            select(i, group, is_t, is_r);
                         });
                     }
                     DenseIndex::Disabled | DenseIndex::Undecided => {
                         // Hash path (non-dense attribute or oversized domain).
                         for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
                             for (dst, &slot) in codes.iter_mut().zip(group_slots) {
                                 *dst = batch.column(slot).group_code(i);
                             }
-                            let key = GroupKey::from_codes(&codes);
-                            let entry_idx = match map.get(&key) {
-                                Some(&idx) => idx as usize,
-                                None => {
-                                    let idx = entries.len();
-                                    map.insert(key.clone(), idx as u32);
-                                    entries.push(GroupState::new(key, n_aggs));
-                                    idx
-                                }
-                            };
-                            visit(entries, i, entry_idx, is_t, is_r);
+                            let group = groups.at_key(map, GroupKey::from_codes(&codes));
+                            select(i, group, is_t, is_r);
                         });
+                    }
+                }
+
+                // One loop per aggregate: the measure's slice streams
+                // through while its accumulators (one per slot) stay hot.
+                // A dense `f64` column (the overwhelmingly common measure
+                // shape) skips the `BatchData` dispatch.
+                for (agg, &slot) in measure_slots.iter().enumerate() {
+                    let col = batch.column(slot);
+                    let accs = &mut groups.accs[..];
+                    match (col.data, col.validity) {
+                        (seedb_storage::BatchData::Float(values), None) => {
+                            for &(row, gs) in &selected {
+                                accs[gs as usize * n_aggs + agg].update(Some(values[row as usize]));
+                            }
+                        }
+                        _ => {
+                            for &(row, gs) in &selected {
+                                accs[gs as usize * n_aggs + agg]
+                                    .update(col.value_f64(row as usize));
+                            }
+                        }
                     }
                 }
             },
@@ -625,64 +611,39 @@ impl PartialAggregation {
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
-        stats.groups_max = stats.groups_max.max(self.entries.len() as u64);
+        stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
-    /// Looks up (or creates) the entry for `key`, routing through whichever
+    /// Looks up (or creates) the group for `key`, routing through whichever
     /// group index this aggregation runs — the merge-path twin of the
     /// per-row lookups in `update_vectorized`. Dense-vs-hash ownership is
     /// identical to the update path, so merging partials that used the same
     /// plan keeps the two key spaces disjoint.
-    fn entry_index_for_key(&mut self, key: &GroupKey, n_aggs: usize) -> usize {
-        let dense_slot = match &self.dense {
-            DenseIndex::Single { .. } => {
+    fn group_for_key(&mut self, key: &GroupKey) -> usize {
+        let dense_slot = match &mut self.dense {
+            DenseIndex::Single { slots } => {
                 let code = key.code(0);
                 let si = if code == u64::MAX {
                     0
                 } else {
                     code as usize + 1
                 };
-                (si <= DENSE_CARDINALITY_MAX + 1).then_some(si)
+                (si <= DENSE_CARDINALITY_MAX + 1).then(|| {
+                    if si >= slots.len() {
+                        slots.resize(si + 1, 0);
+                    }
+                    &mut slots[si]
+                })
             }
-            DenseIndex::Composite { dims, .. } => {
+            DenseIndex::Composite { slots, dims } => {
                 let codes: Vec<u64> = (0..key.arity()).map(|i| key.code(i)).collect();
-                composite_slot(dims, &codes)
+                composite_slot(dims, &codes).map(|si| &mut slots[si])
             }
             DenseIndex::Disabled | DenseIndex::Undecided => None,
         };
-        match (&mut self.dense, dense_slot) {
-            (DenseIndex::Single { slots }, Some(si)) => {
-                if si >= slots.len() {
-                    slots.resize(si + 1, 0);
-                }
-                match slots[si] {
-                    0 => {
-                        let idx = self.entries.len();
-                        slots[si] = idx as u32 + 1;
-                        self.entries.push(GroupState::new(key.clone(), n_aggs));
-                        idx
-                    }
-                    v => v as usize - 1,
-                }
-            }
-            (DenseIndex::Composite { slots, .. }, Some(si)) => match slots[si] {
-                0 => {
-                    let idx = self.entries.len();
-                    slots[si] = idx as u32 + 1;
-                    self.entries.push(GroupState::new(key.clone(), n_aggs));
-                    idx
-                }
-                v => v as usize - 1,
-            },
-            _ => match self.map.get(key) {
-                Some(&idx) => idx as usize,
-                None => {
-                    let idx = self.entries.len();
-                    self.map.insert(key.clone(), idx as u32);
-                    self.entries.push(GroupState::new(key.clone(), n_aggs));
-                    idx
-                }
-            },
+        match dense_slot {
+            Some(slot) => self.groups.at_dense_slot(slot, || key.clone()),
+            None => self.groups.at_key(&mut self.map, key.clone()),
         }
     }
 
@@ -704,36 +665,48 @@ impl PartialAggregation {
         );
         self.rows_consumed += other.rows_consumed;
         self.target_rows += other.target_rows;
-        if self.entries.is_empty() && matches!(self.dense, DenseIndex::Undecided) {
+        if self.groups.len() == 0 && matches!(self.dense, DenseIndex::Undecided) {
             // This side never consumed a batch: adopt the other side's
             // state wholesale (index structure included).
             self.dense = other.dense;
             self.map = other.map;
-            self.entries = other.entries;
+            self.groups = other.groups;
             return;
         }
-        let n_aggs = self.query.aggregates.len();
-        for group in other.entries {
-            let idx = self.entry_index_for_key(&group.key, n_aggs);
-            let entry = &mut self.entries[idx];
-            for agg in 0..n_aggs {
-                entry.target[agg].merge(&group.target[agg]);
-                entry.reference[agg].merge(&group.reference[agg]);
+        let per_group = 2 * self.groups.n_aggs;
+        for (group, key) in other.groups.keys.iter().enumerate() {
+            let first = self.group_for_key(key) * per_group;
+            let theirs = &other.groups.accs[group * per_group..][..per_group];
+            for (mine, theirs) in self.groups.accs[first..][..per_group]
+                .iter_mut()
+                .zip(theirs)
+            {
+                mine.merge(theirs);
             }
+        }
+    }
+
+    /// Group `group`'s result entry: the target side as accumulated, and
+    /// the reference side — as accumulated, or target ⊕ non-target when the
+    /// split kept them disjoint.
+    fn entry(&self, group: usize) -> GroupEntry {
+        let target = self.groups.side(group, 0).to_vec();
+        let mut reference = self.groups.side(group, 1).to_vec();
+        if self.split.reference_includes_target() {
+            for (r, t) in reference.iter_mut().zip(&target) {
+                r.merge(t);
+            }
+        }
+        GroupEntry {
+            key: self.groups.keys[group].clone(),
+            target,
+            reference,
         }
     }
 
     /// Clones the current state into a sorted [`GroupedResult`].
     pub fn snapshot(&self) -> GroupedResult {
-        let mut groups: Vec<GroupEntry> = self
-            .entries
-            .iter()
-            .map(|g| GroupEntry {
-                key: g.key.clone(),
-                target: g.target.clone(),
-                reference: g.reference.clone(),
-            })
-            .collect();
+        let mut groups: Vec<GroupEntry> = (0..self.groups.len()).map(|g| self.entry(g)).collect();
         groups.sort_by(|a, b| a.key.cmp(&b.key));
         GroupedResult {
             group_by: self.query.group_by.clone(),
@@ -743,25 +716,12 @@ impl PartialAggregation {
     }
 
     /// Consumes the aggregation, producing the final sorted result.
-    pub fn finalize(mut self) -> GroupedResult {
-        self.entries.sort_by(|a, b| a.key.cmp(&b.key));
-        GroupedResult {
-            group_by: self.query.group_by,
-            aggregates: self.query.aggregates,
-            groups: self
-                .entries
-                .into_iter()
-                .map(|g| GroupEntry {
-                    key: g.key,
-                    target: g.target,
-                    reference: g.reference,
-                })
-                .collect(),
-        }
+    pub fn finalize(self) -> GroupedResult {
+        self.snapshot()
     }
 }
 
-/// Calls `body(row, is_target, is_reference)` for every row selected on
+/// Calls `body(row, on_side_0, on_side_1)` for every row selected on
 /// either side, walking the two selection bitmaps one word at a time and
 /// skipping unselected rows with bit tricks. Rows are visited in ascending
 /// order, preserving scalar-path accumulation order.

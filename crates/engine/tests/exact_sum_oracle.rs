@@ -1,0 +1,264 @@
+//! Independent oracle for the fixed-point exact sum.
+//!
+//! The other equivalence suites compare the engine with itself, so a
+//! *consistently* wrong SUM would pass them all. This suite checks
+//! [`Accumulator`]'s sum, bit for bit, against the algorithm it replaced:
+//! the Shewchuk grow-expansion with the `math.fsum` rounding tail, kept
+//! here as test-only code. The two share nothing — one is error-free
+//! floating-point transformations, the other integer chunks — so agreement
+//! on random multisets spanning 2⁻¹⁰⁷⁴…2¹⁰²³ (subnormals, ±0, mixed signs,
+//! catastrophic cancellation), under random permutations and random
+//! split/merge trees, is evidence both round the exact sum correctly.
+
+use proptest::prelude::*;
+use seedb_engine::Accumulator;
+
+/// Error-free transformation: `a + b = s + err` exactly (Knuth's TwoSum).
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let bb = s - a;
+    let err = (a - (s - bb)) + (b - bb);
+    (s, err)
+}
+
+/// The retired accumulator: a Shewchuk expansion of non-overlapping
+/// partials in increasing magnitude order whose sum is the exact sum of the
+/// inputs. Exact only while `Σ|xᵢ|` stays finite — callers keep it there.
+#[derive(Default)]
+struct Shewchuk {
+    partials: Vec<f64>,
+}
+
+impl Shewchuk {
+    fn add(&mut self, mut x: f64) {
+        let mut kept = 0;
+        for j in 0..self.partials.len() {
+            let (hi, lo) = two_sum(x, self.partials[j]);
+            if lo != 0.0 {
+                self.partials[kept] = lo;
+                kept += 1;
+            }
+            x = hi;
+        }
+        assert!(x.is_finite(), "oracle driven outside its exact domain");
+        self.partials.truncate(kept);
+        self.partials.push(x);
+    }
+
+    /// Correctly rounded value of the expansion (the `fsum` tail: sum from
+    /// the top, stop at the first inexact step, fix up round-half-even).
+    fn value(&self) -> f64 {
+        let p = &self.partials;
+        let Some(&last) = p.last() else {
+            return 0.0;
+        };
+        let mut n = p.len() - 1;
+        let mut hi = last;
+        let mut lo = 0.0;
+        while n > 0 {
+            let x = hi;
+            n -= 1;
+            let y = p[n];
+            hi = x + y;
+            let yr = hi - x;
+            lo = y - yr;
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0)) {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+        hi
+    }
+}
+
+fn oracle_sum(values: &[f64]) -> f64 {
+    let mut s = Shewchuk::default();
+    for &x in values {
+        s.add(x);
+    }
+    s.value()
+}
+
+fn sequential(values: &[f64]) -> Accumulator {
+    let mut a = Accumulator::new();
+    for &x in values {
+        a.update(Some(x));
+    }
+    a
+}
+
+/// Accumulates `values` through a random split/merge tree: `cuts` decides,
+/// node by node, whether to feed the slice sequentially or to split it,
+/// recurse, and merge the halves (in either order).
+fn tree(values: &[f64], cuts: &mut impl Iterator<Item = u16>) -> Accumulator {
+    let cut = cuts.next().unwrap_or(0);
+    // Bits 0–1: leaf (one in four) or split; bit 2: merge direction; the
+    // rest: where to split.
+    if values.len() < 2 || cut & 3 == 0 {
+        return sequential(values);
+    }
+    let at = 1 + (cut as usize >> 3) % (values.len() - 1);
+    let mut left = tree(&values[..at], cuts);
+    let mut right = tree(&values[at..], cuts);
+    if cut & 4 == 0 {
+        left.merge(&right);
+        left
+    } else {
+        right.merge(&left);
+        right
+    }
+}
+
+/// `values` reordered by the sort keys in `order` (cycled).
+fn permuted(values: &[f64], order: &[u32]) -> Vec<f64> {
+    let mut idx: Vec<usize> = (0..values.len()).collect();
+    idx.sort_by_key(|&i| (order[i % order.len()], i));
+    idx.into_iter().map(|i| values[i]).collect()
+}
+
+fn float(negative: bool, exp_field: u64, fraction: u64) -> f64 {
+    f64::from_bits((negative as u64) << 63 | exp_field << 52 | fraction & ((1 << 52) - 1))
+}
+
+/// One draw of the multiset generator: a lone value, or a group built to
+/// cancel.
+#[derive(Debug, Clone)]
+enum Item {
+    One(f64),
+    /// `x` and `-x`.
+    Cancel(f64),
+    /// `x` and `-(x nudged by a few ULPs)`: leaves a residue ~2⁵⁰ below.
+    NearCancel(f64, u8),
+    /// `x`, a residue far below, and `-x`.
+    Buried(f64, f64),
+    /// `x` and half an ULP of `x`: an exact rounding tie.
+    Tie(f64),
+}
+
+fn expand(items: &[Item]) -> Vec<f64> {
+    let mut out = Vec::new();
+    for item in items {
+        match *item {
+            Item::One(x) => out.push(x),
+            Item::Cancel(x) => out.extend([x, -x]),
+            Item::NearCancel(x, ulps) => {
+                // Nudge towards zero (away from it only at the very bottom),
+                // so the partner never leaves the finite range.
+                let magnitude = x.abs().to_bits();
+                let nudged = if magnitude >= 16 {
+                    magnitude - ulps as u64
+                } else {
+                    magnitude + ulps as u64
+                };
+                out.extend([x, -f64::from_bits(nudged).copysign(x)])
+            }
+            Item::Buried(x, small) => out.extend([x, small, -x]),
+            Item::Tie(x) => {
+                out.push(x);
+                let exp_field = x.to_bits() >> 52 & 0x7FF;
+                if exp_field > 53 {
+                    out.push(float(x < 0.0, exp_field - 53, 0));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Values with exponent fields in `lo..=hi`, mixing full-range draws,
+/// a narrow band (realistic columns), subnormals and signed zeros (when the
+/// range reaches them), and cancelling groups.
+fn arb_items(lo: u64, hi: u64, max_len: usize) -> impl Strategy<Value = Vec<Item>> {
+    let any_value =
+        move || (any::<bool>(), lo..hi + 1, any::<u64>()).prop_map(|(s, e, f)| float(s, e, f));
+    let band = (lo + hi) / 2;
+    let banded =
+        (any::<bool>(), band..band + 12, any::<u64>()).prop_map(|(s, e, f)| float(s, e, f));
+    // Exponent field `lo` is 0 (subnormals, and ±0 for a zero fraction)
+    // only in the full-range suite; in the top-range suite these are just
+    // more small values.
+    let lowest = (any::<bool>(), any::<u64>()).prop_map(move |(s, f)| float(s, lo, f));
+    let zero = any::<bool>().prop_map(move |s| float(s, lo, 0));
+    let item = prop_oneof![
+        4 => any_value().prop_map(Item::One),
+        4 => banded.prop_map(Item::One),
+        2 => lowest.prop_map(Item::One),
+        1 => zero.prop_map(Item::One),
+        2 => any_value().prop_map(Item::Cancel),
+        2 => (any_value(), 1u8..16).prop_map(|(x, u)| Item::NearCancel(x, u)),
+        2 => (any_value(), any_value()).prop_map(|(x, s)| Item::Buried(x, s)),
+        2 => any_value().prop_map(Item::Tie),
+    ];
+    prop::collection::vec(item, 0..max_len)
+}
+
+fn arb_shape() -> impl Strategy<Value = (Vec<u32>, Vec<u16>)> {
+    (
+        prop::collection::vec(any::<u32>(), 1..64),
+        prop::collection::vec(any::<u16>(), 0..64),
+    )
+}
+
+/// Asserts that every accumulation shape of `values` produces `expected`'s
+/// bits, and agrees on count/min/max.
+fn check_all_shapes(values: &[f64], expected: f64, order: &[u32], cuts: &[u16]) {
+    let serial = sequential(values);
+    assert_eq!(
+        serial.sum().to_bits(),
+        expected.to_bits(),
+        "serial {:e} vs oracle {:e} over {values:?}",
+        serial.sum(),
+        expected
+    );
+    let shuffled = permuted(values, order);
+    for input in [values, &shuffled[..]] {
+        let merged = tree(input, &mut cuts.iter().copied());
+        assert_eq!(
+            merged.sum().to_bits(),
+            expected.to_bits(),
+            "tree {:e} vs oracle {:e} over {input:?} cuts {cuts:?}",
+            merged.sum(),
+            expected
+        );
+        assert_eq!(merged.count, values.len() as u64);
+        assert_eq!(merged, serial);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// 2⁻¹⁰⁷⁴ … 2¹⁰¹⁵: everything from the smallest subnormal up to where
+    /// 200 addends can no longer overflow the oracle's intermediate sums.
+    #[test]
+    fn matches_shewchuk_across_the_range(
+        items in arb_items(0, 2038, 96),
+        shape in arb_shape(),
+    ) {
+        let values = expand(&items);
+        check_all_shapes(&values, oracle_sum(&values), &shape.0, &shape.1);
+    }
+
+    /// 2¹⁷⁷ … 2¹⁰²³: the top of the range, where intermediate (and final)
+    /// sums pass `f64::MAX`. The oracle sums the inputs scaled down by 2⁷⁰
+    /// (exact: nothing here is within 2⁷⁰ of subnormal) and its rounded
+    /// result is scaled back up, overflowing to ±∞ exactly when the
+    /// correctly rounded true sum does.
+    #[test]
+    fn matches_scaled_shewchuk_at_the_top(
+        items in arb_items(1200, 2046, 48),
+        shape in arb_shape(),
+    ) {
+        let values = expand(&items);
+        let down = 2f64.powi(-70);
+        let scaled: Vec<f64> = values.iter().map(|x| x * down).collect();
+        let expected = oracle_sum(&scaled) * 2f64.powi(70);
+        check_all_shapes(&values, expected, &shape.0, &shape.1);
+    }
+}
