@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the deviation metrics (every `DistanceKind` over
 //! distributions of increasing width) and of the engine's scan→aggregate
-//! hot path (scalar vs vectorized execution modes on both store layouts),
-//! down to the bare accumulator update against a naive `+=`.
+//! hot path (scalar vs vectorized execution modes on both store layouts;
+//! one bin-packed cluster with shared vs per-view aggregate lists and
+//! column-at-a-time vs row-wise group slots), down to the bare accumulator
+//! update against a naive `+=`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seedb_bench::BENCH_SEED;
@@ -11,7 +13,7 @@ use seedb_engine::{
     SplitSpec,
 };
 use seedb_metrics::{normalize, DistanceKind};
-use seedb_storage::StoreKind;
+use seedb_storage::{BoxedTable, ColumnDef, StoreKind, TableBuilder, Value};
 
 fn distributions(len: usize) -> (Vec<f64>, Vec<f64>) {
     // Deterministic, non-degenerate shapes: power-law vs near-uniform.
@@ -161,6 +163,74 @@ fn scan_aggregate_micro(c: &mut Criterion) {
     group.finish();
 }
 
+/// One bin-packed cluster — 3 dimensions (4 × 5 × 6 values) × 8 measures,
+/// 100k rows — scanned three ways. `shared_8_aggs` is what the executor
+/// issues: each measure aggregated once, group slots resolved
+/// column-at-a-time. `per_view_24_aggs` is the list one `AggSpec` per
+/// member view used to produce (every measure three times over).
+/// `rowwise_8_aggs` scans the same rows with one NULL in a dimension, whose
+/// validity slice sends every batch down the row-wise slot path.
+fn cluster_scan(c: &mut Criterion) {
+    const ROWS: usize = 100_000;
+    let build = |null_row: Option<usize>| -> BoxedTable {
+        let mut defs: Vec<ColumnDef> = (0..3).map(|d| ColumnDef::dim(format!("d{d}"))).collect();
+        defs.extend((0..8).map(|m| ColumnDef::measure(format!("m{m}"))));
+        let mut b = TableBuilder::new(defs);
+        for i in 0..ROWS {
+            let mut row: Vec<Value> = [4usize, 5, 6]
+                .iter()
+                .map(|card| Value::str(format!("v{}", (i * 7 + i / 11) % card)))
+                .collect();
+            if null_row == Some(i) {
+                row[1] = Value::Null;
+            }
+            row.extend((0..8).map(|m| Value::Float(((i * (m + 3)) % 97) as f64 * 0.5)));
+            b.push_row(&row).unwrap();
+        }
+        b.build(StoreKind::Column).unwrap()
+    };
+    let dense = build(None);
+    let with_null = build(Some(ROWS / 2));
+    let dims = dense.schema().dimensions();
+    let shared: Vec<AggSpec> = dense
+        .schema()
+        .measures()
+        .iter()
+        .map(|m| AggSpec::new(AggFunc::Avg, *m))
+        .collect();
+    let per_view: Vec<AggSpec> = dims.iter().flat_map(|_| shared.clone()).collect();
+    let query = |aggregates: &[AggSpec]| CombinedQuery {
+        group_by: dims.clone(),
+        aggregates: aggregates.to_vec(),
+        filter: None,
+        split: SplitSpec::TargetVsAll(seedb_engine::Predicate::CatEq {
+            col: dims[0],
+            code: 0,
+        }),
+    };
+
+    let mut group = c.benchmark_group("cluster_scan");
+    group.sample_size(15);
+    for (name, table, query) in [
+        ("shared_8_aggs", &dense, query(&shared)),
+        ("per_view_24_aggs", &dense, query(&per_view)),
+        ("rowwise_8_aggs", &with_null, query(&shared)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut stats = ExecStats::new();
+                execute_combined_with_mode(
+                    table.as_ref(),
+                    black_box(&query),
+                    ExecMode::Vectorized,
+                    &mut stats,
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The raw morsel-scheduler hot path: one grouped AVG over the column
 /// store executed through `execute_morsels`, sweeping worker count at the
 /// default morsel size. Overhead relative to `scan_aggregate` at 1 thread
@@ -265,6 +335,7 @@ criterion_group!(
     normalize_micro,
     accumulate,
     scan_aggregate_micro,
+    cluster_scan,
     morsel_scan_aggregate,
     server_cache
 );

@@ -11,13 +11,13 @@ use std::path::Path;
 use seedb_bench::{bench_dataset, recommend, time_ms, time_ms_prewarmed, BENCH_SEED};
 use seedb_core::{
     accuracy_at_k, utility_distance, ExecMode, ExecutionStrategy, GroupingPolicy, Knob,
-    PruningKind, Recommendation, SeeDbConfig, SharingConfig,
+    PruningKind, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig, SharingConfig,
 };
 use seedb_data::syn::{syn, SynConfig};
 use seedb_data::Dataset;
 use seedb_engine::{
-    execute_combined_with_mode, execute_morsels, with_pool, AggFunc, AggSpec, CmpOp, CombinedQuery,
-    ExecStats, Predicate, ScanShape, SplitSpec,
+    execute_combined_with_mode, execute_morsels, with_pool, AggFunc, AggSpec, CancelToken, CmpOp,
+    CombinedQuery, ExecStats, Predicate, ScanShape, SplitSpec,
 };
 use seedb_storage::{ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 use seedb_util::Json;
@@ -52,6 +52,7 @@ fn main() {
     emit(out, "morsels", morsels(runs, scale));
     emit(out, "partitions", partitions(runs, scale));
     emit(out, "planner", planner(runs, scale));
+    emit(out, "sharing", sharing_overhead(runs, scale));
     emit(out, "server", server_cache(runs, scale));
     emit(out, "server_load", server_load(runs, scale));
     emit(out, "obs", obs_overhead(runs, scale));
@@ -593,6 +594,87 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
             .set("speedup_planned_over_best_fixed", best_fixed / planned_min),
     );
     results
+}
+
+/// What `SHARING` costs beyond its cluster scans: the executor's wall time
+/// over a bare `execute_morsels` of the plan's clusters with each measure
+/// aggregated **once** — the paper's one-query-per-bin shape. The gap is
+/// planning, pool start, roll-ups, the fold into view states and the
+/// utilities (a few percent); a cluster that aggregates a measure once per
+/// member view instead lands at ≈ 2.4×, so `perf_smoke` holds the ratio
+/// under 1.25×. Both sides run on the same host seconds apart.
+///
+/// The row count is NOT scaled down in --fast mode: at 1k rows the fixed
+/// costs on the executor side would drown the ratio.
+fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
+    let dataset = bench_dataset("DIAB", 100_000, StoreKind::Column);
+    let table = dataset.table.as_ref();
+    let config = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+    let reference = ReferenceSpec::WholeTable;
+    let plan =
+        SeeDb::with_config(dataset.table.clone(), config.clone()).plan(&dataset.target, &reference);
+    let aggregates: Vec<AggSpec> = table
+        .schema()
+        .measures()
+        .iter()
+        .map(|m| AggSpec::new(AggFunc::Avg, *m))
+        .collect();
+    let queries: Vec<CombinedQuery> = plan
+        .clusters
+        .iter()
+        .map(|cluster| CombinedQuery {
+            group_by: cluster.clone(),
+            aggregates: aggregates.clone(),
+            filter: None,
+            split: reference.to_split(dataset.target.clone()),
+        })
+        .collect();
+    assert_eq!(
+        plan.aggregates,
+        queries.iter().map(|q| q.aggregates.len()).sum::<usize>(),
+        "the probe must scan what the executor scans"
+    );
+
+    // ~10 ms a sample: enough of them that each side's min is steady.
+    let samples = runs * 10;
+    let scan = time_ms(samples, || {
+        with_pool(plan.workers, |pool| {
+            execute_morsels(
+                pool,
+                table,
+                &queries,
+                0..table.num_rows(),
+                plan.scan_shape(),
+                &CancelToken::none(),
+            )
+        });
+    });
+    let sharing = time_ms(samples, || {
+        recommend(&dataset, &config);
+    });
+    vec![
+        Json::obj()
+            .set("sweep", "cluster_scan")
+            .set("dataset", dataset.name.as_str())
+            .set("rows", dataset.rows())
+            .set("timing", Json::from(scan)),
+        Json::obj()
+            .set("sweep", "sharing")
+            .set("dataset", dataset.name.as_str())
+            .set("rows", dataset.rows())
+            .set("timing", Json::from(sharing)),
+        Json::obj()
+            .set("sweep", "summary")
+            .set("dataset", dataset.name.as_str())
+            .set("rows", dataset.rows())
+            .set("plan", plan.summary())
+            .set("aggregates_per_row", plan.aggregates)
+            .set("views", plan.views)
+            .set(
+                "overhead_sharing_over_cluster_scan",
+                sharing.min_ms / scan.min_ms,
+            ),
+    ]
 }
 
 /// The serving layer's cross-request cache: cold `/recommend` (engine

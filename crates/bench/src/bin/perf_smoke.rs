@@ -35,11 +35,15 @@
 //! best fixed-knob configuration in its grid sweep (≥ 1.0×). From
 //! `BENCH_server_load.json`, admission sheds under open-loop overload
 //! must answer ≥ 2× faster than the median served request, and zero
-//! connections may hang without a response. From `BENCH_obs.json`, one
-//! *ceiling* instead of a floor: warm cache-hit p50 against a fully
+//! connections may hang without a response. Two *ceilings* instead of
+//! floors: from `BENCH_obs.json`, warm cache-hit p50 against a fully
 //! traced daemon must stay within 1.10× of the same daemon with the
 //! flight recorder disabled, or request tracing has left the
-//! pay-only-when-enabled budget.
+//! pay-only-when-enabled budget; from `BENCH_sharing.json`, the executor's
+//! `SHARING` wall on a 100K-row DIAB must stay within 1.25× of a bare
+//! scan of its plan's clusters with each measure aggregated once, or the
+//! clusters have gone back to aggregating a measure once per member view
+//! (≈ 2.4×).
 
 use seedb_util::Json;
 use std::path::Path;
@@ -78,6 +82,10 @@ const LOAD_RATIO_GATES: [(&str, f64); 2] = [
 /// Absolute *ceilings* over the entries of `BENCH_obs.json`: flight-
 /// recorder tracing must cost ≤ 10% on the warm cache-hit path.
 const OBS_RATIO_CEILINGS: [(&str, f64); 1] = [("overhead_traced_over_untraced", 1.10)];
+
+/// Absolute *ceiling* over the entries of `BENCH_sharing.json`: everything
+/// `SHARING` does around its cluster scans must cost ≤ 25% of them.
+const SHARING_RATIO_CEILINGS: [(&str, f64); 1] = [("overhead_sharing_over_cluster_scan", 1.25)];
 
 /// One comparable measurement: a stable identity string and its fastest
 /// observed latency.
@@ -197,6 +205,7 @@ fn main() -> ExitCode {
     gates_ok &= check_ratios(dir, "BENCH_planner.json", &PLANNER_RATIO_GATES);
     gates_ok &= check_ratios(dir, "BENCH_server_load.json", &LOAD_RATIO_GATES);
     gates_ok &= check_ceilings(dir, "BENCH_obs.json", &OBS_RATIO_CEILINGS);
+    gates_ok &= check_ceilings(dir, "BENCH_sharing.json", &SHARING_RATIO_CEILINGS);
     if !gates_ok {
         return ExitCode::FAILURE;
     }

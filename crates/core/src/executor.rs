@@ -4,12 +4,14 @@
 //! Every strategy is a configuration of one loop:
 //!
 //! 1. Partition the table into `n` phases ([`crate::phase::phase_ranges`]).
-//! 2. Per phase, build **query clusters** from the views still alive:
-//!    group views by dimension (combine-aggregates), optionally bin-pack
-//!    dimensions into multi-GROUP-BY clusters under the memory budget
-//!    (combine-group-bys), and execute clusters in parallel, each as a
-//!    single target+reference scan (combine-target-reference) or as two
-//!    separate queries.
+//! 2. Per phase, build **query clusters** from the views still alive
+//!    ([`crate::plan`]'s one clustering function, re-run only when that set
+//!    changes): group views by dimension (combine-aggregates), optionally
+//!    bin-pack dimensions into multi-GROUP-BY clusters under the memory
+//!    budget (combine-group-bys) — each cluster aggregating every distinct
+//!    `(func, measure)` of its views once — and execute clusters in
+//!    parallel, each as a single target+reference scan
+//!    (combine-target-reference) or as two separate queries.
 //! 3. Fold each cluster's partial results into per-view
 //!    [`ViewState`]s, re-estimate utilities, and let the pruner discard or
 //!    accept views.
@@ -21,16 +23,16 @@
 use crate::cache::CachedPartial;
 use crate::config::{ExecutionStrategy, PruningKind, SeeDbConfig};
 use crate::phase::phase_ranges;
-use crate::plan::PhysicalPlan;
-use crate::pruning::{make_pruner, ViewEstimate};
+use crate::plan::{build_clusters, Cluster, PhysicalPlan};
+use crate::pruning::{make_pruner, Pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
 use crate::state::{Side, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
-    binpack, execute_morsels_traced, rollup, with_pool, AggSpec, CancelToken, CombinedQuery,
-    ExecStats, GroupedResult, Pool, Predicate, SplitSpec, TraceCtx,
+    execute_morsels_traced, rollup, with_pool, AggSpec, CancelToken, CombinedQuery, ExecStats,
+    GroupedResult, Pool, Predicate, SplitSpec, TraceCtx,
 };
-use seedb_storage::{ColumnId, Table};
+use seedb_storage::Table;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -122,14 +124,14 @@ impl ExecutionReport {
     }
 }
 
-/// One shared query cluster: a set of views answered by a single combined
-/// query.
-struct Cluster {
-    group_by: Vec<ColumnId>,
-    aggregates: Vec<AggSpec>,
-    /// `(view id, aggregate index within this cluster, dim position within
-    /// group_by)` for each member view.
-    members: Vec<(ViewId, usize, usize)>,
+/// The shared queries of one phase: the clusters answering the views still
+/// scanning, and each cluster's combined queries (one, or a target and a
+/// reference query without combine-target-reference). Kept across phases
+/// and rebuilt only when the scanning set changes.
+struct PhaseQueries {
+    scanning: Vec<ViewId>,
+    clusters: Vec<Cluster>,
+    queries: Vec<CombinedQuery>,
 }
 
 /// Strategy-driven executor over one table.
@@ -197,47 +199,11 @@ impl<'a> Executor<'a> {
         reference: &ReferenceSpec,
     ) -> ExecutionReport {
         let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| match self.config.strategy {
-            ExecutionStrategy::NoOpt => self.run_no_opt(pool, &plan, views, target, reference),
-            ExecutionStrategy::Sharing => {
+        with_pool(plan.workers, |pool| match self.phased_shape() {
+            None => self.run_no_opt(pool, &plan, views, target, reference),
+            Some((phases, pruner, early)) => {
                 self.run_phased(
-                    pool,
-                    &plan,
-                    views,
-                    target,
-                    reference,
-                    1,
-                    PruningKind::None,
-                    false,
-                    None,
-                )
-                .report
-            }
-            ExecutionStrategy::Comb => {
-                self.run_phased(
-                    pool,
-                    &plan,
-                    views,
-                    target,
-                    reference,
-                    self.config.num_phases,
-                    self.config.pruning,
-                    false,
-                    None,
-                )
-                .report
-            }
-            ExecutionStrategy::CombEarly => {
-                self.run_phased(
-                    pool,
-                    &plan,
-                    views,
-                    target,
-                    reference,
-                    self.config.num_phases,
-                    self.config.pruning,
-                    true,
-                    None,
+                    pool, &plan, views, target, reference, phases, pruner, early, None,
                 )
                 .report
             }
@@ -267,47 +233,38 @@ impl<'a> Executor<'a> {
     ) -> ResumableRun {
         debug_assert_eq!(seeds.len(), views.len());
         let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| match self.config.strategy {
-            ExecutionStrategy::NoOpt => ResumableRun {
+        with_pool(plan.workers, |pool| match self.phased_shape() {
+            None => ResumableRun {
                 report: self.run_no_opt(pool, &plan, views, target, reference),
                 deltas: vec![Vec::new(); views.len()],
                 scanned_phases: vec![1; views.len()],
                 total_phases: 1,
             },
-            ExecutionStrategy::Sharing => self.run_phased(
+            Some((phases, pruner, early)) => self.run_phased(
                 pool,
                 &plan,
                 views,
                 target,
                 reference,
-                1,
-                PruningKind::None,
-                false,
-                Some(seeds),
-            ),
-            ExecutionStrategy::Comb => self.run_phased(
-                pool,
-                &plan,
-                views,
-                target,
-                reference,
-                self.config.num_phases,
-                self.config.pruning,
-                false,
-                Some(seeds),
-            ),
-            ExecutionStrategy::CombEarly => self.run_phased(
-                pool,
-                &plan,
-                views,
-                target,
-                reference,
-                self.config.num_phases,
-                self.config.pruning,
-                true,
+                phases,
+                pruner,
+                early,
                 Some(seeds),
             ),
         })
+    }
+
+    /// The phased executor's shape for the configured strategy — `(phases,
+    /// pruner, stop early)` — or `None` for `NO_OPT`, which bypasses it.
+    fn phased_shape(&self) -> Option<(usize, Box<dyn Pruner>, bool)> {
+        let config = self.config;
+        let pruner = |kind| make_pruner(kind, config.delta, config.seed);
+        match config.strategy {
+            ExecutionStrategy::NoOpt => None,
+            ExecutionStrategy::Sharing => Some((1, pruner(PruningKind::None), false)),
+            ExecutionStrategy::Comb => Some((config.num_phases, pruner(config.pruning), false)),
+            ExecutionStrategy::CombEarly => Some((config.num_phases, pruner(config.pruning), true)),
+        }
     }
 
     /// The basic execution engine: two full-table queries per view (still
@@ -392,7 +349,7 @@ impl<'a> Executor<'a> {
         target: &Predicate,
         reference: &ReferenceSpec,
         phases: usize,
-        pruning: PruningKind,
+        mut pruner: Box<dyn Pruner>,
         early: bool,
         seeds: Option<&[Option<Arc<CachedPartial>>]>,
     ) -> ResumableRun {
@@ -400,7 +357,6 @@ impl<'a> Executor<'a> {
         let mut stats = ExecStats::new();
         stats.plan_summary = plan.summary();
         let mut states: Vec<ViewState> = views.iter().map(|v| ViewState::new(*v)).collect();
-        let mut pruner = make_pruner(pruning, self.config.delta, self.config.seed);
         // Only non-empty ranges are phases: an empty range would advance
         // the pruner's sample count m — tightening the Hoeffding–Serfling
         // interval — without contributing a single row of evidence.
@@ -426,6 +382,7 @@ impl<'a> Executor<'a> {
             .collect();
         let mut captured: Vec<Vec<Arc<GroupedResult>>> = vec![Vec::new(); views.len()];
         let mut scanned_phases: Vec<usize> = vec![0; views.len()];
+        let mut planned: Option<PhaseQueries> = None;
 
         let mut phases_executed = 0;
         let mut early_stopped = false;
@@ -453,49 +410,40 @@ impl<'a> Executor<'a> {
 
             // Scan for the participating views this phase's seed does not
             // cover (all of them, in an unseeded run).
-            let scanning: Vec<ViewSpec> = states
+            let scanning: Vec<ViewId> = states
                 .iter()
                 .enumerate()
                 .filter(|(i, s)| (s.alive || s.accepted) && phase_idx >= resume_phase[*i])
-                .map(|(_, s)| s.spec)
+                .map(|(i, _)| i)
                 .collect();
             let any_participating = states.iter().any(|s| s.alive || s.accepted);
             if !any_participating {
                 break;
             }
-            let live: Vec<&ViewSpec> = scanning.iter().collect();
-            let clusters = self.build_clusters(&live);
+            let PhaseQueries {
+                scanning,
+                clusters,
+                queries,
+            } = match &mut planned {
+                Some(current) if current.scanning == scanning => current,
+                stale => {
+                    stale.insert(self.phase_queries(views, scanning, target, &ref_pred, reference))
+                }
+            };
+            let queries_per_cluster = if self.config.sharing.combine_target_reference {
+                1
+            } else {
+                2
+            };
 
             // Execute this phase's clusters: every cluster query is split
             // into morsels and all `(cluster, morsel)` work items share the
             // run-wide worker pool, so even a single bin-packed all-sharing
             // cluster uses every worker.
-            let sharing = &self.config.sharing;
-            let combine_tr = sharing.combine_target_reference;
-            let queries_per_cluster = if combine_tr { 1 } else { 2 };
-            let queries: Vec<CombinedQuery> = clusters
-                .iter()
-                .flat_map(|cluster| {
-                    let query = |split: SplitSpec| CombinedQuery {
-                        group_by: cluster.group_by.clone(),
-                        aggregates: cluster.aggregates.clone(),
-                        filter: None,
-                        split,
-                    };
-                    if combine_tr {
-                        vec![query(reference.to_split(target.clone()))]
-                    } else {
-                        vec![
-                            query(SplitSpec::TargetOnly(target.clone())),
-                            query(SplitSpec::TargetOnly(ref_pred.clone())),
-                        ]
-                    }
-                })
-                .collect();
             let results = execute_morsels_traced(
                 pool,
                 self.table,
-                &queries,
+                queries,
                 range.clone(),
                 plan.scan_shape(),
                 &self.cancel,
@@ -560,13 +508,13 @@ impl<'a> Executor<'a> {
             // Every scanned view covered one more phase — even a view
             // whose groups were absent from this range must occupy the
             // phase slot, or replay indices would shift.
-            for spec in &scanning {
-                scanned_phases[spec.id] += 1;
+            for &id in scanning.iter() {
+                scanned_phases[id] += 1;
                 if capture {
-                    let delta = delta_states[spec.id]
+                    let delta = delta_states[id]
                         .take()
-                        .unwrap_or_else(|| ViewState::new(*spec));
-                    captured[spec.id].push(Arc::new(delta.to_combined_result()));
+                        .unwrap_or_else(|| ViewState::new(views[id]));
+                    captured[id].push(Arc::new(delta.to_combined_result()));
                 }
             }
 
@@ -636,81 +584,42 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Builds this phase's query clusters from the live views, applying the
-    /// combine-aggregates, nagg-cap, and combine-group-bys knobs.
-    fn build_clusters(&self, live: &[&ViewSpec]) -> Vec<Cluster> {
+    /// Clusters the `scanning` views and builds each cluster's combined
+    /// queries.
+    fn phase_queries(
+        &self,
+        views: &[ViewSpec],
+        scanning: Vec<ViewId>,
+        target: &Predicate,
+        ref_pred: &Predicate,
+        reference: &ReferenceSpec,
+    ) -> PhaseQueries {
         let sharing = &self.config.sharing;
-
-        if !sharing.combine_aggregates {
-            // One cluster per view: the unshared (but possibly parallel and
-            // split-combined) shape.
-            return live
-                .iter()
-                .map(|v| Cluster {
-                    group_by: vec![v.dim],
-                    aggregates: vec![AggSpec::new(v.func, v.measure)],
-                    members: vec![(v.id, 0, 0)],
-                })
-                .collect();
+        let clusters = build_clusters(self.table, sharing, scanning.iter().map(|&id| &views[id]));
+        let queries = clusters
+            .iter()
+            .flat_map(|cluster| {
+                let query = |split: SplitSpec| CombinedQuery {
+                    group_by: cluster.group_by.clone(),
+                    aggregates: cluster.aggregates.clone(),
+                    filter: None,
+                    split,
+                };
+                if sharing.combine_target_reference {
+                    vec![query(reference.to_split(target.clone()))]
+                } else {
+                    vec![
+                        query(SplitSpec::TargetOnly(target.clone())),
+                        query(SplitSpec::TargetOnly(ref_pred.clone())),
+                    ]
+                }
+            })
+            .collect();
+        PhaseQueries {
+            scanning,
+            clusters,
+            queries,
         }
-
-        // Group views by dimension, preserving first-seen dim order.
-        let mut dims: Vec<ColumnId> = Vec::new();
-        let mut per_dim: Vec<Vec<&ViewSpec>> = Vec::new();
-        for v in live {
-            match dims.iter().position(|&d| d == v.dim) {
-                Some(i) => per_dim[i].push(v),
-                None => {
-                    dims.push(v.dim);
-                    per_dim.push(vec![v]);
-                }
-            }
-        }
-
-        // Optionally combine dimensions into shared multi-GB clusters.
-        let bins: Vec<Vec<ColumnId>> = if sharing.combine_group_bys && dims.len() > 1 {
-            match sharing.grouping_policy {
-                crate::config::GroupingPolicy::BinPack => {
-                    let budget = sharing.effective_budget(self.table.kind());
-                    binpack::first_fit(self.table, &dims, budget).bins
-                }
-                crate::config::GroupingPolicy::MaxGb(n) => {
-                    dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect()
-                }
-            }
-        } else {
-            dims.iter().map(|&d| vec![d]).collect()
-        };
-
-        let nagg_cap = sharing
-            .max_aggregates_per_query
-            .unwrap_or(usize::MAX)
-            .max(1);
-        let mut clusters = Vec::new();
-        for bin in bins {
-            // Views of every dim in this bin share one (chunked) cluster.
-            let mut pending: Vec<(ViewId, AggSpec, usize)> = Vec::new();
-            for (dim_pos, dim) in bin.iter().enumerate() {
-                let dim_idx = dims.iter().position(|d| d == dim).unwrap();
-                for v in &per_dim[dim_idx] {
-                    pending.push((v.id, AggSpec::new(v.func, v.measure), dim_pos));
-                }
-            }
-            for chunk in pending.chunks(nagg_cap) {
-                let mut aggregates = Vec::with_capacity(chunk.len());
-                let mut members = Vec::with_capacity(chunk.len());
-                for (view_id, agg, dim_pos) in chunk {
-                    members.push((*view_id, aggregates.len(), *dim_pos));
-                    aggregates.push(*agg);
-                }
-                clusters.push(Cluster {
-                    group_by: bin.clone(),
-                    aggregates,
-                    members,
-                });
-            }
-        }
-        clusters
     }
 }
 
@@ -1042,33 +951,36 @@ mod tests {
 
     #[test]
     fn nagg_cap_chunks_clusters() {
-        let (capped, ..) = run_with(
-            ExecutionStrategy::Sharing,
-            SharingConfig {
-                parallelism: Knob::Fixed(1),
-                combine_group_bys: false,
-                max_aggregates_per_query: Some(1),
-                ..Default::default()
-            },
-            PruningKind::None,
-            StoreKind::Column,
-        );
-        // 6 views, 1 agg per query => 6 queries (vs 3 uncapped).
-        assert_eq!(capped.stats.queries_issued, 6);
-        let (uncapped, ..) = run_with(
-            ExecutionStrategy::Sharing,
-            SharingConfig {
-                parallelism: Knob::Fixed(1),
-                combine_group_bys: false,
-                ..Default::default()
-            },
-            PruningKind::None,
-            StoreKind::Column,
-        );
-        assert_eq!(uncapped.stats.queries_issued, 3);
-        // Results identical.
-        for (x, y) in utilities(&capped).iter().zip(&utilities(&uncapped)) {
-            assert!((x - y).abs() < 1e-9);
+        let queries = |combine_group_bys: bool, cap: Option<usize>| {
+            let (report, ..) = run_with(
+                ExecutionStrategy::Sharing,
+                SharingConfig {
+                    parallelism: Knob::Fixed(1),
+                    combine_group_bys,
+                    memory_budget: Some(1_000_000),
+                    max_aggregates_per_query: cap,
+                    ..Default::default()
+                },
+                PruningKind::None,
+                StoreKind::Column,
+            );
+            (report.stats.queries_issued, utilities(&report))
+        };
+        let (uncapped, want) = queries(false, None);
+        assert_eq!(uncapped, 3);
+        // One dimension per query: each carries 2 distinct aggregates, so a
+        // cap of 1 splits every query in two (6 vs 3 uncapped).
+        let (capped, got) = queries(false, Some(1));
+        assert_eq!(capped, 6);
+        assert_eq!(got, want);
+        // All three dims in one bin: 6 views, but n_agg is the width of the
+        // SELECT list and the bin needs only AVG(m0), AVG(m1). Cap 2 is one
+        // query answering all 6 views (chunking by member views made it 3);
+        // cap 1 is one query per measure (it was one per view, 6).
+        for (cap, expected) in [(None, 1), (Some(2), 1), (Some(1), 2)] {
+            let (packed, got) = queries(true, cap);
+            assert_eq!(packed, expected, "cap {cap:?}");
+            assert_eq!(got, want, "cap {cap:?}");
         }
     }
 
@@ -1087,6 +999,185 @@ mod tests {
         );
         // All three dims fit one bin (4 × 3 × 5 = 60 groups « budget).
         assert_eq!(packed.stats.queries_issued, 1);
+    }
+
+    #[test]
+    fn sharing_updates_each_distinct_aggregate_once_per_row() {
+        // 3 dims × 4 measures. A budget of 20 groups packs d0 × d1 (4 × 3)
+        // and leaves d2 (5) alone: two clusters of 4 distinct aggregates.
+        let rows = 600u64;
+        for kind in [StoreKind::Row, StoreKind::Column] {
+            let mut defs = vec![
+                ColumnDef::dim("d0"),
+                ColumnDef::dim("d1"),
+                ColumnDef::dim("d2"),
+            ];
+            defs.extend((0..4).map(|m| ColumnDef::measure(format!("m{m}"))));
+            let mut b = TableBuilder::new(defs);
+            for i in 0..rows {
+                let mut row = vec![
+                    Value::str(format!("g{}", i % 4)),
+                    Value::str(format!("x{}", i % 3)),
+                    Value::str(format!("y{}", i % 5)),
+                ];
+                row.extend((0..4u64).map(|m| Value::Float(((i * (m + 3)) % 17) as f64)));
+                b.push_row(&row).unwrap();
+            }
+            let table = b.build(kind).unwrap();
+            let target = Predicate::col_eq_str(table.as_ref(), "d0", "g1");
+            for mode in seedb_engine::ExecMode::ALL {
+                let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+                cfg.sharing.parallelism = Knob::Fixed(1);
+                cfg.sharing.memory_budget = Some(20);
+                cfg.engine_mode = mode;
+                let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+                let exec = Executor::new(table.as_ref(), &cfg);
+                let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
+                assert_eq!(plan.clusters.len(), 2, "{kind} {mode}");
+                assert_eq!((plan.aggregates, plan.views), (8, 12), "{kind} {mode}");
+                assert!(plan.summary().contains("aggs=8/12"), "{}", plan.summary());
+                let report = exec.run(&views, &target, &ReferenceSpec::WholeTable);
+                // Every row feeds one side (target, or the non-target rest
+                // of the whole-table reference) of every distinct aggregate
+                // of both clusters — 8 updates, not one per view (12).
+                assert_eq!(report.stats.rows_scanned, 2 * rows, "{kind} {mode}");
+                assert_eq!(report.stats.accumulator_updates, 8 * rows, "{kind} {mode}");
+            }
+        }
+    }
+
+    /// Discards the scripted views at the end of the scripted (1-based)
+    /// phases; accepts nothing.
+    struct ScriptedPruner(Vec<(usize, Vec<ViewId>)>);
+
+    impl Pruner for ScriptedPruner {
+        fn decide(
+            &mut self,
+            _estimates: &[ViewEstimate],
+            _accepted_so_far: usize,
+            _k: usize,
+            phase: usize,
+            _total_phases: usize,
+        ) -> crate::pruning::PruneDecision {
+            crate::pruning::PruneDecision {
+                discard: self
+                    .0
+                    .iter()
+                    .filter(|(at, _)| *at == phase)
+                    .flat_map(|(_, ids)| ids.clone())
+                    .collect(),
+                accept: Vec::new(),
+            }
+        }
+
+        fn label(&self) -> &'static str {
+            "SCRIPTED"
+        }
+    }
+
+    /// A 4-phase capturing run over `test_table` under a scripted pruner.
+    fn scripted_run(combine_group_bys: bool, script: &[(usize, Vec<ViewId>)]) -> ResumableRun {
+        let table = test_table(StoreKind::Column);
+        let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+        cfg.sharing.parallelism = Knob::Fixed(1);
+        cfg.sharing.combine_group_bys = combine_group_bys;
+        cfg.sharing.memory_budget = Some(1_000_000);
+        let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+        let exec = Executor::new(table.as_ref(), &cfg);
+        let target = target(table.as_ref());
+        let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
+        with_pool(1, |pool| {
+            exec.run_phased(
+                pool,
+                &plan,
+                &views,
+                &target,
+                &ReferenceSpec::WholeTable,
+                4,
+                Box::new(ScriptedPruner(script.to_vec())),
+                false,
+                Some(&vec![None; views.len()]),
+            )
+        })
+    }
+
+    fn assert_same_deltas(a: &[Arc<GroupedResult>], b: &[Arc<GroupedResult>], label: &str) {
+        assert_eq!(a.len(), b.len(), "{label}: phases captured");
+        for (phase, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.num_groups(), y.num_groups(), "{label} phase {phase}");
+            for (gx, gy) in x.groups.iter().zip(&y.groups) {
+                assert_eq!(gx.key, gy.key, "{label} phase {phase}");
+                assert_eq!(gx.target, gy.target, "{label} phase {phase}");
+                assert_eq!(gx.reference, gy.reference, "{label} phase {phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_one_view_of_a_shared_aggregate_keeps_the_rest_exact() {
+        // Views: 0 = (d0, m0), 1 = (d0, m1), 2 = (d1, m0), 3 = (d1, m1),
+        // 4 = (d2, m0), 5 = (d2, m1); all three dims share one bin. Drop
+        // (d0, m0) after phase 1 while (d1, m0) and (d2, m0) keep reading
+        // the shared AVG(m0).
+        let script = [(1, vec![0])];
+        let shared = scripted_run(true, &script);
+        let unshared = scripted_run(false, &script);
+
+        // One query and two distinct aggregates per phase, before and after
+        // the discard: m0 is accumulated once per row for whoever reads it.
+        assert_eq!(shared.report.stats.queries_issued, 4);
+        assert_eq!(shared.report.stats.accumulator_updates, 400 * 2);
+
+        // The discarded view stopped advancing after its one phase.
+        assert_eq!(shared.scanned_phases, vec![1, 4, 4, 4, 4, 4]);
+        assert_eq!(shared.deltas[0].len(), 1);
+        assert_eq!(shared.report.states[0].pruned_at_phase, Some(0));
+        assert_eq!(shared.report.states[0].estimates.len(), 1);
+
+        // Every view — the survivors on m0 above all — saw exactly the
+        // values the unshared per-dimension queries gave it, phase by phase.
+        for id in 0..6 {
+            assert_same_deltas(
+                &shared.deltas[id],
+                &unshared.deltas[id],
+                &format!("view {id}"),
+            );
+            assert_eq!(
+                shared.report.states[id].value_vectors(),
+                unshared.report.states[id].value_vectors(),
+                "view {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dimension_without_live_views_leaves_its_cluster() {
+        // Both d0 views die after phase 2: phases 3–4 group by (d1, d2)
+        // only, and nothing is rolled up for d0 any more.
+        let shared = scripted_run(true, &[(2, vec![0, 1])]);
+        assert_eq!(shared.scanned_phases, vec![2, 2, 4, 4, 4, 4]);
+        let all_live = scripted_run(true, &[]);
+        for id in 2..6 {
+            assert_same_deltas(
+                &shared.deltas[id],
+                &all_live.deltas[id],
+                &format!("view {id}"),
+            );
+        }
+
+        let table = test_table(StoreKind::Column);
+        let cfg = SeeDbConfig::default();
+        let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+        let mut sharing = cfg.sharing.clone();
+        sharing.memory_budget = Some(1_000_000);
+        let clusters = build_clusters(table.as_ref(), &sharing, &views[2..]);
+        assert_eq!(clusters.len(), 1);
+        assert_eq!(clusters[0].group_by, vec![views[2].dim, views[4].dim]);
+        assert_eq!(clusters[0].aggregates.len(), 2);
+        assert_eq!(
+            clusters[0].members,
+            vec![(2, 0, 0), (3, 1, 0), (4, 0, 1), (5, 1, 1)]
+        );
     }
 
     #[test]

@@ -20,14 +20,126 @@
 //! so the planner can be wrong about *cost* without ever being wrong about
 //! *results*.
 
-use crate::config::{GroupingPolicy, SeeDbConfig};
+use crate::config::{GroupingPolicy, SeeDbConfig, SharingConfig};
 use crate::reference::ReferenceSpec;
-use crate::view::ViewSpec;
+use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
     binpack, choose_morsel_rows, choose_workers, contribution_predicate, estimate_scan,
-    group_index_for, CombinedQuery, ExecMode, GroupIndexKind, Predicate, ScanShape,
+    group_index_for, AggSpec, CombinedQuery, ExecMode, GroupIndexKind, Predicate, ScanShape,
 };
 use seedb_storage::{ColumnId, Table};
+
+/// One shared query cluster: the views of a bin `(a₁, …, a_p)` answered by
+/// a single combined query `SELECT a₁, …, a_p, f(m₁), …, f(m_q) … GROUP BY
+/// a₁, …, a_p` (§4.1). Every **distinct** `(func, measure)` of the member
+/// views is aggregated once; each view `(a_i, m_j)` is recovered by rolling
+/// the result up to `a_i` and reading aggregate `j`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Cluster {
+    pub(crate) group_by: Vec<ColumnId>,
+    /// The distinct aggregates of the member views, in first-seen order.
+    pub(crate) aggregates: Vec<AggSpec>,
+    /// `(view id, index into aggregates, dim position within group_by)`
+    /// for each member view.
+    pub(crate) members: Vec<(ViewId, usize, usize)>,
+}
+
+/// Builds the query clusters answering `live`, applying the
+/// combine-aggregates, combine-group-bys and nagg-cap knobs. The one
+/// clustering decision: the plan reports it for every view, the executor
+/// re-runs it over the views still scanning.
+pub(crate) fn build_clusters<'v>(
+    table: &dyn Table,
+    sharing: &SharingConfig,
+    live: impl IntoIterator<Item = &'v ViewSpec>,
+) -> Vec<Cluster> {
+    let agg_of = |v: &ViewSpec| AggSpec::new(v.func, v.measure);
+    if !sharing.combine_aggregates {
+        // One cluster per view: the unshared (but possibly parallel and
+        // split-combined) shape.
+        return live
+            .into_iter()
+            .map(|v| Cluster {
+                group_by: vec![v.dim],
+                aggregates: vec![agg_of(v)],
+                members: vec![(v.id, 0, 0)],
+            })
+            .collect();
+    }
+
+    // Group views by dimension, preserving first-seen dim order.
+    let mut dims: Vec<ColumnId> = Vec::new();
+    let mut per_dim: Vec<Vec<&ViewSpec>> = Vec::new();
+    for v in live {
+        match dims.iter().position(|&d| d == v.dim) {
+            Some(i) => per_dim[i].push(v),
+            None => {
+                dims.push(v.dim);
+                per_dim.push(vec![v]);
+            }
+        }
+    }
+
+    // Optionally combine dimensions into shared multi-GB bins (exact
+    // distinct-count products under the memory budget).
+    let bins: Vec<Vec<ColumnId>> = if sharing.combine_group_bys && dims.len() > 1 {
+        match sharing.grouping_policy {
+            GroupingPolicy::BinPack => {
+                let budget = sharing.effective_budget(table.kind());
+                binpack::first_fit(table, &dims, budget).bins
+            }
+            GroupingPolicy::MaxGb(n) => dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect(),
+        }
+    } else {
+        dims.iter().map(|&d| vec![d]).collect()
+    };
+
+    // n_agg caps the SELECT list, i.e. a query's distinct aggregates — not
+    // the views reading them: a bin's aggregate list splits into chunks of
+    // at most `cap`, and a view joins the chunk holding its aggregate.
+    let cap = sharing
+        .max_aggregates_per_query
+        .unwrap_or(usize::MAX)
+        .max(1);
+    let mut clusters = Vec::new();
+    for bin in &bins {
+        let bin_views = |dim: &ColumnId| {
+            let dim_idx = dims
+                .iter()
+                .position(|d| d == dim)
+                .expect("bins hold live dims");
+            per_dim[dim_idx].iter().copied()
+        };
+        let mut bin_aggs: Vec<AggSpec> = Vec::new();
+        for v in bin.iter().flat_map(bin_views) {
+            if !bin_aggs.contains(&agg_of(v)) {
+                bin_aggs.push(agg_of(v));
+            }
+        }
+        for aggregates in bin_aggs.chunks(cap) {
+            // Group only by the dimensions some member still reads.
+            let mut group_by: Vec<ColumnId> = Vec::new();
+            let mut members = Vec::new();
+            for dim in bin {
+                for v in bin_views(dim) {
+                    let Some(agg_idx) = aggregates.iter().position(|a| *a == agg_of(v)) else {
+                        continue;
+                    };
+                    if group_by.last() != Some(dim) {
+                        group_by.push(*dim);
+                    }
+                    members.push((v.id, agg_idx, group_by.len() - 1));
+                }
+            }
+            clusters.push(Cluster {
+                group_by,
+                aggregates: aggregates.to_vec(),
+                members,
+            });
+        }
+    }
+    clusters
+}
 
 /// The execution shape chosen for one run. See the module docs for how it
 /// is derived; see [`PhysicalPlan::explain_json`] for the EXPLAIN wire
@@ -50,12 +162,18 @@ pub struct PhysicalPlan {
     /// Group-index kind for the widest planned cluster (the cost-dominant
     /// one). Scalar mode always aggregates through the hash path.
     pub index: GroupIndexKind,
-    /// The planned phase-1 dimension clusters (every view alive). Later
-    /// phases re-cluster over surviving views only, but phase 1 is the
-    /// shape EXPLAIN reports and the one that dominates cost.
+    /// The grouping attributes of each planned phase-1 cluster (every view
+    /// alive), one entry per combined query. Later phases re-cluster over
+    /// surviving views only, but phase 1 is the shape EXPLAIN reports and
+    /// the one that dominates cost.
     pub clusters: Vec<Vec<ColumnId>>,
     /// Whether any planned cluster packs more than one dimension.
     pub packed: bool,
+    /// Aggregates the planned clusters compute per scanned row: the sum of
+    /// each cluster's distinct `(func, measure)` pairs.
+    pub aggregates: usize,
+    /// Views those aggregates answer.
+    pub views: usize,
     /// Estimated rows the contribution predicate can touch (an upper
     /// bound: the row total of every partition the zone maps cannot rule
     /// out).
@@ -96,29 +214,10 @@ impl PhysicalPlan {
             .morsel_rows
             .resolve(choose_morsel_rows(estimate.rows, workers));
 
-        // Phase-1 clustering: unique dims in first-seen order, then the
-        // same bin-packing decision `build_clusters` makes (exact
-        // distinct-count products under the memory budget).
-        let mut dims: Vec<ColumnId> = Vec::new();
-        for v in views {
-            if !dims.contains(&v.dim) {
-                dims.push(v.dim);
-            }
-        }
-        let clusters: Vec<Vec<ColumnId>> =
-            if sharing.combine_aggregates && sharing.combine_group_bys && dims.len() > 1 {
-                match sharing.grouping_policy {
-                    GroupingPolicy::BinPack => {
-                        let budget = sharing.effective_budget(table.kind());
-                        binpack::first_fit(table, &dims, budget).bins
-                    }
-                    GroupingPolicy::MaxGb(n) => {
-                        dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect()
-                    }
-                }
-            } else {
-                dims.iter().map(|&d| vec![d]).collect()
-            };
+        // Phase-1 clustering: the executor's own, over every view.
+        let planned = build_clusters(table, sharing, views);
+        let aggregates = planned.iter().map(|c| c.aggregates.len()).sum();
+        let clusters: Vec<Vec<ColumnId>> = planned.into_iter().map(|c| c.group_by).collect();
         let packed = clusters.iter().any(|bin| bin.len() > 1);
 
         // Index kind for the widest cluster — the engine makes the same
@@ -143,6 +242,8 @@ impl PhysicalPlan {
             index,
             clusters,
             packed,
+            aggregates,
+            views: views.len(),
             estimated_rows: estimate.rows,
             partitions_total: estimate.partitions_total,
             partitions_prunable: estimate.partitions_prunable,
@@ -176,7 +277,7 @@ impl PhysicalPlan {
     /// [`ExecStats::plan_summary`](seedb_engine::ExecStats).
     pub fn summary(&self) -> String {
         format!(
-            "workers={}({}) morsel_rows={}({}) mode={} index={} clusters={}{} est_rows={} partitions={}/{} prunable",
+            "workers={}({}) morsel_rows={}({}) mode={} index={} clusters={}{} aggs={}/{} est_rows={} partitions={}/{} prunable",
             self.workers,
             Self::source(self.workers_auto),
             self.morsel_label(),
@@ -185,6 +286,8 @@ impl PhysicalPlan {
             self.index.label(),
             self.clusters.len(),
             if self.packed { " packed" } else { "" },
+            self.aggregates,
+            self.views,
             self.estimated_rows,
             self.partitions_prunable,
             self.partitions_total,
@@ -199,6 +302,7 @@ impl PhysicalPlan {
                 "\"morsel_rows\":\"{}\",\"morsel_source\":\"{}\",",
                 "\"mode\":\"{}\",\"index\":\"{}\",",
                 "\"clusters\":{},\"packed\":{},",
+                "\"aggregates\":{},\"views\":{},",
                 "\"estimated_rows\":{},",
                 "\"partitions_total\":{},\"partitions_prunable\":{}}}"
             ),
@@ -210,6 +314,8 @@ impl PhysicalPlan {
             self.index.label(),
             self.clusters.len(),
             self.packed,
+            self.aggregates,
+            self.views,
             self.estimated_rows,
             self.partitions_total,
             self.partitions_prunable,
@@ -361,6 +467,51 @@ mod tests {
     }
 
     #[test]
+    fn clusters_share_distinct_aggregates_and_chunk_by_them() {
+        let mut b = TableBuilder::new(vec![
+            ColumnDef::dim("a"),
+            ColumnDef::dim("b"),
+            ColumnDef::measure("m0"),
+            ColumnDef::measure("m1"),
+        ]);
+        for i in 0..12usize {
+            b.push_row(&[
+                Value::str(format!("a{}", i % 2)),
+                Value::str(format!("b{}", i % 3)),
+                Value::Float(i as f64),
+                Value::Float(1.0),
+            ])
+            .unwrap();
+        }
+        let table = b.build(StoreKind::Column).unwrap();
+        let mut cfg = SeeDbConfig::default();
+        cfg.sharing.memory_budget = Some(1_000_000);
+        // 0 = (a, m0), 1 = (a, m1), 2 = (b, m0), 3 = (b, m1).
+        let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+        let (a, b) = (views[0].dim, views[2].dim);
+
+        let all = build_clusters(table.as_ref(), &cfg.sharing, &views);
+        assert_eq!(all.len(), 1);
+        assert_eq!(all[0].group_by, vec![a, b]);
+        assert_eq!(all[0].aggregates.len(), 2, "two measures, four views");
+        assert_eq!(
+            all[0].members,
+            vec![(0, 0, 0), (1, 1, 0), (2, 0, 1), (3, 1, 1)]
+        );
+
+        // n_agg = 1: one query per distinct aggregate. With (a, m1) gone,
+        // the m1 query has no reader on `a` and groups by `b` alone.
+        cfg.sharing.max_aggregates_per_query = Some(1);
+        let live = [views[0], views[2], views[3]];
+        let capped = build_clusters(table.as_ref(), &cfg.sharing, &live);
+        assert_eq!(capped.len(), 2);
+        assert_eq!(capped[0].group_by, vec![a, b]);
+        assert_eq!(capped[0].members, vec![(0, 0, 0), (2, 0, 1)]);
+        assert_eq!(capped[1].group_by, vec![b]);
+        assert_eq!(capped[1].members, vec![(3, 0, 0)]);
+    }
+
+    #[test]
     fn summary_and_json_render_the_choices() {
         let table = table_with_partitions(100, 25);
         let mut cfg = SeeDbConfig::default();
@@ -376,12 +527,14 @@ mod tests {
         let summary = plan.summary();
         assert!(summary.contains("workers=2(fixed)"), "{summary}");
         assert!(summary.contains("mode=VECTORIZED"), "{summary}");
+        assert!(summary.contains("clusters=1 aggs=1/1"), "{summary}");
         let json = plan.explain_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"workers\":2"), "{json}");
         assert!(json.contains("\"workers_source\":\"fixed\""), "{json}");
         assert!(json.contains("\"morsel_source\":\"auto\""), "{json}");
         assert!(json.contains("\"partitions_total\":4"), "{json}");
+        assert!(json.contains("\"aggregates\":1,\"views\":1"), "{json}");
     }
 
     #[test]

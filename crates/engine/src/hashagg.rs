@@ -17,12 +17,13 @@
 //!   **dense index** whenever the grouping domain fits
 //!   [`DENSE_CARDINALITY_MAX`]: dictionary-direct for single-attribute
 //!   group-bys, **mixed-radix composite** for bin-packed multi-GROUP-BY
-//!   clusters (per-attribute codes encode into one slot index — no
-//!   `GroupKey` allocation, no hash probe per row). Stray codes spill to
-//!   the hash map; non-categorical attributes and oversized domains keep
-//!   the hash path. Each batch resolves its selected rows to accumulator
-//!   slots **once**, then runs one tight loop per aggregate over that
-//!   vector and the measure's typed slice.
+//!   clusters (per-attribute codes encode into one slot index,
+//!   column-at-a-time over the batch's code slices — no `GroupKey`
+//!   allocation, no hash probe and no per-attribute dispatch per row).
+//!   Stray codes spill to the hash map; non-categorical attributes and
+//!   oversized domains keep the hash path. Each batch resolves its
+//!   selected rows to accumulator slots **once**, then runs one tight loop
+//!   per aggregate over that vector and the measure's typed slice.
 //!
 //! A `TargetVsAll` split accumulates target and non-target rows into
 //! disjoint sides — one update per selected row and aggregate, not two —
@@ -41,7 +42,7 @@ use crate::spec::{CombinedQuery, SplitSpec};
 use crate::stats::ExecStats;
 use crate::{ExecMode, GroupEntry, GroupedResult};
 use rustc_hash::FxHashMap;
-use seedb_storage::{Batch, Bitmap, ColumnId, Table, DEFAULT_BATCH_SIZE};
+use seedb_storage::{Batch, BatchData, Bitmap, ColumnId, Table, DEFAULT_BATCH_SIZE};
 use std::ops::Range;
 
 /// Largest dictionary cardinality for which the vectorized path uses the
@@ -134,6 +135,48 @@ fn composite_slot(dims: &[RadixDim], codes: &[u64]) -> Option<usize> {
         slot += sub * d.stride;
     }
     Some(slot as usize)
+}
+
+/// Row `i`'s grouping codes, one per grouping attribute.
+#[inline]
+fn row_codes(batch: &Batch<'_>, group_slots: &[usize], i: usize, codes: &mut [u64]) {
+    for (dst, &slot) in codes.iter_mut().zip(group_slots) {
+        *dst = batch.column(slot).group_code(i);
+    }
+}
+
+/// [`composite_slot`] for a whole batch, one grouping column at a time:
+/// `out[i] = Σ (codeᵢ + 1) · strideᵢ` over the columns' code slices.
+/// Returns `false` — leaving `out` unspecified — unless every grouping
+/// column is a dense (NULL-free) dictionary-code slice whose codes all fall
+/// inside the planned radix; the caller then resolves the batch row by row.
+fn composite_slots(
+    batch: &Batch<'_>,
+    group_slots: &[usize],
+    dims: &[RadixDim],
+    out: &mut Vec<u32>,
+) -> bool {
+    out.clear();
+    out.resize(batch.len(), 0);
+    for (dim, &slot) in dims.iter().zip(group_slots) {
+        let col = batch.column(slot);
+        let (BatchData::Cat(codes), None) = (col.data, col.validity) else {
+            return false;
+        };
+        // The dense domain Π baseᵢ is at most DENSE_CARDINALITY_MAX + 1, so
+        // in-radix slots fit a u32; a stray code may wrap, and is caught by
+        // the radix check below before `out` is read.
+        let stride = dim.stride as u32;
+        let mut max_code = 0u32;
+        for (dst, &code) in out.iter_mut().zip(codes) {
+            max_code = max_code.max(code);
+            *dst = dst.wrapping_add(code.wrapping_add(1).wrapping_mul(stride));
+        }
+        if u64::from(max_code) + 1 >= dim.base {
+            return false;
+        }
+    }
+    true
 }
 
 /// Group-index strategy of the vectorized path.
@@ -355,6 +398,7 @@ impl PartialAggregation {
         let mut codes: Vec<u64> = vec![0; group_slots.len()];
         let mut rows = 0u64;
         let mut target_rows = 0u64;
+        let mut side_rows = 0u64;
 
         table.scan_range(&self.projection, start..end, &mut |cells| {
             rows += 1;
@@ -370,6 +414,7 @@ impl PartialAggregation {
             if is_t {
                 target_rows += 1;
             }
+            side_rows += u64::from(is_t) + u64::from(is_r);
             for (dst, &slot) in codes.iter_mut().zip(group_slots) {
                 *dst = cells[slot].group_code();
             }
@@ -392,6 +437,7 @@ impl PartialAggregation {
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
+        stats.accumulator_updates += side_rows * n_aggs as u64;
         stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
@@ -476,12 +522,15 @@ impl PartialAggregation {
 
         let mut rows = 0u64;
         let mut target_rows = 0u64;
+        let mut updates = 0u64;
 
         // Per-batch scratch, reused across batches.
         let mut t_bits = Bitmap::new();
         let mut r_bits = Bitmap::new();
         let mut f_bits = Bitmap::new();
         let mut codes: Vec<u64> = vec![0; group_slots.len()];
+        // Composite slot of every batch row (column-at-a-time pass).
+        let mut row_slots: Vec<u32> = Vec::new();
         // (row in batch, group-side slot) of every update the batch owes,
         // in row order.
         let mut selected: Vec<(u32, u32)> = Vec::new();
@@ -518,7 +567,7 @@ impl PartialAggregation {
                         // straight from the slice without per-row dispatch.
                         let gcol = *batch.column(group_slots[0]);
                         let cat_codes = match (gcol.data, gcol.validity) {
-                            (seedb_storage::BatchData::Cat(v), None) => Some(v),
+                            (BatchData::Cat(v), None) => Some(v),
                             _ => None,
                         };
                         for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
@@ -554,28 +603,42 @@ impl PartialAggregation {
                         // Composite dense path: the bin-packed multi-GROUP-BY
                         // cluster. Per-attribute codes are mixed-radix-encoded
                         // into one slot — no `GroupKey` allocation and no hash
-                        // probe per row. Stray codes (outside an attribute's
-                        // planned radix) spill to the hash map; the two key
-                        // spaces are disjoint because the dense table owns
-                        // exactly the in-radix tuples.
-                        for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            for (dst, &slot) in codes.iter_mut().zip(group_slots) {
-                                *dst = batch.column(slot).group_code(i);
-                            }
-                            let group = match composite_slot(dims, &codes) {
-                                Some(si) => groups
-                                    .at_dense_slot(&mut slots[si], || GroupKey::from_codes(&codes)),
-                                None => groups.at_key(map, GroupKey::from_codes(&codes)),
-                            };
-                            select(i, group, is_t, is_r);
-                        });
+                        // probe per row. The usual batch (every grouping
+                        // column a dense code slice, every code in radix)
+                        // encodes column-at-a-time, leaving one slot read per
+                        // selected row; its key is only materialised on a
+                        // group's first sight.
+                        if composite_slots(batch, group_slots, dims, &mut row_slots) {
+                            for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
+                                let entry = &mut slots[row_slots[i] as usize];
+                                let group = groups.at_dense_slot(entry, || {
+                                    row_codes(batch, group_slots, i, &mut codes);
+                                    GroupKey::from_codes(&codes)
+                                });
+                                select(i, group, is_t, is_r);
+                            });
+                        } else {
+                            // Row-wise: NULLs, non-slice columns, or stray
+                            // codes (outside an attribute's planned radix),
+                            // which spill to the hash map; the two key spaces
+                            // are disjoint because the dense table owns
+                            // exactly the in-radix tuples.
+                            for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
+                                row_codes(batch, group_slots, i, &mut codes);
+                                let group = match composite_slot(dims, &codes) {
+                                    Some(si) => groups.at_dense_slot(&mut slots[si], || {
+                                        GroupKey::from_codes(&codes)
+                                    }),
+                                    None => groups.at_key(map, GroupKey::from_codes(&codes)),
+                                };
+                                select(i, group, is_t, is_r);
+                            });
+                        }
                     }
                     DenseIndex::Disabled | DenseIndex::Undecided => {
                         // Hash path (non-dense attribute or oversized domain).
                         for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            for (dst, &slot) in codes.iter_mut().zip(group_slots) {
-                                *dst = batch.column(slot).group_code(i);
-                            }
+                            row_codes(batch, group_slots, i, &mut codes);
                             let group = groups.at_key(map, GroupKey::from_codes(&codes));
                             select(i, group, is_t, is_r);
                         });
@@ -586,11 +649,12 @@ impl PartialAggregation {
                 // through while its accumulators (one per slot) stay hot.
                 // A dense `f64` column (the overwhelmingly common measure
                 // shape) skips the `BatchData` dispatch.
+                updates += (selected.len() * n_aggs) as u64;
                 for (agg, &slot) in measure_slots.iter().enumerate() {
                     let col = batch.column(slot);
                     let accs = &mut groups.accs[..];
                     match (col.data, col.validity) {
-                        (seedb_storage::BatchData::Float(values), None) => {
+                        (BatchData::Float(values), None) => {
                             for &(row, gs) in &selected {
                                 accs[gs as usize * n_aggs + agg].update(Some(values[row as usize]));
                             }
@@ -611,6 +675,7 @@ impl PartialAggregation {
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
+        stats.accumulator_updates += updates;
         stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 

@@ -4,7 +4,10 @@
 //! grouped by `(a₁, …, a_p)` and recovers each single-attribute view
 //! `GROUP BY a_i` by merging accumulators over the other attributes. This
 //! is lossless for COUNT/SUM/AVG/MIN/MAX because [`crate::Accumulator`]s
-//! merge exactly.
+//! merge exactly. The cluster's query carries each distinct aggregate once
+//! (every view on `(a_i, m_j)` reads aggregate `j` of the roll-up to
+//! `a_i`), so rolling up one position merges q accumulators per group and
+//! side — not one per member view.
 //!
 //! Position codes are read straight out of each group key (no sub-key
 //! re-projection/allocation per group), and when the position's codes are

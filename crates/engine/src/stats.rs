@@ -13,7 +13,7 @@ use std::ops::AddAssign;
 /// Counters accumulated during query execution, plus per-run profiling
 /// (phase wall-clock timings and the executed plan's summary).
 ///
-/// Equality deliberately compares **only the seven work counters** — the
+/// Equality deliberately compares **only the eight work counters** — the
 /// profiling fields are wall-clock/host-dependent, and the bit-identity
 /// suites (cached vs uncached, planned vs fixed-knob) must not fail on
 /// timing noise or plan-summary differences.
@@ -28,6 +28,11 @@ pub struct ExecStats {
     /// Total cells materialized (rows × projection width) — the COL-store
     /// cost proxy.
     pub cells_visited: u64,
+    /// Accumulator updates performed: one per selected row (per side it
+    /// feeds) and aggregate of the executing query. `SHARING` over a packed
+    /// cluster pays `rows × distinct aggregates` here, not `rows × views` —
+    /// the quantity §4.1's combining exists to shrink.
+    pub accumulator_updates: u64,
     /// Maximum number of groups maintained by any single query — the
     /// memory-budget quantity of §4.1.
     pub groups_max: u64,
@@ -58,6 +63,7 @@ impl ExecStats {
         self.scan_passes += other.scan_passes;
         self.rows_scanned += other.rows_scanned;
         self.cells_visited += other.cells_visited;
+        self.accumulator_updates += other.accumulator_updates;
         self.groups_max = self.groups_max.max(other.groups_max);
         self.partitions_scanned += other.partitions_scanned;
         self.partitions_pruned += other.partitions_pruned;
@@ -76,6 +82,7 @@ impl PartialEq for ExecStats {
             && self.scan_passes == other.scan_passes
             && self.rows_scanned == other.rows_scanned
             && self.cells_visited == other.cells_visited
+            && self.accumulator_updates == other.accumulator_updates
             && self.groups_max == other.groups_max
             && self.partitions_scanned == other.partitions_scanned
             && self.partitions_pruned == other.partitions_pruned
@@ -94,11 +101,12 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "queries={} scans={} rows={} cells={} max_groups={} parts_scanned={} parts_pruned={}",
+            "queries={} scans={} rows={} cells={} acc_updates={} max_groups={} parts_scanned={} parts_pruned={}",
             self.queries_issued,
             self.scan_passes,
             self.rows_scanned,
             self.cells_visited,
+            self.accumulator_updates,
             self.groups_max,
             self.partitions_scanned,
             self.partitions_pruned
@@ -117,6 +125,7 @@ mod tests {
             scan_passes: 2,
             rows_scanned: 100,
             cells_visited: 300,
+            accumulator_updates: 800,
             groups_max: 10,
             partitions_scanned: 3,
             partitions_pruned: 1,
@@ -127,6 +136,7 @@ mod tests {
             scan_passes: 1,
             rows_scanned: 50,
             cells_visited: 100,
+            accumulator_updates: 50,
             groups_max: 25,
             partitions_scanned: 2,
             partitions_pruned: 6,
@@ -137,6 +147,7 @@ mod tests {
         assert_eq!(a.scan_passes, 3);
         assert_eq!(a.rows_scanned, 150);
         assert_eq!(a.cells_visited, 400);
+        assert_eq!(a.accumulator_updates, 850);
         assert_eq!(a.groups_max, 25);
         assert_eq!(a.partitions_scanned, 5);
         assert_eq!(a.partitions_pruned, 7);
@@ -183,6 +194,7 @@ mod tests {
             scan_passes: 2,
             rows_scanned: 3,
             cells_visited: 4,
+            accumulator_updates: 8,
             groups_max: 5,
             partitions_scanned: 6,
             partitions_pruned: 7,
@@ -194,6 +206,7 @@ mod tests {
             "scans=2",
             "rows=3",
             "cells=4",
+            "acc_updates=8",
             "max_groups=5",
             "parts_scanned=6",
             "parts_pruned=7",

@@ -306,3 +306,148 @@ proptest! {
         }
     }
 }
+
+/// A table whose dictionary for column `col` is reported narrower than the
+/// codes its rows carry — what a group index planned against one table
+/// instance sees when fed another. Everything else delegates.
+struct NarrowDictionary {
+    inner: BoxedTable,
+    col: ColumnId,
+    narrow: seedb_storage::Dictionary,
+}
+
+impl seedb_storage::Table for NarrowDictionary {
+    fn schema(&self) -> &seedb_storage::Schema {
+        self.inner.schema()
+    }
+    fn num_rows(&self) -> usize {
+        self.inner.num_rows()
+    }
+    fn kind(&self) -> StoreKind {
+        self.inner.kind()
+    }
+    fn dictionary(&self, col: ColumnId) -> Option<&seedb_storage::Dictionary> {
+        if col == self.col {
+            Some(&self.narrow)
+        } else {
+            self.inner.dictionary(col)
+        }
+    }
+    fn stats(&self, col: ColumnId) -> &seedb_storage::ColumnStats {
+        self.inner.stats(col)
+    }
+    fn partitions(&self) -> &[seedb_storage::Partition] {
+        self.inner.partitions()
+    }
+    fn cell(&self, row: usize, col: ColumnId) -> seedb_storage::Cell {
+        self.inner.cell(row, col)
+    }
+    fn scan_range(
+        &self,
+        projection: &[ColumnId],
+        range: std::ops::Range<usize>,
+        visitor: &mut dyn FnMut(&[seedb_storage::Cell]),
+    ) {
+        self.inner.scan_range(projection, range, visitor)
+    }
+    fn scan_batches(
+        &self,
+        projection: &[ColumnId],
+        range: std::ops::Range<usize>,
+        batch_size: usize,
+        visitor: &mut dyn FnMut(&seedb_storage::Batch<'_>),
+    ) {
+        self.inner
+            .scan_batches(projection, range, batch_size, visitor)
+    }
+}
+
+/// The composite index's column-at-a-time slot pass and both of its
+/// row-wise fallbacks, in one table. The ROW store reports validity per
+/// batch, so 1024-row batch 0 is all dense in-radix code slices (fast
+/// path), batch 1 holds one code past the planned radix (the per-batch
+/// flag sends it row-wise, the stray spilling to the hash map), batch 2
+/// holds NULL dimensions (validity present: row-wise), and batch 3 is
+/// dense again — re-entering the fast path on groups the fallbacks made.
+#[test]
+fn composite_fast_path_and_fallbacks_agree_with_scalar() {
+    const BATCH: usize = 1024;
+    let mut b = TableBuilder::new(vec![
+        ColumnDef::dim("a"),
+        ColumnDef::dim("b"),
+        ColumnDef::new("flag", ColumnType::Bool, ColumnRole::Dimension),
+        ColumnDef::new("m", ColumnType::Float64, ColumnRole::Measure),
+        ColumnDef::new("n", ColumnType::Int64, ColumnRole::Measure),
+    ]);
+    for i in 0..4 * BATCH + 100 {
+        let batch = i / BATCH;
+        let a = if i == BATCH + 17 {
+            Value::str("stray")
+        } else if batch == 2 && i % 7 == 0 {
+            Value::Null
+        } else {
+            Value::str(format!("a{}", i % 3))
+        };
+        let bb = if batch == 2 && i % 5 == 0 {
+            Value::Null
+        } else {
+            Value::str(format!("b{}", i % 2))
+        };
+        b.push_row(&[
+            a,
+            bb,
+            Value::Bool(i % 4 == 0),
+            Value::Float((i % 101) as f64 * 0.37 - 11.0),
+            Value::Int((i % 13) as i64 - 6),
+        ])
+        .unwrap();
+    }
+    let inner = b.build(StoreKind::Row).unwrap();
+    // Labels intern in first-seen order: a0, a1, a2, then the stray.
+    let full = inner.dictionary(ColumnId(0)).unwrap();
+    assert_eq!(full.code("stray"), Some(3));
+    let mut narrow = seedb_storage::Dictionary::new();
+    for (_, label) in full.iter().take(3) {
+        narrow.intern(label);
+    }
+    let table: BoxedTable = std::sync::Arc::new(NarrowDictionary {
+        inner,
+        col: ColumnId(0),
+        narrow,
+    });
+
+    for split in [
+        SplitSpec::TargetVsAll(Predicate::BoolEq {
+            col: ColumnId(2),
+            value: true,
+        }),
+        SplitSpec::TargetOnly(Predicate::NumCmp {
+            col: ColumnId(3),
+            op: CmpOp::Gt,
+            value: 20.0,
+        }),
+    ] {
+        let query = CombinedQuery {
+            group_by: vec![ColumnId(0), ColumnId(1)],
+            aggregates: vec![
+                AggSpec::new(AggFunc::Avg, ColumnId(3)),
+                AggSpec::new(AggFunc::Sum, ColumnId(4)),
+            ],
+            filter: None,
+            split,
+        };
+        let scalar = run(&table, &query, ExecMode::Scalar, 1);
+        // 3 labels + stray + NULL on `a`, 2 labels + NULL on `b`; the
+        // stray row and the NULL rows each open groups of their own.
+        assert!(scalar.num_groups() > 6, "{} groups", scalar.num_groups());
+        for phases in [1, 3] {
+            let vectorized = run(&table, &query, ExecMode::Vectorized, phases);
+            assert_eq!(scalar.num_groups(), vectorized.num_groups());
+            for (ga, gb) in scalar.groups.iter().zip(&vectorized.groups) {
+                assert_eq!(ga.key, gb.key, "{phases} phases");
+                assert_eq!(ga.target, gb.target, "{phases} phases");
+                assert_eq!(ga.reference, gb.reference, "{phases} phases");
+            }
+        }
+    }
+}

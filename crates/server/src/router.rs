@@ -1451,6 +1451,12 @@ mod tests {
         assert_eq!(plan.get("mode").unwrap().as_str(), Some("VECTORIZED"));
         assert!(plan.get("index").unwrap().as_str().is_some());
         assert!(plan.get("estimated_rows").unwrap().as_u64().is_some());
+        // Shared clusters: never more aggregates per row than views, and
+        // the stats envelope counts the updates they cost beside the rows.
+        let planned = |key: &str| plan.get(key).unwrap().as_u64().unwrap();
+        assert!(1 <= planned("aggregates") && planned("aggregates") <= planned("views"));
+        let stat = |key: &str| j1.get("stats").unwrap().get(key).unwrap().as_u64().unwrap();
+        assert!(stat("accumulator_updates") >= stat("rows_scanned"));
         let times = ex.get("phase_times_us").unwrap().as_arr().unwrap();
         assert!(!times.is_empty(), "an executed run must report timings");
         assert!(ex.get("partitions_scanned").unwrap().as_u64().is_some());
