@@ -3,7 +3,8 @@
 //! hot path (scalar vs vectorized execution modes on both store layouts;
 //! one bin-packed cluster with shared vs per-view aggregate lists and
 //! column-at-a-time vs row-wise group slots), down to the bare accumulator
-//! update against a naive `+=`.
+//! update against a naive `+=`, and of what a phase of the phased executor
+//! pays beyond its rows (`phase_boundary`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seedb_bench::BENCH_SEED;
@@ -277,6 +278,133 @@ fn morsel_scan_aggregate(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a phase costs beyond its rows, on the DIAB 100K plan (the
+/// planner's clusters, every measure, pool and morsel size as planned).
+///
+/// * `ten_phases/session` vs `ten_phases/one_shot`: ten 10 000-row ranges
+///   through one [`ScanSession`] (worker partials drained and kept) against
+///   ten `execute_morsels` calls (partials, results and all rebuilt per
+///   call). `whole_table/one_shot` is the same rows in one call — the floor
+///   both are held against.
+/// * `merge/same_base` vs `merge/offset_base`: 4 096 `Accumulator::merge`s
+///   whose windows sit on the same chunk (the five-add route) and one chunk
+///   apart (the general route).
+/// * `cluster_phase/scan_only` vs `cluster_phase/scan_and_fold`: one packed
+///   cluster over one 10 000-row range, drained to nothing and folded into
+///   its member views' groups; the difference is the fold.
+fn phase_boundary(c: &mut Criterion) {
+    use seedb_core::state::ViewState;
+    use seedb_core::{fold_into_views, Member, ReferenceSpec, SeeDb, SeeDbConfig};
+    use seedb_engine::{
+        execute_morsels, with_pool, CancelToken, PartialAggregation, ScanSession, TraceCtx,
+    };
+
+    let diab = seedb_bench::bench_dataset("DIAB", 100_000, StoreKind::Column);
+    let table = diab.table.as_ref();
+    let plan = SeeDb::with_config(diab.table.clone(), SeeDbConfig::default())
+        .plan(&diab.target, &ReferenceSpec::WholeTable);
+    let clustered = seedb_bench::cluster_queries(&diab, &plan);
+    let rows = table.num_rows();
+    let phases: Vec<std::ops::Range<usize>> = seedb_core::phase_ranges(rows, 10);
+
+    let mut group = c.benchmark_group("phase_boundary");
+    group.sample_size(15);
+    with_pool(plan.workers, |pool| {
+        let cancel = CancelToken::none();
+        group.bench_function("ten_phases/session", |b| {
+            b.iter(|| {
+                let trace = TraceCtx::disabled();
+                let mut session = ScanSession::new(pool, table, plan.scan_shape(), &cancel, &trace);
+                for range in &phases {
+                    black_box(session.scan(&clustered, range.clone(), |_, partial| {
+                        partial.touched_groups()
+                    }));
+                }
+            })
+        });
+        group.bench_function("ten_phases/one_shot", |b| {
+            b.iter(|| {
+                for range in &phases {
+                    black_box(execute_morsels(
+                        pool,
+                        table,
+                        &clustered,
+                        range.clone(),
+                        plan.scan_shape(),
+                        &cancel,
+                    ));
+                }
+            })
+        });
+        group.bench_function("whole_table/one_shot", |b| {
+            b.iter(|| execute_morsels(pool, table, &clustered, 0..rows, plan.scan_shape(), &cancel))
+        });
+    });
+
+    // Sums of DIAB-like values share a window; scaling one side by 2⁻³²
+    // moves its window exactly one chunk down.
+    let fed = |scale: f64| -> Vec<Accumulator> {
+        (0..4096)
+            .map(|i| {
+                let mut acc = Accumulator::new();
+                for j in 0..8 {
+                    acc.update(Some((16.0 + ((i * 8 + j) % 97) as f64 * 0.25) * scale));
+                }
+                acc
+            })
+            .collect()
+    };
+    let mine = fed(1.0);
+    for (name, theirs) in [
+        ("merge/same_base", fed(1.0)),
+        ("merge/offset_base", fed(2f64.powi(-32))),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut mine = mine.clone();
+                for (m, t) in mine.iter_mut().zip(black_box(&theirs)) {
+                    m.merge(t);
+                }
+                mine
+            })
+        });
+    }
+
+    // The widest planned cluster: every (dimension, measure) pair a view.
+    let cluster = clustered
+        .iter()
+        .max_by_key(|q| q.group_by.len())
+        .expect("DIAB plans clusters");
+    let mut members: Vec<Member> = Vec::new();
+    let mut states: Vec<ViewState> = Vec::new();
+    for (position, dim) in cluster.group_by.iter().enumerate() {
+        for (agg, spec) in cluster.aggregates.iter().enumerate() {
+            let view = seedb_core::ViewSpec {
+                id: states.len(),
+                dim: *dim,
+                measure: spec.measure,
+                func: spec.func,
+            };
+            members.push((view.id, agg, position));
+            states.push(ViewState::for_table(view, table));
+        }
+    }
+    let mut partial = PartialAggregation::with_mode(cluster.clone(), ExecMode::Vectorized);
+    group.bench_function("cluster_phase/scan_only", |b| {
+        b.iter(|| {
+            partial.update(table, phases[0].clone(), &mut ExecStats::new());
+            partial.drain(|_, _, _| {});
+        })
+    });
+    group.bench_function("cluster_phase/scan_and_fold", |b| {
+        b.iter(|| {
+            partial.update(table, phases[0].clone(), &mut ExecStats::new());
+            fold_into_views(&mut partial, &members, None, &states)
+        })
+    });
+    group.finish();
+}
+
 /// The serving layer's cross-request cache, measured through real HTTP
 /// round trips against an in-process `seedbd`: `cold` clears the cache
 /// before every request (full engine run), `warm` repeats one request
@@ -337,6 +465,7 @@ criterion_group!(
     scan_aggregate_micro,
     cluster_scan,
     morsel_scan_aggregate,
+    phase_boundary,
     server_cache
 );
 criterion_main!(benches);

@@ -8,7 +8,9 @@
 
 use std::path::Path;
 
-use seedb_bench::{bench_dataset, recommend, time_ms, time_ms_prewarmed, BENCH_SEED};
+use seedb_bench::{
+    bench_dataset, cluster_queries, recommend, time_ms, time_ms_prewarmed, BENCH_SEED,
+};
 use seedb_core::{
     accuracy_at_k, utility_distance, ExecMode, ExecutionStrategy, GroupingPolicy, Knob,
     PruningKind, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig, SharingConfig,
@@ -604,8 +606,17 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
 /// member view instead lands at ≈ 2.4×, so `perf_smoke` holds the ratio
 /// under 1.25×. Both sides run on the same host seconds apart.
 ///
+/// Beside it, what phasing costs: `COMB` with no pruner (ten phases, every
+/// view alive throughout) over `SHARING` — the same rows and the same
+/// accumulator updates, so the ratio is the per-phase constant (scan set-up
+/// and barriers, the fold into the views' groups, ten rounds of utility
+/// estimates) over the scan. ≈ 1.25–1.35 with worker partials kept across
+/// phases and one fold per cluster; ≈ 1.9 when every phase rebuilt its
+/// partials and rolled up through intermediate results. `perf_smoke` holds
+/// it under 1.45 — the first gate on a Figure 5 ordering.
+///
 /// The row count is NOT scaled down in --fast mode: at 1k rows the fixed
-/// costs on the executor side would drown the ratio.
+/// costs on the executor side would drown the ratios.
 fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
     let dataset = bench_dataset("DIAB", 100_000, StoreKind::Column);
     let table = dataset.table.as_ref();
@@ -613,22 +624,7 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
     let reference = ReferenceSpec::WholeTable;
     let plan =
         SeeDb::with_config(dataset.table.clone(), config.clone()).plan(&dataset.target, &reference);
-    let aggregates: Vec<AggSpec> = table
-        .schema()
-        .measures()
-        .iter()
-        .map(|m| AggSpec::new(AggFunc::Avg, *m))
-        .collect();
-    let queries: Vec<CombinedQuery> = plan
-        .clusters
-        .iter()
-        .map(|cluster| CombinedQuery {
-            group_by: cluster.clone(),
-            aggregates: aggregates.clone(),
-            filter: None,
-            split: reference.to_split(dataset.target.clone()),
-        })
-        .collect();
+    let queries = cluster_queries(&dataset, &plan);
     assert_eq!(
         plan.aggregates,
         queries.iter().map(|q| q.aggregates.len()).sum::<usize>(),
@@ -652,6 +648,12 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
     let sharing = time_ms(samples, || {
         recommend(&dataset, &config);
     });
+    let mut phased = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+    phased.pruning = PruningKind::None;
+    phased.num_phases = 10;
+    let comb = time_ms(samples, || {
+        recommend(&dataset, &phased);
+    });
     vec![
         Json::obj()
             .set("sweep", "cluster_scan")
@@ -664,6 +666,12 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
             .set("rows", dataset.rows())
             .set("timing", Json::from(sharing)),
         Json::obj()
+            .set("sweep", "comb_nopru")
+            .set("dataset", dataset.name.as_str())
+            .set("rows", dataset.rows())
+            .set("phases", phased.num_phases)
+            .set("timing", Json::from(comb)),
+        Json::obj()
             .set("sweep", "summary")
             .set("dataset", dataset.name.as_str())
             .set("rows", dataset.rows())
@@ -673,7 +681,8 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
             .set(
                 "overhead_sharing_over_cluster_scan",
                 sharing.min_ms / scan.min_ms,
-            ),
+            )
+            .set("comb_nopru_over_sharing", comb.min_ms / sharing.min_ms),
     ]
 }
 

@@ -10,9 +10,10 @@
 
 use std::time::Instant;
 
-use seedb_core::{Predicate, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig};
+use seedb_core::{PhysicalPlan, Predicate, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig};
 use seedb_data::registry::generate_by_name;
 use seedb_data::{table1, Dataset};
+use seedb_engine::{AggFunc, AggSpec, CombinedQuery};
 use seedb_storage::StoreKind;
 
 /// Deterministic seed shared by every bench so runs are comparable.
@@ -55,6 +56,29 @@ pub fn recommend_with_target(
     SeeDb::with_config(dataset.table.clone(), config.clone())
         .recommend(target, &ReferenceSpec::WholeTable)
         .expect("bench recommendation failed")
+}
+
+/// The combined queries `plan`'s clusters stand for over `dataset` with
+/// its canonical target and a whole-table reference: one per cluster,
+/// `AVG` of every measure aggregated once — what the executor scans, for
+/// probes that drive the engine directly.
+pub fn cluster_queries(dataset: &Dataset, plan: &PhysicalPlan) -> Vec<CombinedQuery> {
+    let aggregates: Vec<AggSpec> = dataset
+        .table
+        .schema()
+        .measures()
+        .iter()
+        .map(|m| AggSpec::new(AggFunc::Avg, *m))
+        .collect();
+    plan.clusters
+        .iter()
+        .map(|cluster| CombinedQuery {
+            group_by: cluster.clone(),
+            aggregates: aggregates.clone(),
+            filter: None,
+            split: ReferenceSpec::WholeTable.to_split(dataset.target.clone()),
+        })
+        .collect()
 }
 
 /// Mean / min / max wall-clock milliseconds of `runs` executions of `f`,

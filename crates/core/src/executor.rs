@@ -13,8 +13,11 @@
 //!    parallel, each as a single target+reference scan
 //!    (combine-target-reference) or as two separate queries.
 //! 3. Fold each cluster's partial results into per-view
-//!    [`ViewState`]s, re-estimate utilities, and let the pruner discard or
-//!    accept views.
+//!    [`ViewState`]s — one pass from the cluster's groups to every member
+//!    view's groups of the phase, run as pool items beside the scan
+//!    ([`seedb_engine::ScanSession`], which also keeps the worker partials
+//!    from phase to phase) — re-estimate utilities, and let the pruner
+//!    discard or accept views.
 //! 4. `COMB_EARLY` stops as soon as top-k membership is decided.
 //!
 //! `NO_OPT` bypasses the loop: two serial full-table queries per view,
@@ -23,17 +26,16 @@
 use crate::cache::CachedPartial;
 use crate::config::{ExecutionStrategy, PruningKind, SeeDbConfig};
 use crate::phase::phase_ranges;
-use crate::plan::{build_clusters, Cluster, PhysicalPlan};
+use crate::plan::{build_clusters, Cluster, Member, PhysicalPlan};
 use crate::pruning::{make_pruner, Pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
-use crate::state::{Side, ViewState};
+use crate::state::{Side, ViewGroups, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
-    execute_morsels_traced, rollup, with_pool, AggSpec, CancelToken, CombinedQuery, ExecStats,
-    GroupedResult, Pool, Predicate, SplitSpec, TraceCtx,
+    with_pool, AggSpec, CancelToken, CombinedQuery, ExecStats, GroupedResult, PartialAggregation,
+    Pool, Predicate, ScanSession, SplitSpec, TraceCtx,
 };
 use seedb_storage::Table;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,6 +136,58 @@ struct PhaseQueries {
     queries: Vec<CombinedQuery>,
 }
 
+/// Drains `partial` — one cluster query's folded result for some row range
+/// — into the groups that range contributes to each of the query's member
+/// views: one [`ViewGroups`] per member, in member order, every
+/// accumulator of the cluster merged exactly once, straight into the view
+/// it belongs to. `side` is `None` for a combined target+reference query,
+/// or the one side a `TargetOnly` query computed (which it accumulates on
+/// its *target* side). `states` is indexed by view id and only says how
+/// each view lays its groups out.
+pub fn fold_into_views(
+    partial: &mut PartialAggregation,
+    members: &[Member],
+    side: Option<Side>,
+    states: &[ViewState],
+) -> Vec<ViewGroups> {
+    let mut deltas: Vec<ViewGroups> = members
+        .iter()
+        .map(|&(view_id, ..)| states[view_id].groups().empty_like())
+        .collect();
+    partial.drain(|key, target, reference| {
+        for (delta, &(_, agg_idx, dim_pos)) in deltas.iter_mut().zip(members) {
+            let pair = delta.pair(key.code(dim_pos));
+            match side {
+                None => {
+                    pair.target.merge(&target[agg_idx]);
+                    pair.reference.merge(&reference[agg_idx]);
+                }
+                Some(Side::Target) => pair.target.merge(&target[agg_idx]),
+                Some(Side::Reference) => pair.reference.merge(&target[agg_idx]),
+            }
+        }
+    });
+    deltas
+}
+
+/// Scans `range` for `queries` and folds every query's result into its
+/// member views' groups of this range ([`fold_into_views`]) as pool items
+/// of the session. `feeds(job)` names the job's members and the side its
+/// accumulators feed. `None` when the session's deadline cut the scan
+/// short.
+fn scan_into_views<'m>(
+    session: &mut ScanSession<'_>,
+    queries: &[CombinedQuery],
+    range: std::ops::Range<usize>,
+    states: &[ViewState],
+    feeds: impl Fn(usize) -> (&'m [Member], Option<Side>) + Sync,
+) -> Option<Vec<(Vec<ViewGroups>, ExecStats)>> {
+    session.scan(queries, range, |job, partial| {
+        let (members, side) = feeds(job);
+        fold_into_views(partial, members, side, states)
+    })
+}
+
 /// Strategy-driven executor over one table.
 pub struct Executor<'a> {
     table: &'a dyn Table,
@@ -199,15 +253,43 @@ impl<'a> Executor<'a> {
         reference: &ReferenceSpec,
     ) -> ExecutionReport {
         let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| match self.phased_shape() {
-            None => self.run_no_opt(pool, &plan, views, target, reference),
-            Some((phases, pruner, early)) => {
-                self.run_phased(
-                    pool, &plan, views, target, reference, phases, pruner, early, None,
-                )
-                .report
+        with_pool(plan.workers, |pool| {
+            let session = &mut self.session(pool, &plan);
+            match self.phased_shape() {
+                None => self.run_no_opt(session, &plan, views, target, reference),
+                Some((phases, pruner, early)) => {
+                    self.run_phased(
+                        session, &plan, views, target, reference, phases, pruner, early, None,
+                    )
+                    .report
+                }
             }
         })
+    }
+
+    /// The run's one scan session: every phase's `(cluster, morsel)` work
+    /// items and per-cluster folds execute on `pool`, and worker partials
+    /// carry over from phase to phase.
+    fn session<'p>(&self, pool: &'p Pool<'p>, plan: &PhysicalPlan) -> ScanSession<'p>
+    where
+        'a: 'p,
+    {
+        ScanSession::new(
+            pool,
+            self.table,
+            plan.scan_shape(),
+            &self.cancel,
+            &self.trace,
+        )
+    }
+
+    /// One fresh state per view, its groups laid out for the view's
+    /// grouping attribute in this table.
+    fn fresh_states(&self, views: &[ViewSpec]) -> Vec<ViewState> {
+        views
+            .iter()
+            .map(|v| ViewState::for_table(*v, self.table))
+            .collect()
     }
 
     /// [`Executor::run`] for the phased strategies, with cross-request
@@ -233,24 +315,27 @@ impl<'a> Executor<'a> {
     ) -> ResumableRun {
         debug_assert_eq!(seeds.len(), views.len());
         let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| match self.phased_shape() {
-            None => ResumableRun {
-                report: self.run_no_opt(pool, &plan, views, target, reference),
-                deltas: vec![Vec::new(); views.len()],
-                scanned_phases: vec![1; views.len()],
-                total_phases: 1,
-            },
-            Some((phases, pruner, early)) => self.run_phased(
-                pool,
-                &plan,
-                views,
-                target,
-                reference,
-                phases,
-                pruner,
-                early,
-                Some(seeds),
-            ),
+        with_pool(plan.workers, |pool| {
+            let session = &mut self.session(pool, &plan);
+            match self.phased_shape() {
+                None => ResumableRun {
+                    report: self.run_no_opt(session, &plan, views, target, reference),
+                    deltas: vec![Vec::new(); views.len()],
+                    scanned_phases: vec![1; views.len()],
+                    total_phases: 1,
+                },
+                Some((phases, pruner, early)) => self.run_phased(
+                    session,
+                    &plan,
+                    views,
+                    target,
+                    reference,
+                    phases,
+                    pruner,
+                    early,
+                    Some(seeds),
+                ),
+            }
         })
     }
 
@@ -271,7 +356,7 @@ impl<'a> Executor<'a> {
     /// 2·a·m queries — only the scan of each query is morsel-parallel).
     fn run_no_opt(
         &self,
-        pool: &Pool<'_>,
+        session: &mut ScanSession<'_>,
         plan: &PhysicalPlan,
         views: &[ViewSpec],
         target: &Predicate,
@@ -281,7 +366,7 @@ impl<'a> Executor<'a> {
         let mut stats = ExecStats::new();
         stats.plan_summary = plan.summary();
         let ref_pred = reference.reference_predicate(target);
-        let mut states: Vec<ViewState> = views.iter().map(|v| ViewState::new(*v)).collect();
+        let mut states = self.fresh_states(views);
 
         let queries: Vec<CombinedQuery> = views
             .iter()
@@ -293,34 +378,26 @@ impl<'a> Executor<'a> {
                 ]
             })
             .collect();
-        let results = execute_morsels_traced(
-            pool,
-            self.table,
-            &queries,
-            0..self.table.num_rows(),
-            plan.scan_shape(),
-            &self.cancel,
-            &self.trace,
-        );
-        for (state, pair) in states.iter_mut().zip(results.chunks_exact(2)) {
-            let [(t_result, t_stats), (r_result, r_stats)] = pair else {
-                unreachable!("two queries per view");
-            };
-            stats.merge(t_stats);
-            stats.merge(r_stats);
-            state.merge_into_side(t_result, 0, Side::Target);
-            state.merge_into_side(r_result, 0, Side::Reference);
+        // Two jobs per view: its target side, then its reference side.
+        let members: Vec<[Member; 1]> = views.iter().map(|v| [(v.id, 0, 0)]).collect();
+        let sides = [Side::Target, Side::Reference];
+        let rows = 0..self.table.num_rows();
+        let results = scan_into_views(session, &queries, rows, &states, |job| {
+            (&members[job / 2], Some(sides[job % 2]))
+        });
+        for (job, (deltas, job_stats)) in results.into_iter().flatten().enumerate() {
+            stats.merge(&job_stats);
+            states[members[job / 2][0].0].merge_groups(&deltas[0]);
         }
 
         // NO_OPT is a single phase; its one timing slot is the whole scan.
-        stats
-            .phase_times_us
-            .push(start.elapsed().as_micros() as u64);
+        let phase_time = start.elapsed();
+        stats.phase_times_us.push(phase_time.as_micros() as u64);
         self.trace.record(
             "phase",
             0,
             start,
-            start.elapsed(),
+            phase_time,
             vec![("phase", "0".to_string())],
         );
         ExecutionReport {
@@ -343,7 +420,7 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)] // strategy knobs + the shared pool
     fn run_phased(
         &self,
-        pool: &Pool<'_>,
+        session: &mut ScanSession<'_>,
         plan: &PhysicalPlan,
         views: &[ViewSpec],
         target: &Predicate,
@@ -356,7 +433,7 @@ impl<'a> Executor<'a> {
         let start = Instant::now();
         let mut stats = ExecStats::new();
         stats.plan_summary = plan.summary();
-        let mut states: Vec<ViewState> = views.iter().map(|v| ViewState::new(*v)).collect();
+        let mut states = self.fresh_states(views);
         // Only non-empty ranges are phases: an empty range would advance
         // the pruner's sample count m — tightening the Hoeffding–Serfling
         // interval — without contributing a single row of evidence.
@@ -439,67 +516,37 @@ impl<'a> Executor<'a> {
             // Execute this phase's clusters: every cluster query is split
             // into morsels and all `(cluster, morsel)` work items share the
             // run-wide worker pool, so even a single bin-packed all-sharing
-            // cluster uses every worker.
-            let results = execute_morsels_traced(
-                pool,
-                self.table,
-                queries,
-                range.clone(),
-                plan.scan_shape(),
-                &self.cancel,
-                &self.trace,
-            );
+            // cluster uses every worker; each query's result is then folded
+            // into its member views' groups of this phase, one pool item
+            // per query.
+            let results = scan_into_views(session, queries, range.clone(), &states, |job| {
+                let side = match queries_per_cluster {
+                    1 => None,
+                    _ => Some([Side::Target, Side::Reference][job % 2]),
+                };
+                (&clusters[job / queries_per_cluster].members, side)
+            });
             // A deadline that expired during the scan makes this phase's
             // results garbage (workers skipped an arbitrary suffix of the
-            // morsels): discard them and stop with the completed-phase
-            // prefix. The already-merged states stay a valid prefix.
-            if self.cancel.is_expired() {
+            // morsels): stop with the completed-phase prefix. The
+            // already-merged states stay a valid prefix.
+            let Some(results) = results.filter(|_| !self.cancel.is_expired()) else {
                 deadline_exceeded = true;
                 break;
-            }
+            };
 
-            // Per-view single-phase delta states, captured for the cache.
-            let mut delta_states: Vec<Option<ViewState>> = vec![None; views.len()];
-
-            // Fold results into view states, rolling up multi-GB clusters.
-            for (cluster, cluster_results) in clusters
-                .iter()
-                .zip(results.chunks_exact(queries_per_cluster))
-            {
-                let mut outs = Vec::with_capacity(queries_per_cluster);
-                for (result, local_stats) in cluster_results {
-                    stats.merge(local_stats);
-                    outs.push(result);
-                }
-                for (dim_pos, out_pair) in roll_cluster(cluster, &outs) {
-                    for &(view_id, agg_idx, member_dim_pos) in &cluster.members {
-                        if member_dim_pos != dim_pos {
-                            continue;
-                        }
-                        let state = &mut states[view_id];
-                        let delta = if capture {
-                            Some(
-                                delta_states[view_id]
-                                    .get_or_insert_with(|| ViewState::new(views[view_id])),
-                            )
-                        } else {
-                            None
-                        };
-                        match &out_pair {
-                            RolledPair::Combined(r) => {
-                                state.merge_both(r, agg_idx);
-                                if let Some(d) = delta {
-                                    d.merge_both(r, agg_idx);
-                                }
-                            }
-                            RolledPair::Separate(t, rf) => {
-                                state.merge_into_side(t, agg_idx, Side::Target);
-                                state.merge_into_side(rf, agg_idx, Side::Reference);
-                                if let Some(d) = delta {
-                                    d.merge_into_side(t, agg_idx, Side::Target);
-                                    d.merge_into_side(rf, agg_idx, Side::Reference);
-                                }
-                            }
+            // Per-view groups of this phase alone, captured for the cache.
+            let mut phase_groups: Vec<Option<ViewGroups>> = vec![None; views.len()];
+            for (job, (deltas, job_stats)) in results.into_iter().enumerate() {
+                stats.merge(&job_stats);
+                let members = &clusters[job / queries_per_cluster].members;
+                for (&(view_id, ..), delta) in members.iter().zip(deltas) {
+                    states[view_id].merge_groups(&delta);
+                    if capture {
+                        match &mut phase_groups[view_id] {
+                            // The other side, from a separate query.
+                            Some(captured) => captured.merge(&delta),
+                            empty => *empty = Some(delta),
                         }
                     }
                 }
@@ -511,22 +558,19 @@ impl<'a> Executor<'a> {
             for &id in scanning.iter() {
                 scanned_phases[id] += 1;
                 if capture {
-                    let delta = delta_states[id]
-                        .take()
-                        .unwrap_or_else(|| ViewState::new(views[id]));
-                    captured[id].push(Arc::new(delta.to_combined_result()));
+                    let delta = phase_groups[id].take().unwrap_or_default();
+                    captured[id].push(Arc::new(delta.into_combined_result(&views[id])));
                 }
             }
 
             phases_executed = phase_idx + 1;
-            stats
-                .phase_times_us
-                .push(phase_start.elapsed().as_micros() as u64);
+            let phase_time = phase_start.elapsed();
+            stats.phase_times_us.push(phase_time.as_micros() as u64);
             self.trace.record(
                 "phase",
                 0,
                 phase_start,
-                phase_start.elapsed(),
+                phase_time,
                 vec![("phase", phase_idx.to_string())],
             );
 
@@ -621,43 +665,6 @@ impl<'a> Executor<'a> {
             queries,
         }
     }
-}
-
-/// A cluster's results rolled up to one of its dimensions. Single-dim
-/// clusters borrow the executed result as-is (no copy); only multi-GB
-/// clusters own freshly rolled-up results.
-enum RolledPair<'a> {
-    /// Single combined target+reference result.
-    Combined(Cow<'a, GroupedResult>),
-    /// Separate target and reference results.
-    Separate(Cow<'a, GroupedResult>, Cow<'a, GroupedResult>),
-}
-
-/// Rolls a cluster's raw outputs up to every dimension position present in
-/// its member list, returning `(dim_pos, rolled results)` pairs.
-fn roll_cluster<'a>(cluster: &Cluster, outs: &[&'a GroupedResult]) -> Vec<(usize, RolledPair<'a>)> {
-    let mut dim_positions: Vec<usize> = cluster.members.iter().map(|m| m.2).collect();
-    dim_positions.sort_unstable();
-    dim_positions.dedup();
-
-    dim_positions
-        .into_iter()
-        .map(|dim_pos| {
-            let roll = |r: &'a GroupedResult| -> Cow<'a, GroupedResult> {
-                if cluster.group_by.len() > 1 {
-                    Cow::Owned(rollup(r, dim_pos))
-                } else {
-                    Cow::Borrowed(r)
-                }
-            };
-            let pair = match outs {
-                [single] => RolledPair::Combined(roll(single)),
-                [t, r] => RolledPair::Separate(roll(t), roll(r)),
-                _ => unreachable!("clusters produce one or two results"),
-            };
-            (dim_pos, pair)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1088,7 +1095,7 @@ mod tests {
         let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
         with_pool(1, |pool| {
             exec.run_phased(
-                pool,
+                &mut exec.session(pool, &plan),
                 &plan,
                 &views,
                 &target,
@@ -1433,6 +1440,30 @@ mod tests {
         );
         assert_eq!(no_opt.stats.phase_times_us.len(), 1);
         assert!(no_opt.stats.plan_summary.contains("workers=1(fixed)"));
+
+        // Traced: every `phase` span is the interval pushed into
+        // `phase_times_us`, to the microsecond, in phase order.
+        for strategy in [ExecutionStrategy::Comb, ExecutionStrategy::NoOpt] {
+            let table = test_table(StoreKind::Column);
+            let mut cfg = SeeDbConfig::for_strategy(strategy);
+            cfg.num_phases = 5;
+            let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+            let trace = TraceCtx::enabled(7);
+            let mut exec = Executor::new(table.as_ref(), &cfg);
+            exec.set_trace(trace.clone());
+            let report = exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+            let done = seedb_obs::Obs::default()
+                .finish(&trace, "test", "/test", 200)
+                .expect("the trace is live");
+            let spans: Vec<u64> = done
+                .spans
+                .iter()
+                .filter(|span| span.name == "phase")
+                .map(|span| span.dur_us)
+                .collect();
+            assert_eq!(spans, report.stats.phase_times_us, "{strategy}");
+            assert_eq!(spans.len(), report.phases_executed);
+        }
     }
 
     #[test]

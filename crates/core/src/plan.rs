@@ -20,7 +20,7 @@
 //! so the planner can be wrong about *cost* without ever being wrong about
 //! *results*.
 
-use crate::config::{GroupingPolicy, SeeDbConfig, SharingConfig};
+use crate::config::{ExecutionStrategy, GroupingPolicy, SeeDbConfig, SharingConfig};
 use crate::reference::ReferenceSpec;
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
@@ -39,10 +39,13 @@ pub(crate) struct Cluster {
     pub(crate) group_by: Vec<ColumnId>,
     /// The distinct aggregates of the member views, in first-seen order.
     pub(crate) aggregates: Vec<AggSpec>,
-    /// `(view id, index into aggregates, dim position within group_by)`
-    /// for each member view.
-    pub(crate) members: Vec<(ViewId, usize, usize)>,
+    /// Each member view's place in the query.
+    pub(crate) members: Vec<Member>,
 }
+
+/// A view's place in a cluster's query: `(view id, index into the query's
+/// aggregates, dim position within its group-by)`.
+pub type Member = (ViewId, usize, usize);
 
 /// Builds the query clusters answering `live`, applying the
 /// combine-aggregates, combine-group-bys and nagg-cap knobs. The one
@@ -152,7 +155,8 @@ pub struct PhysicalPlan {
     /// Whether `workers` came from the cost model (`true`) or a
     /// `Knob::Fixed` override (`false`).
     pub workers_auto: bool,
-    /// Rows per morsel; `usize::MAX` = one morsel per surviving partition.
+    /// Rows per morsel; `usize::MAX` = one morsel per run of surviving
+    /// partitions.
     pub morsel_rows: usize,
     /// Whether `morsel_rows` came from the cost model.
     pub morsel_auto: bool,
@@ -210,12 +214,30 @@ impl PhysicalPlan {
         let workers = sharing
             .parallelism
             .resolve(choose_workers(estimate.rows, host));
-        let morsel_rows = sharing
-            .morsel_rows
-            .resolve(choose_morsel_rows(estimate.rows, workers));
 
         // Phase-1 clustering: the executor's own, over every view.
         let planned = build_clusters(table, sharing, views);
+
+        // Morsels are sized for what one engine call scans: a phased run
+        // hands the engine one phase's rows at a time, for every cluster
+        // query at once.
+        let per_cluster = if sharing.combine_target_reference {
+            1
+        } else {
+            2
+        };
+        let (phases, queries) = match config.strategy {
+            ExecutionStrategy::NoOpt => (1, 2 * views.len()),
+            ExecutionStrategy::Sharing => (1, per_cluster * planned.len()),
+            ExecutionStrategy::Comb | ExecutionStrategy::CombEarly => {
+                (config.num_phases.max(1), per_cluster * planned.len())
+            }
+        };
+        let morsel_rows = sharing.morsel_rows.resolve(choose_morsel_rows(
+            estimate.rows.div_ceil(phases),
+            queries,
+            workers,
+        ));
         let aggregates = planned.iter().map(|c| c.aggregates.len()).sum();
         let clusters: Vec<Vec<ColumnId>> = planned.into_iter().map(|c| c.group_by).collect();
         let packed = clusters.iter().any(|bin| bin.len() > 1);
@@ -326,7 +348,7 @@ impl PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ExecutionStrategy, Knob};
+    use crate::config::Knob;
     use crate::view::enumerate_views;
     use seedb_storage::{ColumnDef, StoreKind, TableBuilder, Value};
 
@@ -381,6 +403,50 @@ mod tests {
         assert_eq!(plan.morsel_rows, usize::MAX);
         assert_eq!(plan.partitions_total, 4);
         assert_eq!(plan.estimated_rows, 100);
+    }
+
+    #[test]
+    fn morsels_are_sized_for_one_phase_of_every_cluster() {
+        // 40 000 rows, two dimensions (two clusters without bin-packing),
+        // two workers pinned.
+        let mut b = TableBuilder::new(vec![
+            ColumnDef::dim("a"),
+            ColumnDef::dim("b"),
+            ColumnDef::measure("m"),
+        ]);
+        for i in 0..40_000usize {
+            b.push_row(&[
+                Value::str(format!("a{}", i % 4)),
+                Value::str(format!("b{}", i % 5)),
+                Value::Float(i as f64),
+            ])
+            .unwrap();
+        }
+        let table = b.build(StoreKind::Column).unwrap();
+        let morsel_rows = |strategy: ExecutionStrategy, combine_group_bys: bool| {
+            let mut cfg = SeeDbConfig::for_strategy(strategy);
+            cfg.sharing.parallelism = Knob::Fixed(2);
+            cfg.sharing.combine_group_bys = combine_group_bys;
+            cfg.num_phases = 10;
+            let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
+            let plan = PhysicalPlan::derive(
+                table.as_ref(),
+                &cfg,
+                &views,
+                &Predicate::True,
+                &ReferenceSpec::WholeTable,
+            );
+            assert!(plan.morsel_auto);
+            plan.morsel_rows
+        };
+        // One call scans the whole table for both clusters: four pieces
+        // of about half a default morsel each.
+        assert_eq!(morsel_rows(ExecutionStrategy::Sharing, false), 10_240);
+        // One call scans a 4 000-row phase for both clusters: two morsels
+        // each hand the two workers their four items…
+        assert_eq!(morsel_rows(ExecutionStrategy::Comb, false), 2048);
+        // …and a single packed cluster has to supply all four itself.
+        assert_eq!(morsel_rows(ExecutionStrategy::Comb, true), 1024);
     }
 
     #[test]

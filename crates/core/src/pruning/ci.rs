@@ -165,6 +165,42 @@ mod tests {
         assert_eq!(p.half_width(0, n), f64::INFINITY);
     }
 
+    /// The half-width `√((1 − (m−1)/N)·ln(2/δ) / 2m)` by hand for N = 10,
+    /// δ = 0.05, where `ln(2/δ) = ln 40 = 3.688879…`:
+    ///
+    /// | m  | 1 − (m−1)/N | ·ln 40 / 2m          | √       |
+    /// |----|-------------|----------------------|---------|
+    /// | 1  | 1.0         | 3.688879 / 2 = 1.844440  | 1.35810 |
+    /// | 5  | 0.6         | 2.213328 / 10 = 0.221333 | 0.47046 |
+    /// | 9  | 0.2         | 0.737776 / 18 = 0.040988 | 0.20245 |
+    /// | 10 | —           | the whole table: exact   | 0       |
+    ///
+    /// These are widths on `[0, 1]`-valued samples, which is why
+    /// `scale01` (PR 5) rescales a utility by 2 — every supported metric
+    /// on normalized distributions is at most 2 — **and clamps**: EMD over
+    /// `b` bins reaches `b − 1`, and an estimate of, say, 5 would enter the
+    /// comparison as 2.5 against intervals that can only ever speak about
+    /// `[0, 1]`, so a bound that holds with probability 1 − δ for the
+    /// clamped variable would be claimed for one it says nothing about.
+    /// The table also shows why the pruner is idle on DIAB 100K until the
+    /// last phase: after nine of ten phases the interval is still ± 0.20
+    /// wide while the scaled utilities there span 0.1 – 0.3.
+    #[test]
+    fn half_width_matches_hand_worked_values() {
+        let p = CiPruner::new(0.05);
+        for (m, want) in [(1, 1.35810), (5, 0.47046), (9, 0.20245)] {
+            let got = p.half_width(m, 10);
+            assert!((got - want).abs() < 5e-6, "m = {m}: {got} vs {want}");
+        }
+        assert_eq!(p.half_width(10, 10), 0.0);
+        // The unrounded formula, once: m = 5.
+        let exact = (0.6 * 40f64.ln() / 10.0).sqrt();
+        assert_eq!(p.half_width(5, 10), exact);
+        // What the rescale-and-clamp feeds those intervals.
+        assert_eq!(scale01(0.58), 0.29);
+        assert_eq!(scale01(5.0), 1.0);
+    }
+
     #[test]
     fn smaller_delta_gives_wider_intervals() {
         let tight = CiPruner::new(0.2);

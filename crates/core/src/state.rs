@@ -5,10 +5,18 @@
 //! mergeable accumulators per group and side (target/reference), so
 //! utilities can be (re-)estimated after every phase — the quantity the
 //! pruning schemes consume.
+//!
+//! A view groups by one attribute, so its groups are single codes. The
+//! codes of a dictionary-coded attribute index a dense table
+//! ([`ViewGroups`]); everything else lives in an ordered map. Either way
+//! groups are read back in `GroupKey` order — EMD is order-sensitive.
 
 use crate::view::ViewSpec;
-use seedb_engine::{Accumulator, AggSpec, GroupEntry, GroupKey, GroupedResult};
+use seedb_engine::{
+    group_index_for, Accumulator, AggSpec, GroupEntry, GroupIndexKind, GroupKey, GroupedResult,
+};
 use seedb_metrics::{normalize, DistanceKind};
+use seedb_storage::Table;
 use std::collections::BTreeMap;
 
 /// Which side of the deviation comparison a partial result feeds.
@@ -22,9 +30,113 @@ pub enum Side {
 
 /// Target/reference accumulator pair for one group.
 #[derive(Debug, Clone, Default)]
-struct SidePair {
-    target: Accumulator,
-    reference: Accumulator,
+pub(crate) struct SidePair {
+    pub(crate) target: Accumulator,
+    pub(crate) reference: Accumulator,
+}
+
+impl SidePair {
+    fn merge(&mut self, other: &SidePair) {
+        self.target.merge(&other.target);
+        self.reference.merge(&other.reference);
+    }
+}
+
+/// One view's groups — a whole run's, or one phase's delta — keyed by the
+/// grouping attribute's code and iterated in code order, which is
+/// `GroupKey` order.
+#[derive(Debug, Clone, Default)]
+pub struct ViewGroups {
+    /// Codes below this index `dense`: the attribute's dictionary size (0
+    /// without a dictionary).
+    domain: usize,
+    /// `dense[code]`, once the code was observed; grows to the largest.
+    dense: Vec<Option<SidePair>>,
+    /// Every other code — non-dictionary values, strays past the
+    /// dictionary, and NULL (`u64::MAX`) — all of which sort after `dense`.
+    sparse: BTreeMap<u64, SidePair>,
+}
+
+impl ViewGroups {
+    /// Empty groups for `spec`'s grouping attribute in `table`: dense when
+    /// the engine would index that attribute densely too.
+    fn for_view(table: &dyn Table, spec: &ViewSpec) -> Self {
+        let domain = match group_index_for(table, &[spec.dim]) {
+            GroupIndexKind::DenseSingle => table.dictionary(spec.dim).map_or(0, |d| d.len()),
+            _ => 0,
+        };
+        ViewGroups {
+            domain,
+            ..Default::default()
+        }
+    }
+
+    /// Empty groups over the same domain, with room for as many dense
+    /// codes as this one has seen.
+    pub(crate) fn empty_like(&self) -> Self {
+        ViewGroups {
+            domain: self.domain,
+            dense: Vec::with_capacity(self.dense.len()),
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    /// The pair of group `code`, created empty on first sight.
+    #[inline]
+    pub(crate) fn pair(&mut self, code: u64) -> &mut SidePair {
+        if code < self.domain as u64 {
+            let code = code as usize;
+            if code >= self.dense.len() {
+                self.dense.resize_with(code + 1, || None);
+            }
+            self.dense[code].get_or_insert_with(SidePair::default)
+        } else {
+            self.sparse.entry(code).or_default()
+        }
+    }
+
+    /// Merges every group of `other` into this one's.
+    pub(crate) fn merge(&mut self, other: &ViewGroups) {
+        for (code, pair) in other.iter() {
+            self.pair(code).merge(pair);
+        }
+    }
+
+    /// `(code, pair)` of every observed group, in code order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &SidePair)> {
+        let dense = self
+            .dense
+            .iter()
+            .enumerate()
+            .filter_map(|(code, pair)| Some((code as u64, pair.as_ref()?)));
+        dense.chain(self.sparse.iter().map(|(&code, pair)| (code, pair)))
+    }
+
+    fn len(&self) -> usize {
+        self.dense.iter().flatten().count() + self.sparse.len()
+    }
+
+    /// The groups as a combined (target + reference) single-aggregate
+    /// [`GroupedResult`] for `spec`, accumulators moved.
+    pub(crate) fn into_combined_result(self, spec: &ViewSpec) -> GroupedResult {
+        let dense = self
+            .dense
+            .into_iter()
+            .enumerate()
+            .filter_map(|(code, pair)| Some((code as u64, pair?)));
+        GroupedResult {
+            group_by: vec![spec.dim],
+            aggregates: vec![AggSpec::new(spec.func, spec.measure)],
+            groups: dense
+                .chain(self.sparse)
+                .map(|(code, pair)| GroupEntry {
+                    key: GroupKey::One(code),
+                    target: vec![pair.target],
+                    reference: vec![pair.reference],
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Accumulated state of one view across phases.
@@ -32,8 +144,8 @@ struct SidePair {
 pub struct ViewState {
     /// The view this state belongs to.
     pub spec: ViewSpec,
-    /// Per-group accumulators, keyed (and ordered) by group key.
-    groups: BTreeMap<GroupKey, SidePair>,
+    /// Per-group accumulators, in group-key order.
+    groups: ViewGroups,
     /// Still under consideration (not pruned)?
     pub alive: bool,
     /// Accepted into the top-k (MAB accept / CI early-accept)?
@@ -46,11 +158,22 @@ pub struct ViewState {
 }
 
 impl ViewState {
-    /// Fresh state for `spec`.
+    /// Fresh state for `spec`, its groups in an ordered map.
     pub fn new(spec: ViewSpec) -> Self {
+        Self::with_groups(spec, ViewGroups::default())
+    }
+
+    /// Fresh state for `spec` over `table`: the groups of a
+    /// dictionary-coded grouping attribute live in a table indexed by
+    /// dictionary code instead of the map.
+    pub fn for_table(spec: ViewSpec, table: &dyn Table) -> Self {
+        Self::with_groups(spec, ViewGroups::for_view(table, &spec))
+    }
+
+    fn with_groups(spec: ViewSpec, groups: ViewGroups) -> Self {
         ViewState {
             spec,
-            groups: BTreeMap::new(),
+            groups,
             alive: true,
             accepted: false,
             estimates: Vec::new(),
@@ -58,11 +181,23 @@ impl ViewState {
         }
     }
 
+    /// The accumulated groups.
+    pub(crate) fn groups(&self) -> &ViewGroups {
+        &self.groups
+    }
+
+    /// Folds one phase's groups of this view (see
+    /// [`fold_into_views`](crate::executor::fold_into_views)) into the
+    /// state.
+    pub fn merge_groups(&mut self, delta: &ViewGroups) {
+        self.groups.merge(delta);
+    }
+
     /// Folds a combined (target+reference) result into this view.
     /// `agg_idx` selects this view's aggregate within the shared result.
     pub fn merge_both(&mut self, result: &GroupedResult, agg_idx: usize) {
         for entry in &result.groups {
-            let pair = self.groups.entry(entry.key.clone()).or_default();
+            let pair = self.groups.pair(entry.key.code(0));
             pair.target.merge(&entry.target[agg_idx]);
             pair.reference.merge(&entry.reference[agg_idx]);
         }
@@ -74,7 +209,7 @@ impl ViewState {
     /// accumulators, because a `TargetOnly` split accumulates there.
     pub fn merge_into_side(&mut self, result: &GroupedResult, agg_idx: usize, side: Side) {
         for entry in &result.groups {
-            let pair = self.groups.entry(entry.key.clone()).or_default();
+            let pair = self.groups.pair(entry.key.code(0));
             match side {
                 Side::Target => pair.target.merge(&entry.target[agg_idx]),
                 Side::Reference => pair.reference.merge(&entry.target[agg_idx]),
@@ -89,19 +224,7 @@ impl ViewState {
     /// state reproduces this state's value vectors bit-for-bit; this is
     /// what makes per-view results safe to cache across requests.
     pub fn to_combined_result(&self) -> GroupedResult {
-        GroupedResult {
-            group_by: vec![self.spec.dim],
-            aggregates: vec![AggSpec::new(self.spec.func, self.spec.measure)],
-            groups: self
-                .groups
-                .iter()
-                .map(|(key, pair)| GroupEntry {
-                    key: key.clone(),
-                    target: vec![pair.target.clone()],
-                    reference: vec![pair.reference.clone()],
-                })
-                .collect(),
-        }
+        self.groups.clone().into_combined_result(&self.spec)
     }
 
     /// Number of groups observed so far.
@@ -113,9 +236,10 @@ impl ViewState {
     /// observed groups, in key order.
     pub fn value_vectors(&self) -> (Vec<f64>, Vec<f64>) {
         let func = self.spec.func;
-        let mut t = Vec::with_capacity(self.groups.len());
-        let mut r = Vec::with_capacity(self.groups.len());
-        for pair in self.groups.values() {
+        let groups = self.groups.len();
+        let mut t = Vec::with_capacity(groups);
+        let mut r = Vec::with_capacity(groups);
+        for (_, pair) in self.groups.iter() {
             t.push(pair.target.finish(func).unwrap_or(0.0));
             r.push(pair.reference.finish(func).unwrap_or(0.0));
         }
@@ -124,17 +248,20 @@ impl ViewState {
 
     /// Group keys in the same order as [`ViewState::value_vectors`].
     pub fn group_keys(&self) -> Vec<GroupKey> {
-        self.groups.keys().cloned().collect()
+        self.groups
+            .iter()
+            .map(|(code, _)| GroupKey::One(code))
+            .collect()
     }
 
     /// Current deviation-based utility under `metric`: distance between the
     /// normalized target and reference distributions. A view with no groups
     /// yet has utility 0.
     pub fn utility(&self, metric: DistanceKind) -> f64 {
-        if self.groups.is_empty() {
+        let (t, r) = self.value_vectors();
+        if t.is_empty() {
             return 0.0;
         }
-        let (t, r) = self.value_vectors();
         metric.compute(&normalize(&t), &normalize(&r))
     }
 
@@ -278,6 +405,62 @@ mod tests {
             state.utility(DistanceKind::Emd).to_bits(),
             reimported.utility(DistanceKind::Emd).to_bits()
         );
+    }
+
+    /// `marital` codes 0..3 in the dictionary, then — through the same
+    /// state — a stray code past it, a wide non-dictionary code and NULL.
+    fn coded_result(codes: &[u64]) -> GroupedResult {
+        GroupedResult {
+            group_by: vec![ColumnId(0)],
+            aggregates: vec![AggSpec::new(AggFunc::Avg, ColumnId(1))],
+            groups: codes
+                .iter()
+                .map(|&code| {
+                    let mut target = Accumulator::new();
+                    target.update(Some(code as f64 % 1000.0 + 1.0));
+                    GroupEntry {
+                        key: GroupKey::One(code),
+                        target: vec![target.clone()],
+                        reference: vec![target],
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn dense_and_map_groups_read_back_in_group_key_order() {
+        let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
+        for d in ["p", "q", "r"] {
+            b.push_row(&[Value::str(d), Value::Float(1.0)]).unwrap();
+        }
+        let t = b.build(StoreKind::Column).unwrap();
+        // Dictionary codes, a stray one past the dictionary, float bits and
+        // NULL, merged in no particular order and in two batches.
+        let codes = [2, u64::MAX, 0, 7, 2.5f64.to_bits(), 1];
+        let mut dense = ViewState::for_table(spec(), t.as_ref());
+        let mut map = ViewState::new(spec());
+        for state in [&mut dense, &mut map] {
+            state.merge_both(&coded_result(&codes[..3]), 0);
+            state.merge_both(&coded_result(&codes[2..]), 0);
+        }
+        let mut sorted: Vec<GroupKey> = codes.iter().map(|&c| GroupKey::One(c)).collect();
+        sorted.sort();
+        assert_eq!(dense.group_keys(), sorted);
+        assert_eq!(map.group_keys(), sorted);
+        assert_eq!(dense.value_vectors(), map.value_vectors());
+        assert_eq!(dense.num_groups(), 6);
+        assert_eq!(
+            dense.utility(DistanceKind::Emd).to_bits(),
+            map.utility(DistanceKind::Emd).to_bits()
+        );
+        // Export, and a phase's groups merged as such, keep the order too.
+        assert_eq!(dense.to_combined_result(), map.to_combined_result());
+        let mut again = ViewState::for_table(spec(), t.as_ref());
+        again.merge_groups(dense.groups());
+        again.merge_groups(dense.groups());
+        assert_eq!(again.group_keys(), sorted);
+        assert_eq!(again.value_vectors().0, dense.value_vectors().0);
     }
 
     #[test]

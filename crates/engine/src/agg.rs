@@ -371,15 +371,57 @@ impl ExactSum {
     }
 
     /// Adds `other`'s chunks into the aligned chunks of `self`.
+    ///
+    /// Partials of one measure column nearly always sit on the same `base`
+    /// (the window is placed by the first value's magnitude), so the usual
+    /// merge is five integer adds — as cheap as an `add`. The three
+    /// shortcuts below only skip work [`ExactSum::merge_general`] would do
+    /// to the same effect; everything else takes that route.
+    #[inline]
     fn merge(&mut self, other: &ExactSum) {
+        // Every add sets a flag, so no flags means no chunks either.
+        if other.flags == 0 {
+            return;
+        }
+        if other.spill.is_none() {
+            if self.flags == 0 {
+                // Nothing to align with yet: take over the other window.
+                debug_assert!(self.spill.is_none() && self.pending == 0);
+                self.window = other.window;
+                self.base = other.base;
+                self.pending = other.pending;
+                self.flags = other.flags;
+                return;
+            }
+            // Merged chunk magnitudes add, so the budgets do too (plus one
+            // for the two normalized residues). Only inline windows have a
+            // `base`, so sharing one means both sides are inline.
+            let pending = self.pending as u32 + other.pending as u32 + 1;
+            let aligned = self.base == other.base && self.base != NO_WINDOW;
+            if aligned && pending <= MAX_PENDING as u32 {
+                self.flags |= other.flags;
+                for (mine, theirs) in self.window.iter_mut().zip(&other.window) {
+                    *mine += theirs;
+                }
+                self.pending = pending as u16;
+                return;
+            }
+        }
+        self.merge_general(other);
+    }
+
+    /// [`ExactSum::merge`] for any pair of windows: rebases or spills
+    /// `self` until it covers `other`'s occupied chunks, normalizing first
+    /// when the summed carry budget would not fit.
+    #[cold]
+    #[inline(never)]
+    fn merge_general(&mut self, other: &ExactSum) {
         self.flags |= other.flags;
         let (theirs, their_base) = other.chunks();
         let span = occupied(theirs, their_base);
         if span.is_empty() {
             return;
         }
-        // Merged chunk magnitudes add, so the budgets do too (plus one for
-        // the two normalized residues).
         let pending = self.pending as u32 + other.pending as u32 + 1;
         if pending > MAX_PENDING as u32 || !self.covers(&span) {
             self.settle(span.clone());
@@ -392,6 +434,16 @@ impl ExactSum {
         if self.pending > MAX_PENDING {
             self.settle(0..0);
         }
+    }
+
+    /// Forgets every input. An inline window keeps its position: the same
+    /// column's next values land on it again, so the first add skips the
+    /// placement slow path and partials reset together stay aligned.
+    fn reset(&mut self) {
+        self.window = [0; WINDOW];
+        self.spill = None;
+        self.pending = 0;
+        self.flags = 0;
     }
 
     /// Correctly-rounded value of the exact sum. Depends only on the
@@ -532,6 +584,15 @@ impl Accumulator {
         if other.max > self.max {
             self.max = other.max;
         }
+    }
+
+    /// Returns the accumulator to its empty state, for reuse on the same
+    /// measure (a drained partial's next phase).
+    pub fn reset(&mut self) {
+        self.count = 0;
+        self.sum.reset();
+        self.min = f64::INFINITY;
+        self.max = f64::NEG_INFINITY;
     }
 
     /// True if no value has been observed.
@@ -938,6 +999,77 @@ mod tests {
         }
         assert!(grow.spill.is_none());
         assert_eq!(grow.value(), 1.5 * 2f64.powi(70));
+    }
+
+    #[test]
+    fn same_base_merge_leaves_the_state_the_general_route_does() {
+        let part = |n: usize, x: f64| {
+            let mut s = ExactSum::default();
+            (0..n).for_each(|_| s.add(x));
+            s
+        };
+        // Worst-case chunk growth on a shared window: (2⁵³−1)·2⁷⁷ and its
+        // negated neighbour. `mine + theirs` adds pending; the merge adds 1.
+        let x = f64::from_bits(1152 << 52 | FRAC_MASK);
+        let y = -f64::from_bits(1152 << 52 | (FRAC_MASK - 1));
+        for (mine, theirs) in [
+            (1, 1),
+            (40, 60),
+            (1000, 1044),
+            (1000, 1045), // 2045 + 1 = the whole budget: still in place
+            (1, 2044),
+            (1000, 1046), // one over: normalize first
+            (2045, 1),
+            (1000, 1047),
+            (2046, 2046),
+        ] {
+            let (left, right) = (part(mine, x), part(theirs, y));
+            assert_eq!(left.base, right.base, "test premise: one window");
+            let mut fast = left.clone();
+            fast.merge(&right);
+            let mut general = left.clone();
+            general.merge_general(&right);
+            assert_eq!(fast.pending, general.pending, "{mine} + {theirs}");
+            assert_eq!(fast.flags, general.flags, "{mine} + {theirs}");
+            assert_eq!((fast.base, fast.window), (general.base, general.window));
+            assert!(fast.pending <= MAX_PENDING);
+            let exact = mine as i128 * ((1 << 53) - 1) - theirs as i128 * ((1 << 53) - 2);
+            assert_eq!(
+                fast.value(),
+                exact as f64 * 2f64.powi(77),
+                "{mine} + {theirs}"
+            );
+        }
+
+        // The other shortcuts agree with the general route on the value and
+        // the flags; an empty side costs no carry budget.
+        let some = part(3, 1.5);
+        let mut adopted = ExactSum::default();
+        adopted.merge(&some);
+        assert_eq!((adopted.base, adopted.window), (some.base, some.window));
+        assert_eq!((adopted.pending, adopted.flags), (some.pending, some.flags));
+        let mut unchanged = some.clone();
+        unchanged.merge(&ExactSum::default());
+        assert_eq!(unchanged.pending, some.pending);
+        assert_eq!(unchanged.value(), 4.5);
+
+        // A reset accumulator is empty again but keeps its window, so the
+        // next value of the same magnitude is a plain add.
+        let mut reused = Accumulator::new();
+        reused.update(Some(1.5));
+        let base = reused.sum.base;
+        reused.reset();
+        assert_eq!(reused, Accumulator::new());
+        assert_eq!((reused.sum.base, reused.sum.flags), (base, 0));
+        reused.update(Some(-0.0));
+        assert_eq!(reused.sum().to_bits(), (-0.0f64).to_bits());
+        reused.reset();
+        reused.merge(&{
+            let mut other = Accumulator::new();
+            other.update(Some(2f64.powi(-300)));
+            other
+        });
+        assert_eq!(reused.sum(), 2f64.powi(-300));
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! * [`choose_workers`] / [`choose_morsel_rows`] — worker count capped by
 //!   the host and by the estimated volume (a 1-core host or a scan smaller
 //!   than [`PARALLEL_ROWS_MIN`] runs serial — pool/morsel overhead loses
-//!   below that), and a morsel size that gives each worker several
-//!   batch-aligned work items.
+//!   below that), and a morsel size for one engine call's rows: about half
+//!   a default morsel where the rows are many, and otherwise no split beyond
+//!   what hands each worker a couple of batch-aligned work items, counting
+//!   every query of the call.
 
 use crate::expr::Predicate;
 use crate::prune::zone_match;
@@ -40,9 +42,19 @@ pub const DENSE_CARDINALITY_MAX: usize = 1 << 16;
 /// bench host, where parallelism > 1 *lost* to serial).
 pub const PARALLEL_ROWS_MIN: usize = 2 * DEFAULT_MORSEL_ROWS;
 
-/// Work items the morsel-size choice aims to hand each worker, so claim
-/// imbalance (one worker drawing the last large morsel) stays bounded.
-const MORSELS_PER_WORKER: usize = 4;
+/// Work items — morsels of any of a call's queries — the morsel-size choice
+/// hands each worker at the least, so claim imbalance (one worker drawing
+/// the last large morsel) stays bounded. Kept low: every extra morsel of a
+/// query may leave one more worker holding a partial of it, which the fold
+/// then has to merge and which widens that worker's accumulator working set
+/// (two morsels per cluster and phase instead of one cost DIAB 100K, four
+/// clusters on two workers, ≈ 10 % of a ten-phase run).
+const ITEMS_PER_WORKER: usize = 2;
+
+/// The morsel length aimed for once a call's rows are long enough to be cut
+/// on their own account: short enough that the last morsel a worker draws
+/// is a small share of a long scan, long enough to amortize its set-up.
+const LONG_SCAN_MORSEL_ROWS: usize = DEFAULT_MORSEL_ROWS / 2;
 
 /// Group-index strategy of the vectorized aggregation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,18 +175,25 @@ pub fn choose_workers(est_rows: usize, host_parallelism: usize) -> usize {
         .max(1)
 }
 
-/// Picks the morsel size for `workers` workers over `est_rows`: serial
-/// runs take one morsel per surviving partition (`usize::MAX` — no
-/// scheduling overhead at all), parallel runs aim for
-/// [`MORSELS_PER_WORKER`] batch-aligned morsels per worker, clamped to
-/// `[DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_ROWS]`.
-pub fn choose_morsel_rows(est_rows: usize, workers: usize) -> usize {
+/// Picks the morsel size for one engine call that scans `call_rows` rows
+/// for each of `queries` queries on `workers` workers: serial runs take one
+/// morsel per run of surviving partitions (`usize::MAX` — no scheduling
+/// overhead at all); parallel runs cut a query's rows into as many
+/// batch-aligned pieces as [`LONG_SCAN_MORSEL_ROWS`] fits into them — one,
+/// for anything shorter than two of those: a phase of a phased run stays
+/// whole — and at least as many as it takes for the call as a whole to
+/// offer [`ITEMS_PER_WORKER`] items per worker (none extra, when the
+/// queries alone are that many).
+pub fn choose_morsel_rows(call_rows: usize, queries: usize, workers: usize) -> usize {
     if workers <= 1 {
         return usize::MAX;
     }
-    let target = est_rows / (workers * MORSELS_PER_WORKER);
-    let aligned = (target / DEFAULT_BATCH_SIZE) * DEFAULT_BATCH_SIZE;
-    aligned.clamp(DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_ROWS)
+    let for_balance = (workers * ITEMS_PER_WORKER).div_ceil(queries.max(1));
+    let pieces = for_balance.max(call_rows / LONG_SCAN_MORSEL_ROWS);
+    call_rows
+        .div_ceil(pieces)
+        .next_multiple_of(DEFAULT_BATCH_SIZE)
+        .clamp(DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_ROWS)
 }
 
 /// The per-scan slice of a physical plan the engine layers consume: how a
@@ -185,7 +204,8 @@ pub fn choose_morsel_rows(est_rows: usize, workers: usize) -> usize {
 pub struct ScanShape {
     /// Scalar or vectorized execution.
     pub mode: ExecMode,
-    /// Maximum rows per morsel (`usize::MAX` = one morsel per partition).
+    /// Maximum rows per morsel (`usize::MAX` = one morsel per run of
+    /// adjacent surviving partitions).
     pub morsel_rows: usize,
 }
 
@@ -231,12 +251,29 @@ mod tests {
 
     #[test]
     fn morsel_choice_is_whole_partitions_when_serial() {
-        assert_eq!(choose_morsel_rows(1_000_000, 1), usize::MAX);
-        let m = choose_morsel_rows(1_000_000, 4);
+        assert_eq!(choose_morsel_rows(1_000_000, 1, 1), usize::MAX);
+        let m = choose_morsel_rows(1_000_000, 1, 4);
         assert!((DEFAULT_BATCH_SIZE..=DEFAULT_MORSEL_ROWS).contains(&m));
         assert_eq!(m % DEFAULT_BATCH_SIZE, 0);
         // Tiny volumes stay at the batch-size floor.
-        assert_eq!(choose_morsel_rows(100, 2), DEFAULT_BATCH_SIZE);
+        assert_eq!(choose_morsel_rows(100, 1, 2), DEFAULT_BATCH_SIZE);
+    }
+
+    #[test]
+    fn morsel_choice_counts_every_query_of_the_call() {
+        // A 10 000-row phase of four cluster queries on two workers: the
+        // queries are the work items, no range is split.
+        assert_eq!(choose_morsel_rows(10_000, 4, 2), 10 * DEFAULT_BATCH_SIZE);
+        // One query has to feed both workers itself: four morsels.
+        assert_eq!(choose_morsel_rows(10_000, 1, 2), 3 * DEFAULT_BATCH_SIZE);
+        // Three queries on two workers: two morsels each.
+        assert_eq!(choose_morsel_rows(10_000, 3, 2), 5 * DEFAULT_BATCH_SIZE);
+        // A phase of up to two long-scan morsels stays whole…
+        assert_eq!(choose_morsel_rows(16_000, 4, 2), 16 * DEFAULT_BATCH_SIZE);
+        // …and whole-table calls are cut into pieces of about one: twelve
+        // for 100 000 rows.
+        assert_eq!(choose_morsel_rows(100_000, 4, 2), 9 * DEFAULT_BATCH_SIZE);
+        assert_eq!(choose_morsel_rows(1_000_000, 1, 4), 9 * DEFAULT_BATCH_SIZE);
     }
 
     #[test]
@@ -245,7 +282,7 @@ mod tests {
             for host in [1usize, 2, 8, 64] {
                 assert_eq!(choose_workers(est, host), choose_workers(est, host));
                 let w = choose_workers(est, host);
-                assert_eq!(choose_morsel_rows(est, w), choose_morsel_rows(est, w));
+                assert_eq!(choose_morsel_rows(est, 3, w), choose_morsel_rows(est, 3, w));
             }
         }
     }

@@ -2,8 +2,11 @@
 //!
 //! [`PartialAggregation`] is the phase-aware operator at the heart of the
 //! engine: it can consume any number of row ranges (the phased framework
-//! feeds it one partition per phase) and produce a consistent snapshot
-//! after each. [`execute_combined`] is the one-shot convenience wrapper.
+//! feeds it one partition per phase) and, after each, produce a consistent
+//! snapshot or be *drained* — hand over what the ranges since the last
+//! drain accumulated and start the next one empty, with its projection,
+//! bound predicates, group keys and group index intact.
+//! [`execute_combined`] is the one-shot convenience wrapper.
 //!
 //! Two execution modes share one accumulator representation and one
 //! storage layout ([`crate::ExecMode`]): every group's accumulators live in
@@ -32,8 +35,8 @@
 //!
 //! Accumulators are exact and partials ([`PartialAggregation::merge`]) fold
 //! exactly, so results are bit-identical across modes, phase partitions,
-//! and morsel-parallel execution — a property the equivalence test suites
-//! assert exactly.
+//! drains, and morsel-parallel execution — a property the equivalence test
+//! suites assert exactly.
 
 use crate::agg::Accumulator;
 use crate::expr::BoundPredicate;
@@ -124,9 +127,9 @@ struct RadixDim {
 /// its planned radix (a stray code — e.g. from a different table instance —
 /// which must spill to the hash map instead).
 #[inline]
-fn composite_slot(dims: &[RadixDim], codes: &[u64]) -> Option<usize> {
+fn composite_slot(dims: &[RadixDim], codes: impl IntoIterator<Item = u64>) -> Option<usize> {
     let mut slot = 0u64;
-    for (d, &code) in dims.iter().zip(codes) {
+    for (d, code) in dims.iter().zip(codes) {
         // NULL (code u64::MAX) owns sub-slot 0; code c owns c + 1.
         let sub = if code == u64::MAX { 0 } else { code + 1 };
         if sub >= d.base {
@@ -206,10 +209,17 @@ enum DenseIndex {
 /// the reference (or the non-target rest, see
 /// [`BoundSplit::reference_includes_target`]). `group * 2 + side` is a
 /// group-side **slot**.
+///
+/// Groups outlive a drain ([`PartialAggregation::drain`]): their keys and
+/// index entries stay and their accumulators are reset. Which of them a
+/// row has reached since shows in the counts of their first aggregate —
+/// unless the row's measure was NULL (or there is no aggregate), which is
+/// what `marked` records instead ([`Groups::reached`]).
 struct Groups {
     n_aggs: usize,
     keys: Vec<GroupKey>,
     accs: Vec<Accumulator>,
+    marked: Vec<bool>,
 }
 
 impl Groups {
@@ -220,6 +230,7 @@ impl Groups {
     /// Appends a group with empty accumulators; returns its index.
     fn push(&mut self, key: GroupKey) -> usize {
         self.keys.push(key);
+        self.marked.push(false);
         self.accs
             .resize_with(self.keys.len() * 2 * self.n_aggs, Accumulator::new);
         self.keys.len() - 1
@@ -247,10 +258,14 @@ impl Groups {
         }
     }
 
-    /// One side's accumulators of one group, one per aggregate.
-    fn side(&self, group: usize, side: usize) -> &[Accumulator] {
-        let start = (group * 2 + side) * self.n_aggs;
-        &self.accs[start..start + self.n_aggs]
+    /// Whether a row (or merged partial) has reached `group` since the last
+    /// drain: it was marked, or left a count on either side of the first
+    /// aggregate.
+    fn reached(&self, group: usize) -> bool {
+        let first = group * 2 * self.n_aggs;
+        self.marked[group]
+            || (self.n_aggs > 0
+                && (self.accs[first].count > 0 || self.accs[first + self.n_aggs].count > 0))
     }
 }
 
@@ -330,6 +345,7 @@ impl PartialAggregation {
             n_aggs: query.aggregates.len(),
             keys: Vec::new(),
             accs: Vec::new(),
+            marked: Vec::new(),
         };
         PartialAggregation {
             query,
@@ -357,17 +373,18 @@ impl PartialAggregation {
         self.mode
     }
 
-    /// Total rows consumed so far (across all `update` calls).
+    /// Rows consumed since the last drain (across all `update` calls).
     pub fn rows_consumed(&self) -> u64 {
         self.rows_consumed
     }
 
-    /// Rows so far that were classified as target rows.
+    /// Rows since the last drain that were classified as target rows.
     pub fn target_rows(&self) -> u64 {
         self.target_rows
     }
 
-    /// Number of groups currently maintained (the memory-budget quantity).
+    /// Number of groups currently maintained (the memory-budget quantity);
+    /// drained groups keep their slot.
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
@@ -419,6 +436,7 @@ impl PartialAggregation {
                 *dst = cells[slot].group_code();
             }
             let group = groups.at_key(map, GroupKey::from_codes(&codes));
+            groups.marked[group] = true;
             let first = group * 2 * n_aggs;
             let (target, second) = groups.accs[first..first + 2 * n_aggs].split_at_mut(n_aggs);
             for (agg, &slot) in measure_slots.iter().enumerate() {
@@ -625,7 +643,7 @@ impl PartialAggregation {
                             // exactly the in-radix tuples.
                             for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
                                 row_codes(batch, group_slots, i, &mut codes);
-                                let group = match composite_slot(dims, &codes) {
+                                let group = match composite_slot(dims, codes.iter().copied()) {
                                     Some(si) => groups.at_dense_slot(&mut slots[si], || {
                                         GroupKey::from_codes(&codes)
                                     }),
@@ -642,6 +660,19 @@ impl PartialAggregation {
                             let group = groups.at_key(map, GroupKey::from_codes(&codes));
                             select(i, group, is_t, is_r);
                         });
+                    }
+                }
+
+                // A row reaches its group without leaving a count on the
+                // first aggregate only through a NULL measure: such batches
+                // mark the groups they reach by hand.
+                let counts_show = measure_slots.first().is_some_and(|&slot| {
+                    let col = batch.column(slot);
+                    col.validity.is_none() && !matches!(col.data, BatchData::Cat(_))
+                });
+                if !counts_show {
+                    for &(_, gs) in &selected {
+                        groups.marked[gs as usize / 2] = true;
                     }
                 }
 
@@ -701,8 +732,7 @@ impl PartialAggregation {
                 })
             }
             DenseIndex::Composite { slots, dims } => {
-                let codes: Vec<u64> = (0..key.arity()).map(|i| key.code(i)).collect();
-                composite_slot(dims, &codes).map(|si| &mut slots[si])
+                composite_slot(dims, (0..key.arity()).map(|i| key.code(i))).map(|si| &mut slots[si])
             }
             DenseIndex::Disabled | DenseIndex::Undecided => None,
         };
@@ -713,65 +743,107 @@ impl PartialAggregation {
     }
 
     /// Folds another partial aggregation of the **same plan** (query shape
-    /// and mode) into this one, merging per-group accumulators. Because
-    /// accumulators merge exactly (see [`Accumulator::merge`]), folding
-    /// morsel partials — in any order — produces results bit-identical to a
-    /// single serial scan; the morsel scheduler still folds in ascending
-    /// first-morsel order for deterministic entry discovery.
+    /// and mode) into this one, merging per-group accumulators, and leaves
+    /// `other` drained (see [`PartialAggregation::drain`]) — ready to
+    /// aggregate further ranges on its own. Because accumulators merge
+    /// exactly (see [`Accumulator::merge`]), folding morsel partials — in
+    /// any order — produces results bit-identical to a single serial scan.
     ///
     /// # Panics
     /// Debug-asserts that both sides execute the same group-by and
     /// aggregate list.
-    pub fn merge(&mut self, other: PartialAggregation) {
+    pub fn merge(&mut self, other: &mut PartialAggregation) {
         debug_assert_eq!(self.query.group_by, other.query.group_by, "plan mismatch");
         debug_assert_eq!(
             self.query.aggregates, other.query.aggregates,
             "plan mismatch"
         );
-        self.rows_consumed += other.rows_consumed;
-        self.target_rows += other.target_rows;
+        self.rows_consumed += std::mem::take(&mut other.rows_consumed);
+        self.target_rows += std::mem::take(&mut other.target_rows);
         if self.groups.len() == 0 && matches!(self.dense, DenseIndex::Undecided) {
-            // This side never consumed a batch: adopt the other side's
-            // state wholesale (index structure included).
-            self.dense = other.dense;
-            self.map = other.map;
-            self.groups = other.groups;
+            // This side never consumed a batch: trade states wholesale
+            // (index structure included).
+            std::mem::swap(&mut self.dense, &mut other.dense);
+            std::mem::swap(&mut self.map, &mut other.map);
+            std::mem::swap(&mut self.groups, &mut other.groups);
             return;
         }
         let per_group = 2 * self.groups.n_aggs;
-        for (group, key) in other.groups.keys.iter().enumerate() {
-            let first = self.group_for_key(key) * per_group;
-            let theirs = &other.groups.accs[group * per_group..][..per_group];
+        for group in 0..other.groups.len() {
+            if !other.groups.reached(group) {
+                continue;
+            }
+            other.groups.marked[group] = false;
+            let into = self.group_for_key(&other.groups.keys[group]);
+            self.groups.marked[into] = true;
+            let first = into * per_group;
+            let theirs = &mut other.groups.accs[group * per_group..][..per_group];
             for (mine, theirs) in self.groups.accs[first..][..per_group]
                 .iter_mut()
                 .zip(theirs)
             {
                 mine.merge(theirs);
+                theirs.reset();
             }
         }
     }
 
-    /// Group `group`'s result entry: the target side as accumulated, and
-    /// the reference side — as accumulated, or target ⊕ non-target when the
-    /// split kept them disjoint.
-    fn entry(&self, group: usize) -> GroupEntry {
-        let target = self.groups.side(group, 0).to_vec();
-        let mut reference = self.groups.side(group, 1).to_vec();
-        if self.split.reference_includes_target() {
-            for (r, t) in reference.iter_mut().zip(&target) {
-                r.merge(t);
+    /// Groups a row (or merged partial) has reached since the last drain —
+    /// the groups a result produced now would hold.
+    pub fn touched_groups(&self) -> usize {
+        (0..self.groups.len())
+            .filter(|&group| self.groups.reached(group))
+            .count()
+    }
+
+    /// Hands every group reached since the last drain to `visit(key,
+    /// target, reference)` — in discovery order, the reference side formed
+    /// (target ⊕ non-target when the split kept them disjoint) — then
+    /// empties it: accumulators reset, row counters zeroed. Group keys, the
+    /// group index and the bound predicates stay, so the next range pays no
+    /// set-up and no group re-discovery; a group no later row reaches is
+    /// simply not visited again. The visitor may move accumulators out.
+    pub fn drain(
+        &mut self,
+        mut visit: impl FnMut(&GroupKey, &mut [Accumulator], &mut [Accumulator]),
+    ) {
+        self.rows_consumed = 0;
+        self.target_rows = 0;
+        let reference_includes_target = self.split.reference_includes_target();
+        let n_aggs = self.groups.n_aggs;
+        for group in 0..self.groups.len() {
+            if !self.groups.reached(group) {
+                continue;
             }
-        }
-        GroupEntry {
-            key: self.groups.keys[group].clone(),
-            target,
-            reference,
+            self.groups.marked[group] = false;
+            let sides = &mut self.groups.accs[group * 2 * n_aggs..][..2 * n_aggs];
+            let (target, reference) = sides.split_at_mut(n_aggs);
+            if reference_includes_target {
+                for (r, t) in reference.iter_mut().zip(target.iter()) {
+                    r.merge(t);
+                }
+            }
+            visit(&self.groups.keys[group], target, reference);
+            sides.iter_mut().for_each(Accumulator::reset);
         }
     }
 
-    /// Clones the current state into a sorted [`GroupedResult`].
-    pub fn snapshot(&self) -> GroupedResult {
-        let mut groups: Vec<GroupEntry> = (0..self.groups.len()).map(|g| self.entry(g)).collect();
+    /// [`PartialAggregation::drain`] into a sorted [`GroupedResult`]: the
+    /// accumulators move, nothing is cloned.
+    pub fn drain_result(&mut self) -> GroupedResult {
+        let mut groups = Vec::with_capacity(self.touched_groups());
+        self.drain(|key, target, reference| {
+            groups.push(GroupEntry {
+                key: key.clone(),
+                target: target.iter_mut().map(std::mem::take).collect(),
+                reference: reference.iter_mut().map(std::mem::take).collect(),
+            });
+        });
+        self.sorted_result(groups)
+    }
+
+    /// `groups` of this aggregation's query as a key-sorted result.
+    fn sorted_result(&self, mut groups: Vec<GroupEntry>) -> GroupedResult {
         groups.sort_by(|a, b| a.key.cmp(&b.key));
         GroupedResult {
             group_by: self.query.group_by.clone(),
@@ -780,9 +852,35 @@ impl PartialAggregation {
         }
     }
 
+    /// Clones the state accumulated since the last drain into a sorted
+    /// [`GroupedResult`], leaving the aggregation untouched (for callers
+    /// that keep feeding it ranges).
+    pub fn snapshot(&self) -> GroupedResult {
+        let n_aggs = self.groups.n_aggs;
+        let groups: Vec<GroupEntry> = (0..self.groups.len())
+            .filter(|&group| self.groups.reached(group))
+            .map(|group| {
+                let sides = &self.groups.accs[group * 2 * n_aggs..][..2 * n_aggs];
+                let (target, second) = sides.split_at(n_aggs);
+                let mut reference = second.to_vec();
+                if self.split.reference_includes_target() {
+                    for (r, t) in reference.iter_mut().zip(target) {
+                        r.merge(t);
+                    }
+                }
+                GroupEntry {
+                    key: self.groups.keys[group].clone(),
+                    target: target.to_vec(),
+                    reference,
+                }
+            })
+            .collect();
+        self.sorted_result(groups)
+    }
+
     /// Consumes the aggregation, producing the final sorted result.
-    pub fn finalize(self) -> GroupedResult {
-        self.snapshot()
+    pub fn finalize(mut self) -> GroupedResult {
+        self.drain_result()
     }
 }
 
@@ -1198,8 +1296,8 @@ mod tests {
                 agg
             };
             let mut merged = part(0..2);
-            merged.merge(part(2..4));
-            merged.merge(part(4..6));
+            merged.merge(&mut part(2..4));
+            merged.merge(&mut part(4..6));
             assert_eq!(merged.rows_consumed(), 6);
             let merged = merged.finalize();
             assert_eq!(merged.num_groups(), one_shot.num_groups());
@@ -1222,10 +1320,71 @@ mod tests {
         let mut full = PartialAggregation::new(q.clone());
         full.update(t.as_ref(), 0..6, &mut ExecStats::default());
         let mut empty = PartialAggregation::new(q);
-        empty.merge(full);
+        empty.merge(&mut full);
         assert_eq!(empty.rows_consumed(), 6);
         let (target, _) = empty.finalize().value_vectors(0);
         assert_eq!(target, vec![3.0, 3.0]);
+    }
+
+    #[test]
+    fn drain_hands_over_one_range_at_a_time_and_keeps_the_plan() {
+        // d | m: group "x" everywhere, "y" only in rows 0..2, "z" only in
+        // rows 2..4 and there only with NULL measures.
+        let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
+        for (d, m) in [
+            ("x", Some(1.0)),
+            ("y", Some(2.0)),
+            ("x", Some(4.0)),
+            ("z", None),
+            ("x", Some(8.0)),
+            ("x", Some(16.0)),
+        ] {
+            let m = m.map(Value::Float).unwrap_or(Value::Null);
+            b.push_row(&[Value::str(d), m]).unwrap();
+        }
+        let t = b.build(StoreKind::Column).unwrap();
+        let q = CombinedQuery::single(
+            ColumnId(0),
+            AggSpec::new(AggFunc::Sum, ColumnId(1)),
+            SplitSpec::TargetVsAll(Predicate::col_eq_str(t.as_ref(), "d", "x")),
+        );
+        for mode in crate::ExecMode::ALL {
+            let mut agg = PartialAggregation::with_mode(q.clone(), mode);
+            let mut drained = Vec::new();
+            for range in [0..2, 2..4, 4..6] {
+                agg.update(t.as_ref(), range.clone(), &mut ExecStats::default());
+                assert_eq!(agg.rows_consumed(), 2);
+                let snapshot = agg.snapshot();
+                let mut seen = Vec::new();
+                agg.drain(|key, target, reference| {
+                    seen.push((key.code(0), target[0].sum(), reference[0].sum()));
+                });
+                seen.sort_by_key(|g| g.0);
+                // What a fresh aggregation of the range alone produces —
+                // including "z", which no measure value ever reached.
+                let fresh = {
+                    let mut fresh = PartialAggregation::with_mode(q.clone(), mode);
+                    fresh.update(t.as_ref(), range, &mut ExecStats::default());
+                    fresh.finalize()
+                };
+                assert_eq!(snapshot, fresh, "{mode}");
+                let want: Vec<(u64, f64, f64)> = fresh
+                    .groups
+                    .iter()
+                    .map(|g| (g.key.code(0), g.target[0].sum(), g.reference[0].sum()))
+                    .collect();
+                assert_eq!(seen, want, "{mode}");
+                assert_eq!((agg.rows_consumed(), agg.touched_groups()), (0, 0));
+                drained.push(seen);
+            }
+            // x, y (codes 0, 1) | x, z (0, 2) | x alone; every group keeps
+            // its slot for the next range.
+            assert_eq!(drained[0], vec![(0, 1.0, 1.0), (1, 0.0, 2.0)]);
+            assert_eq!(drained[1], vec![(0, 4.0, 4.0), (2, 0.0, 0.0)]);
+            assert_eq!(drained[2], vec![(0, 24.0, 24.0)]);
+            assert_eq!(agg.num_groups(), 3);
+            assert_eq!(agg.finalize().num_groups(), 0);
+        }
     }
 
     #[test]

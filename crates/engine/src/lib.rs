@@ -17,15 +17,18 @@
 //!   of the deviation computation.
 //! * **Parallel query execution** — a persistent scoped worker pool
 //!   ([`parallel::with_pool`]) executes `(query, morsel)` work items
-//!   ([`morsel::execute_morsels`]): every query's scan range splits into
-//!   fixed-size morsels, workers aggregate thread-local partials, and
+//!   ([`morsel::ScanSession`], or [`morsel::execute_morsels`] for a single
+//!   call): every query's scan range splits into fixed-size morsels,
+//!   workers aggregate thread-local partials, and
 //!   [`PartialAggregation::merge`] folds them — bit-identically to a
 //!   serial scan, because accumulator sums are exact
 //!   (see [`Accumulator`]). [`parallel::run_parallel`] keeps the simple
 //!   one-round fan-out API.
 //!
 //! Execution is *phase-aware*: a [`PartialAggregation`] accepts any number
-//! of row ranges and can snapshot its state between ranges, which is exactly
+//! of row ranges and can be snapshotted or drained between ranges — a
+//! drain hands over what the ranges since the last one accumulated and
+//! keeps the plan, the group keys and the group index — which is exactly
 //! what the phased pruning framework in `seedb-core` needs.
 //!
 //! Execution is also *mode-aware* ([`ExecMode`]): the default **vectorized**
@@ -60,7 +63,7 @@ pub use groupkey::GroupKey;
 pub use hashagg::{
     execute_combined, execute_combined_with_mode, PartialAggregation, DENSE_CARDINALITY_MAX,
 };
-pub use morsel::{execute_morsels, execute_morsels_traced, DEFAULT_MORSEL_ROWS};
+pub use morsel::{execute_morsels, ScanSession, DEFAULT_MORSEL_ROWS};
 pub use parallel::{with_pool, BudgetLease, CancelToken, Pool, WorkerBudget, WorkerProbes};
 pub use prune::{contribution_predicate, pruned_scan, zone_match, PrunedScan};
 pub use rollup::rollup;
@@ -107,8 +110,9 @@ impl std::fmt::Display for ExecMode {
 }
 
 /// Result of a grouped aggregation: one entry per observed group, sorted by
-/// key for deterministic downstream consumption.
-#[derive(Debug, Clone)]
+/// key for deterministic downstream consumption. Equality is equality of
+/// keys and of every accumulator's observable state (see [`Accumulator`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedResult {
     /// The grouping attributes this result is keyed by.
     pub group_by: Vec<seedb_storage::ColumnId>,
@@ -119,7 +123,7 @@ pub struct GroupedResult {
 }
 
 /// One group's accumulated target and reference state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupEntry {
     /// Group key (one `u64` code per grouping attribute).
     pub key: GroupKey,

@@ -7,19 +7,26 @@
 //! most workers idle. This module plans each query's scan with
 //! [`crate::prune::pruned_scan`] — the **partition** is the unit of work
 //! distribution: zone-map-pruned partitions are dropped before any worker
-//! runs, and each surviving partition is split into fixed-size,
-//! partition-aligned **morsels** ([`seedb_storage::morsel_ranges`]). The
-//! per-job morsel lists are flattened into one job-major item space and
+//! runs, and the surviving rows are carved into fixed-size **morsels**.
+//! The per-job morsel lists are flattened into one job-major item space and
 //! scheduled over a shared worker pool ([`crate::parallel::Pool`]): every
 //! worker aggregates the morsels it claims into a **thread-local
-//! [`PartialAggregation`]** per job, and the partials are folded
-//! deterministically — ascending first-item order — once the pool drains.
+//! [`PartialAggregation`]** per job, and once the pool drains a second
+//! round of pool items — one per job — folds that job's worker partials and
+//! hands the folded partial to the caller's consumer.
+//!
+//! A [`ScanSession`] keeps those worker partials between calls: a phased
+//! run scans the same queries over one range after another, so each call
+//! *drains* the partials (accumulators reset; projection, bound predicates,
+//! group keys and group index kept) instead of building them again.
+//! [`execute_morsels`] is the one-shot form.
 //!
 //! Because accumulators merge exactly (order-invariant sums, see
 //! [`crate::Accumulator`]) and pruning only drops partitions whose rows
 //! provably create no group entry, the folded result is **bit-identical**
 //! to a serial unpartitioned scan of the same range, for every
-//! `(worker count, morsel size, partition size)` combination.
+//! `(worker count, morsel size, partition size)` combination and whatever
+//! ranges the session scanned before.
 
 use crate::cost::ScanShape;
 use crate::parallel::{CancelToken, Pool, WorkerProbes};
@@ -36,35 +43,194 @@ pub use seedb_storage::DEFAULT_MORSEL_ROWS;
 
 /// One worker's partial state for one job.
 struct WorkerPartial {
-    /// Global index of the first work item this worker claimed for the job
-    /// — the deterministic fold key (workers claim items in ascending
-    /// order, so this is also the smallest).
-    first_item: usize,
     agg: PartialAggregation,
+    /// Counters of the morsels aggregated since the last fold.
     stats: ExecStats,
+    /// Whether any morsel was, i.e. whether the fold has anything to take.
+    scanned: bool,
+}
+
+/// A run-scoped morsel scanner: one pool, table, [`ScanShape`], deadline
+/// and trace, any number of [`ScanSession::scan`] calls. Worker partials
+/// live as long as consecutive calls pass the same query list.
+pub struct ScanSession<'a> {
+    pool: &'a Pool<'a>,
+    table: &'a dyn Table,
+    shape: ScanShape,
+    cancel: CancelToken,
+    trace: TraceCtx,
+    /// The query list `partials` is bound to.
+    queries: Vec<CombinedQuery>,
+    /// `partials[job][worker]`. Each worker only ever touches its own slot
+    /// while scanning, and a job's slots are folded by one pool item, so
+    /// the mutexes are uncontended; they exist to keep the hot path in safe
+    /// code.
+    partials: Vec<Vec<PLock<Option<WorkerPartial>>>>,
+}
+
+impl<'a> ScanSession<'a> {
+    /// A session over `table` on `pool`. `cancel` is the cooperative
+    /// deadline of every scan; when `trace` is enabled, each worker that
+    /// claims at least one morsel of a scan emits one aggregated `morsels`
+    /// span on trace lane `1 + worker` (start = the worker's first claim,
+    /// duration = its summed busy time, with the morsel count as a span
+    /// argument). A disabled trace costs one branch per morsel and
+    /// allocates nothing; results are bit-identical either way.
+    pub fn new(
+        pool: &'a Pool<'a>,
+        table: &'a dyn Table,
+        shape: ScanShape,
+        cancel: &CancelToken,
+        trace: &TraceCtx,
+    ) -> Self {
+        ScanSession {
+            pool,
+            table,
+            shape,
+            cancel: *cancel,
+            trace: trace.clone(),
+            queries: Vec::new(),
+            partials: Vec::new(),
+        }
+    }
+
+    /// Aggregates rows `range` for every query in `queries`, morsel-parallel,
+    /// then runs `consume(job, folded partial)` as one pool item per query
+    /// and returns its results with the job's stats, in input order. The
+    /// folded partial holds exactly the groups and values of `range` (for
+    /// the consumer to [`PartialAggregation::drain`]); whatever the
+    /// consumer leaves in it is drained before the next call.
+    ///
+    /// Each query's scan is planned independently: partitions whose zone
+    /// maps prove the query can match no row are pruned up front (tallied
+    /// in `partitions_pruned`), the survivors carved into morsels. Each
+    /// query counts as one issued query in its stats; `scan_passes`
+    /// reflects the number of morsel scans.
+    ///
+    /// Once the deadline expires, workers stop aggregating before each
+    /// newly claimed morsel (in-flight morsels finish), so the call returns
+    /// within one morsel of the deadline — with `None`, because partially
+    /// scanned aggregates are not a prefix of anything well-defined. The
+    /// session drops every partial it holds at that point: nothing of a
+    /// cancelled scan reaches a later call.
+    pub fn scan<R: Send>(
+        &mut self,
+        queries: &[CombinedQuery],
+        range: Range<usize>,
+        consume: impl Fn(usize, &mut PartialAggregation) -> R + Sync,
+    ) -> Option<Vec<(R, ExecStats)>> {
+        let n_jobs = queries.len();
+        let workers = self.pool.threads();
+        if self.queries != queries {
+            self.queries.clear();
+            self.queries.extend_from_slice(queries);
+            self.partials = (0..n_jobs)
+                .map(|_| {
+                    (0..workers)
+                        .map(|_| PLock::new("engine.morsel.partials", None))
+                        .collect()
+                })
+                .collect();
+        }
+        let (table, shape, cancel) = (self.table, self.shape, self.cancel);
+        let partials = &self.partials;
+
+        // Per-job scan plans: prune partitions against each query's
+        // contribution predicate, then flatten the surviving morsel lists
+        // into one job-major item space. `job_offsets[j]..job_offsets[j + 1]`
+        // are job j's items; a job with no surviving morsel occupies an
+        // empty stretch.
+        let plans: Vec<PrunedScan> = queries
+            .iter()
+            .map(|q| pruned_scan(table, q, range.clone(), shape.morsel_rows))
+            .collect();
+        let mut job_offsets = Vec::with_capacity(n_jobs + 1);
+        job_offsets.push(0usize);
+        for plan in &plans {
+            job_offsets.push(job_offsets.last().unwrap() + plan.morsels.len());
+        }
+        let n_items = *job_offsets.last().unwrap();
+
+        let fresh = |job: usize| WorkerPartial {
+            agg: PartialAggregation::with_mode(queries[job].clone(), shape.mode),
+            stats: ExecStats::new(),
+            scanned: false,
+        };
+        let probes = WorkerProbes::new(workers, self.trace.is_enabled());
+        self.pool.run(n_items, |worker, item| {
+            if cancel.is_expired() {
+                return;
+            }
+            let probe_start = probes.start();
+            let job = job_offsets.partition_point(|&off| off <= item) - 1;
+            let morsel = &plans[job].morsels[item - job_offsets[job]];
+            let mut slot = partials[job][worker].lock();
+            let partial = slot.get_or_insert_with(|| fresh(job));
+            partial.scanned = true;
+            partial
+                .agg
+                .update(table, morsel.clone(), &mut partial.stats);
+            probes.record(worker, probe_start);
+        });
+        probes.emit(&self.trace, "morsels");
+        if cancel.is_expired() {
+            self.queries.clear();
+            self.partials.clear();
+            return None;
+        }
+
+        // Fold, one pool item per job: the lowest worker that scanned for
+        // the job takes the others' partials in. (Accumulator merges are
+        // exact, so any order yields the same bits.) Workers that claimed
+        // nothing for the job this call are left alone.
+        Some(self.pool.map(n_jobs, |_, job| {
+            let mut stats = ExecStats::new();
+            stats.queries_issued = 1;
+            stats.partitions_scanned = plans[job].partitions_scanned;
+            stats.partitions_pruned = plans[job].partitions_pruned;
+            let mut slots: Vec<_> = partials[job].iter().map(|slot| slot.lock()).collect();
+            let mut scanned = slots.iter_mut().filter_map(|slot| {
+                let part = slot.as_mut()?;
+                std::mem::take(&mut part.scanned).then_some(part)
+            });
+            let result = match scanned.next() {
+                Some(first) => {
+                    stats.merge(&std::mem::take(&mut first.stats));
+                    for part in scanned {
+                        stats.merge(&std::mem::take(&mut part.stats));
+                        first.agg.merge(&mut part.agg);
+                    }
+                    // The partials outlive the call: what they report is the
+                    // groups this range reached, not the ones they hold.
+                    stats.groups_max = first.agg.touched_groups() as u64;
+                    let result = consume(job, &mut first.agg);
+                    first.agg.drain(|_, _, _| {});
+                    result
+                }
+                // Empty range, or every partition pruned: an untouched
+                // plan drains to the empty result — exactly what a serial
+                // scan of rows that never create a group entry produces.
+                None => {
+                    drop(scanned);
+                    consume(job, &mut slots[0].get_or_insert_with(|| fresh(job)).agg)
+                }
+            };
+            (result, stats)
+        }))
+    }
 }
 
 /// Executes every query in `queries` over rows `range` of `table`,
 /// morsel-parallel across `pool`, returning one `(result, stats)` pair per
-/// query in input order. The scan's physical shape — execution mode and
+/// query in input order — a one-call [`ScanSession`] whose folded partials
+/// become the results. The scan's physical shape — execution mode and
 /// morsel size — comes in as a [`ScanShape`], the engine-facing slice of
-/// the planner's physical plan. Each query's scan is planned
-/// independently: partitions whose zone maps prove the query can match no
-/// row are pruned up front (tallied in `partitions_pruned`), and the
-/// survivors are carved into partition-aligned morsels. Results are
-/// bit-identical to running each query serially over the same range
-/// without partitioning, regardless of pool size, morsel size, or the
-/// table's partition size.
+/// the planner's physical plan. Results are bit-identical to running each
+/// query serially over the same range without partitioning, regardless of
+/// pool size, morsel size, or the table's partition size.
 ///
-/// Each query counts as one issued query in its stats; `scan_passes`
-/// reflects the number of morsel scans.
-///
-/// `cancel` is the cooperative deadline: once it expires, workers stop
-/// aggregating before each newly claimed morsel (in-flight morsels
-/// finish), so the call returns within one morsel of the deadline. The
-/// caller must treat the folded results as garbage when the token expired
-/// — partially scanned aggregates are not a prefix of anything
-/// well-defined.
+/// `cancel` is the cooperative deadline (see [`ScanSession::scan`]); a scan
+/// it cuts short returns every query's empty result.
 pub fn execute_morsels(
     pool: &Pool<'_>,
     table: &dyn Table,
@@ -73,127 +239,19 @@ pub fn execute_morsels(
     shape: ScanShape,
     cancel: &CancelToken,
 ) -> Vec<(GroupedResult, ExecStats)> {
-    execute_morsels_traced(
-        pool,
-        table,
-        queries,
-        range,
-        shape,
-        cancel,
-        &TraceCtx::disabled(),
-    )
-}
-
-/// [`execute_morsels`] with per-worker trace probes: when `trace` is
-/// enabled, each worker that claims at least one morsel emits one
-/// aggregated `morsels` span on trace lane `1 + worker` (start = the
-/// worker's first claim, duration = its summed busy time, with the morsel
-/// count as a span argument). A disabled trace costs one branch per morsel
-/// and allocates nothing; results are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_morsels_traced(
-    pool: &Pool<'_>,
-    table: &dyn Table,
-    queries: &[CombinedQuery],
-    range: Range<usize>,
-    shape: ScanShape,
-    cancel: &CancelToken,
-    trace: &TraceCtx,
-) -> Vec<(GroupedResult, ExecStats)> {
-    let n_jobs = queries.len();
-    if n_jobs == 0 {
-        return Vec::new();
-    }
-
-    // Per-job scan plans: prune partitions against each query's
-    // contribution predicate, then flatten the surviving morsel lists into
-    // one job-major item space. `job_offsets[j]..job_offsets[j + 1]` are
-    // job j's items.
-    let plans: Vec<PrunedScan> = queries
-        .iter()
-        .map(|q| pruned_scan(table, q, range.clone(), shape.morsel_rows))
-        .collect();
-    let mut job_offsets = Vec::with_capacity(n_jobs + 1);
-    job_offsets.push(0usize);
-    for plan in &plans {
-        job_offsets.push(job_offsets.last().unwrap() + plan.morsels.len());
-    }
-    let n_items = *job_offsets.last().unwrap();
-
-    // Per-worker, per-job partials. Each worker only ever touches its own
-    // slot, so the mutexes are uncontended; they exist to keep the hot path
-    // in safe code.
-    let workers = pool.threads();
-    let locals: Vec<PLock<Vec<Option<WorkerPartial>>>> = (0..workers)
-        .map(|_| {
-            let mut slots = Vec::with_capacity(n_jobs);
-            slots.resize_with(n_jobs, || None);
-            PLock::new("engine.morsel.partials", slots)
-        })
-        .collect();
-
-    // Workers drain one job's morsels before the next, and a worker's
-    // morsels per job are ascending (the pool claims indices in ascending
-    // order). Jobs with zero surviving morsels simply occupy an empty
-    // stretch of the item space.
-    let probes = WorkerProbes::new(workers, trace.is_enabled());
-    pool.run(n_items, |worker, item| {
-        if cancel.is_expired() {
-            return;
-        }
-        let probe_start = probes.start();
-        let job = job_offsets.partition_point(|&off| off <= item) - 1;
-        let morsel = &plans[job].morsels[item - job_offsets[job]];
-        let mut slots = locals[worker].lock();
-        let partial = slots[job].get_or_insert_with(|| WorkerPartial {
-            first_item: item,
-            agg: PartialAggregation::with_mode(queries[job].clone(), shape.mode),
-            stats: ExecStats::new(),
-        });
-        partial
-            .agg
-            .update(table, morsel.clone(), &mut partial.stats);
-        probes.record(worker, probe_start);
-    });
-    probes.emit(trace, "morsels");
-
-    // Deterministic fold: per job, merge worker partials in ascending
-    // first-item order. (Accumulator merges are exact, so any order yields
-    // the same bits; the fixed order additionally makes group discovery
-    // order — and thus internal state — reproducible.)
-    (0..n_jobs)
-        .map(|job| {
-            let mut parts: Vec<WorkerPartial> = locals
+    ScanSession::new(pool, table, shape, cancel, &TraceCtx::disabled())
+        .scan(queries, range, |_, partial| partial.drain_result())
+        .unwrap_or_else(|| {
+            queries
                 .iter()
-                .filter_map(|slots| slots.lock()[job].take())
-                .collect();
-            parts.sort_by_key(|p| p.first_item);
-
-            let mut stats = ExecStats::new();
-            stats.queries_issued = 1;
-            stats.partitions_scanned = plans[job].partitions_scanned;
-            stats.partitions_pruned = plans[job].partitions_pruned;
-            let mut parts = parts.into_iter();
-            let agg = match parts.next() {
-                // Empty range, or every partition pruned: an untouched plan
-                // finalizes to the empty result — exactly what a serial
-                // scan of rows that never create a group entry produces.
-                None => PartialAggregation::with_mode(queries[job].clone(), shape.mode),
-                Some(first) => {
-                    stats.merge(&first.stats);
-                    let mut base = first.agg;
-                    for part in parts {
-                        stats.merge(&part.stats);
-                        base.merge(part.agg);
-                    }
-                    base
-                }
-            };
-            // Per-partial group counts under-report the final footprint.
-            stats.groups_max = stats.groups_max.max(agg.num_groups() as u64);
-            (agg.finalize(), stats)
+                .map(|q| {
+                    let mut stats = ExecStats::new();
+                    stats.queries_issued = 1;
+                    let empty = PartialAggregation::with_mode(q.clone(), shape.mode);
+                    (empty.finalize(), stats)
+                })
+                .collect()
         })
-        .collect()
 }
 
 #[cfg(test)]
@@ -445,6 +503,34 @@ mod tests {
                 assert_eq!(result.num_groups(), 0, "threads {threads}");
                 assert_eq!(stats.rows_scanned, 0, "threads {threads}");
             }
+        }
+    }
+
+    /// A session whose deadline passes between two scans: the first drains
+    /// normally, the second is cut short — `None`, and every partial the
+    /// session held is gone with it.
+    #[test]
+    fn a_scan_cut_short_returns_none_and_keeps_no_partial() {
+        let t = table(501);
+        let qs = queries(t.as_ref());
+        let shape = ScanShape::new(ExecMode::Vectorized, 64);
+        for threads in [1usize, 4] {
+            with_pool(threads, |pool| {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_millis(250);
+                let cancel = CancelToken::with_deadline(deadline);
+                let mut session =
+                    ScanSession::new(pool, t.as_ref(), shape, &cancel, &TraceCtx::disabled());
+                let first = session
+                    .scan(&qs, 0..250, |_, partial| partial.drain_result())
+                    .expect("a quarter second is plenty for 250 rows");
+                assert!(first.iter().all(|(result, _)| result.num_groups() > 0));
+                assert_eq!(session.partials.len(), qs.len());
+
+                std::thread::sleep(deadline.saturating_duration_since(std::time::Instant::now()));
+                let cut = session.scan(&qs, 250..501, |_, partial| partial.drain_result());
+                assert!(cut.is_none(), "threads {threads}");
+                assert!(session.partials.is_empty() && session.queries.is_empty());
+            });
         }
     }
 

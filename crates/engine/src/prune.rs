@@ -106,7 +106,8 @@ pub fn zone_match(pred: &Predicate, zones: &[ColumnZone]) -> ZoneMatch {
 /// the partition accounting for [`crate::ExecStats`].
 #[derive(Debug)]
 pub struct PrunedScan {
-    /// Morsel ranges to scan, ascending, partition-aligned.
+    /// Morsel ranges to scan, ascending: every run of adjacent surviving
+    /// partitions, cut into steps of `morsel_rows`.
     pub morsels: Vec<Range<usize>>,
     /// Partitions (or pseudo-segments) that survived pruning.
     pub partitions_scanned: u64,
@@ -116,10 +117,13 @@ pub struct PrunedScan {
 
 /// Plans `query`'s scan of rows `range`: walks the table's partition
 /// directory, drops every partition whose zone maps prove the query's
-/// contribution predicate can match no row, and splits the survivors into
-/// morsels of at most `morsel_rows` rows. Tables without partition
-/// metadata fall back to a single unpruned segment, making this exactly
-/// the pre-partitioning plan.
+/// contribution predicate can match no row, joins adjacent survivors into
+/// runs, and cuts each run into morsels of at most `morsel_rows` rows.
+/// Partition edges inside a run cut nothing: a range that straddles one (a
+/// phase of the phased executor, typically) is one morsel — one worker
+/// partial — when it fits, not one per partition piece. Tables without
+/// partition metadata fall back to a single unpruned segment, making this
+/// exactly the pre-partitioning plan.
 pub fn pruned_scan(
     table: &dyn Table,
     query: &CombinedQuery,
@@ -133,17 +137,25 @@ pub fn pruned_scan(
         partitions_scanned: 0,
         partitions_pruned: 0,
     };
+    // The run of adjacent surviving pieces not yet cut into morsels.
+    let mut run = 0..0;
     for (idx, rows) in table.partition_ranges(range) {
         let prunable = partitions
             .get(idx)
             .is_some_and(|p| zone_match(&contribution, &p.zones) == ZoneMatch::Never);
         if prunable {
             plan.partitions_pruned += 1;
+            continue;
+        }
+        plan.partitions_scanned += 1;
+        if run.end == rows.start {
+            run.end = rows.end;
         } else {
-            plan.partitions_scanned += 1;
-            plan.morsels.extend(morsel_ranges(rows, morsel_rows));
+            plan.morsels.extend(morsel_ranges(run, morsel_rows));
+            run = rows;
         }
     }
+    plan.morsels.extend(morsel_ranges(run, morsel_rows));
     plan
 }
 
@@ -255,6 +267,37 @@ mod tests {
         let total: usize = plan.morsels.iter().map(|r| r.end - r.start).sum();
         assert_eq!(total, 20);
         assert!(plan.morsels.iter().all(|r| r.end - r.start <= 7));
+    }
+
+    #[test]
+    fn adjacent_survivors_are_cut_as_one_run() {
+        let t = sorted_table(StoreKind::Column);
+        let all = query(SplitSpec::TargetOnly(lt(100.0)), None);
+        let morsels =
+            |q: &CombinedQuery, range, rows| pruned_scan(t.as_ref(), q, range, rows).morsels;
+        // A range across four partitions is one morsel when it fits…
+        assert_eq!(morsels(&all, 5..35, usize::MAX), vec![5..35]);
+        assert_eq!(morsels(&all, 5..35, 30), vec![5..35]);
+        // …and is cut at `morsel_rows` steps, not at partition edges, when
+        // it does not.
+        assert_eq!(morsels(&all, 5..35, 25), vec![5..30, 30..35]);
+        assert_eq!(
+            morsels(&all, 5..35, 7),
+            vec![5..12, 12..19, 19..26, 26..33, 33..35]
+        );
+        // A pruned partition ends the run on either side of it.
+        let ge20 = Predicate::NumCmp {
+            col: ColumnId(1),
+            op: CmpOp::Ge,
+            value: 20.0,
+        };
+        let holed = query(
+            SplitSpec::TargetOnly(Predicate::Or(vec![lt(10.0), ge20])),
+            None,
+        );
+        let plan = pruned_scan(t.as_ref(), &holed, 0..40, usize::MAX);
+        assert_eq!(plan.morsels, vec![0..10, 20..40]);
+        assert_eq!((plan.partitions_scanned, plan.partitions_pruned), (3, 1));
     }
 
     #[test]

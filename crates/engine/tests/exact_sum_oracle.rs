@@ -9,6 +9,11 @@
 //! on random multisets spanning 2⁻¹⁰⁷⁴…2¹⁰²³ (subnormals, ±0, mixed signs,
 //! catastrophic cancellation), under random permutations and random
 //! split/merge trees, is evidence both round the exact sum correctly.
+//!
+//! Random trees mostly merge partials whose windows happen to coincide, so
+//! a third property builds the two sides of a merge on purpose — same
+//! window, windows one chunk apart, windows that share no chunk, a spilled
+//! side, an empty side — and a fixed test walks the carry-budget edge.
 
 use proptest::prelude::*;
 use seedb_engine::Accumulator;
@@ -231,8 +236,127 @@ fn check_all_shapes(values: &[f64], expected: f64, order: &[u32], cuts: &[u16]) 
     }
 }
 
+/// Draws for a band of values that share one accumulator window however
+/// they are signed: `(sign, exponent-field offset, fraction)`, placed by
+/// [`band`].
+fn arb_band(max_len: usize) -> impl Strategy<Value = Vec<(bool, u64, u64)>> {
+    prop::collection::vec((any::<bool>(), 0u64..12, any::<u64>()), 0..max_len)
+}
+
+/// The drawn band with exponent fields in `field..field + 12`.
+fn band(draws: &[(bool, u64, u64)], field: u64) -> Vec<f64> {
+    draws
+        .iter()
+        .map(|&(s, e, f)| float(s, field + e, f))
+        .collect()
+}
+
+/// How the right-hand side of a forced merge sits relative to the left
+/// (whose values have exponent fields around 1000).
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// The same band: the windows coincide (the five-add route).
+    SameBase,
+    /// 2³² below / above: windows one chunk apart, still overlapping.
+    ChunkBelow,
+    ChunkAbove,
+    /// 2³²⁰ below / above: windows with no chunk in common; the merged
+    /// span cannot fit one window, so the receiver spills.
+    Disjoint,
+    DisjointAbove,
+}
+
+impl Placement {
+    fn field(self) -> u64 {
+        match self {
+            Placement::SameBase => 1000,
+            Placement::ChunkBelow => 1000 - 32,
+            Placement::ChunkAbove => 1000 + 32,
+            Placement::Disjoint => 1000 - 320,
+            Placement::DisjointAbove => 1000 + 320,
+        }
+    }
+}
+
+fn arb_placement() -> impl Strategy<Value = Placement> {
+    prop_oneof![
+        3 => Just(Placement::SameBase),
+        1 => Just(Placement::ChunkBelow),
+        1 => Just(Placement::ChunkAbove),
+        1 => Just(Placement::Disjoint),
+        1 => Just(Placement::DisjointAbove),
+    ]
+}
+
+/// `values`, preceded — when `spill` — by a cancelling pair far above and
+/// a pair far below: the span outgrows the window on the way (the spill is
+/// sticky) while the exact sum is unchanged.
+fn side(values: &[f64], spill: bool) -> (Accumulator, Vec<f64>) {
+    let mut fed = Vec::new();
+    if spill {
+        fed.extend([
+            2f64.powi(300),
+            2f64.powi(-300),
+            -2f64.powi(300),
+            -2f64.powi(-300),
+        ]);
+    }
+    fed.extend_from_slice(values);
+    let acc = sequential(&fed);
+    assert_eq!(acc.sum_spilled(), spill, "test premise over {fed:?}");
+    (acc, fed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every route through `merge`, forced: the two sides are built to sit
+    /// on the same window, one chunk apart, or nowhere near each other;
+    /// either may have spilled; either may be empty — merged in both
+    /// directions, and through a fresh (adopting) accumulator.
+    #[test]
+    fn forced_merge_routes_match_shewchuk(
+        left in arb_band(40),
+        placement in arb_placement(),
+        right in arb_band(40),
+        spilled in (any::<bool>(), any::<bool>()),
+        extra in arb_band(8),
+    ) {
+        let (left, extra) = (band(&left, 1000), band(&extra, 1000));
+        let right = band(&right, placement.field());
+        let (l, l_fed) = side(&left, spilled.0 && !left.is_empty());
+        let (r, r_fed) = side(&right, spilled.1 && !right.is_empty());
+        let mut all = l_fed.clone();
+        all.extend_from_slice(&r_fed);
+        let expected = oracle_sum(&all);
+
+        let mut lr = l.clone();
+        lr.merge(&r);
+        let mut rl = r.clone();
+        rl.merge(&l);
+        let mut adopted = Accumulator::new();
+        adopted.merge(&l);
+        adopted.merge(&r);
+        for (name, merged) in [("l←r", &lr), ("r←l", &rl), ("∅←l←r", &adopted)] {
+            prop_assert_eq!(
+                merged.sum().to_bits(),
+                expected.to_bits(),
+                "{} {:?}: {:e} vs oracle {:e} over {:?} + {:?}",
+                name, placement, merged.sum(), expected, l_fed, r_fed
+            );
+            prop_assert_eq!(merged.count, all.len() as u64);
+        }
+        prop_assert_eq!(&lr, &rl);
+
+        // The merged state keeps accumulating exactly, whichever route
+        // built it (and whatever it did to the carry budget).
+        all.extend_from_slice(&extra);
+        let expected = oracle_sum(&all);
+        for mut merged in [lr, rl, adopted] {
+            extra.iter().for_each(|&x| merged.update(Some(x)));
+            prop_assert_eq!(merged.sum().to_bits(), expected.to_bits());
+        }
+    }
 
     /// 2⁻¹⁰⁷⁴ … 2¹⁰¹⁵: everything from the smallest subnormal up to where
     /// 200 addends can no longer overflow the oracle's intermediate sums.
@@ -260,5 +384,40 @@ proptest! {
         let scaled: Vec<f64> = values.iter().map(|x| x * down).collect();
         let expected = oracle_sum(&scaled) * 2f64.powi(70);
         check_all_shapes(&values, expected, &shape.0, &shape.1);
+    }
+}
+
+/// The carry-budget edge of the in-place merge: two partials on one window
+/// whose pending adds sum to 2 045 (the merge spends the last unit of the
+/// 2 046 budget in place), 2 046 and 2 047 (it must normalize first), and
+/// two full budgets. The values put just under 2⁵² into a chunk per add —
+/// the fastest a chunk can grow — so a merge that skipped the budget check
+/// overflows an `i64` chunk here (a panic in debug, wrong bits in release).
+#[test]
+fn merge_at_the_carry_budget_edge_matches_shewchuk() {
+    let x = f64::from_bits(1152 << 52 | ((1 << 52) - 1)); // (2⁵³−1)·2⁷⁷
+    for total in [2045usize, 2046, 2047, 2 * 2046] {
+        for mine in [1, total / 2, total.min(2046 + 1) - 1] {
+            let theirs = total - mine;
+            if theirs > 2046 {
+                continue;
+            }
+            for (a, b) in [(x, x), (x, -x), (-x, -x)] {
+                let left = vec![a; mine];
+                let right = vec![b; theirs];
+                let mut merged = sequential(&left);
+                merged.merge(&sequential(&right));
+                // Keep going past the merge: the budget it left must hold.
+                let tail = vec![a; 2046];
+                tail.iter().for_each(|&v| merged.update(Some(v)));
+                let all: Vec<f64> = left.iter().chain(&right).chain(&tail).copied().collect();
+                assert_eq!(
+                    merged.sum().to_bits(),
+                    oracle_sum(&all).to_bits(),
+                    "{mine} + {theirs} of {a:e}/{b:e}"
+                );
+                assert!(!merged.sum_spilled());
+            }
+        }
     }
 }

@@ -9,12 +9,16 @@
 //! mixed-radix index, *and* the hash fallback), arbitrary phase
 //! partitions, and every `(worker count, morsel size)` combination, every
 //! accumulator — count, sum, min, max — must be identical under `==`
-//! (which for sums compares the correctly-rounded exact value).
+//! (which for sums compares the correctly-rounded exact value). A
+//! [`ScanSession`] that drains one set of worker partials range after range
+//! must hand back, for every range, what a fresh scalar run of that range
+//! computes.
 
 use proptest::prelude::*;
 use seedb_engine::{
-    execute_morsels, with_pool, AggFunc, AggSpec, CmpOp, CombinedQuery, ExecMode, ExecStats,
-    GroupedResult, PartialAggregation, Predicate, ScanShape, SplitSpec,
+    execute_morsels, with_pool, AggFunc, AggSpec, CancelToken, CmpOp, CombinedQuery, ExecMode,
+    ExecStats, GroupedResult, PartialAggregation, Predicate, ScanSession, ScanShape, SplitSpec,
+    TraceCtx,
 };
 use seedb_storage::{
     BoxedTable, ColumnDef, ColumnId, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -44,13 +48,18 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 }
 
 fn build(ds: &Dataset, kind: StoreKind) -> BoxedTable {
+    build_partitioned(ds, kind, seedb_storage::DEFAULT_PARTITION_ROWS)
+}
+
+fn build_partitioned(ds: &Dataset, kind: StoreKind, partition_rows: usize) -> BoxedTable {
     let mut b = TableBuilder::new(vec![
         ColumnDef::dim("a"),
         ColumnDef::dim("b"),
         ColumnDef::new("flag", ColumnType::Bool, ColumnRole::Dimension),
         ColumnDef::new("m", ColumnType::Float64, ColumnRole::Measure),
         ColumnDef::new("n", ColumnType::Int64, ColumnRole::Measure),
-    ]);
+    ])
+    .with_partition_rows(partition_rows);
     for (a, bb, flag, m, n) in &ds.rows {
         b.push_row(&[
             a.map(|v| Value::str(format!("a{v}")))
@@ -359,6 +368,129 @@ impl seedb_storage::Table for NarrowDictionary {
     ) {
         self.inner
             .scan_batches(projection, range, batch_size, visitor)
+    }
+}
+
+/// The table of the session property: `ds` with `a4` held back until row
+/// `stray_from`, in partitions of `partition_rows`, and — when `narrow` —
+/// behind a dictionary for `a` that stops short of the label interned
+/// last. That label's code is then out of radix for every group index
+/// planned against the table, and no range before its first row sees it.
+fn session_table(
+    ds: &Dataset,
+    kind: StoreKind,
+    stray_from: usize,
+    narrow: bool,
+    partition_rows: usize,
+) -> BoxedTable {
+    let mut ds = ds.clone();
+    for row in ds.rows.iter_mut().take(stray_from) {
+        if row.0 == Some(4) {
+            row.0 = Some(3);
+        }
+    }
+    let inner = build_partitioned(&ds, kind, partition_rows);
+    let full = inner.dictionary(ColumnId(0)).unwrap();
+    if !narrow || full.len() < 2 {
+        return inner;
+    }
+    let mut narrow = seedb_storage::Dictionary::new();
+    for (_, label) in full.iter().take(full.len() - 1) {
+        narrow.intern(label);
+    }
+    std::sync::Arc::new(NarrowDictionary {
+        inner,
+        col: ColumnId(0),
+        narrow,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One session, K consecutive ranges: range by range, every query's
+    /// drained result equals a fresh scalar aggregation of that range — on
+    /// both stores, through the dense single-attribute, composite and hash
+    /// group indexes, with NULL dimensions, with a code past the planned
+    /// radix that only later ranges contain, on 1, 2 and 8 workers, with
+    /// morsels shorter than a partition (cut inside it) and longer (adjacent
+    /// partition pieces scanned as one). The query list alternates between
+    /// two lists as `lists` says — the same two queries in either order: a
+    /// repeated list reuses the drained partials, a changed one must rebuild
+    /// them.
+    #[test]
+    fn session_ranges_equal_fresh_scalar_runs(
+        ds in arb_dataset(),
+        (stray_from, narrow) in (0usize..250, any::<bool>()),
+        queries in (arb_query(), arb_query()),
+        cuts in prop::collection::vec(0usize..250, 0..6),
+        lists in prop::collection::vec(any::<bool>(), 7),
+        (partition_rows, mode) in (
+            prop_oneof![Just(16usize), Just(64), Just(8192)],
+            prop_oneof![
+                1 => Just(ExecMode::Scalar),
+                2 => Just(ExecMode::Vectorized),
+            ],
+        ),
+    ) {
+        let list_a = vec![queries.0.clone(), queries.1.clone()];
+        let list_b = vec![queries.1.clone(), queries.0.clone()];
+        for kind in [StoreKind::Row, StoreKind::Column] {
+            let t = session_table(&ds, kind, stray_from, narrow, partition_rows);
+            let n = t.num_rows();
+            let mut edges: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            edges.extend([0, n]);
+            edges.sort_unstable();
+            // (query list, range, the fresh scalar result of every query).
+            let calls: Vec<(&Vec<CombinedQuery>, std::ops::Range<usize>, Vec<GroupedResult>)> = edges
+                .windows(2)
+                .zip(&lists)
+                .map(|(edge, &first)| {
+                    let list = if first { &list_a } else { &list_b };
+                    let range = edge[0]..edge[1];
+                    let want = list
+                        .iter()
+                        .map(|q| {
+                            let mut fresh = PartialAggregation::with_mode(q.clone(), ExecMode::Scalar);
+                            fresh.update(t.as_ref(), range.clone(), &mut ExecStats::new());
+                            fresh.finalize()
+                        })
+                        .collect();
+                    (list, range, want)
+                })
+                .collect();
+            for threads in [1usize, 2, 8] {
+                with_pool(threads, |pool| {
+                    for morsel_rows in [7usize, 64, usize::MAX] {
+                        let mut session = ScanSession::new(
+                            pool,
+                            t.as_ref(),
+                            ScanShape::new(mode, morsel_rows),
+                            &CancelToken::none(),
+                            &TraceCtx::disabled(),
+                        );
+                        for (list, range, want) in &calls {
+                            let got = session
+                                .scan(list, range.clone(), |_, partial| partial.drain_result())
+                                .expect("no deadline");
+                            prop_assert_eq!(got.len(), want.len());
+                            for ((result, stats), want) in got.iter().zip(want) {
+                                prop_assert_eq!(
+                                    result, want,
+                                    "{} {} threads={} morsel={} partition={} range {:?}",
+                                    kind, mode, threads, morsel_rows, partition_rows, range
+                                );
+                                prop_assert_eq!(stats.queries_issued, 1);
+                                prop_assert_eq!(stats.groups_max, want.num_groups() as u64);
+                                if stats.partitions_pruned == 0 {
+                                    prop_assert_eq!(stats.rows_scanned, range.len() as u64);
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        }
     }
 }
 
