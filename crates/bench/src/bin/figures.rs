@@ -21,7 +21,9 @@ use seedb_engine::{
     execute_combined_with_mode, execute_morsels, with_pool, AggFunc, AggSpec, CancelToken, CmpOp,
     CombinedQuery, ExecStats, Predicate, ScanShape, SplitSpec,
 };
-use seedb_storage::{ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
+use seedb_storage::{
+    BatchData, ColumnDef, ColumnId, StoreKind, TableBuilder, Value, DEFAULT_BATCH_SIZE,
+};
 use seedb_util::Json;
 
 fn main() {
@@ -607,13 +609,27 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
 /// under 1.25×. Both sides run on the same host seconds apart.
 ///
 /// Beside it, what phasing costs: `COMB` with no pruner (ten phases, every
-/// view alive throughout) over `SHARING` — the same rows and the same
-/// accumulator updates, so the ratio is the per-phase constant (scan set-up
-/// and barriers, the fold into the views' groups, ten rounds of utility
-/// estimates) over the scan. ≈ 1.25–1.35 with worker partials kept across
-/// phases and one fold per cluster; ≈ 1.9 when every phase rebuilt its
-/// partials and rolled up through intermediate results. `perf_smoke` holds
-/// it under 1.45 — the first gate on a Figure 5 ordering.
+/// view alive throughout) against `SHARING` — the same rows and the same
+/// accumulator updates, so the difference is ten times the per-phase
+/// constant (scan set-up and barriers, the drain and fold into the views'
+/// groups, a round of utility estimates). `comb_nopru_over_sharing` reports
+/// the Figure 5 ordering (≈ 1.3 at a 10.5 ms `SHARING`, ≈ 1.5 at 6 ms: the
+/// same constant over a faster scan), and `phase_constant_over_naive_pass`
+/// what `perf_smoke` gates: `(COMB − SHARING) / phases` in units of the
+/// run's own speed reference, one naive `f64` sum over the table's measure
+/// columns — a quantity that does not move when the scan gets faster.
+/// ≈ 0.65 (0.3 ms a phase) with worker partials kept across phases and one
+/// fold per cluster; ≈ 2 when every phase rebuilt its partials and rolled
+/// up through intermediate results. The ceiling of 1 is the 0.47 ms a
+/// phase that the former `comb_nopru_over_sharing ≤ 1.45` allowed.
+///
+/// And what exactness costs: one combined query per dimension with every
+/// measure (the repo benchmark's `engine.agg_ns_per_row_agg` shape) over
+/// that naive sum, per row·aggregate, as `agg_over_naive_sum` — ≈ 10 with
+/// one window update per value, ≈ 5.5 with fixed-point lanes (gate ≤ 6) —
+/// and `lane_share_of_updates`, the share of the cluster scan's accumulator
+/// updates that were lane adds (a count: 1.0 on DIAB's NULL-free float
+/// measures, gate ≥ 0.99).
 ///
 /// The row count is NOT scaled down in --fast mode: at 1k rows the fixed
 /// costs on the executor side would drown the ratios.
@@ -633,8 +649,9 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
 
     // ~10 ms a sample: enough of them that each side's min is steady.
     let samples = runs * 10;
+    let mut scanned = ExecStats::new();
     let scan = time_ms(samples, || {
-        with_pool(plan.workers, |pool| {
+        let results = with_pool(plan.workers, |pool| {
             execute_morsels(
                 pool,
                 table,
@@ -644,6 +661,35 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
                 &CancelToken::none(),
             )
         });
+        scanned = ExecStats::new();
+        results.iter().for_each(|(_, stats)| scanned.merge(stats));
+    });
+    let (dims, measures) = (table.schema().dimensions(), table.schema().measures());
+    let per_dim: Vec<CombinedQuery> = dims
+        .iter()
+        .map(|dim| CombinedQuery {
+            group_by: vec![*dim],
+            ..queries[0].clone()
+        })
+        .collect();
+    let agg = time_ms(samples, || {
+        for query in &per_dim {
+            execute_combined_with_mode(table, query, plan.mode, &mut ExecStats::new());
+        }
+    });
+    let naive = time_ms(samples, || {
+        table.scan_batches(
+            &measures,
+            0..table.num_rows(),
+            DEFAULT_BATCH_SIZE,
+            &mut |batch| {
+                for slot in 0..batch.num_columns() {
+                    if let BatchData::Float(values) = batch.column(slot).data {
+                        std::hint::black_box(values.iter().sum::<f64>());
+                    }
+                }
+            },
+        );
     });
     let sharing = time_ms(samples, || {
         recommend(&dataset, &config);
@@ -682,7 +728,19 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
                 "overhead_sharing_over_cluster_scan",
                 sharing.min_ms / scan.min_ms,
             )
-            .set("comb_nopru_over_sharing", comb.min_ms / sharing.min_ms),
+            .set("comb_nopru_over_sharing", comb.min_ms / sharing.min_ms)
+            .set(
+                "phase_constant_over_naive_pass",
+                (comb.min_ms - sharing.min_ms) / phased.num_phases as f64 / naive.min_ms,
+            )
+            .set(
+                "agg_over_naive_sum",
+                agg.min_ms / dims.len() as f64 / naive.min_ms,
+            )
+            .set(
+                "lane_share_of_updates",
+                scanned.fixed_lane_updates as f64 / scanned.accumulator_updates as f64,
+            ),
     ]
 }
 

@@ -109,35 +109,50 @@ fn generators_are_deterministic_in_seed() {
 /// Footprint guard: an accumulator's exact sum lives in an inline window of
 /// five 32-bit-spaced chunks and only reaches for the heap when one sum's
 /// values span more than that. Real measure columns must not — per-group
-/// state, cached partials and peak RSS are all sized on the inline form — so
-/// hold the paper-scale DIAB twin (100K rows, Gaussian measures clamped at
-/// zero) to it: every group of every dimension, every measure, both sides.
+/// state, cached partials and peak RSS are all sized on the inline form
+/// (plus, while a scan runs, a 16-byte lane per aggregate and a row count
+/// per group-side slot) — so hold the paper-scale Table 1 twins to it
+/// (DIAB: 100K rows, Gaussian measures clamped at zero): every group of
+/// every dimension, every measure, both sides. Their NULL-free float
+/// measures also go through the fixed-point lanes whole, whose folds must
+/// land in the same window.
 #[test]
-fn diab_sums_never_leave_the_inline_window() {
+fn twin_sums_never_leave_the_inline_window() {
     use seedb_engine::{execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, SplitSpec};
-    let ds = generate_by_name("DIAB", 1.0, 17, StoreKind::Column).expect("generator exists");
-    assert_eq!(ds.rows(), 100_000);
-    let schema = ds.table.schema();
-    let aggregates: Vec<AggSpec> = schema
-        .measures()
-        .iter()
-        .map(|m| AggSpec::new(AggFunc::Avg, *m))
-        .collect();
-    for dim in schema.dimensions() {
-        let query = CombinedQuery {
-            group_by: vec![dim],
-            aggregates: aggregates.clone(),
-            filter: None,
-            split: SplitSpec::TargetVsAll(ds.target.clone()),
-        };
-        let result = execute_combined(ds.table.as_ref(), &query, &mut ExecStats::new());
-        let mut reference_rows = 0;
-        for group in &result.groups {
-            reference_rows += group.reference[0].count;
-            for acc in group.target.iter().chain(&group.reference) {
-                assert!(!acc.sum_spilled(), "{dim:?} {:?}: {acc:?}", group.key);
+    for (name, rows) in [("DIAB", 100_000), ("CENSUS", 21_000), ("BANK", 40_000)] {
+        let ds = generate_by_name(name, 1.0, 17, StoreKind::Column).expect("generator exists");
+        assert_eq!(ds.rows(), rows, "{name}");
+        let schema = ds.table.schema();
+        let aggregates: Vec<AggSpec> = schema
+            .measures()
+            .iter()
+            .map(|m| AggSpec::new(AggFunc::Avg, *m))
+            .collect();
+        let mut stats = ExecStats::new();
+        for dim in schema.dimensions() {
+            let query = CombinedQuery {
+                group_by: vec![dim],
+                aggregates: aggregates.clone(),
+                filter: None,
+                split: SplitSpec::TargetVsAll(ds.target.clone()),
+            };
+            let result = execute_combined(ds.table.as_ref(), &query, &mut stats);
+            let mut reference_rows = 0;
+            for group in &result.groups {
+                reference_rows += group.reference[0].count;
+                for acc in group.target.iter().chain(&group.reference) {
+                    assert!(
+                        !acc.sum_spilled(),
+                        "{name} {dim:?} {:?}: {acc:?}",
+                        group.key
+                    );
+                }
             }
+            assert_eq!(reference_rows, rows as u64, "{name} {dim:?}");
         }
-        assert_eq!(reference_rows, 100_000);
+        assert_eq!(
+            stats.fixed_lane_updates, stats.accumulator_updates,
+            "{name}"
+        );
     }
 }

@@ -71,6 +71,37 @@
 //! when the result is subnormal). `merge` is a chunk-wise add of aligned
 //! windows, so it commutes and associates with `add`.
 //!
+//! ## The cost of an add: lane → window → spill
+//!
+//! One exact sum, three prices; a value pays the next only when the
+//! cheaper one has no place for it.
+//!
+//! **Lane** — one 128-bit integer add. Beside every accumulator the
+//! vectorized scan keeps an `i128` in units of `2^(unit − 1074)`; `unit` is
+//! placed per aggregate, [`LANE_SPREAD`] = 36 binades under the largest
+//! magnitude the table's statistics report for the column — the same for
+//! every partial of a scan, so their lanes add up as they are. A value
+//! `±m · 2ᵖ` with `unit ≤ p ≤ unit + 36` adds `±m · 2^(p − unit + 18) + 1`
+//! ([`lane_term`]: one table load for range check, sign and shift, one
+//! multiply): its mantissa at the lane's scale and, in the 18 bits beneath,
+//! a **count** of one. No window index, no carry budget, no flags;
+//! `min`/`max` are compared and stored only when widened. *Overflow:* a
+//! term is below `2^(53 + 36 + 18)` and at most [`LANE_BUDGET`] = `2¹⁸ − 1`
+//! are added between folds, so a lane stays below `2¹²⁵` and its count
+//! inside its 18 bits: `53 + spread + 2 · log₂ budget ≤ 126`. A **fold**
+//! ([`Accumulator::fold_lane`]; before any merge, drain, snapshot or result)
+//! reads the count off the low bits and gives the rest to
+//! [`ExactSum::add_fixed`] — one window operation per lane, not per value.
+//! A *stray* (outside the lane's binades, subnormal, non-finite, `-0.0`)
+//! adds a bare count, which a second pass over its batch takes back as it
+//! feeds the value to the window. NULL-able and non-float columns never use
+//! the lanes.
+//!
+//! **Window** — the two-add update above with its bookkeeping, ≈ 2× a lane
+//! add: the scalar mode, strays, and the columns lanes do not take.
+//! **Spill** — the same on the boxed full-range array, once a column's
+//! span outgrew five chunks; sticky, never reached by ordinary columns.
+//!
 //! COUNT, MIN, and MAX are order-invariant by nature; non-finite inputs
 //! are tracked as flags (any NaN, or both infinities ⇒ NaN; one-sided
 //! infinities saturate), which is again order-independent. A sum is `-0.0`
@@ -171,6 +202,63 @@ const SAW_NAN: u8 = 4;
 const SAW_NEG_ZERO: u8 = 8;
 /// An input other than `-0.0` was observed.
 const SAW_OTHER: u8 = 16;
+
+/// Low bits of a lane that count the values it absorbed (see the module
+/// docs), which bounds the values it may absorb between folds.
+pub(crate) const LANE_COUNT_BITS: u32 = 18;
+/// Values a lane may absorb between folds.
+pub(crate) const LANE_BUDGET: u32 = (1 << LANE_COUNT_BITS) - 1;
+/// Binades above its unit a lane has room for: `53 + LANE_SPREAD +
+/// 2 · LANE_COUNT_BITS ≤ 126`.
+const LANE_SPREAD: u32 = 36;
+
+/// Every lane's multiplier table, overlaid: entry `2048 + s` holds `2ˢ` and
+/// entry `4096 + s` holds `−2ˢ` for the shifts `s` a lane accepts
+/// (`LANE_COUNT_BITS ..= LANE_COUNT_BITS + LANE_SPREAD`); all else is zero.
+/// A lane reads it from [`lane_powers`] on, by the sign and exponent bits of
+/// a value: range check, sign and shift of [`lane_term`] are one load.
+static LANE_POWERS: [i64; 2048 + 4096 + LANE_COUNT_BITS as usize] = {
+    let mut pow = [0; 2048 + 4096 + LANE_COUNT_BITS as usize];
+    let mut s = LANE_COUNT_BITS as usize;
+    while s <= (LANE_COUNT_BITS + LANE_SPREAD) as usize {
+        pow[2048 + s] = 1 << s;
+        pow[4096 + s] = -(1 << s);
+        s += 1;
+    }
+    pow
+};
+
+/// The unit (as a bit position above 2⁻¹⁰⁷⁴) of the lanes of a column
+/// whose largest magnitude has the biased exponent `top`: that binade and
+/// the [`LANE_SPREAD`] beneath it. `None` — no lanes — for a column of
+/// zeros and subnormals (`top == 0`) or one that holds an infinity.
+pub(crate) fn lane_unit(top: u32) -> Option<u32> {
+    (1..0x7FF)
+        .contains(&top)
+        .then(|| (top - 1).saturating_sub(LANE_SPREAD))
+}
+
+/// The multipliers of a lane of unit `unit`, indexed by a value's sign and
+/// exponent bits (`bits >> 52`): `±2^(exp − 1 − unit + LANE_COUNT_BITS)` for
+/// the binades the lane spans, zero for every other.
+pub(crate) fn lane_powers(unit: u32) -> &'static [i64; 4096] {
+    let first = 2048 + LANE_COUNT_BITS as usize - 1 - unit as usize;
+    LANE_POWERS[first..].first_chunk().expect("4096 entries")
+}
+
+/// What the value with bit pattern `bits` adds to the lane `powers`
+/// belongs to: its count (bit 0) and, above [`LANE_COUNT_BITS`], its signed
+/// mantissa shifted to the lane's scale. The second result is non-zero for
+/// a **stray** — a value the lane has no place for (outside its binades,
+/// subnormal, non-finite, `-0.0`) — whose term is the bare count.
+#[inline(always)]
+pub(crate) fn lane_term(bits: u64, powers: &[i64; 4096]) -> (i128, u64) {
+    // Zero for everything the lane does not span, ±0 included.
+    let pow = powers[(bits >> 52) as usize];
+    let mant = ((bits & FRAC_MASK) | (1 << 52)) as i64;
+    let stray = if pow == 0 { bits } else { 0 };
+    ((mant as i128 * pow as i128) | 1, stray)
+}
 
 /// Exact running sum of `f64` values as a windowed fixed-point
 /// superaccumulator (see the module docs): `Σ chunk[c] · 2^(32c) · 2⁻¹⁰⁷⁴`
@@ -370,6 +458,28 @@ impl ExactSum {
         }
     }
 
+    /// Adds `v · 2^pos` (in units of 2⁻¹⁰⁷⁴): a folded lane, standing for at
+    /// least one value that was not `-0.0`. `|v|` is cut into 32-bit digits,
+    /// each shifted and split over two chunks like the mantissa of an `add`,
+    /// and the five chunks merge in as a partial sum would.
+    fn add_fixed(&mut self, v: i128, pos: u32) {
+        debug_assert!((pos / CHUNK_BITS) as usize + WINDOW <= FULL_CHUNKS);
+        let mut part = ExactSum {
+            base: (pos / CHUNK_BITS) as u16,
+            pending: 1,
+            flags: SAW_OTHER,
+            ..ExactSum::default()
+        };
+        let sign = if v < 0 { -1 } else { 1 };
+        for j in 0..WINDOW - 1 {
+            let digit = (v.unsigned_abs() >> (CHUNK_BITS as usize * j)) as u64 & CHUNK_MASK;
+            let shifted = digit << (pos % CHUNK_BITS);
+            part.window[j] += sign * (shifted & CHUNK_MASK) as i64;
+            part.window[j + 1] += sign * (shifted >> CHUNK_BITS) as i64;
+        }
+        self.merge(&part);
+    }
+
     /// Adds `other`'s chunks into the aligned chunks of `self`.
     ///
     /// Partials of one measure column nearly always sit on the same `base`
@@ -562,12 +672,18 @@ impl Accumulator {
         if let Some(x) = value {
             self.count += 1;
             self.sum.add(x);
-            if x < self.min {
-                self.min = x;
-            }
-            if x > self.max {
-                self.max = x;
-            }
+            self.widen(x);
+        }
+    }
+
+    /// Stretches `min`/`max` to cover `x` (NaN covers nothing).
+    #[inline]
+    pub(crate) fn widen(&mut self, x: f64) {
+        if x < self.min {
+            self.min = x;
+        }
+        if x > self.max {
+            self.max = x;
         }
     }
 
@@ -583,6 +699,18 @@ impl Accumulator {
         }
         if other.max > self.max {
             self.max = other.max;
+        }
+    }
+
+    /// Folds in a fixed-point lane of unit `unit` (see [`lane_term`]): the
+    /// count and the exact sum of the values it absorbed. Their extremes
+    /// reached `min` and `max` as they were absorbed.
+    #[inline]
+    pub(crate) fn fold_lane(&mut self, lane: i128, unit: u32) {
+        let n = lane as u64 & LANE_BUDGET as u64;
+        if n > 0 {
+            self.count += n;
+            self.sum.add_fixed(lane >> LANE_COUNT_BITS, unit);
         }
     }
 
@@ -1089,9 +1217,123 @@ mod tests {
     }
 
     #[test]
+    fn add_fixed_equals_adding_the_same_number_value_by_value() {
+        // v · 2^pos as three exact f64 pieces of at most 43 bits each.
+        let pieces = |v: i128, pos: u32| {
+            let sign = if v < 0 { -1.0 } else { 1.0 };
+            (0..3).map(move |j| {
+                let piece = (v.unsigned_abs() >> (43 * j)) as u64 & ((1 << 43) - 1);
+                let exp = 43 * j + pos as i32 - 1074;
+                sign * piece as f64 * 2f64.powi(exp / 2) * 2f64.powi(exp - exp / 2)
+            })
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..4096 {
+            let mut fixed = ExactSum::default();
+            let mut each = ExactSum::default();
+            // Up to three lanes of different units into one sum, some of
+            // them onto values that went in one at a time.
+            if case % 3 == 0 {
+                let x = f64::from_bits(next() >> 2) * 0.5;
+                fixed.add(x);
+                each.add(x);
+            }
+            for _ in 0..=case % 3 {
+                let width = next() % 126;
+                let v = ((next() as i128) << 64 | next() as i128) >> (127 - width);
+                let v = if case % 7 == 0 { 0 } else { v };
+                // 2^(pos + 127) must stay a finite f64 for the pieces.
+                let pos = (next() % 1900) as u32;
+                fixed.add_fixed(v, pos);
+                pieces(v, pos).for_each(|x| each.add(x));
+                if v == 0 {
+                    each.add(0.0);
+                }
+            }
+            assert_eq!(
+                fixed.value().to_bits(),
+                each.value().to_bits(),
+                "case {case}"
+            );
+        }
+        // The extremes of the type and of the position.
+        for (v, pos) in [(i128::MAX, 0), (i128::MIN + 1, 1900), (1, 2009), (-1, 31)] {
+            let mut fixed = ExactSum::default();
+            fixed.add_fixed(v, pos);
+            let mut each = ExactSum::default();
+            pieces(v, pos).for_each(|x| each.add(x));
+            assert_eq!(fixed.value().to_bits(), each.value().to_bits(), "{v} {pos}");
+        }
+    }
+
+    #[test]
+    fn lane_terms_hold_the_value_and_its_count_or_mark_a_stray() {
+        let unit = lane_unit(1023 + 3).unwrap(); // a column whose largest magnitude is in [8, 16)
+        assert_eq!(unit, 1022 + 3 - LANE_SPREAD);
+        let back = |lane: i128| (lane >> LANE_COUNT_BITS) as f64 * 2f64.powi(unit as i32 - 1074);
+        for x in [
+            1.0,
+            -1.0,
+            15.999,
+            -0.1,
+            0.0,
+            2f64.powi(3) * 1.75,
+            3.0 * 2f64.powi(-34),
+        ] {
+            let (term, stray) = lane_term(x.to_bits(), lane_powers(unit));
+            assert_eq!((stray, term & LANE_BUDGET as i128), (0, 1), "{x}");
+            assert_eq!(back(term), x);
+        }
+        // One binade above and below the lane, and everything that has no
+        // fixed-point form at all: the term is the bare count.
+        for x in [
+            2f64.powi(4),
+            -2f64.powi(-34) * 1.5,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let (term, stray) = lane_term(x.to_bits(), lane_powers(unit));
+            assert!(stray != 0 && term == 1, "{x}");
+        }
+        // Placement at both ends of the exponent range.
+        assert_eq!((lane_unit(0), lane_unit(0x7FF)), (None, None));
+        assert_eq!(lane_unit(1), Some(0));
+        let top = lane_unit(0x7FE).unwrap();
+        assert_eq!(lane_term(f64::MAX.to_bits(), lane_powers(top)).1, 0);
+        assert_ne!(lane_term(f64::INFINITY.to_bits(), lane_powers(top)).1, 0);
+        assert_eq!(lane_term(f64::MIN_POSITIVE.to_bits(), lane_powers(0)).1, 0);
+
+        // A full budget of the largest term a lane accepts, both signs:
+        // count and sum come back exactly (53 + 36 + 2 · 18 ≤ 126 bits).
+        let big = f64::from_bits((unit as u64 + 1 + LANE_SPREAD as u64) << 52 | FRAC_MASK);
+        for x in [big, -big] {
+            let (term, stray) = lane_term(x.to_bits(), lane_powers(unit));
+            assert_eq!(stray, 0);
+            let lane = term * LANE_BUDGET as i128; // no overflow panic: fits
+            let mut folded = Accumulator::new();
+            folded.fold_lane(lane, unit);
+            assert_eq!(folded.count, LANE_BUDGET as u64);
+            let exact = LANE_BUDGET as i128 * ((1 << 53) - 1);
+            let scale = 2f64.powi((unit + LANE_SPREAD) as i32 - 1074);
+            assert_eq!(folded.sum(), x.signum() * (exact as f64 * scale));
+        }
+    }
+
+    #[test]
     fn accumulator_footprint_is_at_most_80_bytes() {
-        // Cached partials and per-group state are arrays of these; the
-        // expansion-based accumulator this one replaced was 80 bytes.
+        // Cached partials and results are arrays of these; the
+        // expansion-based accumulator this one replaced was 80 bytes. What a
+        // live aggregation keeps beside them is bounded in `hashagg`.
         const _: () = assert!(std::mem::size_of::<Accumulator>() <= 80);
         assert_eq!(std::mem::size_of::<ExactSum>(), 56);
     }

@@ -26,7 +26,9 @@
 //!   Stray codes spill to the hash map; non-categorical attributes and
 //!   oversized domains keep the hash path. Each batch resolves its
 //!   selected rows to accumulator slots **once**, then runs one tight loop
-//!   per aggregate over that vector and the measure's typed slice.
+//!   per aggregate over that vector and the measure's typed slice — for a
+//!   NULL-free float column, one integer add per value into the slot's
+//!   fixed-point lane ([`crate::agg`]), folded in before anything reads it.
 //!
 //! A `TargetVsAll` split accumulates target and non-target rows into
 //! disjoint sides — one update per selected row and aggregate, not two —
@@ -38,7 +40,7 @@
 //! drains, and morsel-parallel execution — a property the equivalence test
 //! suites assert exactly.
 
-use crate::agg::Accumulator;
+use crate::agg::{lane_powers, lane_term, lane_unit, Accumulator, LANE_BUDGET};
 use crate::expr::BoundPredicate;
 use crate::groupkey::GroupKey;
 use crate::spec::{CombinedQuery, SplitSpec};
@@ -210,16 +212,26 @@ enum DenseIndex {
 /// [`BoundSplit::reference_includes_target`]). `group * 2 + side` is a
 /// group-side **slot**.
 ///
+/// Beside every accumulator sits its fixed-point **lane** (see
+/// [`crate::agg`]'s module docs): the vectorized path adds a NULL-free float
+/// column's values there, and [`Groups::fold_lanes`] moves what the lanes
+/// hold into the accumulators before anything reads them.
+///
 /// Groups outlive a drain ([`PartialAggregation::drain`]): their keys and
-/// index entries stay and their accumulators are reset. Which of them a
-/// row has reached since shows in the counts of their first aggregate —
-/// unless the row's measure was NULL (or there is no aggregate), which is
-/// what `marked` records instead ([`Groups::reached`]).
+/// index entries stay, their accumulators are reset and their row counts
+/// zeroed.
 struct Groups {
     n_aggs: usize,
     keys: Vec<GroupKey>,
     accs: Vec<Accumulator>,
-    marked: Vec<bool>,
+    /// One lane per accumulator, zero when folded.
+    lanes: Vec<i128>,
+    /// Each aggregate's lane unit (`None`: no lanes).
+    lane_units: Vec<Option<u32>>,
+    /// Upper bound on the values any lane absorbed since the last fold.
+    lane_adds: u32,
+    /// Rows that reached each slot since the last drain.
+    rows: Vec<u64>,
 }
 
 impl Groups {
@@ -230,9 +242,10 @@ impl Groups {
     /// Appends a group with empty accumulators; returns its index.
     fn push(&mut self, key: GroupKey) -> usize {
         self.keys.push(key);
-        self.marked.push(false);
-        self.accs
-            .resize_with(self.keys.len() * 2 * self.n_aggs, Accumulator::new);
+        let slots = self.keys.len() * 2;
+        self.rows.resize(slots, 0);
+        self.lanes.resize(slots * self.n_aggs, 0);
+        self.accs.resize_with(slots * self.n_aggs, Accumulator::new);
         self.keys.len() - 1
     }
 
@@ -259,13 +272,68 @@ impl Groups {
     }
 
     /// Whether a row (or merged partial) has reached `group` since the last
-    /// drain: it was marked, or left a count on either side of the first
-    /// aggregate.
+    /// drain.
     fn reached(&self, group: usize) -> bool {
-        let first = group * 2 * self.n_aggs;
-        self.marked[group]
-            || (self.n_aggs > 0
-                && (self.accs[first].count > 0 || self.accs[first + self.n_aggs].count > 0))
+        self.rows[group * 2] + self.rows[group * 2 + 1] > 0
+    }
+
+    /// Moves what the lanes hold into their accumulators.
+    fn fold_lanes(&mut self) {
+        if std::mem::take(&mut self.lane_adds) > 0 {
+            fold_lanes(&self.lanes, &self.lane_units, &mut self.accs);
+            self.lanes.fill(0);
+        }
+    }
+
+    /// Adds the `selected` values of a NULL-free float column to aggregate
+    /// `agg`'s lanes, one integer add per value, widening each accumulator's
+    /// `min`/`max` as it goes; a stray (see [`lane_term`]) goes to its
+    /// accumulator whole instead. Returns how many values the lanes took,
+    /// or `None` — nothing done — when the aggregate has no lanes (or there
+    /// is no group yet).
+    #[inline(never)] // the lane loop wants the registers to itself
+    fn add_to_lanes(
+        &mut self,
+        agg: usize,
+        values: &[f64],
+        selected: &[(u32, u32)],
+    ) -> Option<usize> {
+        let unit = self.lane_units[agg]?;
+        let (powers, n_aggs) = (lane_powers(unit), self.n_aggs);
+        let len = self.lanes.len().min(self.accs.len());
+        let (lanes, accs) = (self.lanes.get_mut(agg..len)?, &mut self.accs[agg..len]);
+        let mut any_stray = 0;
+        for &(row, slot) in selected {
+            let x = values[row as usize];
+            let (term, stray) = lane_term(x.to_bits(), powers);
+            any_stray |= stray;
+            let i = slot as usize * n_aggs;
+            lanes[i] += term;
+            if !(x >= accs[i].min && x <= accs[i].max) {
+                accs[i].widen(x);
+            }
+        }
+        if any_stray == 0 {
+            return Some(selected.len());
+        }
+        let mut strays = 0;
+        for &(row, slot) in selected {
+            let x = values[row as usize];
+            if lane_term(x.to_bits(), powers).1 != 0 {
+                lanes[slot as usize * n_aggs] -= 1;
+                accs[slot as usize * n_aggs].update(Some(x));
+                strays += 1;
+            }
+        }
+        Some(selected.len() - strays)
+    }
+}
+
+/// Folds `lanes` into `accs` — their own accumulators, or a copy of them —
+/// both starting at a group boundary. (Only a placed lane is ever non-zero.)
+fn fold_lanes(lanes: &[i128], units: &[Option<u32>], accs: &mut [Accumulator]) {
+    for ((acc, &lane), unit) in accs.iter_mut().zip(lanes).zip(units.iter().cycle()) {
+        acc.fold_lane(lane, unit.unwrap_or(0));
     }
 }
 
@@ -345,7 +413,10 @@ impl PartialAggregation {
             n_aggs: query.aggregates.len(),
             keys: Vec::new(),
             accs: Vec::new(),
-            marked: Vec::new(),
+            lanes: Vec::new(),
+            lane_units: vec![None; query.aggregates.len()],
+            lane_adds: 0,
+            rows: Vec::new(),
         };
         PartialAggregation {
             query,
@@ -436,7 +507,8 @@ impl PartialAggregation {
                 *dst = cells[slot].group_code();
             }
             let group = groups.at_key(map, GroupKey::from_codes(&codes));
-            groups.marked[group] = true;
+            groups.rows[group * 2] += u64::from(is_t);
+            groups.rows[group * 2 + 1] += u64::from(is_r);
             let first = group * 2 * n_aggs;
             let (target, second) = groups.accs[first..first + 2 * n_aggs].split_at_mut(n_aggs);
             for (agg, &slot) in measure_slots.iter().enumerate() {
@@ -459,7 +531,8 @@ impl PartialAggregation {
         stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
-    /// Picks the vectorized path's group index on the first batch:
+    /// Places the lanes and picks the vectorized path's group index on the
+    /// first batch:
     ///
     /// * one categorical attribute of cardinality ≤
     ///   [`DENSE_CARDINALITY_MAX`] → the growable single-attribute
@@ -473,6 +546,13 @@ impl PartialAggregation {
     fn ensure_group_index(&mut self, table: &dyn Table) {
         if !matches!(self.dense, DenseIndex::Undecided) {
             return;
+        }
+        // Lanes span the binades under each measure's largest magnitude.
+        let units = self.groups.lane_units.iter_mut();
+        for (unit, aggregate) in units.zip(&self.query.aggregates) {
+            let stats = table.stats(aggregate.measure);
+            let (low, high) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
+            *unit = lane_unit((low.abs().max(high.abs()).to_bits() >> 52) as u32);
         }
         // The dense-vs-hash decision is the cost model's — the planner
         // calls the same function, so EXPLAIN can never disagree with what
@@ -541,6 +621,7 @@ impl PartialAggregation {
         let mut rows = 0u64;
         let mut target_rows = 0u64;
         let mut updates = 0u64;
+        let mut lane_updates = 0u64;
 
         // Per-batch scratch, reused across batches.
         let mut t_bits = Bitmap::new();
@@ -567,15 +648,16 @@ impl PartialAggregation {
                     r_bits.and_assign(&f_bits);
                 }
 
-                selected.clear();
+                // Which side a row feeds is data, not a pattern: both
+                // entries are written and the side bits move the cursor.
+                selected.resize(2 * batch.len(), (0, 0));
+                let mut owed = 0;
                 let mut select = |row: usize, group: usize, is_t: bool, is_r: bool| {
-                    if is_t {
-                        target_rows += 1;
-                        selected.push((row as u32, group as u32 * 2));
-                    }
-                    if is_r {
-                        selected.push((row as u32, group as u32 * 2 + 1));
-                    }
+                    target_rows += u64::from(is_t);
+                    selected[owed] = (row as u32, group as u32 * 2);
+                    owed += usize::from(is_t);
+                    selected[owed] = (row as u32, group as u32 * 2 + 1);
+                    owed += usize::from(is_r);
                 };
                 match dense {
                     DenseIndex::Single { slots } => {
@@ -663,39 +745,29 @@ impl PartialAggregation {
                     }
                 }
 
-                // A row reaches its group without leaving a count on the
-                // first aggregate only through a NULL measure: such batches
-                // mark the groups they reach by hand.
-                let counts_show = measure_slots.first().is_some_and(|&slot| {
-                    let col = batch.column(slot);
-                    col.validity.is_none() && !matches!(col.data, BatchData::Cat(_))
-                });
-                if !counts_show {
-                    for &(_, gs) in &selected {
-                        groups.marked[gs as usize / 2] = true;
-                    }
+                selected.truncate(owed);
+                if groups.lane_adds + selected.len() as u32 > LANE_BUDGET {
+                    groups.fold_lanes();
+                }
+                groups.lane_adds += selected.len() as u32;
+                for &(_, slot) in &selected {
+                    groups.rows[slot as usize] += 1;
                 }
 
-                // One loop per aggregate: the measure's slice streams
-                // through while its accumulators (one per slot) stay hot.
-                // A dense `f64` column (the overwhelmingly common measure
-                // shape) skips the `BatchData` dispatch.
+                // One loop per aggregate: a dense `f64` column (the common
+                // measure shape) streams into its lanes, one per slot;
+                // anything else feeds the accumulators a value at a time.
                 updates += (selected.len() * n_aggs) as u64;
                 for (agg, &slot) in measure_slots.iter().enumerate() {
                     let col = batch.column(slot);
-                    let accs = &mut groups.accs[..];
-                    match (col.data, col.validity) {
-                        (BatchData::Float(values), None) => {
-                            for &(row, gs) in &selected {
-                                accs[gs as usize * n_aggs + agg].update(Some(values[row as usize]));
-                            }
+                    if let (BatchData::Float(values), None) = (col.data, col.validity) {
+                        if let Some(taken) = groups.add_to_lanes(agg, values, &selected) {
+                            lane_updates += taken as u64;
+                            continue;
                         }
-                        _ => {
-                            for &(row, gs) in &selected {
-                                accs[gs as usize * n_aggs + agg]
-                                    .update(col.value_f64(row as usize));
-                            }
-                        }
+                    }
+                    for &(row, gs) in &selected {
+                        groups.accs[gs as usize * n_aggs + agg].update(col.value_f64(row as usize));
                     }
                 }
             },
@@ -707,6 +779,7 @@ impl PartialAggregation {
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
         stats.accumulator_updates += updates;
+        stats.fixed_lane_updates += lane_updates;
         stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
@@ -768,20 +841,32 @@ impl PartialAggregation {
             std::mem::swap(&mut self.groups, &mut other.groups);
             return;
         }
+        // Lanes of one scale add up as they are, within one budget; lanes
+        // of another (a partial fed another table) are folded first.
+        if self.groups.lane_units != other.groups.lane_units {
+            other.groups.fold_lanes();
+        }
+        if self.groups.lane_adds + other.groups.lane_adds > LANE_BUDGET {
+            self.groups.fold_lanes();
+        }
+        self.groups.lane_adds += std::mem::take(&mut other.groups.lane_adds);
         let per_group = 2 * self.groups.n_aggs;
         for group in 0..other.groups.len() {
             if !other.groups.reached(group) {
                 continue;
             }
-            other.groups.marked[group] = false;
             let into = self.group_for_key(&other.groups.keys[group]);
-            self.groups.marked[into] = true;
-            let first = into * per_group;
-            let theirs = &mut other.groups.accs[group * per_group..][..per_group];
-            for (mine, theirs) in self.groups.accs[first..][..per_group]
-                .iter_mut()
-                .zip(theirs)
-            {
+            for side in 0..2 {
+                self.groups.rows[into * 2 + side] +=
+                    std::mem::take(&mut other.groups.rows[group * 2 + side]);
+            }
+            let (mine, theirs) = (into * per_group.., group * per_group..);
+            let lanes = other.groups.lanes[theirs.clone()][..per_group].iter_mut();
+            for (mine, theirs) in self.groups.lanes[mine.clone()].iter_mut().zip(lanes) {
+                *mine += std::mem::take(theirs);
+            }
+            let accs = other.groups.accs[theirs][..per_group].iter_mut();
+            for (mine, theirs) in self.groups.accs[mine].iter_mut().zip(accs) {
                 mine.merge(theirs);
                 theirs.reset();
             }
@@ -811,11 +896,12 @@ impl PartialAggregation {
         self.target_rows = 0;
         let reference_includes_target = self.split.reference_includes_target();
         let n_aggs = self.groups.n_aggs;
+        self.groups.fold_lanes();
         for group in 0..self.groups.len() {
             if !self.groups.reached(group) {
                 continue;
             }
-            self.groups.marked[group] = false;
+            self.groups.rows[group * 2..][..2].fill(0);
             let sides = &mut self.groups.accs[group * 2 * n_aggs..][..2 * n_aggs];
             let (target, reference) = sides.split_at_mut(n_aggs);
             if reference_includes_target {
@@ -860,17 +946,22 @@ impl PartialAggregation {
         let groups: Vec<GroupEntry> = (0..self.groups.len())
             .filter(|&group| self.groups.reached(group))
             .map(|group| {
-                let sides = &self.groups.accs[group * 2 * n_aggs..][..2 * n_aggs];
-                let (target, second) = sides.split_at(n_aggs);
-                let mut reference = second.to_vec();
+                let sides = group * 2 * n_aggs..(group + 1) * 2 * n_aggs;
+                let mut target = self.groups.accs[sides.clone()].to_vec();
+                fold_lanes(
+                    &self.groups.lanes[sides],
+                    &self.groups.lane_units,
+                    &mut target,
+                );
+                let mut reference = target.split_off(n_aggs);
                 if self.split.reference_includes_target() {
-                    for (r, t) in reference.iter_mut().zip(target) {
+                    for (r, t) in reference.iter_mut().zip(&target) {
                         r.merge(t);
                     }
                 }
                 GroupEntry {
                     key: self.groups.keys[group].clone(),
-                    target: target.to_vec(),
+                    target,
                     reference,
                 }
             })
@@ -1384,6 +1475,83 @@ mod tests {
             assert_eq!(drained[2], vec![(0, 24.0, 24.0)]);
             assert_eq!(agg.num_groups(), 3);
             assert_eq!(agg.finalize().num_groups(), 0);
+        }
+    }
+
+    #[test]
+    fn lanes_hold_a_batch_until_a_fold_and_read_zero_after_a_drain() {
+        let t = census_mini(StoreKind::Column);
+        let q = CombinedQuery::single(
+            ColumnId(0),
+            AggSpec::new(AggFunc::Sum, ColumnId(2)),
+            SplitSpec::TargetVsAll(unmarried(t.as_ref())),
+        );
+        let mut agg = PartialAggregation::new(q.clone());
+        let mut stats = ExecStats::default();
+        agg.update(t.as_ref(), 0..6, &mut stats);
+        // Six rows, one side each, all through the lanes: nothing has
+        // reached an accumulator's count or sum yet.
+        assert_eq!(
+            (stats.accumulator_updates, stats.fixed_lane_updates),
+            (6, 6)
+        );
+        assert_eq!(
+            agg.groups.lanes.iter().filter(|&&lane| lane != 0).count(),
+            4
+        );
+        assert!(agg.groups.accs.iter().all(|acc| acc.count == 0));
+        assert_eq!(agg.groups.rows, vec![2, 1, 1, 2]);
+        // A snapshot folds copies; a drain folds, hands over and empties.
+        let snapshot = agg.snapshot();
+        assert!(agg.groups.accs.iter().all(|acc| acc.count == 0));
+        assert_eq!(
+            snapshot.value_vectors(0),
+            (vec![1020.0, 480.0], vec![1320.0, 1840.0])
+        );
+        assert_eq!(agg.drain_result(), snapshot);
+        assert!(agg.groups.lanes.iter().all(|&lane| lane == 0));
+        assert!(agg.groups.rows.iter().all(|&rows| rows == 0));
+        assert_eq!(agg.groups.lane_adds, 0);
+        // The scalar mode feeds the same row counts and no lane.
+        let mut scalar = PartialAggregation::with_mode(q, crate::ExecMode::Scalar);
+        let mut stats = ExecStats::default();
+        scalar.update(t.as_ref(), 0..6, &mut stats);
+        assert_eq!(
+            (stats.accumulator_updates, stats.fixed_lane_updates),
+            (6, 0)
+        );
+        assert_eq!(scalar.groups.rows, vec![2, 1, 1, 2]);
+        assert_eq!(scalar.finalize(), snapshot);
+    }
+
+    #[test]
+    fn a_group_side_slot_costs_a_lane_per_aggregate_and_a_row_count() {
+        // What a live aggregation allocates per group-side slot: an
+        // accumulator (≤ 80 B) and a lane (16 B) per aggregate, and one row
+        // count (8 B) — whichever index found the groups.
+        let t = census_mini(StoreKind::Column);
+        for (group_by, n_groups) in [(vec![ColumnId(0)], 2), (vec![ColumnId(0), ColumnId(1)], 4)] {
+            for n_aggs in [1, 8] {
+                let q = CombinedQuery {
+                    group_by: group_by.clone(),
+                    aggregates: vec![AggSpec::new(AggFunc::Avg, ColumnId(2)); n_aggs],
+                    filter: None,
+                    split: SplitSpec::TargetVsAll(unmarried(t.as_ref())),
+                };
+                for mode in crate::ExecMode::ALL {
+                    let mut agg = PartialAggregation::with_mode(q.clone(), mode);
+                    agg.update(t.as_ref(), 0..6, &mut ExecStats::default());
+                    let (groups, slots) = (&agg.groups, 2 * n_groups);
+                    assert_eq!(groups.len(), n_groups);
+                    assert_eq!(groups.rows.len(), slots);
+                    assert_eq!(groups.accs.len(), slots * n_aggs);
+                    assert_eq!(groups.lanes.len(), slots * n_aggs);
+                    let bytes = std::mem::size_of_val(&groups.accs[..])
+                        + std::mem::size_of_val(&groups.lanes[..])
+                        + std::mem::size_of_val(&groups.rows[..]);
+                    assert!(bytes <= slots * (n_aggs * (80 + 16) + 8), "{bytes}");
+                }
+            }
         }
     }
 

@@ -73,8 +73,9 @@ impl<'a> ScanSession<'a> {
     /// deadline of every scan; when `trace` is enabled, each worker that
     /// claims at least one morsel of a scan emits one aggregated `morsels`
     /// span on trace lane `1 + worker` (start = the worker's first claim,
-    /// duration = its summed busy time, with the morsel count as a span
-    /// argument). A disabled trace costs one branch per morsel and
+    /// duration = its summed busy time, with the morsel count, the
+    /// accumulator updates and the share of them that were fixed-point lane
+    /// adds as span arguments). A disabled trace costs one branch per morsel and
     /// allocates nothing; results are bit-identical either way.
     pub fn new(
         pool: &'a Pool<'a>,
@@ -167,10 +168,19 @@ impl<'a> ScanSession<'a> {
             let mut slot = partials[job][worker].lock();
             let partial = slot.get_or_insert_with(|| fresh(job));
             partial.scanned = true;
+            let before = (
+                partial.stats.accumulator_updates,
+                partial.stats.fixed_lane_updates,
+            );
             partial
                 .agg
                 .update(table, morsel.clone(), &mut partial.stats);
-            probes.record(worker, probe_start);
+            probes.record(
+                worker,
+                probe_start,
+                partial.stats.accumulator_updates - before.0,
+                partial.stats.fixed_lane_updates - before.1,
+            );
         });
         probes.emit(&self.trace, "morsels");
         if cancel.is_expired() {

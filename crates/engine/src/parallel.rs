@@ -372,6 +372,8 @@ struct ProbeSlot {
     first: Option<Instant>,
     busy: Duration,
     items: u64,
+    updates: u64,
+    lane_updates: u64,
 }
 
 /// Per-worker busy-time probes for tracing a [`Pool::run`] fan-out as one
@@ -411,8 +413,10 @@ impl WorkerProbes {
         self.is_enabled().then(Instant::now)
     }
 
-    /// Folds one finished work item into `worker`'s slot.
-    pub fn record(&self, worker: usize, start: Option<Instant>) {
+    /// Folds one finished work item into `worker`'s slot, with the
+    /// accumulator updates it made and how many of them were lane adds
+    /// (see [`crate::ExecStats::fixed_lane_updates`]).
+    pub fn record(&self, worker: usize, start: Option<Instant>, updates: u64, lane_updates: u64) {
         let Some(start) = start else { return };
         let Some(slot) = self.slots.get(worker) else {
             return;
@@ -421,11 +425,13 @@ impl WorkerProbes {
         slot.first.get_or_insert(start);
         slot.busy += start.elapsed();
         slot.items += 1;
+        slot.updates += updates;
+        slot.lane_updates += lane_updates;
     }
 
     /// Emits one span per worker that claimed work: lane `1 + worker`,
-    /// start = first claim, duration = summed busy time, with the item
-    /// count as an argument.
+    /// start = first claim, duration = summed busy time, with the item and
+    /// update counts as arguments.
     pub fn emit(&self, trace: &TraceCtx, name: &'static str) {
         for (worker, slot) in self.slots.iter().enumerate() {
             let slot = slot.lock();
@@ -438,6 +444,8 @@ impl WorkerProbes {
                 vec![
                     ("worker", worker.to_string()),
                     ("items", slot.items.to_string()),
+                    ("accumulator_updates", slot.updates.to_string()),
+                    ("fixed_lane_updates", slot.lane_updates.to_string()),
                 ],
             );
         }

@@ -14,9 +14,10 @@ use std::ops::AddAssign;
 /// (phase wall-clock timings and the executed plan's summary).
 ///
 /// Equality deliberately compares **only the eight work counters** — the
-/// profiling fields are wall-clock/host-dependent, and the bit-identity
-/// suites (cached vs uncached, planned vs fixed-knob) must not fail on
-/// timing noise or plan-summary differences.
+/// profiling fields are wall-clock-, host- or mode-dependent, and the
+/// bit-identity suites (cached vs uncached, planned vs fixed-knob, scalar
+/// vs vectorized) must not fail on timing noise, plan-summary differences
+/// or which path an update took.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Number of engine queries issued (paper: SQL queries sent to the DBMS).
@@ -33,6 +34,11 @@ pub struct ExecStats {
     /// cluster pays `rows × distinct aggregates` here, not `rows × views` —
     /// the quantity §4.1's combining exists to shrink.
     pub accumulator_updates: u64,
+    /// Of those, the updates that were one integer add into a fixed-point
+    /// lane (see [`crate::agg`]); the rest went through
+    /// [`crate::Accumulator::update`] one value at a time. A profiling
+    /// field: the scalar mode reports 0 for the same work.
+    pub fixed_lane_updates: u64,
     /// Maximum number of groups maintained by any single query — the
     /// memory-budget quantity of §4.1.
     pub groups_max: u64,
@@ -64,6 +70,7 @@ impl ExecStats {
         self.rows_scanned += other.rows_scanned;
         self.cells_visited += other.cells_visited;
         self.accumulator_updates += other.accumulator_updates;
+        self.fixed_lane_updates += other.fixed_lane_updates;
         self.groups_max = self.groups_max.max(other.groups_max);
         self.partitions_scanned += other.partitions_scanned;
         self.partitions_pruned += other.partitions_pruned;
@@ -101,12 +108,13 @@ impl fmt::Display for ExecStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "queries={} scans={} rows={} cells={} acc_updates={} max_groups={} parts_scanned={} parts_pruned={}",
+            "queries={} scans={} rows={} cells={} acc_updates={} lane_updates={} max_groups={} parts_scanned={} parts_pruned={}",
             self.queries_issued,
             self.scan_passes,
             self.rows_scanned,
             self.cells_visited,
             self.accumulator_updates,
+            self.fixed_lane_updates,
             self.groups_max,
             self.partitions_scanned,
             self.partitions_pruned
@@ -126,6 +134,7 @@ mod tests {
             rows_scanned: 100,
             cells_visited: 300,
             accumulator_updates: 800,
+            fixed_lane_updates: 700,
             groups_max: 10,
             partitions_scanned: 3,
             partitions_pruned: 1,
@@ -137,6 +146,7 @@ mod tests {
             rows_scanned: 50,
             cells_visited: 100,
             accumulator_updates: 50,
+            fixed_lane_updates: 50,
             groups_max: 25,
             partitions_scanned: 2,
             partitions_pruned: 6,
@@ -148,6 +158,7 @@ mod tests {
         assert_eq!(a.rows_scanned, 150);
         assert_eq!(a.cells_visited, 400);
         assert_eq!(a.accumulator_updates, 850);
+        assert_eq!(a.fixed_lane_updates, 750);
         assert_eq!(a.groups_max, 25);
         assert_eq!(a.partitions_scanned, 5);
         assert_eq!(a.partitions_pruned, 7);
@@ -173,6 +184,7 @@ mod tests {
         let mut b = a.clone();
         b.phase_times_us = vec![1, 2, 3];
         b.plan_summary = "workers=1".to_owned();
+        b.fixed_lane_updates = 10;
         assert_eq!(a, b);
         b.rows_scanned = 11;
         assert_ne!(a, b);
@@ -195,6 +207,7 @@ mod tests {
             rows_scanned: 3,
             cells_visited: 4,
             accumulator_updates: 8,
+            fixed_lane_updates: 9,
             groups_max: 5,
             partitions_scanned: 6,
             partitions_pruned: 7,
@@ -207,6 +220,7 @@ mod tests {
             "rows=3",
             "cells=4",
             "acc_updates=8",
+            "lane_updates=9",
             "max_groups=5",
             "parts_scanned=6",
             "parts_pruned=7",

@@ -14,9 +14,21 @@
 //! a third property builds the two sides of a merge on purpose — same
 //! window, windows one chunk apart, windows that share no chunk, a spilled
 //! side, an empty side — and a fixed test walks the carry-budget edge.
+//!
+//! The vectorized scan adds most values to fixed-point *lanes* first and
+//! folds those into the accumulators later, so the last part of the suite
+//! sends multisets through a real batched aggregation — bands the lanes
+//! take whole, bands one binade wider than a lane, values no lane takes
+//! (subnormals, `-0.0`, ±∞, NaN) in the middle of a batch, cancellation at
+//! 2¹⁰⁰⁰, a lane's add budget to its edge — and checks every group against
+//! the same oracle.
 
 use proptest::prelude::*;
-use seedb_engine::Accumulator;
+use seedb_engine::{
+    execute_combined_with_mode, Accumulator, AggFunc, AggSpec, CombinedQuery, ExecMode, ExecStats,
+    GroupedResult, Predicate, SplitSpec,
+};
+use seedb_storage::{ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 
 /// Error-free transformation: `a + b = s + err` exactly (Knuth's TwoSum).
 fn two_sum(a: f64, b: f64) -> (f64, f64) {
@@ -307,6 +319,88 @@ fn side(values: &[f64], spill: bool) -> (Accumulator, Vec<f64>) {
     (acc, fed)
 }
 
+/// `SUM(m) GROUP BY g` over `values` — value `i` in group `i % groups` —
+/// through the batched (lane) path of the engine, on a column store whose
+/// partitions hold `partition_rows` rows.
+fn sum_through_lanes(
+    values: &[f64],
+    groups: usize,
+    partition_rows: usize,
+) -> (GroupedResult, ExecStats) {
+    let mut b = TableBuilder::new(vec![ColumnDef::dim("g"), ColumnDef::measure("m")])
+        .with_partition_rows(partition_rows);
+    for (i, &x) in values.iter().enumerate() {
+        b.push_row(&[Value::str(format!("g{}", i % groups)), Value::Float(x)])
+            .unwrap();
+    }
+    let table = b.build(StoreKind::Column).unwrap();
+    let query = CombinedQuery::single(
+        ColumnId(0),
+        AggSpec::new(AggFunc::Sum, ColumnId(1)),
+        SplitSpec::TargetOnly(Predicate::True),
+    );
+    let mut stats = ExecStats::new();
+    let result =
+        execute_combined_with_mode(table.as_ref(), &query, ExecMode::Vectorized, &mut stats);
+    (result, stats)
+}
+
+/// Checks every group of [`sum_through_lanes`] against the oracle and
+/// against an accumulator fed one value at a time. Returns the share of
+/// the values that went through a lane.
+fn check_through_lanes(values: &[f64], groups: usize, partition_rows: usize) -> f64 {
+    let (result, stats) = sum_through_lanes(values, groups, partition_rows);
+    assert_eq!(result.num_groups(), groups.min(values.len()));
+    // Groups sort by dictionary code, which is first-seen order: i % groups.
+    for (g, entry) in result.groups.iter().enumerate() {
+        let own: Vec<f64> = values.iter().skip(g).step_by(groups).copied().collect();
+        let got = &entry.target[0];
+        let expected = if own.iter().all(|x| x.is_finite()) {
+            oracle_sum(&own)
+        } else {
+            own.iter().sum() // ±∞ and NaN follow IEEE: saturate or poison
+        };
+        assert!(
+            got.sum().to_bits() == expected.to_bits() || (got.sum().is_nan() && expected.is_nan()),
+            "group {g}: lanes {:e} vs oracle {expected:e} over {own:?}",
+            got.sum()
+        );
+        assert_eq!(got, &sequential(&own), "group {g} over {own:?}");
+    }
+    assert_eq!(stats.accumulator_updates, values.len() as u64);
+    stats.fixed_lane_updates as f64 / values.len().max(1) as f64
+}
+
+/// Exponent field of the largest magnitude in a test column: its lanes
+/// take fields `TOP - 36 ..= TOP`.
+const TOP: u64 = 1040;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random multisets through the lanes: a band a lane takes whole, or
+    /// one the full-range draws keep straying from, in one to three groups
+    /// over one or several batches and partitions.
+    #[test]
+    fn lane_sums_match_shewchuk(
+        wide in arb_items(0, 2038, 48),
+        narrow in arb_band(1500),
+        field in prop_oneof![Just(1), Just(990u64), Just(2030)],
+        mix in any::<bool>(),
+        layout in (1usize..4, prop_oneof![Just(64usize), Just(1 << 16)]),
+        order in prop::collection::vec(any::<u32>(), 1..64),
+    ) {
+        let (groups, partition_rows) = layout;
+        let mut values = band(&narrow, field);
+        if mix {
+            values.extend(expand(&wide));
+        }
+        let values = permuted(&values, &order);
+        let share = check_through_lanes(&values, groups, partition_rows);
+        prop_assert!(mix || values.is_empty() || share == 1.0, "a 12-binade band strayed: {}", share);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -384,6 +478,124 @@ proptest! {
         let scaled: Vec<f64> = values.iter().map(|x| x * down).collect();
         let expected = oracle_sum(&scaled) * 2f64.powi(70);
         check_all_shapes(&values, expected, &shape.0, &shape.1);
+    }
+}
+
+/// A lane spans the 36 binades under the column's largest magnitude: values
+/// in the lowest of them go through it, values one binade further down are
+/// strays — and either way the sums are the oracle's.
+#[test]
+fn the_lane_limit_and_one_binade_over_match_shewchuk() {
+    let column = |fields: &[u64]| -> Vec<f64> {
+        let first = (0..1024).map(|i| float(i % 2 == 0, TOP - (i % 5), 0xD1B5_4A32 * i));
+        let rest = fields.iter().cycle().take(3000).enumerate();
+        first
+            .chain(rest.map(|(i, &field)| float(i % 3 == 0, field, 0x9E37_79B9 * i as u64)))
+            .collect()
+    };
+    for groups in [1, 3] {
+        let inside = column(&[TOP - 36, TOP - 1, TOP - 13, TOP]);
+        assert_eq!(check_through_lanes(&inside, groups, 1 << 16), 1.0);
+        let below = column(&[TOP - 37, TOP - 36, TOP, TOP]);
+        assert_eq!(
+            check_through_lanes(&below, groups, 1 << 16),
+            3274.0 / 4024.0
+        );
+        // Mostly below: strays are taken value by value, so the quarter
+        // that fits still goes through the lanes.
+        let far = column(&[TOP - 37, TOP - 40, TOP - 90, TOP]);
+        assert_eq!(check_through_lanes(&far, groups, 1 << 16), 1774.0 / 4024.0);
+    }
+}
+
+/// What no lane takes, in the middle of batches that otherwise go through
+/// one: subnormals, `-0.0` (alone in a group, and among other values) and
+/// NaN — and ±∞, which the table's statistics report, so that such a column
+/// gets no lanes at all; then cancellation at 2¹⁰⁰⁰ with alternating signs.
+#[test]
+fn strays_and_cancellation_through_the_lanes_match_shewchuk() {
+    let ordinary = |i: usize| {
+        float(
+            i.is_multiple_of(2),
+            1023 + (i % 9) as u64,
+            0xD1B5_4A32 * i as u64,
+        )
+    };
+    let tiny = [
+        f64::from_bits(1),
+        -f64::from_bits(0xF_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE / 4.0,
+    ];
+    for strays in [
+        &tiny[..],
+        &[-0.0][..],
+        &[f64::NAN],
+        &[f64::INFINITY],
+        &[f64::NEG_INFINITY, f64::NAN],
+    ] {
+        for groups in [1, 2, 3] {
+            let mut values: Vec<f64> = (0..2500).map(ordinary).collect();
+            for (k, &stray) in strays.iter().cycle().take(40).enumerate() {
+                values[500 + 37 * k] = stray;
+            }
+            let share = check_through_lanes(&values, groups, 1 << 16);
+            let lanes = strays.iter().all(|x| !x.is_infinite());
+            assert_eq!(
+                share,
+                if lanes { 2460.0 / 2500.0 } else { 0.0 },
+                "{strays:?}"
+            );
+        }
+    }
+    // Group 1 of 2 sees nothing but -0.0 (its sum must be -0.0); group 0
+    // sees zeros of both signs among ordinary values.
+    let values: Vec<f64> = (0..3000)
+        .map(|i| match i % 4 {
+            1 | 3 => -0.0,
+            0 => 0.0,
+            _ => ordinary(i),
+        })
+        .collect();
+    check_through_lanes(&values, 2, 1 << 16);
+    check_through_lanes(&vec![-0.0; 1500], 1, 64);
+    check_through_lanes(&vec![0.0; 1500], 1, 64);
+
+    // ±(2¹⁰⁰⁰ · (1 + k · 2⁻⁵²)), signs alternating: the exact sum is a few
+    // thousand ULPs of 2¹⁰⁰⁰, 2⁵⁰ below any addend.
+    let values: Vec<f64> = (0..4000u64)
+        .map(|k| float(k % 2 == 1, 1000 + 1023, k * 7 % 4096))
+        .collect();
+    for groups in [1, 2, 3] {
+        assert_eq!(check_through_lanes(&values, groups, 1 << 16), 1.0);
+    }
+}
+
+/// The analogue of the carry-budget edge for a lane: it may absorb
+/// 2¹⁸ − 1 = 262 143 values between folds (its low 18 bits count them).
+/// One group takes a few values more than that, all of the column's largest
+/// magnitude, so a scan that skipped the budget check would carry the
+/// count into the sum; compared with integer arithmetic (`n · (2⁵³ − 1)`
+/// is exact in `u128`, `as f64` rounds it half-to-even, the scale is a
+/// power of two) and with the oracle.
+#[test]
+fn a_lane_walked_to_its_add_budget_is_exact() {
+    const BUDGET: usize = (1 << 18) - 1;
+    let mantissa = (1u128 << 53) - 1;
+    let x = float(false, TOP + 6, u64::MAX); // (2⁵³ − 1) · 2^(TOP + 6 − 1075)
+    for (n, sign) in [
+        (BUDGET - 1, 1.0),
+        (BUDGET, -1.0),
+        (BUDGET + 1, 1.0),
+        (2 * BUDGET + 3, -1.0),
+    ] {
+        let mut values = vec![float(false, TOP, 0)];
+        values.extend(std::iter::repeat_n(sign * x, n));
+        assert_eq!(check_through_lanes(&values, 1, 1 << 20), 1.0);
+
+        let (result, _) = sum_through_lanes(&values[1..], 1, 1 << 20);
+        let exact = (n as u128 * mantissa) as f64 * 2f64.powi(TOP as i32 + 6 - 1075);
+        assert_eq!(result.groups[0].target[0].sum(), sign * exact, "{n} adds");
+        assert_eq!(result.groups[0].target[0].count, n as u64);
     }
 }
 

@@ -6,12 +6,16 @@
 //! 2. multi-GROUP-BY queries + rollup ≡ direct single-attribute queries,
 //! 3. combined target/reference execution ≡ two separate `TargetOnly` runs,
 //! 4. phased (partitioned) execution ≡ one-shot execution,
-//! 5. ROW and COL layouts agree.
+//! 5. ROW and COL layouts agree,
+//! 6. 1–3 hold bit for bit against the serial scalar engine when a measure
+//!    changes magnitude mid-scan (the vectorized path's fixed-point lanes
+//!    stray, fold and are placed again) and only one of two measures has
+//!    NULLs.
 
 use proptest::prelude::*;
 use seedb_engine::{
-    execute_combined, rollup, AggFunc, AggSpec, CombinedQuery, ExecStats, GroupedResult,
-    PartialAggregation, Predicate, SplitSpec,
+    execute_combined, execute_combined_with_mode, rollup, AggFunc, AggSpec, CombinedQuery,
+    ExecMode, ExecStats, GroupedResult, PartialAggregation, Predicate, SplitSpec,
 };
 use seedb_storage::{
     BoxedTable, ColumnDef, ColumnId, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -227,6 +231,80 @@ proptest! {
         prop_assert_eq!(a.num_groups(), b.num_groups());
         for agg in 0..2 {
             prop_assert!(vectors_close(&a.value_vectors(agg), &b.value_vectors(agg)));
+        }
+    }
+}
+
+/// `a | b | c | m | p` over `rows` rows: `m` is NULL-free and `tiny` times
+/// smaller before row `jump` than after it; `p` is NULL on every fifth row.
+fn jumping_table(rows: usize, jump: usize, tiny: f64, seed: u64, kind: StoreKind) -> BoxedTable {
+    let mut b = TableBuilder::new(vec![
+        ColumnDef::dim("a"),
+        ColumnDef::dim("b"),
+        ColumnDef::dim("c"),
+        ColumnDef::new("m", ColumnType::Float64, ColumnRole::Measure),
+        ColumnDef::new("p", ColumnType::Float64, ColumnRole::Measure),
+    ]);
+    let mut state = seed | 1;
+    for i in 0..rows {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let x = ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 200.0;
+        b.push_row(&[
+            Value::str(format!("a{}", state % 4)),
+            Value::str(format!("b{}", (state >> 8) % 3)),
+            Value::str(format!("c{}", (state >> 16) % 5)),
+            Value::Float(if i < jump { x * tiny } else { x }),
+            if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Float(x + 0.25)
+            },
+        ])
+        .unwrap();
+    }
+    b.build(kind).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sharing_rewrites_hold_bitwise_across_lane_seams(
+        rows in 1usize..4000,
+        jump in 0usize..4000,
+        tiny in prop_oneof![Just(1.0), Just(1e-9), Just(1e-30), Just(1e-250)],
+        seed in any::<u64>(),
+        row_store in any::<bool>(),
+    ) {
+        let kind = if row_store { StoreKind::Row } else { StoreKind::Column };
+        let t = jumping_table(rows, jump, tiny, seed, kind);
+        let split = SplitSpec::TargetVsAll(target_pred(t.as_ref()));
+        let run = |q: &CombinedQuery, mode| execute_combined_with_mode(t.as_ref(), q, mode, &mut ExecStats::new());
+        let aggregates = vec![
+            AggSpec::new(AggFunc::Sum, ColumnId(3)),
+            AggSpec::new(AggFunc::Avg, ColumnId(4)),
+            AggSpec::new(AggFunc::Max, ColumnId(3)),
+        ];
+
+        // One packed cluster, every aggregate and both sides in one scan …
+        let packed = run(
+            &CombinedQuery { group_by: vec![ColumnId(1), ColumnId(2)], aggregates: aggregates.clone(), filter: None, split: split.clone() },
+            ExecMode::Vectorized,
+        );
+        for (pos, dim) in [(0usize, 1u32), (1, 2)] {
+            let rolled = rollup(&packed, pos);
+            for (i, agg) in aggregates.iter().enumerate() {
+                // … against one serial scalar query per dimension and aggregate.
+                let direct = run(&CombinedQuery::single(ColumnId(dim), *agg, split.clone()), ExecMode::Scalar);
+                prop_assert_eq!(rolled.num_groups(), direct.num_groups());
+                for (r, d) in rolled.groups.iter().zip(&direct.groups) {
+                    prop_assert_eq!(&r.key, &d.key);
+                    prop_assert_eq!(&r.target[i], &d.target[0], "dim {} agg {} target", dim, i);
+                    prop_assert_eq!(&r.reference[i], &d.reference[0], "dim {} agg {} reference", dim, i);
+                }
+            }
         }
     }
 }

@@ -13,6 +13,13 @@
 //! [`ScanSession`] that drains one set of worker partials range after range
 //! must hand back, for every range, what a fresh scalar run of that range
 //! computes.
+//!
+//! The vectorized path sums NULL-free float measures in fixed-point lanes
+//! placed by the magnitudes of the first batch; the last property walks the
+//! seams of that: columns whose magnitude jumps between batches (strays,
+//! then a fold and a re-placed lane), partials with different lane scales
+//! merged, a partial drained and reused, and a validity bitmap on one
+//! measure only.
 
 use proptest::prelude::*;
 use seedb_engine::{
@@ -312,6 +319,201 @@ proptest! {
             prop_assert_eq!(scalar.target_rows(), vectorized.target_rows());
             prop_assert_eq!(scalar.num_groups(), vectorized.num_groups());
             prop_assert_identical!(scalar.snapshot(), vectorized.snapshot(), "snapshot");
+        }
+    }
+}
+
+/// Magnitude regime of one stretch of a measure column.
+#[derive(Debug, Clone, Copy)]
+enum Regime {
+    /// `scale · [-4, 4)`.
+    Around(f64),
+    /// Exponents spread over 80 binades: wider than any lane.
+    Wide,
+    /// ±0 and a few ordinary values.
+    Zeros,
+    /// Ordinary values with ±∞, NaN and subnormals sprinkled in.
+    Sprinkled,
+}
+
+fn arb_regime() -> BoxedStrategy<Regime> {
+    prop_oneof![
+        3 => Just(Regime::Around(1.0)),
+        2 => Just(Regime::Around(1e-200)),
+        2 => Just(Regime::Around(1e200)),
+        1 => Just(Regime::Around(3e5)),
+        1 => Just(Regime::Wide),
+        1 => Just(Regime::Zeros),
+        1 => Just(Regime::Sprinkled),
+    ]
+    .boxed()
+}
+
+/// Row `i`'s value under `regime`, from the 64 random bits `r`.
+fn regime_value(regime: Regime, r: u64) -> f64 {
+    let unit = (r >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+    let ordinary = (unit - 0.5) * 8.0;
+    match regime {
+        Regime::Around(scale) => ordinary * scale,
+        Regime::Wide => ordinary * 2f64.powi((r % 80) as i32 - 40),
+        Regime::Zeros => match r % 4 {
+            0 => -0.0,
+            1 | 2 => 0.0,
+            _ => ordinary,
+        },
+        Regime::Sprinkled => match r % 16 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            3 => f64::from_bits(r >> 13),
+            _ => ordinary,
+        },
+    }
+}
+
+/// A table `a | b | m | p`: two dimensions, a NULL-free float measure `m`
+/// and a float measure `p` that is NULL in some stretches only (so the ROW
+/// store's per-batch validity comes and goes). Each stretch — up to 1 500
+/// rows, around a batch — draws `m` and `p` from its own regimes.
+fn seam_table(
+    stretches: &[(usize, Regime, Regime, bool)],
+    seed: u64,
+    kind: StoreKind,
+) -> BoxedTable {
+    let mut b = TableBuilder::new(vec![
+        ColumnDef::dim("a"),
+        ColumnDef::dim("b"),
+        ColumnDef::new("m", ColumnType::Float64, ColumnRole::Measure),
+        ColumnDef::new("p", ColumnType::Float64, ColumnRole::Measure),
+    ]);
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for &(len, m_regime, p_regime, p_nulls) in stretches {
+        for _ in 0..len {
+            let r = next();
+            let p = if p_nulls && r % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Float(regime_value(p_regime, next()))
+            };
+            b.push_row(&[
+                Value::str(format!("a{}", r % 4)),
+                Value::str(format!("b{}", (r >> 8) % 3)),
+                Value::Float(regime_value(m_regime, next())),
+                p,
+            ])
+            .unwrap();
+        }
+    }
+    b.build(kind).unwrap()
+}
+
+fn arb_seam_query() -> BoxedStrategy<CombinedQuery> {
+    let leaf = || {
+        prop_oneof![
+            Just(Predicate::True),
+            (0u32..4).prop_map(|code| Predicate::CatEq {
+                col: ColumnId(0),
+                code
+            }),
+            prop::collection::vec(0u32..3, 0..3).prop_map(|codes| Predicate::CatIn {
+                col: ColumnId(1),
+                codes
+            }),
+            (-3.0f64..3.0).prop_map(|value| Predicate::NumCmp {
+                col: ColumnId(2),
+                op: CmpOp::Lt,
+                value,
+            }),
+        ]
+    };
+    let split = prop_oneof![
+        leaf().prop_map(SplitSpec::TargetVsAll),
+        leaf().prop_map(SplitSpec::TargetVsComplement),
+        (leaf(), leaf())
+            .prop_map(|(target, reference)| SplitSpec::TargetVsQuery { target, reference }),
+        leaf().prop_map(SplitSpec::TargetOnly),
+    ];
+    (any::<bool>(), split)
+        .prop_map(|(composite, split)| CombinedQuery {
+            group_by: if composite {
+                vec![ColumnId(0), ColumnId(1)]
+            } else {
+                vec![ColumnId(0)]
+            },
+            aggregates: vec![
+                AggSpec::new(AggFunc::Sum, ColumnId(2)),
+                AggSpec::new(AggFunc::Avg, ColumnId(3)),
+                AggSpec::new(AggFunc::Min, ColumnId(2)),
+                AggSpec::new(AggFunc::Max, ColumnId(3)),
+            ],
+            filter: None,
+            split,
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The seams of the fixed-point lanes, all bit-identical to one serial
+    /// scalar pass (`parallelism = 1`): magnitude jumps between stretches
+    /// of a column, phases cut anywhere, a partial merged into one that
+    /// placed its lanes by other magnitudes (both ways), a partial drained,
+    /// snapshotted and reused — a lane that kept anything across the drain
+    /// would show in the next range's result — and a validity bitmap that
+    /// covers one of the two measures in some batches only.
+    #[test]
+    fn lane_seams_equal_scalar(
+        stretches in prop::collection::vec(
+            (1usize..1500, arb_regime(), arb_regime(), any::<bool>()),
+            1..5,
+        ),
+        seed in any::<u64>(),
+        query in arb_seam_query(),
+        cuts in (0usize..6000, 1usize..5),
+    ) {
+        for kind in [StoreKind::Row, StoreKind::Column] {
+            let t = seam_table(&stretches, seed, kind);
+            let n = t.num_rows();
+            let scalar = run(&t, &query, ExecMode::Scalar, 1);
+            prop_assert_identical!(scalar, run(&t, &query, ExecMode::Vectorized, 1), format!("{kind} one-shot"));
+            prop_assert_identical!(scalar, run(&t, &query, ExecMode::Vectorized, cuts.1), format!("{kind} phased"));
+
+            // Two partials, each over its own side of `cut`, merged both ways.
+            let cut = cuts.0 % (n + 1);
+            let part = |range: std::ops::Range<usize>| {
+                let mut agg = PartialAggregation::with_mode(query.clone(), ExecMode::Vectorized);
+                agg.update(t.as_ref(), range, &mut ExecStats::new());
+                agg
+            };
+            let (mut low, mut high) = (part(0..cut), part(cut..n));
+            low.merge(&mut high);
+            prop_assert_eq!(high.touched_groups(), 0);
+            prop_assert_identical!(scalar, low.finalize(), format!("{kind} low<-high at {cut}"));
+            let (mut low, mut high) = (part(0..cut), part(cut..n));
+            high.merge(&mut low);
+            prop_assert_identical!(scalar, high.finalize(), format!("{kind} high<-low at {cut}"));
+
+            // One partial: range, snapshot, drain, next range.
+            let fresh = |range: std::ops::Range<usize>| {
+                let mut agg = PartialAggregation::with_mode(query.clone(), ExecMode::Scalar);
+                agg.update(t.as_ref(), range, &mut ExecStats::new());
+                agg.finalize()
+            };
+            let mut reused = PartialAggregation::with_mode(query.clone(), ExecMode::Vectorized);
+            for range in [0..cut, cut..n, 0..n] {
+                reused.update(t.as_ref(), range.clone(), &mut ExecStats::new());
+                let want = fresh(range.clone());
+                prop_assert_identical!(want, reused.snapshot(), format!("{kind} snapshot of {range:?}"));
+                prop_assert_identical!(want, reused.drain_result(), format!("{kind} drain of {range:?}"));
+                prop_assert_eq!(reused.touched_groups(), 0);
+            }
         }
     }
 }

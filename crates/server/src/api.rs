@@ -262,6 +262,7 @@ pub fn render_recommendation(dataset: &Dataset, rec: &Recommendation) -> Json {
                 .set("scan_passes", rec.stats.scan_passes)
                 .set("rows_scanned", rec.stats.rows_scanned)
                 .set("accumulator_updates", rec.stats.accumulator_updates)
+                .set("fixed_lane_updates", rec.stats.fixed_lane_updates)
                 .set("cells_visited", rec.stats.cells_visited)
                 .set("groups_max", rec.stats.groups_max)
                 .set("partitions_scanned", rec.stats.partitions_scanned)

@@ -1457,6 +1457,9 @@ mod tests {
         assert!(1 <= planned("aggregates") && planned("aggregates") <= planned("views"));
         let stat = |key: &str| j1.get("stats").unwrap().get(key).unwrap().as_u64().unwrap();
         assert!(stat("accumulator_updates") >= stat("rows_scanned"));
+        // … and how many of them took the engine's fast path.
+        assert!(0 < stat("fixed_lane_updates"));
+        assert!(stat("fixed_lane_updates") <= stat("accumulator_updates"));
         let times = ex.get("phase_times_us").unwrap().as_arr().unwrap();
         assert!(!times.is_empty(), "an executed run must report timings");
         assert!(ex.get("partitions_scanned").unwrap().as_u64().is_some());
