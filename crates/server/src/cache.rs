@@ -77,6 +77,11 @@ pub struct CacheStats {
     pub insertions: AtomicU64,
     /// Inserts rejected because a single entry exceeded the whole budget.
     pub rejected: AtomicU64,
+    /// Entries dropped because their dataset instance was replaced
+    /// ([`RecCache::purge_instance`]).
+    pub purged: AtomicU64,
+    /// Bytes those purged entries held.
+    pub purged_bytes: AtomicU64,
 }
 
 /// Memory-budgeted LRU over [`CacheValue`]s. All operations are
@@ -188,6 +193,35 @@ impl RecCache {
         inner.map.insert(key.to_owned(), Slot { value, size, tick });
         inner.bytes += size;
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops every response (`R|`) and partial (`P|`) entry of dataset
+    /// instance `instance` — an upload that was replaced, whose entries no
+    /// request can reach any more and which would otherwise sit in the
+    /// budget until LRU reached them. Returns the entries dropped; their
+    /// values are freed after the cache lock is released.
+    pub fn purge_instance(&self, instance: &str) -> usize {
+        let response = format!("R|{instance}|");
+        let partial = format!("P|{instance}|");
+        let mut inner = self.inner.lock();
+        let purged: Vec<(String, Slot)> = inner
+            .map
+            .extract_if(|key, _| key.starts_with(&response) || key.starts_with(&partial))
+            .collect();
+        let mut bytes = 0;
+        for (_, slot) in &purged {
+            inner.recency.remove(&slot.tick);
+            bytes += slot.size;
+        }
+        inner.bytes -= bytes;
+        drop(inner);
+        self.stats
+            .purged
+            .fetch_add(purged.len() as u64, Ordering::Relaxed);
+        self.stats
+            .purged_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        purged.len()
     }
 
     /// Drops every entry (counters are kept).
@@ -328,6 +362,36 @@ mod tests {
         // A response entry under the same raw key is not a partial.
         shared.put("P|DS@100|other", response("body"));
         assert!(a.get("other").is_none());
+    }
+
+    #[test]
+    fn purge_instance_drops_exactly_that_instances_entries() {
+        let cache = RecCache::new(100_000);
+        for key in [
+            "R|d@2#f01|sig",
+            "P|d@2#f01|view",
+            "R|d@2#f012|sig",
+            "R|d@3#f02|sig",
+            "P|e@2#f01|view",
+        ] {
+            cache.put(key, response("payload"));
+        }
+        let before = cache.bytes();
+        assert_eq!(cache.purge_instance("d@2#f01"), 2);
+        assert_eq!(
+            cache.keys_lru_order(),
+            vec!["R|d@2#f012|sig", "R|d@3#f02|sig", "P|e@2#f01|view"]
+        );
+        let purged_bytes = cache.stats().purged_bytes.load(Ordering::Relaxed) as usize;
+        assert_eq!(cache.bytes(), before - purged_bytes);
+        assert_eq!(
+            purged_bytes,
+            "R|d@2#f01|sig".len() + "P|d@2#f01|view".len() + 14
+        );
+        assert_eq!(cache.stats().purged.load(Ordering::Relaxed), 2);
+        // Nothing left under the instance: a second purge is a no-op.
+        assert_eq!(cache.purge_instance("d@2#f01"), 0);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //! names), listed by `GET /datasets`, and carry a content fingerprint
 //! ([`crate::csv::fingerprint`]) that keys their cross-request cache
 //! namespace ([`seedb_core::ingested_instance_signature`]) — re-uploading
-//! different bytes under the same name re-keys every cache entry.
+//! different bytes under the same name re-keys every cache entry, and
+//! [`Catalog::ingest`] reports the replaced instance so its entries can
+//! be purged. A request reads its table and that fingerprint in one
+//! lookup ([`Catalog::resolve`]), so a racing re-upload cannot pair one
+//! upload's results with the other's key.
 //!
 //! Every failure mode is a typed [`CatalogError`] with an HTTP status:
 //! unknown names and malformed CSV are client errors (400/404), oversized
@@ -82,6 +86,18 @@ struct Ingested {
     fingerprint: u64,
 }
 
+/// What one successful upload changed ([`Catalog::ingest`]).
+pub struct Ingest {
+    /// The dataset now served under the upload's name.
+    pub dataset: Arc<Dataset>,
+    /// Content fingerprint of the uploaded bytes.
+    pub fingerprint: u64,
+    /// `(rows, fingerprint)` of the upload this one replaced, when its
+    /// bytes differed: the instance whose cache entries no request can
+    /// reach any more. `None` for a first upload or identical bytes.
+    pub replaced: Option<(usize, u64)>,
+}
+
 /// Lazily populated, thread-safe dataset store.
 pub struct Catalog {
     /// Hard cap on rows per dataset instance (generated or ingested).
@@ -128,13 +144,11 @@ impl Catalog {
         self.max_rows
     }
 
-    /// Effective row count for a request: `requested` clamped to the cap,
-    /// or the default when unspecified. Ingested datasets are fixed-size;
-    /// their actual row count always wins.
-    pub fn resolve_rows(&self, name: &str, requested: Option<usize>) -> usize {
-        if let Some(rows) = self.ingested_rows(name) {
-            return rows;
-        }
+    /// Effective row count of a generated instance: `requested` clamped
+    /// to the cap and the dataset's full size, or the default when
+    /// unspecified. A pure function of the configuration: ingested
+    /// datasets, whose size is their own, never enter it.
+    pub fn generated_rows(&self, name: &str, requested: Option<usize>) -> usize {
         let full = table1()
             .into_iter()
             .find(|d| d.name == name)
@@ -146,16 +160,43 @@ impl Catalog {
             .min(full)
     }
 
+    /// The instance a request for `name` reads, with the content
+    /// fingerprint of an ingested one, taken in one lookup. A re-upload
+    /// racing the request therefore either precedes it entirely or not
+    /// at all: results computed on one table can never be keyed by the
+    /// other table's fingerprint. A generated instance (`None`) has
+    /// [`Catalog::generated_rows`] rows.
+    pub fn resolve(
+        &self,
+        name: &str,
+        requested: Option<usize>,
+    ) -> Result<(Arc<Dataset>, Option<u64>), CatalogError> {
+        let ingested = self
+            .ingested
+            .lock()
+            .get(name)
+            .map(|i| (i.dataset.clone(), i.fingerprint));
+        match ingested {
+            Some((dataset, fingerprint)) => Ok((dataset, Some(fingerprint))),
+            None => {
+                let rows = self.generated_rows(name, requested);
+                Ok((self.generated(name, rows)?, None))
+            }
+        }
+    }
+
     /// The dataset instance for `(name, rows)`. Ingested names resolve to
-    /// their (fixed-size) table; Table 1 names are generated on first use,
+    /// their (fixed-size) table; Table 1 names are generated on first use.
+    pub fn dataset(&self, name: &str, rows: usize) -> Result<Arc<Dataset>, CatalogError> {
+        self.resolve(name, Some(rows)).map(|(dataset, _)| dataset)
+    }
+
+    /// The Table 1 instance for `(name, rows)`, generated on first use,
     /// with `rows` clamped to the row cap (and the dataset's full size)
     /// *here*, where the expensive build happens — the cap must hold for
     /// every caller, not just the HTTP route that goes through
-    /// [`Catalog::resolve_rows`].
-    pub fn dataset(&self, name: &str, rows: usize) -> Result<Arc<Dataset>, CatalogError> {
-        if let Some(ds) = self.ingested_dataset(name) {
-            return Ok(ds);
-        }
+    /// [`Catalog::generated_rows`].
+    fn generated(&self, name: &str, rows: usize) -> Result<Arc<Dataset>, CatalogError> {
         let info = table1()
             .into_iter()
             .find(|d| d.name == name)
@@ -182,28 +223,36 @@ impl Catalog {
     }
 
     /// Ingests CSV text as dataset `name`, replacing any previous upload
-    /// under that name. The table is built partition-at-a-time (zone maps
-    /// sealed during load, like every other table); the canonical target
-    /// is the first dimension's first-interned label, so `/recommend`
-    /// works without a `where` the same way it does for Table 1 entries.
+    /// under that name ([`Catalog::ingest`] without the swap report).
     pub fn ingest_csv(&self, name: &str, text: &str) -> Result<Arc<Dataset>, CatalogError> {
-        let parsed = csv::parse_csv(text).map_err(CatalogError::BadCsv)?;
-        if parsed.rows.is_empty() {
+        self.ingest(name, text).map(|ingest| ingest.dataset)
+    }
+
+    /// Ingests CSV text as dataset `name`, replacing any previous upload
+    /// under that name, and reports what the swap replaced. The text is
+    /// read in two passes ([`csv::CsvReader`]): every check runs before a
+    /// single row is built, then rows stream straight into the table
+    /// builder, partition-at-a-time (zone maps sealed during load, like
+    /// every other table). The canonical target is the first dimension's
+    /// first-interned label, so `/recommend` works without a `where` the
+    /// same way it does for Table 1 entries.
+    pub fn ingest(&self, name: &str, text: &str) -> Result<Ingest, CatalogError> {
+        let reader = csv::CsvReader::new(text).map_err(CatalogError::BadCsv)?;
+        if reader.rows() == 0 {
             return Err(CatalogError::BadCsv("no data records after header".into()));
         }
-        if parsed.rows.len() > self.max_rows {
+        if reader.rows() > self.max_rows {
             return Err(CatalogError::RowCapExceeded {
-                rows: parsed.rows.len(),
+                rows: reader.rows(),
                 max: self.max_rows,
             });
         }
-        let n_dims = parsed
-            .defs
+        let defs = reader.defs();
+        let n_dims = defs
             .iter()
             .filter(|d| d.role == ColumnRole::Dimension)
             .count();
-        let n_measures = parsed
-            .defs
+        let n_measures = defs
             .iter()
             .filter(|d| d.role == ColumnRole::Measure)
             .count();
@@ -213,23 +262,17 @@ impl Catalog {
                  (numeric column); inferred {n_dims} dimension(s) and {n_measures} measure(s)"
             )));
         }
-        let Some(target_col) = parsed
-            .defs
-            .iter()
-            .position(|d| d.role == ColumnRole::Dimension)
-        else {
+        let Some(target_col) = defs.iter().position(|d| d.role == ColumnRole::Dimension) else {
             // Unreachable given the n_dims check above, but a malformed
             // upload must never panic the serving path.
             return Err(CatalogError::BadCsv("no dimension column".into()));
         };
 
-        let mut builder =
-            TableBuilder::try_new(parsed.defs).map_err(|e| CatalogError::BadCsv(e.to_string()))?;
-        for row in &parsed.rows {
-            builder
-                .push_row(row)
-                .map_err(|e| CatalogError::BadCsv(e.to_string()))?;
-        }
+        let mut builder = TableBuilder::try_new(defs.to_vec())
+            .map_err(|e| CatalogError::BadCsv(e.to_string()))?;
+        reader
+            .read_rows(|row| builder.push_row(row).map_err(|e| e.to_string()))
+            .map_err(CatalogError::BadCsv)?;
         let table = builder
             .build(self.kind)
             .map_err(|e| CatalogError::BadCsv(e.to_string()))?;
@@ -248,28 +291,23 @@ impl Catalog {
             target,
             task: "ingested".to_owned(),
         });
-        self.ingested.lock().insert(
+        let fingerprint = csv::fingerprint(text);
+        let replaced = self.ingested.lock().insert(
             name.to_owned(),
             Ingested {
                 dataset: dataset.clone(),
-                fingerprint: csv::fingerprint(text),
+                fingerprint,
             },
         );
-        Ok(dataset)
-    }
-
-    /// The ingested dataset named `name`, if any.
-    pub fn ingested_dataset(&self, name: &str) -> Option<Arc<Dataset>> {
-        self.ingested.lock().get(name).map(|i| i.dataset.clone())
-    }
-
-    /// Content fingerprint of the ingested dataset named `name`, if any.
-    pub fn ingested_fingerprint(&self, name: &str) -> Option<u64> {
-        self.ingested.lock().get(name).map(|i| i.fingerprint)
-    }
-
-    fn ingested_rows(&self, name: &str) -> Option<usize> {
-        self.ingested.lock().get(name).map(|i| i.dataset.rows())
+        // The replaced table is freed here, after the lock is released.
+        let replaced = replaced
+            .filter(|old| old.fingerprint != fingerprint)
+            .map(|old| (old.dataset.rows(), old.fingerprint));
+        Ok(Ingest {
+            dataset,
+            fingerprint,
+            replaced,
+        })
     }
 
     /// Names of instances built so far, as `name@rows` (generated) and
@@ -375,7 +413,7 @@ mod tests {
 
     #[test]
     fn dataset_enforces_the_row_cap_itself() {
-        // The cap must hold even for callers that bypass resolve_rows —
+        // The cap must hold even for callers that bypass generated_rows —
         // a direct 60M-row AIR10 demand builds the capped instance.
         let c = catalog();
         let ds = c.dataset("CENSUS", 60_000_000).unwrap();
@@ -387,13 +425,17 @@ mod tests {
     }
 
     #[test]
-    fn resolve_rows_clamps_to_cap_and_full_size() {
+    fn generated_rows_clamps_to_cap_and_full_size() {
         let c = catalog();
-        assert_eq!(c.resolve_rows("CENSUS", None), 1_000);
-        assert_eq!(c.resolve_rows("CENSUS", Some(99_999)), 2_000);
-        assert_eq!(c.resolve_rows("CENSUS", Some(0)), 1);
+        assert_eq!(c.generated_rows("CENSUS", None), 1_000);
+        assert_eq!(c.generated_rows("CENSUS", Some(99_999)), 2_000);
+        assert_eq!(c.generated_rows("CENSUS", Some(0)), 1);
         // HOUSING only has 500 rows in Table 1.
-        assert_eq!(c.resolve_rows("HOUSING", Some(99_999)), 500);
+        assert_eq!(c.generated_rows("HOUSING", Some(99_999)), 500);
+        // resolve builds the generated instance at exactly that size.
+        let (ds, fingerprint) = c.resolve("HOUSING", Some(99_999)).unwrap();
+        assert_eq!(fingerprint, None);
+        assert!(Arc::ptr_eq(&ds, &c.dataset("HOUSING", 500).unwrap()));
     }
 
     #[test]
@@ -424,8 +466,9 @@ mod tests {
         // Served by name, ignoring the rows argument.
         let again = c.dataset("trips", 999_999).unwrap();
         assert!(Arc::ptr_eq(&ds, &again));
-        assert_eq!(c.resolve_rows("trips", Some(1)), 3);
-        assert_eq!(c.ingested_fingerprint("trips"), Some(csv::fingerprint(csv)));
+        let (resolved, fingerprint) = c.resolve("trips", Some(1)).unwrap();
+        assert!(Arc::ptr_eq(&ds, &resolved));
+        assert_eq!(fingerprint, Some(csv::fingerprint(csv)));
         assert!(c.loaded().iter().any(|l| l.contains("ingested")));
         let j = c.list_json();
         assert_eq!(j.get("ingested").unwrap().as_arr().unwrap().len(), 1);
@@ -434,12 +477,19 @@ mod tests {
     #[test]
     fn reingest_replaces_and_refingerprints() {
         let c = catalog();
-        c.ingest_csv("d", "a,m\nx,1\n").unwrap();
-        let f1 = c.ingested_fingerprint("d").unwrap();
-        c.ingest_csv("d", "a,m\nx,2\n").unwrap();
-        let f2 = c.ingested_fingerprint("d").unwrap();
-        assert_ne!(f1, f2);
-        assert_eq!(c.ingested_dataset("d").unwrap().rows(), 1);
+        let first = c.ingest("d", "a,m\nx,1\n").unwrap();
+        assert_eq!(first.replaced, None);
+        let second = c.ingest("d", "a,m\nx,2\ny,3\n").unwrap();
+        assert_ne!(first.fingerprint, second.fingerprint);
+        // The swap names the instance it replaced: 1 row, the old bytes.
+        assert_eq!(second.replaced, Some((1, first.fingerprint)));
+        let (ds, fingerprint) = c.resolve("d", None).unwrap();
+        assert_eq!(ds.rows(), 2);
+        assert_eq!(fingerprint, Some(second.fingerprint));
+        // Identical bytes replace the table but no cache namespace.
+        let again = c.ingest("d", "a,m\nx,2\ny,3\n").unwrap();
+        assert_eq!(again.replaced, None);
+        assert_eq!(again.fingerprint, second.fingerprint);
     }
 
     #[test]
@@ -459,7 +509,7 @@ mod tests {
         let err = expect_err(c.ingest_csv("d", "a,m\nx\n"));
         assert_eq!(err.status(), 400);
         // Nothing was stored.
-        assert!(c.ingested_dataset("d").is_none());
+        assert!(c.resolve("d", None).is_err());
     }
 
     #[test]
@@ -472,7 +522,7 @@ mod tests {
         let err = expect_err(c.ingest_csv("big", &csv));
         assert_eq!(err, CatalogError::RowCapExceeded { rows: 4, max: 3 });
         assert_eq!(err.status(), 413);
-        assert!(c.ingested_dataset("big").is_none());
+        assert!(c.resolve("big", None).is_err());
     }
 
     #[test]

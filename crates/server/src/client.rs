@@ -35,24 +35,34 @@ pub fn request_with_headers(
         .next()
         .ok_or_else(|| std::io::Error::other("no address"))?;
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-
-    let body = body.unwrap_or("");
-    let extra: String = headers
-        .iter()
-        .map(|(k, v)| format!("{k}: {v}\r\n"))
-        .collect();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: seedbd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n{body}",
-        body.len()
-    )?;
+    stream.write_all(request_frame(method, path, body.unwrap_or(""), headers).as_bytes())?;
     stream.flush()?;
 
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     parse_response(&raw).map_err(std::io::Error::other)
+}
+
+/// The whole request — request line, headers and body — as one buffer,
+/// so it leaves in one write.
+fn request_frame(method: &str, path: &str, body: &str, headers: &[(&str, &str)]) -> String {
+    use std::fmt::Write as _;
+    let mut frame = String::with_capacity(128 + body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        frame,
+        "{method} {path} HTTP/1.1\r\nHost: seedbd\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in headers {
+        let _ = write!(frame, "{name}: {value}\r\n");
+    }
+    frame.push_str("Connection: close\r\n\r\n");
+    frame.push_str(body);
+    frame
 }
 
 /// The first value of `name` (lowercase) in a header list from
@@ -100,6 +110,25 @@ fn parse_response(raw: &str) -> Result<HttpResponse, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_frame_bytes_are_unchanged() {
+        assert_eq!(
+            request_frame(
+                "POST",
+                "/recommend",
+                "{\"k\":3}",
+                &[("X-Request-Id", "r-1")]
+            ),
+            "POST /recommend HTTP/1.1\r\nHost: seedbd\r\nContent-Type: application/json\r\n\
+             Content-Length: 7\r\nX-Request-Id: r-1\r\nConnection: close\r\n\r\n{\"k\":3}"
+        );
+        assert_eq!(
+            request_frame("GET", "/healthz", "", &[]),
+            "GET /healthz HTTP/1.1\r\nHost: seedbd\r\nContent-Type: application/json\r\n\
+             Content-Length: 0\r\nConnection: close\r\n\r\n"
+        );
+    }
 
     #[test]
     fn parses_response_frames() {

@@ -12,6 +12,13 @@
 //! `Bool`; anything else is `Categorical`. Empty fields are NULL in any
 //! type. Roles follow SeeDB's dimension/measure split: numeric columns
 //! are measures, categorical and boolean columns are dimensions.
+//!
+//! The text is read in two borrowed passes ([`CsvReader`]): the first
+//! checks record widths and infers each column's type from per-column
+//! flags, the second hands typed rows to a sink through one reused row
+//! buffer. Fields are slices of the input unless a doubled quote forces a
+//! copy, so a load allocates per column and per distinct label, not per
+//! cell.
 
 use seedb_storage::{ColumnDef, ColumnRole, ColumnType, Value};
 
@@ -25,155 +32,311 @@ pub struct CsvTable {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// Parses CSV text into records of raw string fields.
-fn split_records(text: &str) -> Result<Vec<Vec<String>>, String> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    // Whether the current (possibly empty) field has been started; keeps
-    // a trailing newline from emitting a phantom empty record.
-    let mut in_record = false;
+/// CSV text whose structure and schema the first pass has checked.
+/// [`CsvReader::read_rows`] is the second pass over the same text.
+#[derive(Debug)]
+pub struct CsvReader<'a> {
+    text: &'a str,
+    defs: Vec<ColumnDef>,
+    rows: usize,
+}
 
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => {
-                if !field.is_empty() {
-                    return Err("quote in the middle of an unquoted field".into());
+impl<'a> CsvReader<'a> {
+    /// The first pass: splits `text` into records, checks every record's
+    /// width against the header, and infers each column's type. Errors
+    /// come in a fixed order whatever their position in the text: a
+    /// malformed quote, then a missing header, an empty column name, and
+    /// the first record of the wrong width.
+    pub fn new(text: &'a str) -> Result<CsvReader<'a>, String> {
+        let mut header: Vec<String> = Vec::new();
+        let mut columns: Vec<Inferred> = Vec::new();
+        // Records completed so far, the header included.
+        let mut records = 0usize;
+        // Fields seen so far in the current record.
+        let mut width = 0usize;
+        // The first data record whose width differs from the header's:
+        // (1-based record number counting the header, fields).
+        let mut bad_width: Option<(usize, usize)> = None;
+        scan(text, |field, last| {
+            if records == 0 {
+                header.push(field.to_owned());
+            } else if let Some(column) = columns.get_mut(width) {
+                column.observe(field);
+            }
+            width += 1;
+            if last {
+                if records == 0 {
+                    columns = vec![Inferred::EMPTY; width];
+                } else if width != header.len() && bad_width.is_none() {
+                    bad_width = Some((records + 1, width));
                 }
-                in_record = true;
-                loop {
-                    match chars.next() {
-                        None => return Err("unterminated quoted field".into()),
-                        Some('"') => {
-                            if chars.peek() == Some(&'"') {
-                                chars.next();
-                                field.push('"');
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(other) => field.push(other),
-                    }
+                records += 1;
+                width = 0;
+            }
+            Ok(())
+        })?;
+        if records == 0 {
+            return Err("empty CSV: missing header record".into());
+        }
+        if header.iter().any(String::is_empty) {
+            return Err("empty column name in header".into());
+        }
+        if let Some((record, fields)) = bad_width {
+            return Err(format!(
+                "record {record} has {fields} fields, header has {}",
+                header.len()
+            ));
+        }
+        let defs = header
+            .into_iter()
+            .zip(&columns)
+            .map(|(name, column)| {
+                let ty = column.ty();
+                let role = match ty {
+                    ColumnType::Int64 | ColumnType::Float64 => ColumnRole::Measure,
+                    ColumnType::Categorical | ColumnType::Bool => ColumnRole::Dimension,
+                };
+                ColumnDef::new(name, ty, role)
+            })
+            .collect();
+        Ok(CsvReader {
+            text,
+            defs,
+            rows: records - 1,
+        })
+    }
+
+    /// Inferred schema (header names, inferred types, inferred roles).
+    pub fn defs(&self) -> &[ColumnDef] {
+        &self.defs
+    }
+
+    /// Data records after the header.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The second pass: hands every data record to `sink` as typed values
+    /// matching [`CsvReader::defs`], in order, through one reused buffer
+    /// (a categorical cell keeps its `String` from row to row). Stops at
+    /// the sink's first error.
+    pub fn read_rows(
+        &self,
+        mut sink: impl FnMut(&[Value]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut row = vec![Value::Null; self.defs.len()];
+        let mut header = true;
+        let mut col = 0usize;
+        scan(self.text, |field, last| {
+            if !header {
+                if let (Some(cell), Some(def)) = (row.get_mut(col), self.defs.get(col)) {
+                    set_cell(cell, field, def.ty);
                 }
             }
-            ',' => {
-                in_record = true;
-                record.push(std::mem::take(&mut field));
-            }
-            '\r' | '\n' => {
-                if c == '\r' && chars.peek() == Some(&'\n') {
-                    chars.next();
+            col += 1;
+            if last {
+                if !header {
+                    sink(&row)?;
                 }
-                if in_record || !field.is_empty() {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                in_record = false;
+                header = false;
+                col = 0;
             }
-            other => {
-                in_record = true;
-                field.push(other);
-            }
+            Ok(())
+        })
+    }
+}
+
+/// What the first pass knows about one column: whether it held a
+/// non-empty field, and whether every non-empty field so far parses as
+/// each candidate type.
+#[derive(Debug, Clone, Copy)]
+struct Inferred {
+    seen: bool,
+    int: bool,
+    float: bool,
+    boolean: bool,
+}
+
+impl Inferred {
+    const EMPTY: Inferred = Inferred {
+        seen: false,
+        int: true,
+        float: true,
+        boolean: true,
+    };
+
+    fn observe(&mut self, raw: &str) {
+        if raw.is_empty() {
+            return;
+        }
+        self.seen = true;
+        self.int = self.int && raw.parse::<i64>().is_ok();
+        self.float = self.float && raw.parse::<f64>().is_ok();
+        self.boolean =
+            self.boolean && (raw.eq_ignore_ascii_case("true") || raw.eq_ignore_ascii_case("false"));
+    }
+
+    /// Narrowest type every non-empty field fits (see module docs). An
+    /// all-empty column degrades to `Categorical` (all-NULL dimension).
+    fn ty(self) -> ColumnType {
+        if !self.seen {
+            ColumnType::Categorical
+        } else if self.int {
+            ColumnType::Int64
+        } else if self.float {
+            ColumnType::Float64
+        } else if self.boolean {
+            ColumnType::Bool
+        } else {
+            ColumnType::Categorical
         }
     }
-    if in_record || !field.is_empty() {
-        record.push(field);
-        records.push(record);
-    }
-    Ok(records)
 }
 
-/// Narrowest type every non-empty sample fits (see module docs). An
-/// all-empty column degrades to `Categorical` (all-NULL dimension).
-fn infer_type<'a>(samples: impl Iterator<Item = &'a str> + Clone) -> ColumnType {
-    let mut non_empty = samples.filter(|s| !s.is_empty()).peekable();
-    if non_empty.peek().is_none() {
-        return ColumnType::Categorical;
-    }
-    if non_empty.clone().all(|s| s.parse::<i64>().is_ok()) {
-        return ColumnType::Int64;
-    }
-    if non_empty.clone().all(|s| s.parse::<f64>().is_ok()) {
-        return ColumnType::Float64;
-    }
-    if non_empty.clone().all(|s| {
-        let lower = s.to_ascii_lowercase();
-        lower == "true" || lower == "false"
-    }) {
-        return ColumnType::Bool;
-    }
-    ColumnType::Categorical
-}
-
-fn typed_value(raw: &str, ty: ColumnType) -> Value {
+/// Writes `raw` into `cell` as a value of type `ty`, reusing the cell's
+/// `String` when both the old and the new value are labels.
+fn set_cell(cell: &mut Value, raw: &str, ty: ColumnType) {
     if raw.is_empty() {
-        return Value::Null;
+        *cell = Value::Null;
+        return;
     }
-    match ty {
+    match (ty, &mut *cell) {
+        (ColumnType::Categorical, Value::Str(label)) => {
+            label.clear();
+            label.push_str(raw);
+        }
+        (ColumnType::Categorical, _) => *cell = Value::Str(raw.to_owned()),
         // Type inference proved every non-empty value parses, so the
         // fallback arm is unreachable — but a parser disagreement must
         // degrade to a NULL cell, never panic an ingest.
-        ColumnType::Int64 => raw.parse().map_or(Value::Null, Value::Int),
-        ColumnType::Float64 => raw.parse().map_or(Value::Null, Value::Float),
-        ColumnType::Bool => Value::Bool(raw.eq_ignore_ascii_case("true")),
-        ColumnType::Categorical => Value::Str(raw.to_owned()),
+        (ColumnType::Int64, _) => *cell = raw.parse().map_or(Value::Null, Value::Int),
+        (ColumnType::Float64, _) => *cell = raw.parse().map_or(Value::Null, Value::Float),
+        (ColumnType::Bool, _) => *cell = Value::Bool(raw.eq_ignore_ascii_case("true")),
     }
+}
+
+/// Splits CSV text into fields in one pass, calling `on_field(field,
+/// last)` for each, where `last` marks the final field of its record. A
+/// field is a slice of `text` unless a doubled quote or text after a
+/// closing quote makes it a copy. Stops at the first malformed quote or
+/// the callback's first error.
+fn scan(
+    text: &str,
+    mut on_field: impl FnMut(&str, bool) -> Result<(), String>,
+) -> Result<(), String> {
+    let bytes = text.as_bytes();
+    let mut scratch = String::new();
+    let mut pos = 0usize;
+    // Whether the current record has started; keeps a blank line or a
+    // trailing newline from emitting a phantom empty record.
+    let mut in_record = false;
+    loop {
+        let field = if bytes.get(pos) == Some(&b'"') {
+            in_record = true;
+            scratch.clear();
+            // Start of the quoted text not yet copied into `scratch`.
+            let mut copied_to = pos + 1;
+            let mut escaped = false;
+            let close = loop {
+                let Some(quote) = find_quote(bytes, copied_to) else {
+                    return Err("unterminated quoted field".into());
+                };
+                if bytes.get(quote + 1) != Some(&b'"') {
+                    break quote;
+                }
+                // `""`: keep the first quote, skip the second.
+                scratch.push_str(slice(text, copied_to, quote + 1));
+                copied_to = quote + 2;
+                escaped = true;
+            };
+            // Unquoted text after the closing quote joins the field.
+            let tail = close + 1;
+            pos = run_end(bytes, tail);
+            if escaped || pos > tail {
+                scratch.push_str(slice(text, copied_to, close));
+                scratch.push_str(slice(text, tail, pos));
+                scratch.as_str()
+            } else {
+                slice(text, copied_to, close)
+            }
+        } else {
+            let start = pos;
+            pos = run_end(bytes, start);
+            in_record |= pos > start;
+            slice(text, start, pos)
+        };
+        match bytes.get(pos) {
+            None => {
+                if in_record {
+                    on_field(field, true)?;
+                }
+                return Ok(());
+            }
+            Some(b',') => {
+                in_record = true;
+                on_field(field, false)?;
+                pos += 1;
+            }
+            // A quote can only start a field: at any other position the
+            // run above stopped at it.
+            Some(b'"') => return Err("quote in the middle of an unquoted field".into()),
+            // '\r' or '\n', with "\r\n" taken as one separator.
+            Some(&separator) => {
+                pos += if separator == b'\r' && bytes.get(pos + 1) == Some(&b'\n') {
+                    2
+                } else {
+                    1
+                };
+                if in_record {
+                    on_field(field, true)?;
+                }
+                in_record = false;
+            }
+        }
+    }
+}
+
+/// The end of the unquoted run starting at `from`: the position of the
+/// next `,`, `"`, `\r` or `\n`, or the end of the text.
+fn run_end(bytes: &[u8], from: usize) -> usize {
+    bytes
+        .get(from..)
+        .and_then(|rest| {
+            rest.iter()
+                .position(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+        })
+        .map_or(bytes.len(), |n| from + n)
+}
+
+/// The position of the next `"` at or after `from`.
+fn find_quote(bytes: &[u8], from: usize) -> Option<usize> {
+    bytes
+        .get(from..)?
+        .iter()
+        .position(|&b| b == b'"')
+        .map(|n| from + n)
+}
+
+/// `text[start..end]`. Every boundary [`scan`] produces sits next to an
+/// ASCII stop byte, so it always falls on a char boundary; the empty
+/// fallback keeps that invariant local instead of trusting it with a
+/// panic.
+fn slice(text: &str, start: usize, end: usize) -> &str {
+    text.get(start..end).unwrap_or_default()
 }
 
 /// Parses CSV text (header + data records) into an inferred-schema table.
 pub fn parse_csv(text: &str) -> Result<CsvTable, String> {
-    let records = split_records(text)?;
-    let mut iter = records.into_iter();
-    let header = iter.next().ok_or("empty CSV: missing header record")?;
-    if header.iter().any(|name| name.is_empty()) {
-        return Err("empty column name in header".into());
-    }
-    let ncols = header.len();
-    let data: Vec<Vec<String>> = iter.collect();
-    for (i, record) in data.iter().enumerate() {
-        if record.len() != ncols {
-            return Err(format!(
-                "record {} has {} fields, header has {ncols}",
-                i + 2, // 1-based, counting the header line
-                record.len()
-            ));
-        }
-    }
-
-    // Record widths were validated against the header above, so `get`
-    // never actually misses; the empty-string fallback keeps the width
-    // invariant local instead of trusting it with a panic.
-    let types: Vec<ColumnType> = (0..ncols)
-        .map(|c| {
-            infer_type(
-                data.iter()
-                    .map(move |r| r.get(c).map_or("", String::as_str)),
-            )
-        })
-        .collect();
-    let defs: Vec<ColumnDef> = header
-        .iter()
-        .zip(&types)
-        .map(|(name, &ty)| {
-            let role = match ty {
-                ColumnType::Int64 | ColumnType::Float64 => ColumnRole::Measure,
-                ColumnType::Categorical | ColumnType::Bool => ColumnRole::Dimension,
-            };
-            ColumnDef::new(name, ty, role)
-        })
-        .collect();
-    let rows: Vec<Vec<Value>> = data
-        .iter()
-        .map(|record| {
-            record
-                .iter()
-                .zip(&types)
-                .map(|(raw, &ty)| typed_value(raw, ty))
-                .collect()
-        })
-        .collect();
-    Ok(CsvTable { defs, rows })
+    let reader = CsvReader::new(text)?;
+    let mut rows = Vec::with_capacity(reader.rows());
+    reader.read_rows(|row| {
+        rows.push(row.to_vec());
+        Ok(())
+    })?;
+    Ok(CsvTable {
+        defs: reader.defs,
+        rows,
+    })
 }
 
 /// FNV-1a 64-bit hash of the raw CSV bytes: the content fingerprint in
@@ -191,6 +354,7 @@ pub fn fingerprint(text: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn infers_types_and_roles() {
@@ -271,5 +435,315 @@ mod tests {
         assert_eq!(fingerprint("a,b\n1,2\n"), fingerprint("a,b\n1,2\n"));
         assert_ne!(fingerprint("a,b\n1,2\n"), fingerprint("a,b\n1,3\n"));
         assert_ne!(fingerprint(""), fingerprint("\n"));
+    }
+
+    #[test]
+    fn reused_label_buffers_never_leak_between_rows() {
+        let t = parse_csv("d,m\nlonger_label,1\nab,2\n,3\nxyz,4\n").unwrap();
+        let labels: Vec<&Value> = t.rows.iter().map(|r| &r[0]).collect();
+        assert_eq!(
+            labels,
+            [
+                &Value::Str("longer_label".into()),
+                &Value::Str("ab".into()),
+                &Value::Null,
+                &Value::Str("xyz".into())
+            ]
+        );
+    }
+
+    /// The record splitter and type inference this reader replaced, kept
+    /// verbatim as the oracle the streaming passes are checked against.
+    mod reference {
+        use seedb_storage::{ColumnDef, ColumnRole, ColumnType, Value};
+
+        fn split_records(text: &str) -> Result<Vec<Vec<String>>, String> {
+            let mut records = Vec::new();
+            let mut record: Vec<String> = Vec::new();
+            let mut field = String::new();
+            let mut chars = text.chars().peekable();
+            let mut in_record = false;
+
+            while let Some(c) = chars.next() {
+                match c {
+                    '"' => {
+                        if !field.is_empty() {
+                            return Err("quote in the middle of an unquoted field".into());
+                        }
+                        in_record = true;
+                        loop {
+                            match chars.next() {
+                                None => return Err("unterminated quoted field".into()),
+                                Some('"') => {
+                                    if chars.peek() == Some(&'"') {
+                                        chars.next();
+                                        field.push('"');
+                                    } else {
+                                        break;
+                                    }
+                                }
+                                Some(other) => field.push(other),
+                            }
+                        }
+                    }
+                    ',' => {
+                        in_record = true;
+                        record.push(std::mem::take(&mut field));
+                    }
+                    '\r' | '\n' => {
+                        if c == '\r' && chars.peek() == Some(&'\n') {
+                            chars.next();
+                        }
+                        if in_record || !field.is_empty() {
+                            record.push(std::mem::take(&mut field));
+                            records.push(std::mem::take(&mut record));
+                        }
+                        in_record = false;
+                    }
+                    other => {
+                        in_record = true;
+                        field.push(other);
+                    }
+                }
+            }
+            if in_record || !field.is_empty() {
+                record.push(field);
+                records.push(record);
+            }
+            Ok(records)
+        }
+
+        fn infer_type<'a>(samples: impl Iterator<Item = &'a str> + Clone) -> ColumnType {
+            let mut non_empty = samples.filter(|s| !s.is_empty()).peekable();
+            if non_empty.peek().is_none() {
+                return ColumnType::Categorical;
+            }
+            if non_empty.clone().all(|s| s.parse::<i64>().is_ok()) {
+                return ColumnType::Int64;
+            }
+            if non_empty.clone().all(|s| s.parse::<f64>().is_ok()) {
+                return ColumnType::Float64;
+            }
+            if non_empty.clone().all(|s| {
+                let lower = s.to_ascii_lowercase();
+                lower == "true" || lower == "false"
+            }) {
+                return ColumnType::Bool;
+            }
+            ColumnType::Categorical
+        }
+
+        fn typed_value(raw: &str, ty: ColumnType) -> Value {
+            if raw.is_empty() {
+                return Value::Null;
+            }
+            match ty {
+                ColumnType::Int64 => raw.parse().map_or(Value::Null, Value::Int),
+                ColumnType::Float64 => raw.parse().map_or(Value::Null, Value::Float),
+                ColumnType::Bool => Value::Bool(raw.eq_ignore_ascii_case("true")),
+                ColumnType::Categorical => Value::Str(raw.to_owned()),
+            }
+        }
+
+        pub fn parse_csv(text: &str) -> Result<super::CsvTable, String> {
+            let records = split_records(text)?;
+            let mut iter = records.into_iter();
+            let header = iter.next().ok_or("empty CSV: missing header record")?;
+            if header.iter().any(|name| name.is_empty()) {
+                return Err("empty column name in header".into());
+            }
+            let ncols = header.len();
+            let data: Vec<Vec<String>> = iter.collect();
+            for (i, record) in data.iter().enumerate() {
+                if record.len() != ncols {
+                    return Err(format!(
+                        "record {} has {} fields, header has {ncols}",
+                        i + 2,
+                        record.len()
+                    ));
+                }
+            }
+            let types: Vec<ColumnType> = (0..ncols)
+                .map(|c| {
+                    infer_type(
+                        data.iter()
+                            .map(move |r| r.get(c).map_or("", String::as_str)),
+                    )
+                })
+                .collect();
+            let defs: Vec<ColumnDef> = header
+                .iter()
+                .zip(&types)
+                .map(|(name, &ty)| {
+                    let role = match ty {
+                        ColumnType::Int64 | ColumnType::Float64 => ColumnRole::Measure,
+                        ColumnType::Categorical | ColumnType::Bool => ColumnRole::Dimension,
+                    };
+                    ColumnDef::new(name, ty, role)
+                })
+                .collect();
+            let rows: Vec<Vec<Value>> = data
+                .iter()
+                .map(|record| {
+                    record
+                        .iter()
+                        .zip(&types)
+                        .map(|(raw, &ty)| typed_value(raw, ty))
+                        .collect()
+                })
+                .collect();
+            Ok(super::CsvTable { defs, rows })
+        }
+    }
+
+    /// Both readers' outcome, compared through `Debug` so NaN cells (which
+    /// `Value`'s `PartialEq` never equates) compare by spelling.
+    fn assert_same_as_reference(text: &str) {
+        assert_eq!(
+            format!("{:?}", parse_csv(text)),
+            format!("{:?}", reference::parse_csv(text)),
+            "input {text:?}"
+        );
+    }
+
+    #[test]
+    fn streaming_reader_matches_the_reference_on_every_edge_case() {
+        for text in [
+            "",
+            "\n",
+            "\r\n\r\n",
+            "\r",
+            "a",
+            "a,",
+            ",a",
+            "a,b\n",
+            "a,b\n1",
+            "a,b\r\n1,2\r\n",
+            "a,b\r1,2\r3,4",
+            "\n\na,b\n\n1,2\n\n",
+            "\"a\"\"b\",c\n1,2",
+            "\"\"\n\n",
+            "h\n\"\"\n\"\"\n",
+            "a,b\n\"x\"y,1\n",
+            "a,b\n\"x\"y\"z,1\n",
+            "a,b\n\"\"\"\",1\n",
+            "a,b\n\"q,\r\n\",1\n",
+            "a\"b",
+            "\"abc",
+            "a,b\n1,\"2",
+            "a,b\nx\n1,2,3",
+            "a,b\nx\n\"unterminated",
+            "a,b\nx\nmid\"quote",
+            "a,,b\n",
+            ",\n1",
+            "a,b\n1,2,3\n4\n",
+            "é,日本\nü,1\nß,2\n",
+            "d,e\nx,\ny,\n",
+            "m\nNaN\ninf\n-0\n",
+            "m\n1e3\n+4\n-5\n",
+            "b\nTRUE\nfalse\n",
+            "b\ntrue\nyes\n",
+            "n\n1\n-2\n+3\n",
+            "n\n1\n1.5\n",
+            "n\n1\ntrue\n",
+            "n\n9223372036854775808\n",
+            "n\n 1\n2\n",
+            "b\ntrue \nfalse\n",
+        ] {
+            assert_same_as_reference(text);
+        }
+    }
+
+    /// Pieces that compose into near-miss CSV: every separator, quote
+    /// shape and type the reader branches on.
+    const FRAGMENTS: &[&str] = &[
+        ",",
+        "\"",
+        "\"\"",
+        "\r",
+        "\n",
+        "\r\n",
+        "a",
+        "bc",
+        "1",
+        "-2",
+        "+3",
+        "3.5",
+        "1e3",
+        "NaN",
+        "true",
+        "FALSE",
+        "é",
+        "日本",
+        " ",
+        "\"q,\n\"",
+        "\"x\"\"y\"",
+    ];
+
+    /// Field values of well-formed records: quoted and unquoted, empty,
+    /// non-ASCII, and every inferable type.
+    const CELLS: &[&str] = &[
+        "",
+        "x",
+        "lyon",
+        "1",
+        "-7",
+        "2.5",
+        "1e-3",
+        "true",
+        "False",
+        "\"a,b\"",
+        "\"say \"\"hi\"\"\"",
+        "\"line\nbreak\"",
+        "\"\"",
+        "ü",
+        " 1",
+        "2.5 ",
+        "true ",
+        "日本",
+    ];
+
+    fn arb_soup() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..FRAGMENTS.len(), 0..40)
+            .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    fn arb_well_formed() -> impl Strategy<Value = String> {
+        (
+            1usize..5,
+            prop::collection::vec(0..CELLS.len(), 0..40),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(width, cells, crlf, trailing)| {
+                let eol = if crlf { "\r\n" } else { "\n" };
+                let header: Vec<String> = (0..width).map(|c| format!("c{c}")).collect();
+                let mut lines = vec![header.join(",")];
+                for record in cells.chunks_exact(width) {
+                    let fields: Vec<&str> = record.iter().map(|&i| CELLS[i]).collect();
+                    lines.push(fields.join(","));
+                }
+                let mut text = lines.join(eol);
+                if trailing {
+                    text.push_str(eol);
+                }
+                text
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn streaming_reader_matches_the_reference_on_token_soup(text in arb_soup()) {
+            assert_same_as_reference(&text);
+        }
+
+        #[test]
+        fn streaming_reader_matches_the_reference_on_well_formed_tables(
+            text in arb_well_formed(),
+        ) {
+            assert_same_as_reference(&text);
+        }
     }
 }

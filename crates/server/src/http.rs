@@ -15,6 +15,9 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// Per-connection socket timeout; a stalled peer cannot pin a worker.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// Room for a response's status line and headers, so the frame buffer
+/// is allocated once.
+const FRAME_HEAD_BYTES: usize = 192;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -165,24 +168,30 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body to `out`.
+    /// Serializes status line, headers, and body to `out` as one frame
+    /// in one `write_all`: a response is one segment on the wire, not one
+    /// per header.
     pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
-        write!(
-            out,
+        use std::fmt::Write as _;
+        let mut frame = String::with_capacity(FRAME_HEAD_BYTES + self.body.len());
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            frame,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        )?;
+        );
         if let Some(secs) = self.retry_after {
-            write!(out, "Retry-After: {secs}\r\n")?;
+            let _ = write!(frame, "Retry-After: {secs}\r\n");
         }
         if let Some(id) = &self.request_id {
-            write!(out, "X-Request-Id: {id}\r\n")?;
+            let _ = write!(frame, "X-Request-Id: {id}\r\n");
         }
-        out.write_all(b"\r\n")?;
-        out.write_all(self.body.as_bytes())?;
+        frame.push_str("\r\n");
+        frame.push_str(&self.body);
+        out.write_all(frame.as_bytes())?;
         out.flush()
     }
 }
@@ -412,6 +421,46 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("no such route"));
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_one_write_of_the_whole_frame() {
+        let mut out = CountingWriter::default();
+        Response::error_envelope(503, "busy", "overloaded", Some(1_000))
+            .with_request_id("r-7")
+            .write_to(&mut out)
+            .unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        let body = r#"{"error":"busy","code":"overloaded","retry_after_ms":1000}"#;
+        assert_eq!(
+            text,
+            format!(
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nConnection: close\r\nRetry-After: 1\r\n\
+                 X-Request-Id: r-7\r\n\r\n{body}",
+                body.len()
+            )
+        );
     }
 
     #[test]

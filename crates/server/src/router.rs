@@ -241,7 +241,9 @@ fn statz(state: &AppState) -> Response {
                     .set("misses", load(&c.misses))
                     .set("evictions", load(&c.evictions))
                     .set("insertions", load(&c.insertions))
-                    .set("rejected", load(&c.rejected)),
+                    .set("rejected", load(&c.rejected))
+                    .set("purged", load(&c.purged))
+                    .set("purged_bytes", load(&c.purged_bytes)),
             )
             .set(
                 "workers",
@@ -385,6 +387,16 @@ fn metrics(state: &AppState) -> Response {
         "Cache insertions rejected as oversized",
         load(&c.rejected),
     );
+    p.counter(
+        "seedbd_view_cache_purged_total",
+        "Cache entries purged because their dataset upload was replaced",
+        load(&c.purged),
+    );
+    p.counter(
+        "seedbd_view_cache_purged_bytes_total",
+        "Bytes held by cache entries purged on re-upload",
+        load(&c.purged_bytes),
+    );
     p.gauge(
         "seedbd_cache_entries",
         "Entries currently in the cache",
@@ -484,29 +496,30 @@ fn trace_export(state: &AppState, path: &str) -> Response {
 /// body is `{"name": …, "csv": …}`; schema is inferred from the data
 /// ([`crate::csv`]). Every failure is a typed [`crate::catalog::CatalogError`]
 /// with an honest status — malformed CSV or an unusable schema is 400, an
-/// upload over the row cap is 413.
+/// upload over the row cap is 413. An upload that replaces different
+/// bytes under the same name purges the old instance's cache entries:
+/// nothing can reach them once the name resolves to the new table.
 fn ingest(state: &AppState, req: &Request) -> Response {
     let parsed = match Json::parse(&req.body) {
         Ok(j) => j,
         Err(e) => return Response::error(400, &format!("bad JSON body: {e}")),
     };
     let name = match parsed.get("name").and_then(Json::as_str) {
-        Some(n) if !n.is_empty() => n.to_owned(),
+        Some(n) if !n.is_empty() => n,
         _ => return Response::error(400, "missing or empty \"name\" field"),
     };
-    let csv = match parsed.get("csv").and_then(Json::as_str) {
-        Some(c) => c.to_owned(),
-        None => return Response::error(400, "missing \"csv\" field"),
+    let Some(csv) = parsed.get("csv").and_then(Json::as_str) else {
+        return Response::error(400, "missing \"csv\" field");
     };
-    match state.catalog.ingest_csv(&name, &csv) {
-        Ok(ds) => {
+    match state.catalog.ingest(name, csv) {
+        Ok(ingest) => {
+            if let Some((rows, fp)) = ingest.replaced {
+                state
+                    .cache
+                    .purge_instance(&ingested_instance_signature(name, rows, fp));
+            }
+            let (ds, fp) = (&ingest.dataset, ingest.fingerprint);
             let (dims, measures, views) = ds.shape();
-            // Racing re-uploads of the same name can in principle remove
-            // and replace the entry between ingest and this readback;
-            // answer 500 rather than panicking the connection worker.
-            let Some(fp) = state.catalog.ingested_fingerprint(&name) else {
-                return Response::error(500, "ingested dataset vanished during readback");
-            };
             Response::json(
                 Json::obj()
                     .set("name", ds.name.as_str())
@@ -562,12 +575,11 @@ fn recommend_inner(
         CancelToken::with_deadline(start + Duration::from_millis(deadline_ms))
     };
 
-    let rows = state.catalog.resolve_rows(&parsed.dataset, parsed.rows);
-    let dataset = {
+    let (dataset, fingerprint) = {
         let _span = trace.span("catalog").arg("dataset", parsed.dataset.clone());
         state
             .catalog
-            .dataset(&parsed.dataset, rows)
+            .resolve(&parsed.dataset, parsed.rows)
             .map_err(|e| Response::error(e.status(), &e.to_string()))?
     };
     let table = dataset.table.as_ref();
@@ -593,10 +605,16 @@ fn recommend_inner(
     // results never cross-contaminate deterministic ones. Generated
     // instances are keyed by seed; ingested instances by their content
     // fingerprint, so re-uploading different bytes under the same name
-    // re-keys every cache entry instead of serving stale results.
-    let instance = match state.catalog.ingested_fingerprint(&dataset.name) {
-        Some(fp) => ingested_instance_signature(&dataset.name, rows, fp),
-        None => instance_signature(&dataset.name, rows, state.seed),
+    // re-keys every cache entry instead of serving stale results. The
+    // fingerprint came with the table from one catalog lookup, so it
+    // always names the bytes this run reads.
+    let instance = match fingerprint {
+        Some(fp) => ingested_instance_signature(&dataset.name, dataset.rows(), fp),
+        None => instance_signature(
+            &dataset.name,
+            state.catalog.generated_rows(&dataset.name, parsed.rows),
+            state.seed,
+        ),
     };
     let signature = format!(
         "{instance}|{}|{}|{}",
@@ -1180,6 +1198,162 @@ mod tests {
             Some("miss"),
             "stale hit after re-upload: {j2:?}"
         );
+    }
+
+    /// Cache keys resident under one dataset instance, either kind.
+    fn keys_under(s: &AppState, instance: &str) -> usize {
+        let (response, partial) = (format!("R|{instance}|"), format!("P|{instance}|"));
+        s.cache
+            .keys_lru_order()
+            .iter()
+            .filter(|k| k.starts_with(&response) || k.starts_with(&partial))
+            .count()
+    }
+
+    #[test]
+    fn reingest_purges_the_replaced_instance_but_identical_bytes_purge_nothing() {
+        let s = state();
+        let csv = sample_csv();
+        let old = ingested_instance_signature("d", 60, crate::csv::fingerprint(&csv));
+        post(&s, "/datasets", &ingest_body("d", &csv));
+        let body = r#"{"dataset": "d", "k": 2}"#;
+        assert_eq!(post(&s, "/recommend", body).status, 200);
+        let resident = keys_under(&s, &old);
+        assert!(resident >= 2, "a miss deposits a response and partials");
+
+        // The same bytes again: the instance is unchanged, so its entries
+        // stay and the repeat is still a hit.
+        post(&s, "/datasets", &ingest_body("d", &csv));
+        assert_eq!(keys_under(&s, &old), resident);
+        assert_eq!(s.cache.stats().purged.load(Ordering::Relaxed), 0);
+        let j = Json::parse(&post(&s, "/recommend", body).body).unwrap();
+        assert_eq!(j.get("cache").unwrap().as_str(), Some("hit"));
+
+        // Different bytes: nothing is left under the old instance, and
+        // /statz and /metrics both count what went.
+        let mut other = sample_csv();
+        other.push_str("c9,r9,999\n");
+        post(&s, "/datasets", &ingest_body("d", &other));
+        assert_eq!(keys_under(&s, &old), 0);
+        assert!(s.cache.is_empty());
+        let cache = Json::parse(&get(&s, "/statz").body).unwrap();
+        let cache = cache.get("cache").unwrap();
+        assert_eq!(cache.get("purged").unwrap().as_u64(), Some(resident as u64));
+        assert!(cache.get("purged_bytes").unwrap().as_u64().unwrap() > 0);
+        let metrics = get(&s, "/metrics").body;
+        assert!(metrics.contains(&format!("seedbd_view_cache_purged_total {resident}")));
+        assert!(metrics.contains("seedbd_view_cache_purged_bytes_total "));
+    }
+
+    #[test]
+    fn racing_reuploads_never_key_old_results_under_the_new_fingerprint() {
+        use std::sync::atomic::AtomicUsize;
+        // Two tables under one name, same shape, different measures.
+        let csvs = [sample_csv(), sample_csv().replace(",r0,", ",r1,")];
+        // Every request a fresh predicate, so every one is a miss that
+        // runs the engine and deposits.
+        let bodies: Vec<String> = (0..60)
+            .map(|i| {
+                format!(
+                    r#"{{"dataset": "d", "k": 2, "where": "sales >= {} AND sales > -{i}"}}"#,
+                    i % 30
+                )
+            })
+            .collect();
+
+        // What a bypass run answers for each (table, body), under the key
+        // a cached run of it would deposit.
+        let mut truth = std::collections::HashMap::new();
+        for csv in &csvs {
+            let oracle = state();
+            post(&oracle, "/datasets", &ingest_body("d", csv));
+            let dataset = oracle.catalog.dataset("d", 0).unwrap();
+            let instance =
+                ingested_instance_signature("d", dataset.rows(), crate::csv::fingerprint(csv));
+            for body in &bodies {
+                let parsed = RecommendRequest::from_json(body).unwrap();
+                let sql = parsed.where_sql.as_deref().unwrap();
+                let target = plan_where(dataset.table.as_ref(), sql).unwrap();
+                let key = format!(
+                    "R|{instance}|{}|{}|{}",
+                    predicate_signature(&target),
+                    reference_signature(&ReferenceSpec::WholeTable),
+                    parsed.config.result_signature()
+                );
+                let bypass = body.replace(r#""k": 2"#, r#""k": 2, "cache_mode": "bypass""#);
+                let reply = post(&oracle, "/recommend", &bypass);
+                truth.insert(key, Json::parse(&reply.body).unwrap());
+            }
+        }
+
+        // Every resident response must be what a bypass run computes on
+        // the table whose fingerprint its key names.
+        let s = state();
+        let verify = || {
+            let mut checked = 0;
+            for key in s.cache.keys_lru_order() {
+                if !key.starts_with("R|") {
+                    continue;
+                }
+                let want = truth
+                    .get(&key)
+                    .unwrap_or_else(|| panic!("unknown key {key}"));
+                // A purge may take the entry between listing and reading.
+                let Some(CacheValue::Response(payload)) = s.cache.get(&key) else {
+                    continue;
+                };
+                let got = Json::parse(&payload).unwrap();
+                for field in ["rows", "views", "all_utilities"] {
+                    assert_eq!(got.get(field), want.get(field), "{field} under {key}");
+                }
+                checked += 1;
+            }
+            checked
+        };
+
+        post(&s, "/datasets", &ingest_body("d", &csvs[0]));
+        let served = AtomicUsize::new(0);
+        let wait_for_a_request = || {
+            let seen = served.load(Ordering::SeqCst);
+            while served.load(Ordering::SeqCst) == seen {
+                std::thread::yield_now();
+            }
+        };
+        let started = Instant::now();
+        let checked = std::thread::scope(|scope| {
+            let uploader = scope.spawn(|| {
+                let mut checked = 0;
+                let mut phase = 0x9e37_79b9_7f4a_7c15u64;
+                for csv in csvs.iter().cycle().skip(1).take(400) {
+                    wait_for_a_request();
+                    checked += verify();
+                    // Start the upload at a pseudo-random point of a
+                    // request, so that across the swaps some land between
+                    // a request's catalog read and its cache deposit.
+                    wait_for_a_request();
+                    let mean_us = started.elapsed().as_micros() as u64
+                        / served.load(Ordering::SeqCst).max(1) as u64;
+                    phase ^= phase << 13;
+                    phase ^= phase >> 7;
+                    phase ^= phase << 17;
+                    let swap_at = Instant::now() + Duration::from_micros(phase % mean_us.max(1));
+                    while Instant::now() < swap_at {
+                        std::hint::spin_loop();
+                    }
+                    assert_eq!(post(&s, "/datasets", &ingest_body("d", csv)).status, 200);
+                }
+                checked
+            });
+            for body in bodies.iter().cycle() {
+                if uploader.is_finished() {
+                    break;
+                }
+                assert_eq!(post(&s, "/recommend", body).status, 200);
+                served.fetch_add(1, Ordering::SeqCst);
+            }
+            uploader.join().unwrap()
+        });
+        assert!(checked + verify() > 0, "the race left nothing to check");
     }
 
     #[test]

@@ -199,6 +199,8 @@ impl Server {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // A response leaves in one write; don't let Nagle hold it.
+                let _ = stream.set_nodelay(true);
                 let index = conn_index;
                 conn_index += 1;
                 let trace = self.state.obs.begin();

@@ -4,6 +4,12 @@
 //! `seedbd` HTTP API without an external serializer. The writer emits the
 //! subset the parser reads back (null, bools, finite numbers, strings,
 //! arrays, objects), so documents round-trip exactly.
+//!
+//! Parsing is linear in the document's length. A string literal is copied
+//! run by run — everything between two `"`/`\` stop bytes in one
+//! `push_str` — so the time to decode a CSV upload inside a
+//! `POST /datasets` body grows with its size, not with its square.
+//! Nesting is capped at 128 levels.
 
 /// A minimal JSON value builder — enough to emit the `BENCH_*.json`
 /// figure files and the `seedbd` API bodies without an external serializer.
@@ -34,11 +40,10 @@ impl Json {
     /// arrays, objects). Used by the perf-smoke tool to read committed
     /// baseline files back in and by `seedbd` to read request bodies.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(value)
@@ -249,17 +254,18 @@ fn expect(bytes: &[u8], pos: &mut usize, token: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
     }
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -269,7 +275,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -291,10 +297,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos, depth + 1)?));
+                fields.push((key, parse_value(text, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -336,17 +342,33 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decodes the string literal at `*pos` in linear time: each run of bytes
+/// between the stop bytes `"` and `\` is copied with one `push_str`. Both
+/// stop bytes are ASCII and `text` is valid UTF-8, so every run starts and
+/// ends on a char boundary.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let start = *pos;
+        let rest = bytes.get(start..).unwrap_or_default();
+        *pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        let run = text
+            .get(start..*pos)
+            .ok_or_else(|| "invalid UTF-8 in string".to_owned())?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_owned()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at '\\': an escape.
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -367,14 +389,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -425,6 +439,7 @@ impl From<Vec<Json>> for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn json_escapes_and_nests() {
@@ -498,6 +513,139 @@ mod tests {
         // Reasonable nesting still parses.
         let ok = format!("{}1{}", "[".repeat(50), "]".repeat(50));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    /// The decoder `parse_string` replaced — one UTF-8 scalar at a time,
+    /// re-validating the rest of the document for each — kept as the
+    /// oracle for the run-copying one.
+    fn reference_parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+        expect(bytes, pos, b'"')?;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err("unterminated string".to_owned()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| {
+                                    format!("bad \\u escape at byte {pos}", pos = *pos)
+                                })?;
+                            out.push(hex);
+                            *pos += 4;
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
+                    let c = rest.chars().next().expect("non-empty by match");
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Pieces of string literals: plain runs, every escape the decoder
+    /// knows, broken escapes, raw control and multi-byte characters, and
+    /// the stop bytes themselves.
+    const STRING_PIECES: &[&str] = &[
+        "a",
+        "plain run",
+        "\"",
+        "\\\"",
+        "\\\\",
+        "\\n",
+        "\\t",
+        "\\r",
+        "\\u0041",
+        "\\u00e9",
+        "\\u20AC",
+        "\\uD800",
+        "\\u12",
+        "\\u+123",
+        "\\x",
+        "\\",
+        "é",
+        "日本語",
+        "🦀",
+        "\n",
+        "\t",
+        ",",
+        "{}",
+        " ",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_string_matches_the_char_by_char_decoder(
+            picks in prop::collection::vec(0..STRING_PIECES.len(), 0..24),
+            close in any::<bool>(),
+        ) {
+            let mut text = String::from("\"");
+            for i in picks {
+                text.push_str(STRING_PIECES[i]);
+            }
+            if close {
+                text.push('"');
+            }
+            let (mut fast_pos, mut slow_pos) = (0, 0);
+            let fast = parse_string(&text, &mut fast_pos);
+            let slow = reference_parse_string(text.as_bytes(), &mut slow_pos);
+            prop_assert_eq!(&fast, &slow, "input {:?}", text);
+            if fast.is_ok() {
+                prop_assert_eq!(fast_pos, slow_pos, "input {:?}", text);
+            }
+        }
+    }
+
+    #[test]
+    fn string_decoding_is_linear_in_length() {
+        // A CSV upload as the API receives it: many short runs between
+        // escaped newlines and quotes. Linear decoding makes 16× the text
+        // cost about 16× the time; the char-by-char decoder's cost grew
+        // with the square (about 256×).
+        fn body(kib: usize) -> String {
+            let row = "paris,\\\"quoted\\\",12.5,3\\n";
+            let mut text = String::from("\"");
+            while text.len() < kib * 1024 {
+                text.push_str(row);
+            }
+            text.push('"');
+            text
+        }
+        fn best_of_five(text: &str) -> std::time::Duration {
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    std::hint::black_box(Json::parse(std::hint::black_box(text)).unwrap());
+                    started.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let (small, large) = (body(64), body(1024));
+        let ratio = best_of_five(&large).as_secs_f64() / best_of_five(&small).as_secs_f64();
+        assert!(ratio <= 64.0, "1 MiB took {ratio:.1}× as long as 64 KiB");
     }
 
     #[test]
