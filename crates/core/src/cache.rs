@@ -8,10 +8,12 @@
 //! per-view aggregates are already known and the scan can be skipped
 //! entirely.
 //!
-//! [`ViewCache`] is the hook the engine calls through:
-//! [`SeeDb::recommend_cached`](crate::SeeDb::recommend_cached) probes it
-//! per view with a canonical key (see [`crate::signature`]) and fills it
-//! with [`CachedPartial`]s. Two kinds of entry live in the same key
+//! [`ViewCache`] is the hook the engine calls through: a
+//! [`SeeDb`](crate::SeeDb) given one with
+//! [`SeeDb::with_cache`](crate::SeeDb::with_cache) probes it per view with
+//! a canonical key (see [`crate::signature`]) on every
+//! [`recommend`](crate::SeeDb::recommend), and fills it with
+//! [`CachedPartial`]s. Two kinds of entry live in the same key
 //! space, distinguished by their key *and* their [`Exactness`] tag:
 //!
 //! * **Exact** entries hold one full-table combined result per view —
@@ -130,20 +132,16 @@ impl CachedPartial {
 /// Implementations must return values bit-identical to what was `put`
 /// (share the `Arc`, don't re-derive) — the cached-recommendation path
 /// relies on exact round-trips for its bit-identity guarantee.
-pub trait ViewCache: Sync {
+pub trait ViewCache: Send + Sync {
     /// Looks up the partial cached under `key`, if any.
     fn get(&self, key: &str) -> Option<Arc<CachedPartial>>;
     /// Stores `value` under `key`.
     fn put(&self, key: &str, value: Arc<CachedPartial>);
 }
 
-/// How a cached recommendation run used the cache.
+/// How a recommendation run used its cache (all zero without one).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheUse {
-    /// Whether the configuration was eligible for per-view reuse at all.
-    /// Ineligible (bypassed) runs execute exactly like
-    /// [`SeeDb::recommend`](crate::SeeDb::recommend).
-    pub eligible: bool,
     /// Views answered entirely from the cache (no scan).
     pub hits: usize,
     /// Views computed from scratch (and then cached).
@@ -154,15 +152,10 @@ pub struct CacheUse {
 }
 
 impl CacheUse {
-    /// A run that bypassed the cache entirely.
-    pub fn ineligible() -> Self {
-        CacheUse::default()
-    }
-
     /// True when every view came from the cache (the request touched no
     /// table data at all).
     pub fn fully_cached(&self) -> bool {
-        self.eligible && self.misses == 0 && self.resumed == 0 && self.hits > 0
+        self.misses == 0 && self.resumed == 0 && self.hits > 0
     }
 }
 
@@ -264,23 +257,20 @@ mod tests {
 
     #[test]
     fn cache_use_flags() {
-        assert!(!CacheUse::ineligible().eligible);
+        assert!(!CacheUse::default().fully_cached());
         let full = CacheUse {
-            eligible: true,
             hits: 3,
             misses: 0,
             resumed: 0,
         };
         assert!(full.fully_cached());
         let partial = CacheUse {
-            eligible: true,
             hits: 3,
             misses: 1,
             resumed: 0,
         };
         assert!(!partial.fully_cached());
         let resumed = CacheUse {
-            eligible: true,
             hits: 3,
             misses: 0,
             resumed: 1,

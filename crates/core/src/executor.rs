@@ -1,7 +1,7 @@
 //! The phased execution framework (§3) with sharing (§4.1) and pruning
 //! (§4.2) combined.
 //!
-//! Every strategy is a configuration of one loop:
+//! Every strategy is a configuration of one loop ([`Executor::run`]):
 //!
 //! 1. Partition the table into `n` phases ([`crate::phase::phase_ranges`]).
 //! 2. Per phase, build **query clusters** from the views still alive
@@ -20,20 +20,28 @@
 //!    discard or accept views.
 //! 4. `COMB_EARLY` stops as soon as top-k membership is decided.
 //!
-//! `NO_OPT` bypasses the loop: two serial full-table queries per view,
-//! exactly the paper's basic execution engine (2·f·a·m queries).
+//! `NO_OPT` and `SHARING` are the loop at one phase with no pruner;
+//! `NO_OPT` also switches every sharing rewrite off ([`crate::plan::shape`]),
+//! which leaves two serial full-table queries per view — exactly the
+//! paper's basic execution engine (2·f·a·m queries).
+//!
+//! A run seeded from a cross-request cache ([`crate::cache`]) takes each
+//! cached view in one of two ways. A configuration that never prunes takes
+//! it whole: the view sits every phase out. A pruned one replays the cached
+//! phases without scanning and resumes the scan where they end, so the
+//! pruner sees the estimates an unseeded run would.
 
 use crate::cache::CachedPartial;
-use crate::config::{ExecutionStrategy, PruningKind, SeeDbConfig};
+use crate::config::SeeDbConfig;
 use crate::phase::phase_ranges;
-use crate::plan::{build_clusters, Cluster, Member, PhysicalPlan};
+use crate::plan::{build_clusters, shape, Cluster, Member, PhysicalPlan};
 use crate::pruning::{make_pruner, Pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
 use crate::state::{Side, ViewGroups, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
-    with_pool, AggSpec, CancelToken, CombinedQuery, ExecStats, GroupedResult, PartialAggregation,
-    Pool, Predicate, ScanSession, SplitSpec, TraceCtx,
+    with_pool, CancelToken, CombinedQuery, ExecStats, GroupedResult, PartialAggregation, Predicate,
+    ScanSession, SplitSpec, TraceCtx,
 };
 use seedb_storage::Table;
 use std::sync::Arc;
@@ -59,23 +67,16 @@ pub struct ExecutionReport {
     /// empty prefix) and the final phase's partial scan was discarded —
     /// callers must not rank, render, or cache them as a finished answer.
     pub deadline_exceeded: bool,
-}
-
-/// A phased run's report plus the resumability byproducts
-/// [`Executor::run_resumable`] captures for the cross-request cache.
-#[derive(Debug)]
-pub struct ResumableRun {
-    /// The execution report (identical to what [`Executor::run`] yields).
-    pub report: ExecutionReport,
-    /// Per-view, per-phase combined deltas, covering exactly the phases
-    /// each view participated in (view-id indexed). Replayed phases share
-    /// the seed's `Arc`s; freshly scanned phases own new results.
-    pub deltas: Vec<Vec<Arc<GroupedResult>>>,
-    /// Per-view count of phases answered by scanning (vs seed replay).
-    pub scanned_phases: Vec<usize>,
     /// The effective (non-empty) phase count of the partition — the
     /// granularity cached prefixes must match to be replayable.
     pub total_phases: usize,
+    /// Per-view count of phases answered by scanning (vs seed replay).
+    pub scanned_phases: Vec<usize>,
+    /// Per-view, per-phase combined deltas over exactly the phases each
+    /// view took part in (view-id indexed; replayed phases share the
+    /// seed's `Arc`s). Captured only by a seeded run of a pruned
+    /// configuration — what the cache keeps of it; empty otherwise.
+    pub deltas: Vec<Vec<Arc<GroupedResult>>>,
 }
 
 impl ExecutionReport {
@@ -170,34 +171,22 @@ pub fn fold_into_views(
     deltas
 }
 
-/// Scans `range` for `queries` and folds every query's result into its
-/// member views' groups of this range ([`fold_into_views`]) as pool items
-/// of the session. `feeds(job)` names the job's members and the side its
-/// accumulators feed. `None` when the session's deadline cut the scan
-/// short.
-fn scan_into_views<'m>(
-    session: &mut ScanSession<'_>,
-    queries: &[CombinedQuery],
-    range: std::ops::Range<usize>,
-    states: &[ViewState],
-    feeds: impl Fn(usize) -> (&'m [Member], Option<Side>) + Sync,
-) -> Option<Vec<(Vec<ViewGroups>, ExecStats)>> {
-    session.scan(queries, range, |job, partial| {
-        let (members, side) = feeds(job);
-        fold_into_views(partial, members, side, states)
-    })
-}
-
 /// Strategy-driven executor over one table.
 pub struct Executor<'a> {
-    table: &'a dyn Table,
-    config: &'a SeeDbConfig,
-    cancel: CancelToken,
-    trace: TraceCtx,
+    pub(crate) table: &'a dyn Table,
+    pub(crate) config: &'a SeeDbConfig,
+    /// The run's cooperative deadline, checked at phase boundaries (and,
+    /// inside the engine, before each morsel).
+    pub(crate) cancel: CancelToken,
+    /// Each executed phase records a `phase` span (the exact interval
+    /// pushed into `ExecStats::phase_times_us`), and the engine emits
+    /// per-worker morsel spans.
+    pub(crate) trace: TraceCtx,
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor for `table` under `config`, with no deadline.
+    /// Creates an executor for `table` under `config`, with no deadline and
+    /// tracing off.
     pub fn new(table: &'a dyn Table, config: &'a SeeDbConfig) -> Self {
         Executor {
             table,
@@ -207,237 +196,49 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Creates an executor whose run is cooperatively cancelled when
-    /// `cancel` expires: the token is checked at phase boundaries (and,
-    /// inside the engine, before each morsel), and an expired run reports
-    /// [`ExecutionReport::deadline_exceeded`] instead of running on.
-    pub fn with_cancel(table: &'a dyn Table, config: &'a SeeDbConfig, cancel: CancelToken) -> Self {
-        Executor {
-            table,
-            config,
-            cancel,
-            trace: TraceCtx::disabled(),
-        }
-    }
-
-    /// Attaches a trace context: each executed phase then records a
-    /// `phase` span (the exact interval pushed into
-    /// `ExecStats::phase_times_us`), and the engine emits per-worker
-    /// morsel spans. A disabled context records nothing.
-    pub fn set_trace(&mut self, trace: TraceCtx) {
-        self.trace = trace;
-    }
-
-    /// Derives the physical plan this executor would run under — the same
-    /// derivation [`Executor::run`] performs, exposed for EXPLAIN.
-    pub fn plan(
-        &self,
-        views: &[ViewSpec],
-        target: &Predicate,
-        reference: &ReferenceSpec,
-    ) -> PhysicalPlan {
-        PhysicalPlan::derive(self.table, self.config, views, target, reference)
-    }
-
-    /// Runs the configured strategy over `views`.
+    /// Runs the configured strategy over `views`, seeded from `seeds`
+    /// (view-id indexed; empty for a run without a cache — which then
+    /// captures nothing). See the module docs for how a seed is taken.
     ///
-    /// A [`PhysicalPlan`] is derived first (stats-driven worker count,
-    /// morsel size, and index choice, with `Knob::Fixed` overrides
-    /// honored), then a single scoped worker pool ([`with_pool`]) lives for
-    /// the whole run: every phase's `(cluster, morsel)` work items execute
-    /// on the same workers instead of spawning fresh threads per phase.
+    /// A [`PhysicalPlan`] is derived first over the views that take part
+    /// (stats-driven worker count, morsel size, and index choice, with
+    /// `Knob::Fixed` overrides honored), then a single scoped worker pool
+    /// ([`with_pool`]) lives for the whole run: every phase's `(cluster,
+    /// morsel)` work items execute on the same workers instead of spawning
+    /// fresh threads per phase. Empty tail ranges (`phases > rows`) are
+    /// skipped entirely so they never advance the pruner's sample count
+    /// `m`.
+    ///
+    /// A seeded run is **bit-identical** to an unseeded one: replayed
+    /// deltas merge exactly, so cumulative states — and therefore utility
+    /// estimates and pruning decisions — reproduce the unseeded run's bits
+    /// phase by phase.
     pub fn run(
         &self,
         views: &[ViewSpec],
         target: &Predicate,
         reference: &ReferenceSpec,
+        seeds: &[Option<Arc<CachedPartial>>],
     ) -> ExecutionReport {
-        let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| {
-            let session = &mut self.session(pool, &plan);
-            match self.phased_shape() {
-                None => self.run_no_opt(session, &plan, views, target, reference),
-                Some((phases, pruner, early)) => {
-                    self.run_phased(
-                        session, &plan, views, target, reference, phases, pruner, early, None,
-                    )
-                    .report
-                }
-            }
-        })
+        let pruning = shape(self.config).pruning;
+        let pruner = make_pruner(pruning, self.config.delta, self.config.seed);
+        self.run_with(views, target, reference, seeds, pruner)
     }
 
-    /// The run's one scan session: every phase's `(cluster, morsel)` work
-    /// items and per-cluster folds execute on `pool`, and worker partials
-    /// carry over from phase to phase.
-    fn session<'p>(&self, pool: &'p Pool<'p>, plan: &PhysicalPlan) -> ScanSession<'p>
-    where
-        'a: 'p,
-    {
-        ScanSession::new(
-            pool,
-            self.table,
-            plan.scan_shape(),
-            &self.cancel,
-            &self.trace,
-        )
-    }
-
-    /// One fresh state per view, its groups laid out for the view's
-    /// grouping attribute in this table.
-    fn fresh_states(&self, views: &[ViewSpec]) -> Vec<ViewState> {
-        views
-            .iter()
-            .map(|v| ViewState::for_table(*v, self.table))
-            .collect()
-    }
-
-    /// [`Executor::run`] for the phased strategies, with cross-request
-    /// resume support: `seeds[i]` (when present, and when its
-    /// `total_phases` matches this run's effective partition) replays view
-    /// `i`'s cached phase prefix without scanning and resumes the scan at
-    /// `phases_done`; every view's per-phase deltas are captured for
-    /// depositing back into the cache.
-    ///
-    /// The report is **bit-identical** to [`Executor::run`] on the same
-    /// inputs: replayed deltas merge exactly, so cumulative states — and
-    /// therefore utility estimates and pruning decisions — reproduce the
-    /// unseeded run's bits phase by phase.
-    ///
-    /// Only meaningful for `SHARING`/`COMB`/`COMB_EARLY`; a `NO_OPT`
-    /// configuration runs unseeded and captures nothing.
-    pub fn run_resumable(
+    /// [`Executor::run`] under the given pruner.
+    fn run_with(
         &self,
         views: &[ViewSpec],
         target: &Predicate,
         reference: &ReferenceSpec,
         seeds: &[Option<Arc<CachedPartial>>],
-    ) -> ResumableRun {
-        debug_assert_eq!(seeds.len(), views.len());
-        let plan = self.plan(views, target, reference);
-        with_pool(plan.workers, |pool| {
-            let session = &mut self.session(pool, &plan);
-            match self.phased_shape() {
-                None => ResumableRun {
-                    report: self.run_no_opt(session, &plan, views, target, reference),
-                    deltas: vec![Vec::new(); views.len()],
-                    scanned_phases: vec![1; views.len()],
-                    total_phases: 1,
-                },
-                Some((phases, pruner, early)) => self.run_phased(
-                    session,
-                    &plan,
-                    views,
-                    target,
-                    reference,
-                    phases,
-                    pruner,
-                    early,
-                    Some(seeds),
-                ),
-            }
-        })
-    }
-
-    /// The phased executor's shape for the configured strategy — `(phases,
-    /// pruner, stop early)` — or `None` for `NO_OPT`, which bypasses it.
-    fn phased_shape(&self) -> Option<(usize, Box<dyn Pruner>, bool)> {
-        let config = self.config;
-        let pruner = |kind| make_pruner(kind, config.delta, config.seed);
-        match config.strategy {
-            ExecutionStrategy::NoOpt => None,
-            ExecutionStrategy::Sharing => Some((1, pruner(PruningKind::None), false)),
-            ExecutionStrategy::Comb => Some((config.num_phases, pruner(config.pruning), false)),
-            ExecutionStrategy::CombEarly => Some((config.num_phases, pruner(config.pruning), true)),
-        }
-    }
-
-    /// The basic execution engine: two full-table queries per view (still
-    /// 2·a·m queries — only the scan of each query is morsel-parallel).
-    fn run_no_opt(
-        &self,
-        session: &mut ScanSession<'_>,
-        plan: &PhysicalPlan,
-        views: &[ViewSpec],
-        target: &Predicate,
-        reference: &ReferenceSpec,
-    ) -> ExecutionReport {
-        let start = Instant::now();
-        let mut stats = ExecStats::new();
-        stats.plan_summary = plan.summary();
-        let ref_pred = reference.reference_predicate(target);
-        let mut states = self.fresh_states(views);
-
-        let queries: Vec<CombinedQuery> = views
-            .iter()
-            .flat_map(|spec| {
-                let agg = AggSpec::new(spec.func, spec.measure);
-                [
-                    CombinedQuery::single(spec.dim, agg, SplitSpec::TargetOnly(target.clone())),
-                    CombinedQuery::single(spec.dim, agg, SplitSpec::TargetOnly(ref_pred.clone())),
-                ]
-            })
-            .collect();
-        // Two jobs per view: its target side, then its reference side.
-        let members: Vec<[Member; 1]> = views.iter().map(|v| [(v.id, 0, 0)]).collect();
-        let sides = [Side::Target, Side::Reference];
-        let rows = 0..self.table.num_rows();
-        let results = scan_into_views(session, &queries, rows, &states, |job| {
-            (&members[job / 2], Some(sides[job % 2]))
-        });
-        for (job, (deltas, job_stats)) in results.into_iter().flatten().enumerate() {
-            stats.merge(&job_stats);
-            states[members[job / 2][0].0].merge_groups(&deltas[0]);
-        }
-
-        // NO_OPT is a single phase; its one timing slot is the whole scan.
-        let phase_time = start.elapsed();
-        stats.phase_times_us.push(phase_time.as_micros() as u64);
-        self.trace.record(
-            "phase",
-            0,
-            start,
-            phase_time,
-            vec![("phase", "0".to_string())],
-        );
-        ExecutionReport {
-            states,
-            stats,
-            elapsed: start.elapsed(),
-            phases_executed: 1,
-            early_stopped: false,
-            deadline_exceeded: self.cancel.is_expired(),
-        }
-    }
-
-    /// The phased shared executor described in the module docs.
-    ///
-    /// `seeds` (when provided) switches on resume mode: a view whose seed
-    /// covers phase `j` *replays* the cached delta instead of scanning,
-    /// and every view's per-phase deltas are captured for the cache.
-    /// Empty tail ranges (`phases > rows`) are skipped entirely so they
-    /// never advance the pruner's sample count `m`.
-    #[allow(clippy::too_many_arguments)] // strategy knobs + the shared pool
-    fn run_phased(
-        &self,
-        session: &mut ScanSession<'_>,
-        plan: &PhysicalPlan,
-        views: &[ViewSpec],
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        phases: usize,
         mut pruner: Box<dyn Pruner>,
-        early: bool,
-        seeds: Option<&[Option<Arc<CachedPartial>>]>,
-    ) -> ResumableRun {
-        let start = Instant::now();
-        let mut stats = ExecStats::new();
-        stats.plan_summary = plan.summary();
-        let mut states = self.fresh_states(views);
+    ) -> ExecutionReport {
+        let shape = shape(self.config);
         // Only non-empty ranges are phases: an empty range would advance
         // the pruner's sample count m — tightening the Hoeffding–Serfling
         // interval — without contributing a single row of evidence.
-        let ranges: Vec<std::ops::Range<usize>> = phase_ranges(self.table.num_rows(), phases)
+        let ranges: Vec<std::ops::Range<usize>> = phase_ranges(self.table.num_rows(), shape.phases)
             .into_iter()
             .filter(|r| !r.is_empty())
             .collect();
@@ -446,199 +247,228 @@ impl<'a> Executor<'a> {
         let metric = self.config.metric;
         let ref_pred = reference.reference_predicate(target);
 
-        let capture = seeds.is_some();
-        // A seed is replayable only when it was computed under the same
-        // partition granularity; anything else is ignored (cache miss).
-        let usable_seed = |i: usize| -> Option<&Arc<CachedPartial>> {
-            seeds
-                .and_then(|s| s[i].as_ref())
-                .filter(|p| p.total_phases == total_phases && !p.deltas.is_empty())
-        };
-        let resume_phase: Vec<usize> = (0..views.len())
-            .map(|i| usable_seed(i).map_or(0, |p| p.phases_done()))
+        // A configuration that never prunes takes a seed whole; a pruned
+        // one replays it phase by phase (see the module docs), and only its
+        // per-phase deltas are worth keeping for the cache.
+        let whole = self.config.exact_per_view();
+        let capture = !seeds.is_empty() && !whole;
+        let mut states: Vec<ViewState> = views
+            .iter()
+            .map(|v| ViewState::for_table(*v, self.table))
             .collect();
-        let mut captured: Vec<Vec<Arc<GroupedResult>>> = vec![Vec::new(); views.len()];
-        let mut scanned_phases: Vec<usize> = vec![0; views.len()];
-        let mut planned: Option<PhaseQueries> = None;
-
-        let mut phases_executed = 0;
-        let mut early_stopped = false;
-        let mut deadline_exceeded = false;
-
-        for (phase_idx, range) in ranges.iter().enumerate() {
-            if self.cancel.is_expired() {
-                deadline_exceeded = true;
-                break;
-            }
-            let phase_start = Instant::now();
-            // Replay cached deltas for participating views whose seed
-            // covers this phase; they need no scan.
-            for (i, state) in states.iter_mut().enumerate() {
-                if !(state.alive || state.accepted) || phase_idx >= resume_phase[i] {
-                    continue;
-                }
-                let delta =
-                    usable_seed(i).expect("resume_phase implies a seed").deltas[phase_idx].clone();
-                state.merge_both(&delta, 0);
-                if capture {
-                    captured[i].push(delta);
+        // The views taking part in the phases, and the phase each resumes
+        // scanning at (after replaying its seed's prefix).
+        let mut runs: Vec<ViewId> = Vec::with_capacity(views.len());
+        let mut resume_phase = vec![0; views.len()];
+        for (i, state) in states.iter_mut().enumerate() {
+            match seeds.get(i).and_then(Option::as_ref) {
+                Some(seed) if whole => state.merge_both(&seed.deltas[0], 0),
+                seed => {
+                    resume_phase[i] = seed.map_or(0, |p| p.phases_done());
+                    runs.push(i);
                 }
             }
+        }
+        let mut report = ExecutionReport {
+            states: Vec::new(),
+            stats: ExecStats::new(),
+            elapsed: Duration::ZERO,
+            phases_executed: 0,
+            early_stopped: false,
+            deadline_exceeded: false,
+            total_phases,
+            scanned_phases: vec![0; views.len()],
+            deltas: vec![Vec::new(); if capture { views.len() } else { 0 }],
+        };
+        // Every view came whole from the cache: nothing to plan or scan.
+        if runs.is_empty() {
+            report.states = states;
+            return report;
+        }
 
-            // Scan for the participating views this phase's seed does not
-            // cover (all of them, in an unseeded run).
-            let scanning: Vec<ViewId> = states
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| (s.alive || s.accepted) && phase_idx >= resume_phase[*i])
-                .map(|(i, _)| i)
-                .collect();
-            let any_participating = states.iter().any(|s| s.alive || s.accepted);
-            if !any_participating {
-                break;
-            }
-            let PhaseQueries {
-                scanning,
-                clusters,
-                queries,
-            } = match &mut planned {
-                Some(current) if current.scanning == scanning => current,
-                stale => {
-                    stale.insert(self.phase_queries(views, scanning, target, &ref_pred, reference))
+        let run_views: Vec<ViewSpec> = runs.iter().map(|&i| views[i]).collect();
+        let plan = PhysicalPlan::derive(self.table, self.config, &run_views, target, reference);
+        report.stats.plan_summary = plan.summary();
+        let queries_per_cluster = if shape.sharing.combine_target_reference {
+            1
+        } else {
+            2
+        };
+        with_pool(plan.workers, |pool| {
+            let mut session = ScanSession::new(
+                pool,
+                self.table,
+                plan.scan_shape(),
+                &self.cancel,
+                &self.trace,
+            );
+            // The run's wall clock covers its phases and what lies between
+            // them, not planning or the pool's start-up and teardown.
+            let start = Instant::now();
+            let mut planned: Option<PhaseQueries> = None;
+            for (phase_idx, range) in ranges.iter().enumerate() {
+                if self.cancel.is_expired() {
+                    report.deadline_exceeded = true;
+                    break;
                 }
-            };
-            let queries_per_cluster = if self.config.sharing.combine_target_reference {
-                1
-            } else {
-                2
-            };
-
-            // Execute this phase's clusters: every cluster query is split
-            // into morsels and all `(cluster, morsel)` work items share the
-            // run-wide worker pool, so even a single bin-packed all-sharing
-            // cluster uses every worker; each query's result is then folded
-            // into its member views' groups of this phase, one pool item
-            // per query.
-            let results = scan_into_views(session, queries, range.clone(), &states, |job| {
-                let side = match queries_per_cluster {
-                    1 => None,
-                    _ => Some([Side::Target, Side::Reference][job % 2]),
-                };
-                (&clusters[job / queries_per_cluster].members, side)
-            });
-            // A deadline that expired during the scan makes this phase's
-            // results garbage (workers skipped an arbitrary suffix of the
-            // morsels): stop with the completed-phase prefix. The
-            // already-merged states stay a valid prefix.
-            let Some(results) = results.filter(|_| !self.cancel.is_expired()) else {
-                deadline_exceeded = true;
-                break;
-            };
-
-            // Per-view groups of this phase alone, captured for the cache.
-            let mut phase_groups: Vec<Option<ViewGroups>> = vec![None; views.len()];
-            for (job, (deltas, job_stats)) in results.into_iter().enumerate() {
-                stats.merge(&job_stats);
-                let members = &clusters[job / queries_per_cluster].members;
-                for (&(view_id, ..), delta) in members.iter().zip(deltas) {
-                    states[view_id].merge_groups(&delta);
+                let phase_start = Instant::now();
+                // Scan for the participating views whose seed does not
+                // cover this phase (all of them, in an unseeded run), and
+                // replay the cached delta of the others.
+                let (scanning, replaying): (Vec<ViewId>, Vec<ViewId>) = runs
+                    .iter()
+                    .copied()
+                    .filter(|&i| states[i].alive || states[i].accepted)
+                    .partition(|&i| phase_idx >= resume_phase[i]);
+                if scanning.is_empty() && replaying.is_empty() {
+                    break;
+                }
+                for i in replaying {
+                    let seed = seeds[i].as_ref().expect("resume_phase implies a seed");
+                    let delta = seed.deltas[phase_idx].clone();
+                    states[i].merge_both(&delta, 0);
                     if capture {
-                        match &mut phase_groups[view_id] {
-                            // The other side, from a separate query.
-                            Some(captured) => captured.merge(&delta),
-                            empty => *empty = Some(delta),
+                        report.deltas[i].push(delta);
+                    }
+                }
+                let PhaseQueries {
+                    scanning,
+                    clusters,
+                    queries,
+                } = match &mut planned {
+                    Some(current) if current.scanning == scanning => current,
+                    stale => stale.insert(self.phase_queries(
+                        &shape.sharing,
+                        views,
+                        scanning,
+                        target,
+                        &ref_pred,
+                        reference,
+                    )),
+                };
+
+                // Execute this phase's clusters: every cluster query is
+                // split into morsels and all `(cluster, morsel)` work items
+                // share the run-wide worker pool, so even a single
+                // bin-packed all-sharing cluster uses every worker; each
+                // query's result is then folded into its member views'
+                // groups of this phase, one pool item per query.
+                let results = session.scan(queries, range.clone(), |job, partial| {
+                    let side = match queries_per_cluster {
+                        1 => None,
+                        _ => Some([Side::Target, Side::Reference][job % 2]),
+                    };
+                    let members = &clusters[job / queries_per_cluster].members;
+                    fold_into_views(partial, members, side, &states)
+                });
+                // A deadline that expired during the scan makes this
+                // phase's results garbage (workers skipped an arbitrary
+                // suffix of the morsels): stop with the completed-phase
+                // prefix. The already-merged states stay a valid prefix.
+                let Some(results) = results.filter(|_| !self.cancel.is_expired()) else {
+                    report.deadline_exceeded = true;
+                    break;
+                };
+
+                // Per-view groups of this phase alone, captured for the
+                // cache.
+                let mut phase_groups: Vec<Option<ViewGroups>> = vec![None; views.len()];
+                for (job, (deltas, job_stats)) in results.into_iter().enumerate() {
+                    report.stats.merge(&job_stats);
+                    let members = &clusters[job / queries_per_cluster].members;
+                    for (&(view_id, ..), delta) in members.iter().zip(deltas) {
+                        states[view_id].merge_groups(&delta);
+                        if capture {
+                            match &mut phase_groups[view_id] {
+                                // The other side, from a separate query.
+                                Some(captured) => captured.merge(&delta),
+                                empty => *empty = Some(delta),
+                            }
                         }
                     }
                 }
-            }
 
-            // Every scanned view covered one more phase — even a view
-            // whose groups were absent from this range must occupy the
-            // phase slot, or replay indices would shift.
-            for &id in scanning.iter() {
-                scanned_phases[id] += 1;
-                if capture {
-                    let delta = phase_groups[id].take().unwrap_or_default();
-                    captured[id].push(Arc::new(delta.into_combined_result(&views[id])));
+                // Every scanned view covered one more phase — even a view
+                // whose groups were absent from this range must occupy the
+                // phase slot, or replay indices would shift.
+                for &id in scanning.iter() {
+                    report.scanned_phases[id] += 1;
+                    if capture {
+                        let delta = phase_groups[id].take().unwrap_or_default();
+                        report.deltas[id].push(Arc::new(delta.into_combined_result(&views[id])));
+                    }
+                }
+
+                report.phases_executed = phase_idx + 1;
+                let phase_time = phase_start.elapsed();
+                report
+                    .stats
+                    .phase_times_us
+                    .push(phase_time.as_micros() as u64);
+                self.trace.record(
+                    "phase",
+                    0,
+                    phase_start,
+                    phase_time,
+                    vec![("phase", phase_idx.to_string())],
+                );
+
+                // Utility estimates for live, unaccepted views.
+                let mut estimates = Vec::new();
+                for &i in &runs {
+                    let state = &mut states[i];
+                    if state.alive && !state.accepted {
+                        let _ = state.record_estimate(metric);
+                        estimates.push(ViewEstimate {
+                            view_id: state.spec.id,
+                            mean: state.estimate_mean(),
+                            samples: state.estimates.len(),
+                        });
+                    }
+                }
+                let accepted_so_far = states.iter().filter(|s| s.accepted).count();
+                let decision = pruner.decide(
+                    &estimates,
+                    accepted_so_far,
+                    k,
+                    report.phases_executed,
+                    total_phases,
+                );
+                for id in decision.discard {
+                    let s = &mut states[id];
+                    s.alive = false;
+                    s.pruned_at_phase = Some(phase_idx);
+                }
+                for id in decision.accept {
+                    states[id].accepted = true;
+                }
+
+                if shape.early {
+                    let accepted = states.iter().filter(|s| s.accepted).count();
+                    let undecided = states.iter().filter(|s| s.alive && !s.accepted).count();
+                    if accepted >= k || accepted + undecided <= k {
+                        report.early_stopped = report.phases_executed < total_phases;
+                        break;
+                    }
                 }
             }
-
-            phases_executed = phase_idx + 1;
-            let phase_time = phase_start.elapsed();
-            stats.phase_times_us.push(phase_time.as_micros() as u64);
-            self.trace.record(
-                "phase",
-                0,
-                phase_start,
-                phase_time,
-                vec![("phase", phase_idx.to_string())],
-            );
-
-            // Utility estimates for live, unaccepted views.
-            let mut estimates = Vec::new();
-            for state in &mut states {
-                if state.alive && !state.accepted {
-                    let _ = state.record_estimate(metric);
-                    estimates.push(ViewEstimate {
-                        view_id: state.spec.id,
-                        mean: state.estimate_mean(),
-                        samples: state.estimates.len(),
-                    });
-                }
-            }
-            let accepted_so_far = states.iter().filter(|s| s.accepted).count();
-            let decision = pruner.decide(
-                &estimates,
-                accepted_so_far,
-                k,
-                phases_executed,
-                total_phases,
-            );
-            for id in decision.discard {
-                let s = &mut states[id];
-                s.alive = false;
-                s.pruned_at_phase = Some(phase_idx);
-            }
-            for id in decision.accept {
-                states[id].accepted = true;
-            }
-
-            if early {
-                let accepted = states.iter().filter(|s| s.accepted).count();
-                let undecided = states.iter().filter(|s| s.alive && !s.accepted).count();
-                if accepted >= k || accepted + undecided <= k {
-                    early_stopped = phases_executed < total_phases;
-                    break;
-                }
-            }
-        }
-
-        ResumableRun {
-            report: ExecutionReport {
-                states,
-                stats,
-                elapsed: start.elapsed(),
-                phases_executed,
-                early_stopped,
-                deadline_exceeded,
-            },
-            deltas: captured,
-            scanned_phases,
-            total_phases,
-        }
+            report.elapsed = start.elapsed();
+        });
+        report.states = states;
+        report
     }
 
-    /// Clusters the `scanning` views and builds each cluster's combined
-    /// queries.
+    /// Clusters the `scanning` views under `sharing` and builds each
+    /// cluster's combined queries.
     fn phase_queries(
         &self,
+        sharing: &crate::config::SharingConfig,
         views: &[ViewSpec],
         scanning: Vec<ViewId>,
         target: &Predicate,
         ref_pred: &Predicate,
         reference: &ReferenceSpec,
     ) -> PhaseQueries {
-        let sharing = &self.config.sharing;
         let clusters = build_clusters(self.table, sharing, scanning.iter().map(|&id| &views[id]));
         let queries = clusters
             .iter()
@@ -670,7 +500,7 @@ impl<'a> Executor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Knob, SharingConfig};
+    use crate::config::{ExecutionStrategy, Knob, PruningKind, SharingConfig};
     use crate::view::enumerate_views;
     use seedb_engine::AggFunc;
     use seedb_metrics::DistanceKind;
@@ -737,7 +567,12 @@ mod tests {
         cfg.num_phases = 5;
         let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
         let exec = Executor::new(table.as_ref(), &cfg);
-        let report = exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+        let report = exec.run(
+            &views,
+            &target(table.as_ref()),
+            &ReferenceSpec::WholeTable,
+            &[],
+        );
         (report, cfg, table)
     }
 
@@ -1039,11 +874,17 @@ mod tests {
                 cfg.engine_mode = mode;
                 let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
                 let exec = Executor::new(table.as_ref(), &cfg);
-                let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
+                let plan = PhysicalPlan::derive(
+                    table.as_ref(),
+                    &cfg,
+                    &views,
+                    &target,
+                    &ReferenceSpec::WholeTable,
+                );
                 assert_eq!(plan.clusters.len(), 2, "{kind} {mode}");
                 assert_eq!((plan.aggregates, plan.views), (8, 12), "{kind} {mode}");
                 assert!(plan.summary().contains("aggs=8/12"), "{}", plan.summary());
-                let report = exec.run(&views, &target, &ReferenceSpec::WholeTable);
+                let report = exec.run(&views, &target, &ReferenceSpec::WholeTable, &[]);
                 // Every row feeds one side (target, or the non-target rest
                 // of the whole-table reference) of every distinct aggregate
                 // of both clusters — 8 updates, not one per view (12).
@@ -1083,29 +924,22 @@ mod tests {
     }
 
     /// A 4-phase capturing run over `test_table` under a scripted pruner.
-    fn scripted_run(combine_group_bys: bool, script: &[(usize, Vec<ViewId>)]) -> ResumableRun {
+    fn scripted_run(combine_group_bys: bool, script: &[(usize, Vec<ViewId>)]) -> ExecutionReport {
         let table = test_table(StoreKind::Column);
         let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+        cfg.num_phases = 4;
         cfg.sharing.parallelism = Knob::Fixed(1);
         cfg.sharing.combine_group_bys = combine_group_bys;
         cfg.sharing.memory_budget = Some(1_000_000);
         let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
         let exec = Executor::new(table.as_ref(), &cfg);
-        let target = target(table.as_ref());
-        let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
-        with_pool(1, |pool| {
-            exec.run_phased(
-                &mut exec.session(pool, &plan),
-                &plan,
-                &views,
-                &target,
-                &ReferenceSpec::WholeTable,
-                4,
-                Box::new(ScriptedPruner(script.to_vec())),
-                false,
-                Some(&vec![None; views.len()]),
-            )
-        })
+        exec.run_with(
+            &views,
+            &target(table.as_ref()),
+            &ReferenceSpec::WholeTable,
+            &vec![None; views.len()],
+            Box::new(ScriptedPruner(script.to_vec())),
+        )
     }
 
     fn assert_same_deltas(a: &[Arc<GroupedResult>], b: &[Arc<GroupedResult>], label: &str) {
@@ -1132,14 +966,14 @@ mod tests {
 
         // One query and two distinct aggregates per phase, before and after
         // the discard: m0 is accumulated once per row for whoever reads it.
-        assert_eq!(shared.report.stats.queries_issued, 4);
-        assert_eq!(shared.report.stats.accumulator_updates, 400 * 2);
+        assert_eq!(shared.stats.queries_issued, 4);
+        assert_eq!(shared.stats.accumulator_updates, 400 * 2);
 
         // The discarded view stopped advancing after its one phase.
         assert_eq!(shared.scanned_phases, vec![1, 4, 4, 4, 4, 4]);
         assert_eq!(shared.deltas[0].len(), 1);
-        assert_eq!(shared.report.states[0].pruned_at_phase, Some(0));
-        assert_eq!(shared.report.states[0].estimates.len(), 1);
+        assert_eq!(shared.states[0].pruned_at_phase, Some(0));
+        assert_eq!(shared.states[0].estimates.len(), 1);
 
         // Every view — the survivors on m0 above all — saw exactly the
         // values the unshared per-dimension queries gave it, phase by phase.
@@ -1150,8 +984,8 @@ mod tests {
                 &format!("view {id}"),
             );
             assert_eq!(
-                shared.report.states[id].value_vectors(),
-                unshared.report.states[id].value_vectors(),
+                shared.states[id].value_vectors(),
+                unshared.states[id].value_vectors(),
                 "view {id}"
             );
         }
@@ -1220,7 +1054,7 @@ mod tests {
             value: 50.0,
         };
         let exec = Executor::new(table.as_ref(), &cfg);
-        let report = exec.run(&views, &target, &ReferenceSpec::WholeTable);
+        let report = exec.run(&views, &target, &ReferenceSpec::WholeTable, &[]);
 
         let nan_views: Vec<ViewId> = report
             .states
@@ -1306,8 +1140,12 @@ mod tests {
                     cfg.engine_mode = mode;
                     let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
                     let exec = Executor::new(table.as_ref(), &cfg);
-                    let report =
-                        exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+                    let report = exec.run(
+                        &views,
+                        &target(table.as_ref()),
+                        &ReferenceSpec::WholeTable,
+                        &[],
+                    );
                     per_mode.push(utilities(&report));
                 }
                 // Bit-identical, not approximately equal: both modes consume
@@ -1336,8 +1174,12 @@ mod tests {
                         cfg.engine_mode = mode;
                         let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
                         let exec = Executor::new(table.as_ref(), &cfg);
-                        let report =
-                            exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+                        let report = exec.run(
+                            &views,
+                            &target(table.as_ref()),
+                            &ReferenceSpec::WholeTable,
+                            &[],
+                        );
                         let utils = utilities(&report);
                         match &baseline {
                             None => baseline = Some(utils),
@@ -1400,7 +1242,7 @@ mod tests {
             let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
             let target = Predicate::col_eq_str(table.as_ref(), "d", "a");
             let exec = Executor::new(table.as_ref(), &cfg);
-            exec.run(&views, &target, &ReferenceSpec::WholeTable)
+            exec.run(&views, &target, &ReferenceSpec::WholeTable, &[])
         };
         let oversubscribed = run(8);
         assert_eq!(
@@ -1449,9 +1291,16 @@ mod tests {
             cfg.num_phases = 5;
             let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
             let trace = TraceCtx::enabled(7);
-            let mut exec = Executor::new(table.as_ref(), &cfg);
-            exec.set_trace(trace.clone());
-            let report = exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+            let exec = Executor {
+                trace: trace.clone(),
+                ..Executor::new(table.as_ref(), &cfg)
+            };
+            let report = exec.run(
+                &views,
+                &target(table.as_ref()),
+                &ReferenceSpec::WholeTable,
+                &[],
+            );
             let done = seedb_obs::Obs::default()
                 .finish(&trace, "test", "/test", 200)
                 .expect("the trace is live");
@@ -1502,15 +1351,28 @@ mod tests {
         cfg.num_phases = 5;
         let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
         let expired = CancelToken::after(Duration::ZERO);
-        let exec = Executor::with_cancel(table.as_ref(), &cfg, expired);
-        let report = exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+        let exec = Executor {
+            cancel: expired,
+            ..Executor::new(table.as_ref(), &cfg)
+        };
+        let report = exec.run(
+            &views,
+            &target(table.as_ref()),
+            &ReferenceSpec::WholeTable,
+            &[],
+        );
         assert!(report.deadline_exceeded);
         assert_eq!(report.phases_executed, 0, "no phase completes past expiry");
         assert_eq!(report.stats.rows_scanned, 0);
 
-        // And a deadline-free run through the same constructor is unflagged.
-        let exec = Executor::with_cancel(table.as_ref(), &cfg, CancelToken::none());
-        let report = exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
+        // And a deadline-free run is unflagged.
+        let exec = Executor::new(table.as_ref(), &cfg);
+        let report = exec.run(
+            &views,
+            &target(table.as_ref()),
+            &ReferenceSpec::WholeTable,
+            &[],
+        );
         assert!(!report.deadline_exceeded);
         assert_eq!(report.phases_executed, 5);
     }

@@ -20,7 +20,7 @@
 //! so the planner can be wrong about *cost* without ever being wrong about
 //! *results*.
 
-use crate::config::{ExecutionStrategy, GroupingPolicy, SeeDbConfig, SharingConfig};
+use crate::config::{ExecutionStrategy, GroupingPolicy, PruningKind, SeeDbConfig, SharingConfig};
 use crate::reference::ReferenceSpec;
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
@@ -28,6 +28,7 @@ use seedb_engine::{
     group_index_for, AggSpec, CombinedQuery, ExecMode, GroupIndexKind, Predicate, ScanShape,
 };
 use seedb_storage::{ColumnId, Table};
+use seedb_util::Json;
 
 /// One shared query cluster: the views of a bin `(a₁, …, a_p)` answered by
 /// a single combined query `SELECT a₁, …, a_p, f(m₁), …, f(m_q) … GROUP BY
@@ -144,6 +145,39 @@ pub(crate) fn build_clusters<'v>(
     clusters
 }
 
+/// How a strategy runs the one phased loop: its phase count, pruner,
+/// whether it stops early, and the sharing rewrites it applies.
+pub(crate) struct Shape {
+    pub(crate) phases: usize,
+    pub(crate) pruning: PruningKind,
+    pub(crate) early: bool,
+    pub(crate) sharing: SharingConfig,
+}
+
+/// The loop's shape for `config`'s strategy. `NO_OPT` and `SHARING` run
+/// one phase with no pruner; `NO_OPT` also switches every sharing rewrite
+/// off — whatever the sharing knobs say — so each view issues its own
+/// target query and reference query, two per view.
+pub(crate) fn shape(config: &SeeDbConfig) -> Shape {
+    let (phases, pruning, early) = match config.strategy {
+        ExecutionStrategy::NoOpt | ExecutionStrategy::Sharing => (1, PruningKind::None, false),
+        ExecutionStrategy::Comb => (config.num_phases, config.pruning, false),
+        ExecutionStrategy::CombEarly => (config.num_phases, config.pruning, true),
+    };
+    let mut sharing = config.sharing.clone();
+    if config.strategy == ExecutionStrategy::NoOpt {
+        sharing.combine_aggregates = false;
+        sharing.combine_group_bys = false;
+        sharing.combine_target_reference = false;
+    }
+    Shape {
+        phases,
+        pruning,
+        early,
+        sharing,
+    }
+}
+
 /// The execution shape chosen for one run. See the module docs for how it
 /// is derived; see [`PhysicalPlan::explain_json`] for the EXPLAIN wire
 /// rendering.
@@ -209,14 +243,16 @@ impl PhysicalPlan {
         let contribution = contribution_predicate(&probe);
         let estimate = estimate_scan(table, &contribution);
 
-        let sharing = &config.sharing;
+        let Shape {
+            phases, sharing, ..
+        } = shape(config);
         let host = seedb_engine::parallel::default_parallelism();
         let workers = sharing
             .parallelism
             .resolve(choose_workers(estimate.rows, host));
 
         // Phase-1 clustering: the executor's own, over every view.
-        let planned = build_clusters(table, sharing, views);
+        let planned = build_clusters(table, &sharing, views);
 
         // Morsels are sized for what one engine call scans: a phased run
         // hands the engine one phase's rows at a time, for every cluster
@@ -226,16 +262,9 @@ impl PhysicalPlan {
         } else {
             2
         };
-        let (phases, queries) = match config.strategy {
-            ExecutionStrategy::NoOpt => (1, 2 * views.len()),
-            ExecutionStrategy::Sharing => (1, per_cluster * planned.len()),
-            ExecutionStrategy::Comb | ExecutionStrategy::CombEarly => {
-                (config.num_phases.max(1), per_cluster * planned.len())
-            }
-        };
         let morsel_rows = sharing.morsel_rows.resolve(choose_morsel_rows(
-            estimate.rows.div_ceil(phases),
-            queries,
+            estimate.rows.div_ceil(phases.max(1)),
+            per_cluster * planned.len(),
             workers,
         ));
         let aggregates = planned.iter().map(|c| c.aggregates.len()).sum();
@@ -316,32 +345,23 @@ impl PhysicalPlan {
         )
     }
 
-    /// Compact JSON object for the `"explain": true` response envelope.
-    pub fn explain_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workers\":{},\"workers_source\":\"{}\",",
-                "\"morsel_rows\":\"{}\",\"morsel_source\":\"{}\",",
-                "\"mode\":\"{}\",\"index\":\"{}\",",
-                "\"clusters\":{},\"packed\":{},",
-                "\"aggregates\":{},\"views\":{},",
-                "\"estimated_rows\":{},",
-                "\"partitions_total\":{},\"partitions_prunable\":{}}}"
-            ),
-            self.workers,
-            Self::source(self.workers_auto),
-            self.morsel_label(),
-            Self::source(self.morsel_auto),
-            self.mode.label(),
-            self.index.label(),
-            self.clusters.len(),
-            self.packed,
-            self.aggregates,
-            self.views,
-            self.estimated_rows,
-            self.partitions_total,
-            self.partitions_prunable,
-        )
+    /// The plan as the JSON object the `"explain": true` response envelope
+    /// carries.
+    pub fn explain_json(&self) -> Json {
+        Json::obj()
+            .set("workers", self.workers)
+            .set("workers_source", Self::source(self.workers_auto))
+            .set("morsel_rows", self.morsel_label())
+            .set("morsel_source", Self::source(self.morsel_auto))
+            .set("mode", self.mode.label())
+            .set("index", self.index.label())
+            .set("clusters", self.clusters.len())
+            .set("packed", self.packed)
+            .set("aggregates", self.aggregates)
+            .set("views", self.views)
+            .set("estimated_rows", self.estimated_rows)
+            .set("partitions_total", self.partitions_total)
+            .set("partitions_prunable", self.partitions_prunable)
     }
 }
 
@@ -594,7 +614,7 @@ mod tests {
         assert!(summary.contains("workers=2(fixed)"), "{summary}");
         assert!(summary.contains("mode=VECTORIZED"), "{summary}");
         assert!(summary.contains("clusters=1 aggs=1/1"), "{summary}");
-        let json = plan.explain_json();
+        let json = plan.explain_json().compact();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"workers\":2"), "{json}");
         assert!(json.contains("\"workers_source\":\"fixed\""), "{json}");

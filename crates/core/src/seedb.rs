@@ -1,15 +1,21 @@
 //! The public SeeDB facade: table in, ranked visualizations out.
+//!
+//! A [`SeeDb`] holds its run context — trace, deadline, cross-request cache
+//! — beside the table and configuration, and [`SeeDb::recommend`] is the
+//! one way to run it: every strategy goes through the executor's one
+//! phased loop, with or without a cache.
 
 use crate::cache::{CacheUse, CachedPartial, ViewCache};
-use crate::config::{ExecutionStrategy, SeeDbConfig};
+use crate::config::SeeDbConfig;
 use crate::error::CoreError;
 use crate::executor::{ExecutionReport, Executor};
 use crate::phase::effective_phases;
+use crate::plan::PhysicalPlan;
 use crate::reference::ReferenceSpec;
 use crate::signature::{predicate_signature, reference_signature};
 use crate::state::ViewState;
 use crate::view::{enumerate_views, ViewSpec};
-use seedb_engine::{CancelToken, ExecStats, GroupedResult, Predicate, TraceCtx};
+use seedb_engine::{CancelToken, ExecStats, Predicate, TraceCtx};
 use seedb_storage::{BoxedTable, Cell, Table};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,6 +56,8 @@ pub struct Recommendation {
     pub phases_executed: usize,
     /// Whether the run stopped early (`COMB_EARLY`).
     pub early_stopped: bool,
+    /// How the run used the attached cache (all zero without one).
+    pub cache: CacheUse,
 }
 
 /// The SeeDB recommendation engine over one table.
@@ -57,25 +65,26 @@ pub struct SeeDb {
     table: BoxedTable,
     config: SeeDbConfig,
     trace: TraceCtx,
+    cancel: CancelToken,
+    cache: Option<Arc<dyn ViewCache>>,
 }
 
 impl SeeDb {
     /// Creates an engine with the default configuration (§5's COMB setup:
     /// EMD, k=10, CI pruning, 10 phases, all sharing optimizations).
     pub fn new(table: BoxedTable) -> Self {
-        SeeDb {
-            table,
-            config: SeeDbConfig::default(),
-            trace: TraceCtx::disabled(),
-        }
+        Self::with_config(table, SeeDbConfig::default())
     }
 
-    /// Creates an engine with an explicit configuration.
+    /// Creates an engine with an explicit configuration: tracing off, no
+    /// deadline, no cache.
     pub fn with_config(table: BoxedTable, config: SeeDbConfig) -> Self {
         SeeDb {
             table,
             config,
             trace: TraceCtx::disabled(),
+            cancel: CancelToken::none(),
+            cache: None,
         }
     }
 
@@ -86,6 +95,54 @@ impl SeeDb {
     /// stay bit-identical with it on or off.
     pub fn with_trace(mut self, trace: TraceCtx) -> Self {
         self.trace = trace;
+        self
+    }
+
+    /// Runs under a cooperative deadline: when `cancel` expires mid-run the
+    /// executor stops at the next phase/morsel boundary and
+    /// [`SeeDb::recommend`] returns [`CoreError::DeadlineExceeded`] — never
+    /// a partial result dressed up as a finished one, and nothing reaches
+    /// the cache.
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = cancel;
+        self
+    }
+
+    /// Reuses per-view aggregates across runs through `cache` (see
+    /// [`crate::cache`]).
+    ///
+    /// **Exact configurations** ([`SeeDbConfig::exact_per_view`]): each
+    /// view is probed under its canonical signature (target predicate ×
+    /// reference × view identity — deliberately *excluding* `k` and the
+    /// metric, which don't change aggregates); a cached view skips every
+    /// phase, and the full-table result of every other view is stored
+    /// back.
+    ///
+    /// **Pruned configurations** (`COMB`/`COMB_EARLY` with any pruning
+    /// scheme): each view is probed under a phase-partition key (the same
+    /// signature plus the effective phase count). A cached entry holds
+    /// the view's *per-phase* deltas over the prefix it accumulated
+    /// before being pruned (or all phases, tagged
+    /// [`Exact`](crate::cache::Exactness::Exact), if it survived):
+    /// covered phases are **replayed** without scanning and a view that
+    /// outlives its prefix **resumes** scanning at `phases_done` instead
+    /// of row 0. Deltas carry no pruning decisions, so entries are
+    /// reusable across runs differing in `k`, `delta`, or pruning scheme;
+    /// views that end a run with full-table coverage are additionally
+    /// deposited under the exact key for the pruning-free configurations
+    /// to reuse.
+    ///
+    /// Either way the recommendation is **bit-identical** to a run without
+    /// the cache: exports round-trip exactly, each view's aggregates are
+    /// independent of which other views execute alongside it, and replayed
+    /// cumulative states reproduce every utility estimate — and therefore
+    /// every pruning decision — bit for bit. (Seeding a pruned run from a
+    /// bare full-table aggregate would *break* that guarantee: without the
+    /// per-phase structure the pruner would see a zero-width interval from
+    /// phase 1, changing decisions relative to the uncached run, so plain
+    /// exact entries are deliberately invisible to pruned runs.)
+    pub fn with_cache(mut self, cache: Arc<dyn ViewCache>) -> Self {
+        self.cache = Some(cache);
         self
     }
 
@@ -106,260 +163,98 @@ impl SeeDb {
 
     /// The physical plan [`SeeDb::recommend`] would execute under —
     /// EXPLAIN without running the query.
-    pub fn plan(&self, target: &Predicate, reference: &ReferenceSpec) -> crate::plan::PhysicalPlan {
-        let views = self.views();
-        Executor::new(self.table.as_ref(), &self.config).plan(&views, target, reference)
+    pub fn plan(&self, target: &Predicate, reference: &ReferenceSpec) -> PhysicalPlan {
+        PhysicalPlan::derive(
+            self.table.as_ref(),
+            &self.config,
+            &self.views(),
+            target,
+            reference,
+        )
     }
 
     /// Recommends the top-k views for target selection `target` against the
-    /// given reference.
+    /// given reference, reading and filling the attached cache (if any)
+    /// and stopping at the attached deadline (if any).
     pub fn recommend(
         &self,
         target: &Predicate,
         reference: &ReferenceSpec,
     ) -> Result<Recommendation, CoreError> {
-        self.recommend_with(target, reference, CancelToken::none())
-    }
-
-    /// [`SeeDb::recommend`] under a cooperative deadline: when `cancel`
-    /// expires mid-run the executor stops at the next phase/morsel
-    /// boundary and this returns [`CoreError::DeadlineExceeded`] — never
-    /// a partial result dressed up as a finished one.
-    pub fn recommend_with(
-        &self,
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        cancel: CancelToken,
-    ) -> Result<Recommendation, CoreError> {
         self.check_runnable()?;
         let views = self.views();
-        let mut executor = Executor::with_cancel(self.table.as_ref(), &self.config, cancel);
-        executor.set_trace(self.trace.clone());
-        let report = executor.run(&views, target, reference);
+        let whole = self.config.exact_per_view();
+        let cached = (self.cache.as_deref()).map(|c| (c, ViewKeys::new(self, target, reference)));
+        let seeds: Vec<Option<Arc<CachedPartial>>> = match &cached {
+            Some((cache, keys)) => views
+                .iter()
+                .map(|v| {
+                    if whole {
+                        cache
+                            .get(&keys.exact(v))
+                            .filter(|p| p.as_exact_result().is_some())
+                    } else {
+                        keys.phased(*cache, v)
+                    }
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+
+        let executor = Executor {
+            cancel: self.cancel,
+            trace: self.trace.clone(),
+            ..Executor::new(self.table.as_ref(), &self.config)
+        };
+        let mut report = executor.run(&views, target, reference, &seeds);
+        // A cancelled run deposits nothing: its states are partial scans,
+        // and its captured deltas stop at an arbitrary phase that later
+        // requests would replay as if it were the real prefix.
         if report.deadline_exceeded {
             return Err(CoreError::DeadlineExceeded);
         }
-        Ok(self.build_recommendation(report))
-    }
 
-    /// [`SeeDb::recommend`] with cross-request reuse of per-view
-    /// aggregates through `cache` (see [`crate::cache`]).
-    ///
-    /// **Exact configurations** ([`SeeDbConfig::exact_per_view`]): each
-    /// view is probed under its canonical signature (target predicate ×
-    /// reference × view identity — deliberately *excluding* `k` and the
-    /// metric, which don't change aggregates); only the missing views are
-    /// executed, and their full-table results are stored back.
-    ///
-    /// **Pruned configurations** (`COMB`/`COMB_EARLY` with any pruning
-    /// scheme): each view is probed under a phase-partition key (the same
-    /// signature plus the effective phase count). A cached entry holds
-    /// the view's *per-phase* deltas over the prefix it accumulated
-    /// before being pruned (or all phases, tagged
-    /// [`Exact`](crate::cache::Exactness::Exact), if it survived):
-    /// covered phases are **replayed** without scanning and a view that
-    /// outlives its prefix **resumes** scanning at `phases_done` instead
-    /// of row 0. Deltas carry no pruning decisions, so entries are
-    /// reusable across runs differing in `k`, `delta`, or pruning scheme;
-    /// views that end a run with full-table coverage are additionally
-    /// deposited under the exact key for the pruning-free configurations
-    /// to reuse.
-    ///
-    /// In both paths the returned recommendation is **bit-identical** to
-    /// what [`SeeDb::recommend`] would produce with the same seed:
-    /// exports round-trip exactly, each view's aggregates are independent
-    /// of which other views execute alongside it, and replayed cumulative
-    /// states reproduce every utility estimate — and therefore every
-    /// pruning decision — bit for bit. (Seeding a pruned run from a bare
-    /// full-table aggregate would *break* that guarantee: without the
-    /// per-phase structure the pruner would see a zero-width interval
-    /// from phase 1, changing decisions relative to the uncached run, so
-    /// plain exact entries are deliberately invisible to pruned runs.)
-    pub fn recommend_cached(
-        &self,
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        cache: &dyn ViewCache,
-    ) -> Result<(Recommendation, CacheUse), CoreError> {
-        self.recommend_cached_with(target, reference, cache, CancelToken::none())
-    }
-
-    /// [`SeeDb::recommend_cached`] under a cooperative deadline. An
-    /// expired run returns [`CoreError::DeadlineExceeded`] *before* any
-    /// cache deposit happens — a cancelled run's partially scanned
-    /// aggregates never poison the cache.
-    pub fn recommend_cached_with(
-        &self,
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        cache: &dyn ViewCache,
-        cancel: CancelToken,
-    ) -> Result<(Recommendation, CacheUse), CoreError> {
-        self.check_runnable()?;
-        if self.config.exact_per_view() {
-            return self.recommend_cached_exact(target, reference, cache, cancel);
-        }
-        if matches!(
-            self.config.strategy,
-            ExecutionStrategy::Comb | ExecutionStrategy::CombEarly
-        ) {
-            return self.recommend_cached_phased(target, reference, cache, cancel);
-        }
-        Ok((
-            self.recommend_with(target, reference, cancel)?,
-            CacheUse::ineligible(),
-        ))
-    }
-
-    /// The exact-configuration arm of [`SeeDb::recommend_cached`].
-    fn recommend_cached_exact(
-        &self,
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        cache: &dyn ViewCache,
-        cancel: CancelToken,
-    ) -> Result<(Recommendation, CacheUse), CoreError> {
-        let start = Instant::now();
-        let views = self.views();
-        let pred_sig = predicate_signature(target);
-        let ref_sig = reference_signature(reference);
-        let keys: Vec<String> = views
-            .iter()
-            .map(|v| format!("{pred_sig}|{ref_sig}|{}", v.signature()))
-            .collect();
-        let mut cached: Vec<Option<Arc<GroupedResult>>> = keys
-            .iter()
-            .map(|k| cache.get(k).and_then(|p| p.as_exact_result().cloned()))
-            .collect();
-        let hits = cached.iter().filter(|c| c.is_some()).count();
-        let misses = views.len() - hits;
-
-        let mut stats = ExecStats::new();
-        let mut phases_executed = 0;
-        if misses > 0 {
-            // Execute only the missing views. The executor indexes states
-            // by view id, so the subset is re-enumerated densely; results
-            // are keyed back to the original positions afterwards.
-            let missing: Vec<usize> = (0..views.len()).filter(|&i| cached[i].is_none()).collect();
-            let dense: Vec<ViewSpec> = missing
-                .iter()
-                .enumerate()
-                .map(|(j, &i)| ViewSpec { id: j, ..views[i] })
-                .collect();
-            let mut executor = Executor::with_cancel(self.table.as_ref(), &self.config, cancel);
-            executor.set_trace(self.trace.clone());
-            let report = executor.run(&dense, target, reference);
-            // A cancelled run deposits nothing: its states are partial
-            // scans, not the full-table aggregates the exact keys promise.
-            if report.deadline_exceeded {
-                return Err(CoreError::DeadlineExceeded);
-            }
-            stats.merge(&report.stats);
-            phases_executed = report.phases_executed;
-            for (j, &i) in missing.iter().enumerate() {
-                let result = Arc::new(report.states[j].to_combined_result());
-                cache.put(&keys[i], Arc::new(CachedPartial::exact(result.clone())));
-                cached[i] = Some(result);
+        let mut usage = CacheUse::default();
+        if let Some((cache, keys)) = &cached {
+            let total = report.total_phases;
+            for (i, view) in views.iter().enumerate() {
+                let scanned = report.scanned_phases[i];
+                // Phases the cache already covered: all of them for a view
+                // an exact configuration took whole.
+                let prev = seeds[i]
+                    .as_ref()
+                    .map_or(0, |p| if whole { total } else { p.phases_done() });
+                match (&seeds[i], scanned) {
+                    (Some(_), 0) => usage.hits += 1,
+                    (Some(_), _) => usage.resumed += 1,
+                    (None, _) => usage.misses += 1,
+                }
+                // Deposit: never shrink an existing prefix — a run that
+                // pruned this view earlier than the cached run did has
+                // nothing new to contribute.
+                if let Some(deltas) = report.deltas.get_mut(i).filter(|d| d.len() > prev) {
+                    let partial = CachedPartial::prefix(std::mem::take(deltas), keys.total);
+                    cache.put(&keys.phased_key(view), Arc::new(partial));
+                }
+                // A view with full-table coverage is exact: deposit it
+                // under the unphased key so pruning-free configurations
+                // skip its scan.
+                if prev < total && prev + scanned == total {
+                    let full = Arc::new(report.states[i].to_combined_result());
+                    cache.put(&keys.exact(view), Arc::new(CachedPartial::exact(full)));
+                }
             }
         }
-
-        let mut states: Vec<ViewState> = views.iter().map(|v| ViewState::new(*v)).collect();
-        for (state, entry) in states.iter_mut().zip(&cached) {
-            state.merge_both(entry.as_ref().expect("every view filled above"), 0);
-        }
-        let report = ExecutionReport {
-            states,
-            stats,
-            elapsed: start.elapsed(),
-            phases_executed,
-            early_stopped: false,
-            deadline_exceeded: false,
-        };
-        let outcome = CacheUse {
-            eligible: true,
-            hits,
-            misses,
-            resumed: 0,
-        };
-        Ok((self.build_recommendation(report), outcome))
+        Ok(self.build_recommendation(report, usage))
     }
 
-    /// The pruned-configuration arm of [`SeeDb::recommend_cached`]:
-    /// replay cached phase prefixes, resume their scans, deposit back
-    /// whatever each view accumulated this time.
-    fn recommend_cached_phased(
-        &self,
-        target: &Predicate,
-        reference: &ReferenceSpec,
-        cache: &dyn ViewCache,
-        cancel: CancelToken,
-    ) -> Result<(Recommendation, CacheUse), CoreError> {
-        let views = self.views();
-        let pred_sig = predicate_signature(target);
-        let ref_sig = reference_signature(reference);
-        let total = effective_phases(self.table.num_rows(), self.config.num_phases);
-        let exact_key = |v: &ViewSpec| format!("{pred_sig}|{ref_sig}|{}", v.signature());
-        let keys: Vec<String> = views
-            .iter()
-            .map(|v| format!("{}|ph{total}", exact_key(v)))
-            .collect();
-        let seeds: Vec<Option<Arc<CachedPartial>>> = keys
-            .iter()
-            .map(|k| {
-                cache
-                    .get(k)
-                    .filter(|p| p.total_phases == total && !p.deltas.is_empty())
-            })
-            .collect();
-
-        let mut executor = Executor::with_cancel(self.table.as_ref(), &self.config, cancel);
-        executor.set_trace(self.trace.clone());
-        let run = executor.run_resumable(&views, target, reference, &seeds);
-        // Nothing from a cancelled run reaches the cache: the captured
-        // deltas stop at an arbitrary phase and would otherwise be
-        // replayed by later requests as if they were the real prefix.
-        if run.report.deadline_exceeded {
-            return Err(CoreError::DeadlineExceeded);
-        }
-
-        let mut outcome = CacheUse {
-            eligible: true,
-            ..CacheUse::default()
-        };
-        for (i, view) in views.iter().enumerate() {
-            match (&seeds[i], run.scanned_phases[i]) {
-                (Some(_), 0) => outcome.hits += 1,
-                (Some(_), _) => outcome.resumed += 1,
-                (None, _) => outcome.misses += 1,
-            }
-            // Deposit: never shrink an existing prefix — a run that
-            // pruned this view earlier than the cached run did has
-            // nothing new to contribute.
-            let covered = run.deltas[i].len();
-            let prev = seeds[i].as_ref().map_or(0, |p| p.phases_done());
-            if covered > prev {
-                cache.put(
-                    &keys[i],
-                    Arc::new(CachedPartial::prefix(run.deltas[i].clone(), total)),
-                );
-            }
-            // A view with full-table coverage is exact: cross-deposit it
-            // under the unphased key so pruning-free configurations can
-            // skip its scan too.
-            if covered == total && prev < total {
-                let full = Arc::new(run.report.states[i].to_combined_result());
-                cache.put(&exact_key(view), Arc::new(CachedPartial::exact(full)));
-            }
-        }
-        Ok((self.build_recommendation(run.report), outcome))
-    }
-
-    /// Best-effort degraded answer assembled *purely from the cache* — no
-    /// scanning, no waiting. Probes the same per-view keys the cached
-    /// paths deposit under (phase-prefix entries first, plain exact
-    /// entries as fallback), merges whatever deltas exist, and ranks the
-    /// result. Views with no cached data stay empty (utility 0, ranked
-    /// last); returns `None` when *no* view has any data.
+    /// Best-effort degraded answer assembled *purely from the attached
+    /// cache* — no scanning, no waiting. Probes the same per-view keys
+    /// [`SeeDb::recommend`] deposits under (phase-prefix entries first,
+    /// plain exact entries as fallback), merges whatever deltas exist, and
+    /// ranks the result. Views with no cached data stay empty (utility 0,
+    /// ranked last); returns `None` when *no* view has any data, or no
+    /// cache is attached.
     ///
     /// This is the serving layer's cached-partial rung on the degradation
     /// ladder: a deadline-expired request can answer with a clearly-tagged
@@ -370,30 +265,24 @@ impl SeeDb {
         &self,
         target: &Predicate,
         reference: &ReferenceSpec,
-        cache: &dyn ViewCache,
     ) -> Option<(Recommendation, f64)> {
+        let cache = self.cache.as_deref()?;
         self.check_runnable().ok()?;
         let start = Instant::now();
         let views = self.views();
-        let pred_sig = predicate_signature(target);
-        let ref_sig = reference_signature(reference);
-        let total = effective_phases(self.table.num_rows(), self.config.num_phases);
+        let keys = ViewKeys::new(self, target, reference);
+        let total = keys.total;
         let mut states: Vec<ViewState> = views.iter().map(|v| ViewState::new(*v)).collect();
         let mut covered_slots = 0usize;
         let mut covered_views = 0usize;
         for (i, v) in views.iter().enumerate() {
-            let exact_key = format!("{pred_sig}|{ref_sig}|{}", v.signature());
-            let phased_key = format!("{exact_key}|ph{total}");
-            let covered = if let Some(partial) = cache
-                .get(&phased_key)
-                .filter(|p| p.total_phases == total && !p.deltas.is_empty())
-            {
+            let covered = if let Some(partial) = keys.phased(cache, v) {
                 for delta in &partial.deltas {
                     states[i].merge_both(delta, 0);
                 }
                 partial.phases_done().min(total)
             } else if let Some(full) = cache
-                .get(&exact_key)
+                .get(&keys.exact(v))
                 .and_then(|p| p.as_exact_result().cloned())
             {
                 states[i].merge_both(&full, 0);
@@ -416,9 +305,15 @@ impl SeeDb {
             phases_executed: 0,
             early_stopped: false,
             deadline_exceeded: false,
+            total_phases: total,
+            scanned_phases: Vec::new(),
+            deltas: Vec::new(),
         };
         let coverage = covered_slots as f64 / (total.max(1) * views.len()) as f64;
-        Some((self.build_recommendation(report), coverage))
+        Some((
+            self.build_recommendation(report, CacheUse::default()),
+            coverage,
+        ))
     }
 
     /// Shared validation for every recommendation entry point.
@@ -434,7 +329,7 @@ impl SeeDb {
     }
 
     /// Ranks an execution report and materializes the public result.
-    fn build_recommendation(&self, report: ExecutionReport) -> Recommendation {
+    fn build_recommendation(&self, report: ExecutionReport, cache: CacheUse) -> Recommendation {
         let metric = self.config.metric;
         let all_utilities: Vec<f64> = report.states.iter().map(|s| s.utility(metric)).collect();
         let top_ids = report.top_k(self.config.k, metric);
@@ -468,6 +363,7 @@ impl SeeDb {
             elapsed: report.elapsed,
             phases_executed: report.phases_executed,
             early_stopped: report.early_stopped,
+            cache,
         }
     }
 
@@ -486,11 +382,64 @@ impl SeeDb {
     }
 }
 
+/// The cache keys of one query's views: `{predicate}|{reference}|{view}`
+/// for a view's exact full-table entry, plus `|ph{N}` for its phase-prefix
+/// entry over an `N`-phase partition.
+struct ViewKeys {
+    query: String,
+    total: usize,
+}
+
+impl ViewKeys {
+    fn new(seedb: &SeeDb, target: &Predicate, reference: &ReferenceSpec) -> Self {
+        ViewKeys {
+            query: format!(
+                "{}|{}",
+                predicate_signature(target),
+                reference_signature(reference)
+            ),
+            total: effective_phases(seedb.table.num_rows(), seedb.config.num_phases),
+        }
+    }
+
+    fn exact(&self, view: &ViewSpec) -> String {
+        format!("{}|{}", self.query, view.signature())
+    }
+
+    fn phased_key(&self, view: &ViewSpec) -> String {
+        format!("{}|ph{}", self.exact(view), self.total)
+    }
+
+    /// `view`'s phase-prefix entry, when it is replayable at this
+    /// partition's granularity.
+    fn phased(&self, cache: &dyn ViewCache, view: &ViewSpec) -> Option<Arc<CachedPartial>> {
+        cache
+            .get(&self.phased_key(view))
+            .filter(|p| p.total_phases == self.total && !p.deltas.is_empty())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::MemoryViewCache;
     use crate::config::{ExecutionStrategy, PruningKind};
     use seedb_storage::{ColumnDef, StoreKind, TableBuilder, Value};
+
+    /// A run of `seedb`'s configuration with `cache` attached: the
+    /// recommendation and how it used the cache.
+    fn recommend_cached(
+        seedb: &SeeDb,
+        target: &Predicate,
+        reference: &ReferenceSpec,
+        cache: &Arc<MemoryViewCache>,
+    ) -> Result<(Recommendation, CacheUse), CoreError> {
+        let rec = SeeDb::with_config(seedb.table.clone(), seedb.config.clone())
+            .with_cache(cache.clone())
+            .recommend(target, reference)?;
+        let usage = rec.cache;
+        Ok((rec, usage))
+    }
 
     /// The paper's Figure 1 scenario in miniature: capital gain deviates by
     /// sex between unmarried and married adults; age does not.
@@ -670,7 +619,6 @@ mod tests {
 
     #[test]
     fn cached_recommendation_is_bit_identical_to_direct() {
-        use crate::cache::MemoryViewCache;
         let table = census();
         let target = Predicate::col_eq_str(table.as_ref(), "marital", "unmarried");
         for strategy in [ExecutionStrategy::NoOpt, ExecutionStrategy::Sharing] {
@@ -680,20 +628,17 @@ mod tests {
                 .recommend(&target, &ReferenceSpec::WholeTable)
                 .unwrap();
 
-            let cache = MemoryViewCache::new();
+            let cache = Arc::new(MemoryViewCache::new());
             // Cold: everything misses, gets computed and cached.
-            let (cold, use1) = seedb
-                .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-                .unwrap();
-            assert!(use1.eligible);
+            let (cold, use1) =
+                recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
             assert_eq!(use1.hits, 0);
             assert_eq!(use1.misses, seedb.views().len());
             assert_same_recommendation(&direct, &cold);
 
             // Warm: everything hits; no rows are scanned.
-            let (warm, use2) = seedb
-                .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-                .unwrap();
+            let (warm, use2) =
+                recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
             assert!(use2.fully_cached());
             assert_eq!(warm.stats.rows_scanned, 0);
             assert_eq!(warm.stats.queries_issued, 0);
@@ -703,24 +648,20 @@ mod tests {
 
     #[test]
     fn cached_partials_survive_k_and_metric_changes() {
-        use crate::cache::MemoryViewCache;
         let table = census();
         let target = Predicate::col_eq_str(table.as_ref(), "marital", "unmarried");
-        let cache = MemoryViewCache::new();
+        let cache = Arc::new(MemoryViewCache::new());
 
         let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
         let seedb = SeeDb::with_config(table.clone(), cfg.clone());
-        let _ = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
 
         // A follow-up with different k and metric reuses every partial.
         cfg.k = 1;
         cfg.metric = seedb_metrics::DistanceKind::L1;
         let seedb2 = SeeDb::with_config(table.clone(), cfg.clone());
-        let (rec, usage) = seedb2
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (rec, usage) =
+            recommend_cached(&seedb2, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert!(usage.fully_cached(), "{usage:?}");
         assert_same_recommendation(
             &seedb2
@@ -731,25 +672,21 @@ mod tests {
 
         // A different target misses.
         let other = Predicate::col_eq_str(table.as_ref(), "marital", "married");
-        let (_, usage) = seedb2
-            .recommend_cached(&other, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (_, usage) =
+            recommend_cached(&seedb2, &other, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert_eq!(usage.hits, 0);
     }
 
     #[test]
     fn partial_overlap_executes_only_missing_views() {
-        use crate::cache::MemoryViewCache;
         let table = census();
         let target = Predicate::col_eq_str(table.as_ref(), "marital", "unmarried");
-        let cache = MemoryViewCache::new();
+        let cache = Arc::new(MemoryViewCache::new());
         // Warm the cache with AVG views only.
         let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
         cfg.agg_functions = vec![seedb_engine::AggFunc::Avg];
         let seedb = SeeDb::with_config(table.clone(), cfg.clone());
-        let _ = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         let avg_views = seedb.views().len();
 
         // AVG+SUM overlaps on the AVG half.
@@ -758,9 +695,8 @@ mod tests {
         let direct = seedb2
             .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
-        let (rec, usage) = seedb2
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (rec, usage) =
+            recommend_cached(&seedb2, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert_eq!(usage.hits, avg_views);
         assert_eq!(usage.misses, seedb2.views().len() - avg_views);
         assert_same_recommendation(&direct, &rec);
@@ -803,7 +739,6 @@ mod tests {
 
     #[test]
     fn pruned_config_warm_cache_is_bit_identical_and_scan_free() {
-        use crate::cache::MemoryViewCache;
         let table = separated();
         let target = separated_target(table.as_ref());
         for pruning in [PruningKind::Ci, PruningKind::Mab] {
@@ -815,20 +750,17 @@ mod tests {
                 .recommend(&target, &ReferenceSpec::WholeTable)
                 .unwrap();
 
-            let cache = MemoryViewCache::new();
-            let (cold, use1) = seedb
-                .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-                .unwrap();
-            assert!(use1.eligible);
+            let cache = Arc::new(MemoryViewCache::new());
+            let (cold, use1) =
+                recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
             assert_eq!(use1.misses, seedb.views().len());
             assert_same_recommendation(&direct, &cold);
             assert!(!cache.is_empty(), "pruned runs must deposit partials");
 
             // Warm repeat with the identical config: every phase replays,
             // no row is scanned, and the result is still bit-identical.
-            let (warm, use2) = seedb
-                .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-                .unwrap();
+            let (warm, use2) =
+                recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
             assert!(use2.fully_cached(), "{use2:?}");
             assert_eq!(warm.stats.rows_scanned, 0);
             assert_eq!(warm.stats.queries_issued, 0);
@@ -840,17 +772,15 @@ mod tests {
 
     #[test]
     fn pruned_cache_deposits_prefixes_for_pruned_views() {
-        use crate::cache::{Exactness, MemoryViewCache};
+        use crate::cache::Exactness;
         use crate::signature::{predicate_signature, reference_signature};
         let table = separated();
         let target = separated_target(table.as_ref());
         let mut cfg = SeeDbConfig::default();
         cfg.k = 1; // aggressive: noise views get discarded pre-final-phase
         let seedb = SeeDb::with_config(table.clone(), cfg.clone());
-        let cache = MemoryViewCache::new();
-        let _ = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let cache = Arc::new(MemoryViewCache::new());
+        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
 
         let pred_sig = predicate_signature(&target);
         let ref_sig = reference_signature(&ReferenceSpec::WholeTable);
@@ -881,7 +811,6 @@ mod tests {
 
     #[test]
     fn pruned_cache_resumes_truncated_prefixes_bit_identically() {
-        use crate::cache::{CachedPartial, MemoryViewCache};
         use crate::signature::{predicate_signature, reference_signature};
         let table = separated();
         let target = separated_target(table.as_ref());
@@ -891,10 +820,9 @@ mod tests {
             .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
 
-        let cache = MemoryViewCache::new();
-        let (cold, _) = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let cache = Arc::new(MemoryViewCache::new());
+        let (cold, _) =
+            recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert_same_recommendation(&direct, &cold);
 
         // Truncate every cached entry to its first 4 phases: the warm run
@@ -909,9 +837,8 @@ mod tests {
             cache.put(&key, Arc::new(CachedPartial::prefix(cut, total)));
         }
 
-        let (resumed, usage) = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (resumed, usage) =
+            recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert!(usage.resumed >= 1, "{usage:?}");
         assert_eq!(usage.misses, 0);
         assert_same_recommendation(&direct, &resumed);
@@ -923,27 +850,23 @@ mod tests {
         );
         // And the deposits are healed back to full coverage: a second
         // warm run replays everything.
-        let (warm, usage) = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (warm, usage) =
+            recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert!(usage.fully_cached(), "{usage:?}");
         assert_same_recommendation(&direct, &warm);
     }
 
     #[test]
     fn pruned_cache_is_reusable_across_k_and_pruning_scheme() {
-        use crate::cache::MemoryViewCache;
         let table = separated();
         let target = separated_target(table.as_ref());
-        let cache = MemoryViewCache::new();
+        let cache = Arc::new(MemoryViewCache::new());
 
         // Warm the cache with k=1 + CI (prunes hard, leaves prefixes).
         let mut cfg = SeeDbConfig::default();
         cfg.k = 1;
         let seedb = SeeDb::with_config(table.clone(), cfg.clone());
-        let _ = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
 
         // A follow-up with different k and a different pruning scheme
         // reuses the same phase-partition entries: replay what's covered,
@@ -956,10 +879,8 @@ mod tests {
             let direct = seedb2
                 .recommend(&target, &ReferenceSpec::WholeTable)
                 .unwrap();
-            let (rec, usage) = seedb2
-                .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-                .unwrap();
-            assert!(usage.eligible);
+            let (rec, usage) =
+                recommend_cached(&seedb2, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
             assert_eq!(usage.misses, 0, "{usage:?}");
             assert_same_recommendation(&direct, &rec);
         }
@@ -967,18 +888,15 @@ mod tests {
 
     #[test]
     fn pruned_survivors_feed_the_exact_cache() {
-        use crate::cache::MemoryViewCache;
         let table = separated();
         let target = separated_target(table.as_ref());
-        let cache = MemoryViewCache::new();
+        let cache = Arc::new(MemoryViewCache::new());
 
         // A pruned run whose survivors cover the full table…
         let mut cfg = SeeDbConfig::default();
         cfg.k = 2;
         let seedb = SeeDb::with_config(table.clone(), cfg);
-        let _ = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
 
         // …lets a pruning-free SHARING run skip those views' scans.
         let sharing = SeeDb::with_config(
@@ -988,9 +906,8 @@ mod tests {
         let direct = sharing
             .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
-        let (rec, usage) = sharing
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
-            .unwrap();
+        let (rec, usage) =
+            recommend_cached(&sharing, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
         assert!(usage.hits >= 1, "{usage:?}");
         assert_same_recommendation(&direct, &rec);
     }
@@ -1052,25 +969,26 @@ mod tests {
 
     #[test]
     fn expired_deadline_errors_and_deposits_nothing() {
-        use crate::cache::MemoryViewCache;
         let table = separated();
         let target = separated_target(table.as_ref());
         let expired = CancelToken::after(Duration::ZERO);
 
         // Direct run.
-        let seedb = SeeDb::new(table.clone());
+        let seedb = SeeDb::new(table.clone()).with_cancel(expired);
         let err = seedb
-            .recommend_with(&target, &ReferenceSpec::WholeTable, expired)
+            .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap_err();
         assert_eq!(err, CoreError::DeadlineExceeded);
 
         // Cached paths: the cache must stay empty across both arms.
         for strategy in [ExecutionStrategy::Sharing, ExecutionStrategy::Comb] {
             let cfg = SeeDbConfig::for_strategy(strategy);
-            let seedb = SeeDb::with_config(table.clone(), cfg);
-            let cache = MemoryViewCache::new();
+            let cache = Arc::new(MemoryViewCache::new());
+            let seedb = SeeDb::with_config(table.clone(), cfg)
+                .with_cache(cache.clone())
+                .with_cancel(expired);
             let err = seedb
-                .recommend_cached_with(&target, &ReferenceSpec::WholeTable, &cache, expired)
+                .recommend(&target, &ReferenceSpec::WholeTable)
                 .unwrap_err();
             assert_eq!(err, CoreError::DeadlineExceeded, "{strategy:?}");
             assert!(
@@ -1084,40 +1002,35 @@ mod tests {
     fn generous_deadline_is_bit_identical_to_no_deadline() {
         let table = separated();
         let target = separated_target(table.as_ref());
-        let seedb = SeeDb::new(table);
-        let plain = seedb
+        let plain = SeeDb::new(table.clone())
             .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
-        let generous = seedb
-            .recommend_with(
-                &target,
-                &ReferenceSpec::WholeTable,
-                CancelToken::after(Duration::from_secs(3600)),
-            )
+        let generous = SeeDb::new(table)
+            .with_cancel(CancelToken::after(Duration::from_secs(3600)))
+            .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
         assert_same_recommendation(&plain, &generous);
     }
 
     #[test]
     fn degraded_from_cache_serves_cached_views_and_reports_coverage() {
-        use crate::cache::MemoryViewCache;
         let table = separated();
         let target = separated_target(table.as_ref());
-        let seedb = SeeDb::new(table.clone()); // COMB + CI default
-        let cache = MemoryViewCache::new();
+        let cache = Arc::new(MemoryViewCache::new());
+        let seedb = SeeDb::new(table.clone()).with_cache(cache.clone()); // COMB + CI default
 
         // Cold cache: nothing to degrade to.
         assert!(seedb
-            .degraded_from_cache(&target, &ReferenceSpec::WholeTable, &cache)
+            .degraded_from_cache(&target, &ReferenceSpec::WholeTable)
             .is_none());
 
         // Warm the cache, then degrade: full coverage reproduces the
         // direct recommendation's top view without any scan.
-        let (direct, _) = seedb
-            .recommend_cached(&target, &ReferenceSpec::WholeTable, &cache)
+        let direct = seedb
+            .recommend(&target, &ReferenceSpec::WholeTable)
             .unwrap();
         let (degraded, coverage) = seedb
-            .degraded_from_cache(&target, &ReferenceSpec::WholeTable, &cache)
+            .degraded_from_cache(&target, &ReferenceSpec::WholeTable)
             .expect("warm cache must yield a degraded answer");
         assert!(coverage > 0.0 && coverage <= 1.0, "coverage {coverage}");
         assert_eq!(
@@ -1129,7 +1042,7 @@ mod tests {
         // A different target still has nothing.
         let other = Predicate::col_eq_str(table.as_ref(), "d0", "g3");
         assert!(seedb
-            .degraded_from_cache(&other, &ReferenceSpec::WholeTable, &cache)
+            .degraded_from_cache(&other, &ReferenceSpec::WholeTable)
             .is_none());
     }
 

@@ -203,20 +203,6 @@ impl ViewState {
         }
     }
 
-    /// Folds a single-sided result (from a separate target-only or
-    /// reference-only query, as the unoptimized baseline issues) into the
-    /// given side. The source values are read from the result's *target*
-    /// accumulators, because a `TargetOnly` split accumulates there.
-    pub fn merge_into_side(&mut self, result: &GroupedResult, agg_idx: usize, side: Side) {
-        for entry in &result.groups {
-            let pair = self.groups.pair(entry.key.code(0));
-            match side {
-                Side::Target => pair.target.merge(&entry.target[agg_idx]),
-                Side::Reference => pair.reference.merge(&entry.target[agg_idx]),
-            }
-        }
-    }
-
     /// Exports the accumulated state as a combined (target + reference)
     /// [`GroupedResult`] for this view's single dimension and aggregate —
     /// the shape [`ViewState::merge_both`] re-imports losslessly.
@@ -309,6 +295,20 @@ mod tests {
         b.build(StoreKind::Column).unwrap()
     }
 
+    /// Folds a single-sided result (from a separate target-only or
+    /// reference-only query, as the unoptimized baseline issues) into the
+    /// given side. The source values are read from the result's *target*
+    /// accumulators, because a `TargetOnly` split accumulates there.
+    fn merge_into_side(state: &mut ViewState, result: &GroupedResult, side: Side) {
+        for entry in &result.groups {
+            let pair = state.groups.pair(entry.key.code(0));
+            match side {
+                Side::Target => pair.target.merge(&entry.target[0]),
+                Side::Reference => pair.reference.merge(&entry.target[0]),
+            }
+        }
+    }
+
     fn run(split: SplitSpec) -> GroupedResult {
         execute_combined(
             table().as_ref(),
@@ -336,8 +336,8 @@ mod tests {
         let t_result = run(SplitSpec::TargetOnly(target_pred.clone()));
         let r_result = run(SplitSpec::TargetOnly(Predicate::True));
         let mut state = ViewState::new(spec());
-        state.merge_into_side(&t_result, 0, Side::Target);
-        state.merge_into_side(&r_result, 0, Side::Reference);
+        merge_into_side(&mut state, &t_result, Side::Target);
+        merge_into_side(&mut state, &r_result, Side::Reference);
 
         // Must equal the combined-split execution.
         let mut combined = ViewState::new(spec());

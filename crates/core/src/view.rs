@@ -39,7 +39,8 @@ impl ViewSpec {
     }
 
     /// The target view query as SQL (§2's `Q_T`), for a WHERE fragment
-    /// `target_where` (pass `"TRUE"` for the whole table).
+    /// `target_where` (pass `"TRUE"` for the whole table). The reference
+    /// view query `Q_R` is the same query over the reference's WHERE.
     pub fn target_sql(&self, table: &dyn Table, table_name: &str, target_where: &str) -> String {
         let schema = table.schema();
         let a = &schema.column(self.dim).name;
@@ -48,16 +49,6 @@ impl ViewSpec {
             "SELECT {a}, {}({m}) FROM {table_name} WHERE {target_where} GROUP BY {a}",
             self.func
         )
-    }
-
-    /// The reference view query (§2's `Q_R`).
-    pub fn reference_sql(
-        &self,
-        table: &dyn Table,
-        table_name: &str,
-        reference_where: &str,
-    ) -> String {
-        self.target_sql(table, table_name, reference_where)
     }
 }
 
@@ -177,7 +168,7 @@ mod tests {
             sql,
             "SELECT sex, AVG(gain) FROM census WHERE marital = 'single' GROUP BY sex"
         );
-        let rsql = v.reference_sql(t.as_ref(), "census", "TRUE");
+        let rsql = v.target_sql(t.as_ref(), "census", "TRUE");
         assert!(rsql.contains("WHERE TRUE"));
     }
 

@@ -18,29 +18,6 @@ pub struct GroupingPlan {
     pub budget: usize,
 }
 
-impl GroupingPlan {
-    /// Total number of attributes across all bins.
-    pub fn num_attributes(&self) -> usize {
-        self.bins.iter().map(Vec::len).sum()
-    }
-
-    /// Verifies every bin's group-count upper bound is within budget
-    /// (single-attribute bins are always allowed: they cannot be split
-    /// further, matching the paper's treatment of oversized attributes).
-    pub fn respects_budget(&self, table: &dyn Table) -> bool {
-        self.bins
-            .iter()
-            .all(|bin| bin.len() == 1 || bin_group_bound(table, bin) <= self.budget)
-    }
-}
-
-/// `∏ |a_i|` over a bin, saturating.
-pub fn bin_group_bound(table: &dyn Table, bin: &[ColumnId]) -> usize {
-    bin.iter()
-        .map(|c| table.distinct_count(*c))
-        .fold(1usize, |acc, d| acc.saturating_mul(d))
-}
-
 /// First-fit bin packing of `attrs` with weights `log₂|a_i|` into bins of
 /// capacity `log₂ budget`.
 ///
@@ -72,8 +49,7 @@ fn pack(table: &dyn Table, attrs: &[ColumnId], budget: usize) -> GroupingPlan {
     // only a heuristic: its rounding error plus the `1e-9` comparison
     // tolerance can admit a bin whose true group-count product exceeds the
     // budget, so every placement is additionally validated against the
-    // exact (saturating) product — the same quantity `bin_group_bound`
-    // checks after the fact.
+    // exact (saturating) product.
     let mut products: Vec<usize> = Vec::new();
 
     for &attr in attrs {
@@ -112,6 +88,27 @@ mod tests {
     use super::*;
     use seedb_storage::{BoxedTable, ColumnDef, StoreKind, TableBuilder, Value};
 
+    /// Total number of attributes across all bins.
+    fn num_attributes(plan: &GroupingPlan) -> usize {
+        plan.bins.iter().map(Vec::len).sum()
+    }
+
+    /// Whether every bin's group-count upper bound is within budget
+    /// (single-attribute bins are always allowed: they cannot be split
+    /// further, matching the paper's treatment of oversized attributes).
+    fn respects_budget(plan: &GroupingPlan, table: &dyn Table) -> bool {
+        plan.bins
+            .iter()
+            .all(|bin| bin.len() == 1 || bin_group_bound(table, bin) <= plan.budget)
+    }
+
+    /// `∏ |a_i|` over a bin, saturating.
+    fn bin_group_bound(table: &dyn Table, bin: &[ColumnId]) -> usize {
+        bin.iter()
+            .map(|c| table.distinct_count(*c))
+            .fold(1usize, |acc, d| acc.saturating_mul(d))
+    }
+
     /// Builds a table whose dimension columns have the given cardinalities.
     fn table_with_cardinalities(cards: &[usize]) -> BoxedTable {
         let defs: Vec<ColumnDef> = (0..cards.len())
@@ -137,7 +134,7 @@ mod tests {
     fn all_attributes_are_packed_exactly_once() {
         let t = table_with_cardinalities(&[10, 10, 10, 10, 10]);
         let plan = first_fit(t.as_ref(), &ids(5), 10_000);
-        assert_eq!(plan.num_attributes(), 5);
+        assert_eq!(num_attributes(&plan), 5);
         let mut seen: Vec<ColumnId> = plan.bins.iter().flatten().copied().collect();
         seen.sort();
         assert_eq!(seen, ids(5));
@@ -148,7 +145,7 @@ mod tests {
         // 10^4 = 10000 <= budget, 10^5 > budget.
         let t = table_with_cardinalities(&[10; 8]);
         let plan = first_fit(t.as_ref(), &ids(8), 10_000);
-        assert!(plan.respects_budget(t.as_ref()));
+        assert!(respects_budget(&plan, t.as_ref()));
         assert_eq!(plan.bins.len(), 2);
         assert_eq!(plan.bins[0].len(), 4);
         assert_eq!(plan.bins[1].len(), 4);
@@ -162,7 +159,7 @@ mod tests {
         let plan = first_fit(t.as_ref(), &ids(3), 100);
         assert_eq!(plan.bins.len(), 3);
         assert!(plan.bins.iter().all(|b| b.len() == 1));
-        assert!(plan.respects_budget(t.as_ref()));
+        assert!(respects_budget(&plan, t.as_ref()));
     }
 
     #[test]
@@ -172,8 +169,8 @@ mod tests {
         // d0 (card 1000 > 100) must be alone; d1,d2 can combine (2*2=4 <= 100).
         let big_bin = plan.bins.iter().find(|b| b.contains(&ColumnId(0))).unwrap();
         assert_eq!(big_bin.len(), 1);
-        assert!(plan.respects_budget(t.as_ref()));
-        assert_eq!(plan.num_attributes(), 3);
+        assert!(respects_budget(&plan, t.as_ref()));
+        assert_eq!(num_attributes(&plan), 3);
     }
 
     #[test]
@@ -182,10 +179,10 @@ mod tests {
         for budget in [10, 100, 1000, 10_000] {
             let plan = first_fit(t.as_ref(), &ids(6), budget);
             assert!(
-                plan.respects_budget(t.as_ref()),
+                respects_budget(&plan, t.as_ref()),
                 "budget {budget}: {plan:?}"
             );
-            assert_eq!(plan.num_attributes(), 6);
+            assert_eq!(num_attributes(&plan), 6);
         }
     }
 
@@ -196,7 +193,7 @@ mod tests {
             let ff = first_fit(t.as_ref(), &ids(8), budget);
             let ffd = first_fit_decreasing(t.as_ref(), &ids(8), budget);
             assert!(ffd.bins.len() <= ff.bins.len(), "budget {budget}");
-            assert!(ffd.respects_budget(t.as_ref()));
+            assert!(respects_budget(&ffd, t.as_ref()));
         }
     }
 
@@ -220,15 +217,15 @@ mod tests {
 
         let plan = first_fit(t.as_ref(), &ids(2), budget);
         assert_eq!(plan.bins.len(), 2, "over-budget pair must be split");
-        assert_eq!(plan.num_attributes(), 2);
-        assert!(plan.respects_budget(t.as_ref()));
+        assert_eq!(num_attributes(&plan), 2);
+        assert!(respects_budget(&plan, t.as_ref()));
     }
 
     #[test]
     fn budget_one_is_sane() {
         let t = table_with_cardinalities(&[2, 2]);
         let plan = first_fit(t.as_ref(), &ids(2), 1);
-        assert_eq!(plan.num_attributes(), 2);
+        assert_eq!(num_attributes(&plan), 2);
         assert!(plan.bins.iter().all(|b| b.len() == 1));
     }
 
@@ -237,6 +234,6 @@ mod tests {
         let t = table_with_cardinalities(&[2]);
         let plan = first_fit(t.as_ref(), &[], 100);
         assert!(plan.bins.is_empty());
-        assert_eq!(plan.num_attributes(), 0);
+        assert_eq!(num_attributes(&plan), 0);
     }
 }

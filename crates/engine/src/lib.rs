@@ -22,8 +22,7 @@
 //!   workers aggregate thread-local partials, and
 //!   [`PartialAggregation::merge`] folds them — bit-identically to a
 //!   serial scan, because accumulator sums are exact
-//!   (see [`Accumulator`]). [`parallel::run_parallel`] keeps the simple
-//!   one-round fan-out API.
+//!   (see [`Accumulator`]).
 //!
 //! Execution is *phase-aware*: a [`PartialAggregation`] accepts any number
 //! of row ranges and can be snapshotted or drained between ranges — a

@@ -10,9 +10,6 @@
 //! atomic queue round after round. Tasks may borrow the environment (the
 //! table, cluster plans, scratch buffers) because the workers are
 //! `std::thread::scope` threads.
-//!
-//! [`run_parallel`] keeps the original free-function API, now implemented
-//! as a single-round pool.
 
 use seedb_obs::TraceCtx;
 use seedb_util::PLock;
@@ -452,22 +449,6 @@ impl WorkerProbes {
     }
 }
 
-/// Runs `num_tasks` tasks produced by `task(i)` on at most `threads`
-/// worker threads; returns the results in task order.
-///
-/// `threads == 1` executes inline on the caller's thread (zero overhead,
-/// deterministic), which is also the fallback for empty input. For
-/// repeated batches, prefer [`with_pool`] + [`Pool::map`], which reuses
-/// workers instead of spawning per call.
-pub fn run_parallel<T, F>(num_tasks: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(num_tasks.max(1));
-    with_pool(threads, |pool| pool.map(num_tasks, |_, i| task(i)))
-}
-
 /// The default degree of parallelism: the number of available cores
 /// (the paper's empirically optimal setting, Fig 7b).
 pub fn default_parallelism() -> usize {
@@ -602,6 +583,17 @@ impl Drop for BudgetLease<'_> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    /// One round of `num_tasks` tasks on a pool of at most `threads`
+    /// workers (never more than there are tasks); results in task order.
+    fn run_parallel<T: Send>(
+        num_tasks: usize,
+        threads: usize,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let threads = threads.max(1).min(num_tasks.max(1));
+        with_pool(threads, |pool| pool.map(num_tasks, |_, i| task(i)))
+    }
 
     #[test]
     fn results_preserve_task_order() {

@@ -56,16 +56,6 @@ pub enum SplitSpec {
 }
 
 impl SplitSpec {
-    /// The target-side predicate.
-    pub fn target_predicate(&self) -> &Predicate {
-        match self {
-            SplitSpec::TargetVsAll(p)
-            | SplitSpec::TargetVsComplement(p)
-            | SplitSpec::TargetOnly(p) => p,
-            SplitSpec::TargetVsQuery { target, .. } => target,
-        }
-    }
-
     /// Every predicate involved (for projection planning).
     pub fn predicates(&self) -> Vec<&Predicate> {
         match self {
@@ -104,21 +94,32 @@ impl CombinedQuery {
             split,
         }
     }
-
-    /// Upper bound on the number of distinct groups this query maintains,
-    /// i.e. `∏ |a_i|` over its grouping attributes (§4.1's memory model).
-    pub fn group_upper_bound(&self, table: &dyn seedb_storage::Table) -> usize {
-        self.group_by
-            .iter()
-            .map(|c| table.distinct_count(*c))
-            .fold(1usize, |acc, d| acc.saturating_mul(d))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use seedb_storage::{ColumnDef, ColumnRole, ColumnType, StoreKind, TableBuilder, Value};
+
+    /// The target-side predicate.
+    fn target_predicate(split: &SplitSpec) -> &Predicate {
+        match split {
+            SplitSpec::TargetVsAll(p)
+            | SplitSpec::TargetVsComplement(p)
+            | SplitSpec::TargetOnly(p) => p,
+            SplitSpec::TargetVsQuery { target, .. } => target,
+        }
+    }
+
+    /// Upper bound on the number of distinct groups `query` maintains,
+    /// i.e. `∏ |a_i|` over its grouping attributes (§4.1's memory model).
+    fn group_upper_bound(query: &CombinedQuery, table: &dyn seedb_storage::Table) -> usize {
+        query
+            .group_by
+            .iter()
+            .map(|c| table.distinct_count(*c))
+            .fold(1usize, |acc, d| acc.saturating_mul(d))
+    }
 
     #[test]
     fn split_exposes_predicates() {
@@ -135,11 +136,10 @@ mod tests {
             2
         );
         assert_eq!(
-            SplitSpec::TargetVsQuery {
+            target_predicate(&SplitSpec::TargetVsQuery {
                 target: p.clone(),
                 reference: q
-            }
-            .target_predicate(),
+            }),
             &p
         );
     }
@@ -174,6 +174,6 @@ mod tests {
             filter: None,
             split: SplitSpec::TargetVsAll(Predicate::True),
         };
-        assert_eq!(q.group_upper_bound(t.as_ref()), 6); // 3 * 2
+        assert_eq!(group_upper_bound(&q, t.as_ref()), 6); // 3 * 2
     }
 }

@@ -47,6 +47,15 @@ pub struct TraceCtx {
     inner: Option<Arc<TraceInner>>,
 }
 
+impl std::fmt::Debug for TraceCtx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceCtx")
+            .field("id", &self.id)
+            .field("enabled", &self.inner.is_some())
+            .finish()
+    }
+}
+
 impl TraceCtx {
     /// A context that records nothing (trace ID 0). The default for every
     /// library entry point that isn't handed a live trace.

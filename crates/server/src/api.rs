@@ -61,7 +61,7 @@ pub struct RecommendRequest {
 /// setup (EMD, k = 10, CI pruning, 10 phases, all sharing optimizations)
 /// — [`SeeDbConfig::default`]. Pruned runs are fully cache-eligible:
 /// repeats hit the response cache and overlapping requests replay or
-/// resume per-view phase prefixes (`SeeDb::recommend_cached`).
+/// resume per-view phase prefixes (`SeeDb::with_cache`).
 pub fn default_config() -> SeeDbConfig {
     SeeDbConfig::default()
 }

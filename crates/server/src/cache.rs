@@ -24,7 +24,7 @@ pub enum CacheValue {
     Response(Arc<String>),
     /// A per-view combined aggregate — exact full-table, or a resumable
     /// phase prefix from a pruned run — reusable by any overlapping
-    /// request (see `SeeDb::recommend_cached`).
+    /// request (see `SeeDb::with_cache`).
     Partial(Arc<CachedPartial>),
 }
 
@@ -32,7 +32,7 @@ impl CacheValue {
     /// Approximate heap footprint in bytes, for budget accounting. An
     /// estimate is fine: the budget bounds order-of-magnitude memory use,
     /// not exact allocation.
-    pub fn approx_size(&self) -> usize {
+    fn approx_size(&self) -> usize {
         match self {
             CacheValue::Response(body) => body.len(),
             CacheValue::Partial(partial) => {
@@ -232,14 +232,15 @@ impl RecCache {
         inner.bytes = 0;
     }
 
-    /// Resident keys ordered least- to most-recently used (test/debug aid).
-    pub fn keys_lru_order(&self) -> Vec<String> {
+    /// Resident keys ordered least- to most-recently used.
+    #[cfg(test)]
+    pub(crate) fn keys_lru_order(&self) -> Vec<String> {
         let inner = self.inner.lock();
         inner.recency.values().cloned().collect()
     }
 }
 
-/// Adapter giving `SeeDb::recommend_cached` a view into one [`RecCache`],
+/// Adapter giving `SeeDb::with_cache` a view into one [`RecCache`],
 /// namespaced under a dataset-instance prefix so partials from different
 /// datasets (or row counts) can never alias.
 pub struct PartialCache {

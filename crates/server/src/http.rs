@@ -1,19 +1,19 @@
-//! Minimal HTTP/1.1 framing over `std::net` — just enough protocol for a
-//! JSON API daemon: request-line + headers + `Content-Length` bodies in,
-//! status + headers + body out, one request per connection
-//! (`Connection: close`). Hand-rolled because the registry is unreachable;
-//! limits on header and body sizes keep a malicious peer from ballooning
-//! memory.
+//! Minimal HTTP/1.1 framing — just enough protocol for a JSON API daemon:
+//! request-line + headers + `Content-Length` bodies in, status + headers +
+//! body out, one request per connection (`Connection: close`).
+//! Hand-rolled because the registry is unreachable; limits on header and
+//! body sizes keep a malicious peer from ballooning memory.
 
+use seedb_obs::TraceCtx;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Per-connection socket timeout; a stalled peer cannot pin a worker.
+/// Per-connection socket read timeout (the server sets it before
+/// [`read_request`]); a stalled peer cannot pin a worker.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Room for a response's status line and headers, so the frame buffer
 /// is allocated once.
@@ -31,11 +31,14 @@ pub struct Request {
     /// Client-sent `X-Request-Id`, sanitized ([`sanitize_request_id`]);
     /// `None` when absent or unusable (the server then generates one).
     pub request_id: Option<String>,
+    /// Where the router records its spans (catalog build, cache probe,
+    /// plan, phases, cache deposit); disabled unless the server armed it.
+    pub trace: TraceCtx,
 }
 
 impl Request {
-    /// A request with no `X-Request-Id` header — the common case, and the
-    /// constructor tests use.
+    /// A request with no `X-Request-Id` header and a disabled trace — the
+    /// common case, and the constructor tests use.
     pub fn new(
         method: impl Into<String>,
         path: impl Into<String>,
@@ -46,6 +49,7 @@ impl Request {
             path: path.into(),
             body: body.into(),
             request_id: None,
+            trace: TraceCtx::disabled(),
         }
     }
 }
@@ -228,9 +232,10 @@ impl ParseError {
     }
 }
 
-/// Reads one HTTP/1.1 request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+/// Reads one HTTP/1.1 request from `stream`. Never panics, whatever the
+/// bytes: every malformed, oversized or truncated input is a
+/// [`ParseError`].
+pub fn read_request(stream: impl Read) -> Result<Request, ParseError> {
     // The head budget is enforced *during* reads via `Take`: a peer
     // streaming a newline-free flood hits the limit after 16 KiB instead
     // of being buffered unboundedly until a '\n' arrives.
@@ -290,10 +295,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         .map_err(|_| ParseError::Bad("body is not valid UTF-8".into()))?;
 
     Ok(Request {
-        method,
-        path,
-        body,
         request_id,
+        ..Request::new(method, path, body)
     })
 }
 
@@ -317,23 +320,9 @@ fn read_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Round-trips raw bytes through a real socket into `read_request`.
     fn parse_raw(raw: &[u8]) -> Result<Request, ParseError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
-            // Keep the socket open briefly so reads see EOF, not reset.
-            s.shutdown(std::net::Shutdown::Write).unwrap();
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        let result = read_request(&mut stream);
-        writer.join().unwrap();
-        result
+        read_request(raw)
     }
 
     #[test]
@@ -370,8 +359,6 @@ mod tests {
     fn newline_free_flood_is_rejected_at_the_budget() {
         // A head with no '\n' at all must be cut off at MAX_HEAD_BYTES,
         // not buffered until the peer deigns to send a newline.
-        // Sized to clear the budget while fitting loopback socket buffers
-        // (the writer thread must not block once the parser bails out).
         let mut raw = b"GET /".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8 * 1024));
         assert!(matches!(parse_raw(&raw), Err(ParseError::TooLarge)));

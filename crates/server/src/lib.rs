@@ -41,11 +41,16 @@
 //! per-view partials ([`CachedPartial`](seedb_core::CachedPartial)) —
 //! exact full-table results for the pruning-free configurations, replay-
 //! and-resume phase prefixes for the pruned ones (the server default,
-//! COMB + CI) — through
-//! [`SeeDb::recommend_cached`](seedb_core::SeeDb::recommend_cached).
+//! COMB + CI) — by attaching the cache to the run
+//! ([`SeeDb::with_cache`](seedb_core::SeeDb::with_cache)).
 //! Responses are bit-identical to direct library calls in every case; a
-//! request can opt out with `"cache_mode": "bypass"`, which `/statz`
-//! counts separately so operators can see when the cache is not in play.
+//! request can opt out with `"cache_mode": "bypass"` — the same run with
+//! no cache attached — which `/statz` counts separately so operators can
+//! see when the cache is not in play.
+//!
+//! [`router::handle`] is the one dispatcher; a `/recommend` runs one
+//! straight sequence of stages: parse → resolve → key → probe → plan +
+//! lease → run → deposit → render.
 //!
 //! ## Concurrency & overload
 //!

@@ -6,7 +6,8 @@ use crate::catalog::Catalog;
 use crate::http::{Request, Response};
 use seedb_core::{
     ingested_instance_signature, instance_signature, predicate_signature, reference_signature,
-    CancelToken, CoreError, Knob, PhysicalPlan, ReferenceSpec, SeeDb, SeeDbConfig,
+    CacheUse, CancelToken, CoreError, Knob, PhysicalPlan, ReferenceSpec, SeeDb, SeeDbConfig,
+    ViewCache,
 };
 use seedb_engine::{BudgetLease, ExecStats, Predicate, TraceCtx, WorkerBudget};
 use seedb_obs::{Obs, PromText};
@@ -137,21 +138,16 @@ pub struct AppState {
     pub start: Instant,
 }
 
-/// Dispatches one request with a disabled trace context.
-pub fn handle(state: &AppState, req: &Request) -> Response {
-    handle_traced(state, req, &TraceCtx::disabled())
-}
-
 /// Dispatches one request, recording router-side spans (catalog build,
 /// cache probe, plan derivation, execution phases, cache deposit) into
-/// `trace`. Responses carry the request's correlation id ([`request_id`])
-/// in the `X-Request-Id` header and, for `/recommend` envelopes, a
-/// `request_id` field.
-pub fn handle_traced(state: &AppState, req: &Request, trace: &TraceCtx) -> Response {
+/// the request's trace. Responses carry the request's correlation id
+/// ([`request_id`]) in the `X-Request-Id` header and, for `/recommend`
+/// envelopes, a `request_id` field.
+pub fn handle(state: &AppState, req: &Request) -> Response {
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     let start = Instant::now();
     let path = req.path.split('?').next().unwrap_or("");
-    trace.note("route", path);
+    req.trace.note("route", path);
     let response = match (req.method.as_str(), path) {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/statz") => statz(state),
@@ -160,7 +156,7 @@ pub fn handle_traced(state: &AppState, req: &Request, trace: &TraceCtx) -> Respo
         ("GET", p) if p.starts_with("/debug/traces/") => trace_export(state, p),
         ("GET", "/datasets") => Response::json(state.catalog.list_json().compact()),
         ("POST", "/datasets") => ingest(state, req),
-        ("POST", "/recommend") => recommend(state, req, trace),
+        ("POST", "/recommend") => recommend(state, req),
         ("GET", "/recommend") => Response::error(405, "use POST for /recommend"),
         _ => Response::error(404, &format!("no route for {} {}", req.method, path)),
     };
@@ -170,7 +166,7 @@ pub fn handle_traced(state: &AppState, req: &Request, trace: &TraceCtx) -> Respo
         _ => &state.stats.other_histo,
     };
     histo.record_us(start.elapsed().as_micros() as u64);
-    match request_id(req, trace) {
+    match request_id(req) {
         Some(id) => response.with_request_id(&id),
         None => response,
     }
@@ -179,11 +175,12 @@ pub fn handle_traced(state: &AppState, req: &Request, trace: &TraceCtx) -> Respo
 /// The request's correlation id: the client's sanitized `X-Request-Id`
 /// when present, else one derived from the trace id (`r-` + zero-padded
 /// hex — the same shape [`Obs::request_id_for`] produces). `None` only
-/// for an untraced request with no client id (bare [`handle`] calls).
-pub fn request_id(req: &Request, trace: &TraceCtx) -> Option<String> {
+/// for an untraced request with no client id.
+pub fn request_id(req: &Request) -> Option<String> {
+    let trace_id = req.trace.id();
     match &req.request_id {
         Some(id) => Some(id.clone()),
-        None => (trace.id() != 0).then(|| format!("r-{:08x}", trace.id())),
+        None => (trace_id != 0).then(|| format!("r-{trace_id:08x}")),
     }
 }
 
@@ -536,12 +533,10 @@ fn ingest(state: &AppState, req: &Request) -> Response {
     }
 }
 
-/// The `/recommend` flow: parse → resolve dataset → plan SQL → probe the
-/// response cache → (on miss) lease workers, run the engine through the
-/// partials cache, store the rendered payload.
-fn recommend(state: &AppState, req: &Request, trace: &TraceCtx) -> Response {
+/// The `/recommend` flow.
+fn recommend(state: &AppState, req: &Request) -> Response {
     let start = Instant::now();
-    let result = recommend_inner(state, req, start, trace);
+    let result = recommend_inner(state, req, start);
     match result {
         Ok(response) => {
             state.stats.recommends_ok.fetch_add(1, Ordering::Relaxed);
@@ -554,15 +549,14 @@ fn recommend(state: &AppState, req: &Request, trace: &TraceCtx) -> Response {
     }
 }
 
-fn recommend_inner(
-    state: &AppState,
-    req: &Request,
-    start: Instant,
-    trace: &TraceCtx,
-) -> Result<Response, Response> {
+/// One straight sequence of stages: parse → resolve → key → probe →
+/// plan + lease → run → deposit → render. A `"cache_mode": "bypass"`
+/// request is the same sequence with no probe, no cache attached to the
+/// run and no deposit.
+fn recommend_inner(state: &AppState, req: &Request, start: Instant) -> Result<Response, Response> {
+    let trace = &req.trace;
     let parsed = RecommendRequest::from_json(&req.body).map_err(|e| Response::error(400, &e))?;
-    let rid = request_id(req, trace);
-    let rid = rid.as_deref();
+    let bypass = parsed.cache_mode == api::CacheMode::Bypass;
 
     // The deadline clock starts at request arrival and covers everything
     // downstream — catalog build, admission wait, engine run. A request
@@ -598,6 +592,16 @@ fn recommend_inner(
         "complement" => ReferenceSpec::Complement,
         sql => ReferenceSpec::Query(plan_where(table, sql)?),
     };
+    let rid = request_id(req);
+    let mut envelope = Envelope {
+        where_desc: &where_desc,
+        request_id: rid.as_deref(),
+        start,
+        cache: "",
+        usage: CacheUse::default(),
+        explain: None,
+        coverage: None,
+    };
 
     // One canonical signature covers dataset instance + query + config.
     // The config part (`result_signature`) includes the pruning kind,
@@ -616,94 +620,45 @@ fn recommend_inner(
             state.seed,
         ),
     };
-    let signature = format!(
-        "{instance}|{}|{}|{}",
+    let response_key = format!(
+        "R|{instance}|{}|{}|{}",
         predicate_signature(&target),
         reference_signature(&reference),
         parsed.config.result_signature()
     );
-    let response_key = format!("R|{signature}");
 
-    // Operator-requested bypass: run the engine directly, cache nothing.
-    if parsed.cache_mode == api::CacheMode::Bypass {
-        trace.note("cache", "bypass");
-        let (config, plan, lease) = plan_and_lease(
-            state,
-            &dataset,
-            &parsed.config,
-            &target,
-            &reference,
-            &cancel,
-            trace,
-        )
-        .ok_or_else(|| shed_busy(state))?;
-        let seedb = SeeDb::with_config(dataset.table.clone(), config).with_trace(trace.clone());
-        let rec = match seedb.recommend_with(&target, &reference, cancel) {
-            Ok(rec) => rec,
-            Err(CoreError::DeadlineExceeded) => {
-                // Bypass opted out of the cache, so there is no partial
-                // to degrade to — the timeout is the honest answer.
-                state
-                    .stats
-                    .deadline_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(deadline_exceeded(deadline_ms));
-            }
-            Err(e) => return Err(Response::error(400, &e.to_string())),
-        };
-        drop(lease);
-        record_last_run(state, &rec.stats);
-        let payload = api::render_recommendation(&dataset, &rec).compact();
-        let us = start.elapsed().as_micros() as u64;
-        state.stats.response_bypass.fetch_add(1, Ordering::Relaxed);
-        state.stats.bypass_us_total.fetch_add(us, Ordering::Relaxed);
-        let explain = parsed
-            .explain
-            .then(|| explain_fragment(&plan, Some(&rec.stats)));
-        return Ok(Response::json(envelope(
-            &payload,
-            &where_desc,
-            "bypass",
-            0,
-            0,
-            0,
-            explain.as_deref(),
-            None,
-            rid,
-            us,
-        )));
-    }
-
-    let probed = {
+    let probed = (!bypass).then(|| {
         let _span = trace.span("cache_probe");
         state.cache.get(&response_key)
-    };
-    if let Some(CacheValue::Response(payload)) = probed {
+    });
+    if let Some(Some(CacheValue::Response(payload))) = probed {
         trace.note("cache", "hit");
         // A hit executes nothing, so EXPLAIN re-derives the plan this
         // request *would* run under and reports empty phase timings.
-        let explain = parsed.explain.then(|| {
+        envelope.explain = parsed.explain.then(|| {
             let seedb = SeeDb::with_config(dataset.table.clone(), parsed.config.clone());
             explain_fragment(&seedb.plan(&target, &reference), None)
         });
         let us = start.elapsed().as_micros() as u64;
         state.stats.response_hits.fetch_add(1, Ordering::Relaxed);
         state.stats.hit_us_total.fetch_add(us, Ordering::Relaxed);
-        return Ok(Response::json(envelope(
-            &payload,
-            &where_desc,
-            "hit",
-            0,
-            0,
-            0,
-            explain.as_deref(),
-            None,
-            rid,
-            us,
-        )));
+        envelope.cache = "hit";
+        return Ok(Response::json(envelope.wrap(&payload, us)));
     }
 
-    let partials = PartialCache::new(state.cache.clone(), instance.clone());
+    // The run's engine, reading and filling this instance's partials
+    // unless the request bypasses the cache.
+    let partials: Option<Arc<dyn ViewCache>> =
+        (!bypass).then(|| Arc::new(PartialCache::new(state.cache.clone(), instance)) as _);
+    let seedb = |config: SeeDbConfig| {
+        let seedb = SeeDb::with_config(dataset.table.clone(), config)
+            .with_trace(trace.clone())
+            .with_cancel(cancel);
+        match &partials {
+            Some(cache) => seedb.with_cache(cache.clone()),
+            None => seedb,
+        }
+    };
 
     // Admission: lease worker slots so concurrent requests share the
     // machine's morsel workers instead of each spawning a full pool. The
@@ -720,48 +675,28 @@ fn recommend_inner(
         &cancel,
         trace,
     ) else {
-        let seedb = SeeDb::with_config(dataset.table.clone(), parsed.config.clone());
-        if let Some(resp) = degraded_response(
-            state,
-            &seedb,
-            &dataset,
-            &target,
-            &reference,
-            &partials,
-            &where_desc,
-            start,
-            rid,
-            trace,
-        ) {
-            return Ok(resp);
-        }
-        return Err(shed_busy(state));
+        let seedb = seedb(parsed.config.clone());
+        return degraded_response(
+            state, &seedb, &dataset, &target, &reference, envelope, trace,
+        )
+        .ok_or_else(|| shed_busy(state));
     };
 
-    let seedb = SeeDb::with_config(dataset.table.clone(), config).with_trace(trace.clone());
-    let (rec, usage) = match seedb.recommend_cached_with(&target, &reference, &partials, cancel) {
-        Ok(v) => v,
+    let seedb = seedb(config);
+    let rec = match seedb.recommend(&target, &reference) {
+        Ok(rec) => rec,
         Err(CoreError::DeadlineExceeded) => {
             drop(lease);
             state
                 .stats
                 .deadline_timeouts
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(resp) = degraded_response(
-                state,
-                &seedb,
-                &dataset,
-                &target,
-                &reference,
-                &partials,
-                &where_desc,
-                start,
-                rid,
-                trace,
-            ) {
-                return Ok(resp);
-            }
-            return Err(deadline_exceeded(deadline_ms));
+            // Without a cache there is no partial to degrade to — the
+            // timeout is the honest answer.
+            return degraded_response(
+                state, &seedb, &dataset, &target, &reference, envelope, trace,
+            )
+            .ok_or_else(|| deadline_exceeded(deadline_ms));
         }
         Err(e) => return Err(Response::error(400, &e.to_string())),
     };
@@ -770,11 +705,7 @@ fn recommend_inner(
 
     let payload = api::render_recommendation(&dataset, &rec).compact();
     let us = start.elapsed().as_micros() as u64;
-    let cache_label = if !usage.eligible {
-        // No built-in configuration is ineligible today, but a future one
-        // must surface as a bypass, not masquerade as a miss — and its
-        // response must not be cached, or a repeat would report a cache
-        // hit while the bypass counter claims the cache was not in play.
+    envelope.cache = if bypass {
         state.stats.response_bypass.fetch_add(1, Ordering::Relaxed);
         state.stats.bypass_us_total.fetch_add(us, Ordering::Relaxed);
         "bypass"
@@ -788,28 +719,18 @@ fn recommend_inner(
         }
         state.stats.response_misses.fetch_add(1, Ordering::Relaxed);
         state.stats.miss_us_total.fetch_add(us, Ordering::Relaxed);
-        if usage.hits > 0 || usage.resumed > 0 {
+        if rec.cache.hits > 0 || rec.cache.resumed > 0 {
             "partial"
         } else {
             "miss"
         }
     };
-    trace.note("cache", cache_label);
-    let explain = parsed
+    trace.note("cache", envelope.cache);
+    envelope.usage = rec.cache;
+    envelope.explain = parsed
         .explain
         .then(|| explain_fragment(&plan, Some(&rec.stats)));
-    Ok(Response::json(envelope(
-        &payload,
-        &where_desc,
-        cache_label,
-        usage.hits as u64,
-        usage.misses as u64,
-        usage.resumed as u64,
-        explain.as_deref(),
-        None,
-        rid,
-        us,
-    )))
+    Ok(Response::json(envelope.wrap(&payload, us)))
 }
 
 /// Derives the physical plan for `requested`, leases worker slots for its
@@ -825,7 +746,6 @@ fn recommend_inner(
 /// starved budget waits at most [`LEASE_WAIT`] (and never past half the
 /// remaining deadline) for a single permit; past that, `None` — the
 /// caller degrades or sheds, it does not queue forever.
-#[allow(clippy::too_many_arguments)] // admission inputs + the trace handle
 fn plan_and_lease<'a>(
     state: &'a AppState,
     dataset: &seedb_data::Dataset,
@@ -893,43 +813,34 @@ fn deadline_exceeded(deadline_ms: u64) -> Response {
     )
 }
 
-/// Assembles a degraded partial answer purely from cached per-view deltas
-/// — zero scan work — for a request that cannot run (starved or out of
-/// deadline). `None` when the cache holds nothing for this query; the
-/// caller falls through to shed/timeout. The response is clearly tagged
-/// (`"cache": "degraded"`, `"degraded": true`, a coverage ratio) and is
-/// never deposited into the response cache: a later healthy request must
-/// compute and cache the full answer.
-#[allow(clippy::too_many_arguments)] // the envelope's per-request fields
+/// Assembles a degraded partial answer purely from the cached per-view
+/// deltas `seedb` has attached — zero scan work — for a request that
+/// cannot run (starved or out of deadline). `None` when no cache is
+/// attached or it holds nothing for this query; the caller falls through
+/// to shed/timeout. The response is clearly tagged (`"cache": "degraded"`,
+/// `"degraded": true`, a coverage ratio) and is never deposited into the
+/// response cache: a later healthy request must compute and cache the
+/// full answer.
 fn degraded_response(
     state: &AppState,
     seedb: &SeeDb,
     dataset: &seedb_data::Dataset,
     target: &Predicate,
     reference: &ReferenceSpec,
-    partials: &PartialCache,
-    where_desc: &str,
-    start: Instant,
-    rid: Option<&str>,
+    envelope: Envelope<'_>,
     trace: &TraceCtx,
 ) -> Option<Response> {
-    let (rec, coverage) = seedb.degraded_from_cache(target, reference, partials)?;
+    let (rec, coverage) = seedb.degraded_from_cache(target, reference)?;
     trace.note("cache", "degraded");
     state.stats.degraded.fetch_add(1, Ordering::Relaxed);
     let payload = api::render_recommendation(dataset, &rec).compact();
-    let us = start.elapsed().as_micros() as u64;
-    Some(Response::json(envelope(
-        &payload,
-        where_desc,
-        "degraded",
-        0,
-        0,
-        0,
-        None,
-        Some(coverage),
-        rid,
-        us,
-    )))
+    let us = envelope.start.elapsed().as_micros() as u64;
+    let envelope = Envelope {
+        cache: "degraded",
+        coverage: Some(coverage),
+        ..envelope
+    };
+    Some(Response::json(envelope.wrap(&payload, us)))
 }
 
 /// Records the executed plan summary and phase timings for `/statz`.
@@ -940,27 +851,24 @@ fn record_last_run(state: &AppState, stats: &ExecStats) {
     *last = (stats.plan_summary.clone(), stats.phase_times_us.clone());
 }
 
-/// Renders the EXPLAIN fragment: the chosen plan plus, for runs that
-/// actually executed, per-phase wall-clock timings and the zone-map
-/// pruning counters. Cache hits pass `None` — nothing ran, so timings are
-/// empty and the pruning counters are reported as zero.
-fn explain_fragment(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> String {
+/// The EXPLAIN object: the chosen plan plus, for runs that actually
+/// executed, per-phase wall-clock timings and the zone-map pruning
+/// counters. Cache hits pass `None` — nothing ran, so timings are empty and
+/// the pruning counters are reported as zero.
+fn explain_fragment(plan: &PhysicalPlan, stats: Option<&ExecStats>) -> Json {
     let (times, scanned, pruned) = match stats {
         Some(s) => (
-            s.phase_times_us
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
+            s.phase_times_us.iter().map(|&t| Json::from(t)).collect(),
             s.partitions_scanned,
             s.partitions_pruned,
         ),
-        None => (String::new(), 0, 0),
+        None => (Vec::new(), 0, 0),
     };
-    format!(
-        "{{\"plan\":{},\"phase_times_us\":[{times}],\"partitions_scanned\":{scanned},\"partitions_pruned\":{pruned}}}",
-        plan.explain_json()
-    )
+    Json::obj()
+        .set("plan", plan.explain_json())
+        .set("phase_times_us", times)
+        .set("partitions_scanned", scanned)
+        .set("partitions_pruned", pruned)
 }
 
 /// Parses and plans a SQL `WHERE` body against the dataset schema,
@@ -972,49 +880,49 @@ fn plan_where(table: &dyn seedb_storage::Table, sql: &str) -> Result<Predicate, 
         .map_err(|e| Response::error(400, &e.render(sql)))
 }
 
-/// Wraps the cached deterministic payload with per-request fields (cache
-/// disposition — `hit`/`partial`/`miss`/`bypass` — latency, and the
-/// request's own WHERE spelling; the cached payload is shared by every
-/// spelling that normalizes to the same signature) without re-parsing it:
-/// both sides are compact JSON objects, so the envelope splices at the
-/// braces.
-#[allow(clippy::too_many_arguments)] // the per-request envelope fields
-fn envelope(
-    payload: &str,
-    where_desc: &str,
-    cache: &str,
-    view_hits: u64,
-    view_misses: u64,
-    view_resumed: u64,
-    explain: Option<&str>,
-    degraded_coverage: Option<f64>,
-    request_id: Option<&str>,
-    us: u64,
-) -> String {
-    let mut obj = Json::obj()
-        .set("where", where_desc)
-        .set("cache", cache)
-        .set("view_hits", view_hits)
-        .set("view_misses", view_misses)
-        .set("view_resumed", view_resumed)
-        .set("elapsed_us", us);
-    if let Some(id) = request_id {
-        obj = obj.set("request_id", id);
+/// The per-request fields a `/recommend` envelope wraps around the cached
+/// deterministic payload: the request's own WHERE spelling (the payload is
+/// shared by every spelling that normalizes to the same signature) and
+/// correlation id, its arrival time, the cache disposition —
+/// `hit`/`partial`/`miss`/`bypass`/`degraded` — with the per-view split,
+/// and the optional EXPLAIN object and degraded coverage.
+struct Envelope<'r> {
+    where_desc: &'r str,
+    request_id: Option<&'r str>,
+    start: Instant,
+    cache: &'static str,
+    usage: CacheUse,
+    explain: Option<Json>,
+    coverage: Option<f64>,
+}
+
+impl Envelope<'_> {
+    /// The response body: these fields, then `payload`'s, in one object.
+    /// The payload is not re-parsed: both sides are compact JSON objects,
+    /// so they join inside one pair of braces.
+    fn wrap(self, payload: &str, us: u64) -> String {
+        let mut obj = Json::obj()
+            .set("where", self.where_desc)
+            .set("cache", self.cache)
+            .set("view_hits", self.usage.hits)
+            .set("view_misses", self.usage.misses)
+            .set("view_resumed", self.usage.resumed)
+            .set("elapsed_us", us);
+        if let Some(id) = self.request_id {
+            obj = obj.set("request_id", id);
+        }
+        if let Some(coverage) = self.coverage {
+            obj = obj.set("degraded", true).set("coverage", coverage);
+        }
+        if let Some(explain) = self.explain {
+            obj = obj.set("explain", explain);
+        }
+        let head = obj.compact();
+        match (head.strip_suffix('}'), payload.strip_prefix('{')) {
+            (Some(fields), Some(rest)) if rest != "}" => format!("{fields},{rest}"),
+            _ => head,
+        }
     }
-    if let Some(coverage) = degraded_coverage {
-        obj = obj.set("degraded", true).set("coverage", coverage);
-    }
-    let mut extra = obj.compact();
-    if let Some(fragment) = explain {
-        // The fragment is already compact JSON; splice it in verbatim.
-        debug_assert!(fragment.starts_with('{') && fragment.ends_with('}'));
-        extra = format!("{},\"explain\":{}}}", &extra[..extra.len() - 1], fragment);
-    }
-    debug_assert!(payload.starts_with('{') && extra.ends_with('}'));
-    if payload.len() <= 2 {
-        return extra;
-    }
-    format!("{},{}", &extra[..extra.len() - 1], &payload[1..])
 }
 
 #[cfg(test)]
@@ -1567,20 +1475,31 @@ mod tests {
         assert_eq!(j.get("all_utilities"), j2.get("all_utilities"));
     }
 
+    /// An envelope with the test's fixed per-request fields.
+    fn envelope<'r>(
+        cache: &'static str,
+        usage: CacheUse,
+        request_id: Option<&'r str>,
+    ) -> Envelope<'r> {
+        Envelope {
+            where_desc: "x = 1",
+            request_id,
+            start: Instant::now(),
+            cache,
+            usage,
+            explain: None,
+            coverage: None,
+        }
+    }
+
     #[test]
     fn envelope_splices_compact_objects() {
-        let spliced = envelope(
-            "{\"a\":1}",
-            "x = 1",
-            "hit",
-            2,
-            3,
-            1,
-            None,
-            None,
-            Some("r-1"),
-            7,
-        );
+        let usage = CacheUse {
+            hits: 2,
+            misses: 3,
+            resumed: 1,
+        };
+        let spliced = envelope("hit", usage, Some("r-1")).wrap("{\"a\":1}", 7);
         let j = Json::parse(&spliced).unwrap();
         assert_eq!(j.get("cache").unwrap().as_str(), Some("hit"));
         assert_eq!(j.get("view_hits").unwrap().as_u64(), Some(2));
@@ -1589,20 +1508,19 @@ mod tests {
         assert_eq!(j.get("a").unwrap().as_u64(), Some(1));
         assert!(j.get("explain").is_none());
 
-        // With an explain fragment, the nested object parses intact.
-        let frag = "{\"plan\":{\"workers\":2},\"phase_times_us\":[4,5]}";
-        let spliced = envelope(
-            "{\"a\":1}",
-            "x = 1",
-            "miss",
-            0,
-            6,
-            0,
-            Some(frag),
-            None,
-            None,
-            7,
-        );
+        // With an explain object, the nested object parses intact.
+        let frag = Json::obj()
+            .set("plan", Json::obj().set("workers", 2u64))
+            .set("phase_times_us", vec![Json::from(4u64), Json::from(5u64)]);
+        let usage = CacheUse {
+            misses: 6,
+            ..CacheUse::default()
+        };
+        let spliced = Envelope {
+            explain: Some(frag),
+            ..envelope("miss", usage, None)
+        }
+        .wrap("{\"a\":1}", 7);
         let j = Json::parse(&spliced).unwrap();
         let ex = j.get("explain").unwrap();
         assert_eq!(
@@ -1611,6 +1529,111 @@ mod tests {
         );
         assert_eq!(ex.get("phase_times_us").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(j.get("a").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn envelope_bytes_are_golden() {
+        // The exact bytes of every disposition, fixed so a refactor of how
+        // the envelope is assembled cannot move a byte of the wire format.
+        let payload = r#"{"dataset":"D","views":[{"rank":0}],"all_utilities":[0.5]}"#;
+        let tail = r#""dataset":"D","views":[{"rank":0}],"all_utilities":[0.5]}"#;
+        let head = |cache: &str, hits: u64, misses: u64, resumed: u64| {
+            format!(
+                r#"{{"where":"x = 1","cache":"{cache}","view_hits":{hits},"view_misses":{misses},"view_resumed":{resumed},"elapsed_us":7"#
+            )
+        };
+        let hit = envelope("hit", CacheUse::default(), Some("r-1")).wrap(payload, 7);
+        assert_eq!(
+            hit,
+            format!(r#"{},"request_id":"r-1",{tail}"#, head("hit", 0, 0, 0))
+        );
+        let usage = CacheUse {
+            misses: 4,
+            ..CacheUse::default()
+        };
+        let miss = envelope("miss", usage, None).wrap(payload, 7);
+        assert_eq!(miss, format!("{},{tail}", head("miss", 0, 4, 0)));
+        let usage = CacheUse {
+            hits: 2,
+            misses: 1,
+            resumed: 1,
+        };
+        let partial = envelope("partial", usage, Some("r-2")).wrap(payload, 7);
+        assert_eq!(
+            partial,
+            format!(r#"{},"request_id":"r-2",{tail}"#, head("partial", 2, 1, 1))
+        );
+        let bypass = envelope("bypass", CacheUse::default(), None).wrap(payload, 7);
+        assert_eq!(bypass, format!("{},{tail}", head("bypass", 0, 0, 0)));
+        let degraded = Envelope {
+            coverage: Some(0.75),
+            ..envelope("degraded", CacheUse::default(), Some("r-3"))
+        }
+        .wrap(payload, 7);
+        assert_eq!(
+            degraded,
+            format!(
+                r#"{},"request_id":"r-3","degraded":true,"coverage":0.75,{tail}"#,
+                head("degraded", 0, 0, 0)
+            )
+        );
+
+        let plan = PhysicalPlan {
+            workers: 2,
+            workers_auto: true,
+            morsel_rows: usize::MAX,
+            morsel_auto: false,
+            mode: seedb_core::ExecMode::Vectorized,
+            index: seedb_engine::GroupIndexKind::Hash,
+            clusters: vec![
+                vec![seedb_storage::ColumnId(0)],
+                vec![seedb_storage::ColumnId(1), seedb_storage::ColumnId(2)],
+            ],
+            packed: true,
+            aggregates: 3,
+            views: 4,
+            estimated_rows: 1000,
+            partitions_total: 4,
+            partitions_prunable: 1,
+        };
+        let mut stats = ExecStats::new();
+        stats.phase_times_us = vec![40, 5];
+        stats.partitions_scanned = 3;
+        stats.partitions_pruned = 1;
+        let plan_json = concat!(
+            r#"{"workers":2,"workers_source":"auto","morsel_rows":"whole","#,
+            r#""morsel_source":"fixed","mode":"VECTORIZED","index":"hash","#,
+            r#""clusters":2,"packed":true,"aggregates":3,"views":4,"#,
+            r#""estimated_rows":1000,"partitions_total":4,"partitions_prunable":1}"#
+        );
+        let explain = Envelope {
+            explain: Some(explain_fragment(&plan, Some(&stats))),
+            ..envelope("miss", CacheUse::default(), None)
+        }
+        .wrap(payload, 7);
+        assert_eq!(
+            explain,
+            format!(
+                r#"{},"explain":{{"plan":{plan_json},"phase_times_us":[40,5],"partitions_scanned":3,"partitions_pruned":1}},{tail}"#,
+                head("miss", 0, 0, 0)
+            )
+        );
+        let explain_hit = Envelope {
+            explain: Some(explain_fragment(&plan, None)),
+            ..envelope("hit", CacheUse::default(), None)
+        }
+        .wrap(payload, 7);
+        assert_eq!(
+            explain_hit,
+            format!(
+                r#"{},"explain":{{"plan":{plan_json},"phase_times_us":[],"partitions_scanned":0,"partitions_pruned":0}},{tail}"#,
+                head("hit", 0, 0, 0)
+            )
+        );
+
+        // An empty payload leaves the envelope's own fields alone.
+        let empty = envelope("miss", CacheUse::default(), None).wrap("{}", 7);
+        assert_eq!(empty, format!("{}}}", head("miss", 0, 0, 0)));
     }
 
     #[test]
@@ -1857,12 +1880,13 @@ mod tests {
         // Traced request: the flight recorder captures it end to end.
         let trace = s.obs.begin();
         assert!(trace.is_enabled());
-        let req = Request::new(
+        let mut req = Request::new(
             "POST",
             "/recommend",
             r#"{"dataset": "HOUSING", "rows": 300, "k": 2}"#,
         );
-        let resp = handle_traced(&s, &req, &trace);
+        req.trace = trace.clone();
+        let resp = handle(&s, &req);
         assert_eq!(resp.status, 200, "{}", resp.body);
         let rid = s.obs.request_id_for(&trace);
         assert_eq!(resp.request_id.as_deref(), Some(rid.as_str()));
@@ -1927,6 +1951,23 @@ mod tests {
         // Untraced requests without a client id carry no header at all.
         let resp = handle(&s, &Request::new("GET", "/healthz", ""));
         assert_eq!(resp.request_id, None);
+    }
+
+    #[test]
+    fn no_opt_issues_two_queries_per_view_whatever_the_sharing_knobs() {
+        // The request keeps the default sharing knobs; NO_OPT still runs
+        // each view's own target and reference query.
+        let s = state();
+        let body = r#"{"dataset": "HOUSING", "rows": 300, "k": 3, "strategy": "no_opt"}"#;
+        let r = post(&s, "/recommend", body);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let j = Json::parse(&r.body).unwrap();
+        let views = j.get("all_utilities").unwrap().as_arr().unwrap().len() as u64;
+        let stats = j.get("stats").unwrap();
+        assert_eq!(
+            stats.get("queries_issued").unwrap().as_u64(),
+            Some(2 * views)
+        );
     }
 
     #[test]

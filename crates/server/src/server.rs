@@ -18,8 +18,8 @@
 use crate::cache::RecCache;
 use crate::catalog::Catalog;
 use crate::faults::{ConnFaults, FaultPlan, TruncatingWriter};
-use crate::http::{read_request, Response};
-use crate::router::{handle_traced, AppState, ServerStats};
+use crate::http::{read_request, Response, IO_TIMEOUT};
+use crate::router::{handle, AppState, ServerStats};
 use seedb_engine::parallel::default_parallelism;
 use seedb_engine::{TraceCtx, WorkerBudget};
 use seedb_obs::{LogLevel, Logger, Obs, DEFAULT_TRACE_BUFFER};
@@ -165,7 +165,7 @@ impl Server {
     /// queued to `max_connections` worker threads through a bounded
     /// admission queue; when the queue is full the connection is shed
     /// with a fast `503` on a short-lived side thread.
-    pub fn run_until(self, stop: Arc<AtomicBool>) {
+    fn run_until(self, stop: Arc<AtomicBool>) {
         self.state
             .stats
             .queue_capacity
@@ -425,15 +425,17 @@ fn handle_connection(
     }
     let parsed = {
         let _span = trace.span("http_read");
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         read_request(&mut stream)
     };
     let (route, request_id, response) = match parsed {
-        Ok(request) => {
+        Ok(mut request) => {
             let id = request
                 .request_id
                 .clone()
                 .unwrap_or_else(|| state.obs.request_id_for(trace));
-            let response = handle_traced(state, &request, trace);
+            request.trace = trace.clone();
+            let response = handle(state, &request);
             (request.path.clone(), id, response)
         }
         Err(err) => {

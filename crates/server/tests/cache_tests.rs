@@ -4,7 +4,10 @@
 //! 2. signature collision-freedom across differing predicates/configs
 //!    (property-based),
 //! 3. responses under 8 parallel clients bit-identical to direct
-//!    `SeeDb::recommend` on the same inputs.
+//!    `SeeDb::recommend` on the same inputs,
+//! 4. a run with a cache attached bit-identical to one without, for every
+//!    configuration, reading and writing the keys the README's eligibility
+//!    matrix names.
 
 use proptest::prelude::*;
 use seedb_core::{
@@ -15,6 +18,7 @@ use seedb_engine::CmpOp;
 use seedb_server::{client, Server, ServerConfig};
 use seedb_storage::ColumnId;
 use seedb_util::Json;
+use std::sync::Arc;
 
 fn boot(cache_bytes: usize) -> seedb_server::ServerHandle {
     let config = ServerConfig {
@@ -177,15 +181,17 @@ proptest! {
     }
 }
 
-/// 4. Property (the ISSUE's pruned-cache guarantee): `recommend_cached`
-///    is bit-identical to `recommend` for *pruned* configurations, across
+/// 4. Property: a run with a cache attached is bit-identical to one
+///    without — for *pruned* configurations across
 ///    pruning scheme (CI/MAB), parallelism (1/8), and cache state
 ///    (cold / warm / prefix-resume — the cache warmed by a *different* k,
 ///    which leaves shorter prefixes that the run must resume, not
 ///    restart).
 mod pruned_equivalence {
     use super::*;
+    use seedb_core::{AggFunc, CachedPartial, ViewCache};
     use seedb_storage::{BoxedTable, ColumnDef, StoreKind, TableBuilder, Value};
+    use seedb_util::PLock;
 
     /// A 6-view table whose `BY d0` views deviate maximally (EMD ≈ 1)
     /// while `d1`/`d2` are noise — separated enough for CI to discard
@@ -227,7 +233,23 @@ mod pruned_equivalence {
         cfg
     }
 
-    fn assert_bitwise_equal(a: &Recommendation, b: &Recommendation, ctx: &str) {
+    /// A run of `config` with `cache` attached.
+    fn cached(
+        table: &BoxedTable,
+        config: SeeDbConfig,
+        cache: &Arc<MemoryViewCache>,
+    ) -> Recommendation {
+        let t = target(table.as_ref());
+        SeeDb::with_config(table.clone(), config)
+            .with_cache(cache.clone())
+            .recommend(&t, &ReferenceSpec::WholeTable)
+            .unwrap()
+    }
+
+    /// Bit-level equality of everything a recommendation reports;
+    /// `phases` also compares the phase count and early stop (a warm run
+    /// of a pruning-free configuration executes no phase at all).
+    fn assert_same(a: &Recommendation, b: &Recommendation, phases: bool, ctx: &str) {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(a.views.len(), b.views.len(), "{ctx}");
         for (x, y) in a.views.iter().zip(&b.views) {
@@ -252,8 +274,14 @@ mod pruned_equivalence {
             );
         }
         assert_eq!(bits(&a.all_utilities), bits(&b.all_utilities), "{ctx}");
-        assert_eq!(a.phases_executed, b.phases_executed, "{ctx}");
-        assert_eq!(a.early_stopped, b.early_stopped, "{ctx}");
+        if phases {
+            assert_eq!(a.phases_executed, b.phases_executed, "{ctx}");
+            assert_eq!(a.early_stopped, b.early_stopped, "{ctx}");
+        }
+    }
+
+    fn assert_bitwise_equal(a: &Recommendation, b: &Recommendation, ctx: &str) {
+        assert_same(a, b, true, ctx);
     }
 
     proptest! {
@@ -270,18 +298,19 @@ mod pruned_equivalence {
             let reference = ReferenceSpec::WholeTable;
             let t = target(table.as_ref());
             let cfg = config(k, pruning, parallelism);
-            let seedb = SeeDb::with_config(table.clone(), cfg);
-            let direct = seedb.recommend(&t, &reference).unwrap();
+            let direct = SeeDb::with_config(table.clone(), cfg.clone())
+                .recommend(&t, &reference)
+                .unwrap();
 
             // Cold: an empty cache.
-            let cache = MemoryViewCache::new();
-            let (cold, u) = seedb.recommend_cached(&t, &reference, &cache).unwrap();
-            prop_assert!(u.eligible);
+            let cache = Arc::new(MemoryViewCache::new());
+            let cold = cached(&table, cfg.clone(), &cache);
             assert_bitwise_equal(&direct, &cold, "cold");
 
             // Warm: the same configuration replays everything — zero rows
             // scanned — and still matches bit for bit.
-            let (warm, u) = seedb.recommend_cached(&t, &reference, &cache).unwrap();
+            let warm = cached(&table, cfg.clone(), &cache);
+            let u = warm.cache;
             prop_assert!(u.fully_cached(), "{u:?}");
             prop_assert_eq!(warm.stats.rows_scanned, 0);
             assert_bitwise_equal(&direct, &warm, "warm");
@@ -289,13 +318,184 @@ mod pruned_equivalence {
             // Prefix-resume: a cache warmed under a *different* k (and CI)
             // holds shorter prefixes for views that k prunes later; the
             // run must resume them mid-scan and still match bit for bit.
-            let resume_cache = MemoryViewCache::new();
+            let resume_cache = Arc::new(MemoryViewCache::new());
             let warm_cfg = config(warm_k, PruningKind::Ci, parallelism);
-            let warmer = SeeDb::with_config(table.clone(), warm_cfg);
-            let _ = warmer.recommend_cached(&t, &reference, &resume_cache).unwrap();
-            let (resumed, u) = seedb.recommend_cached(&t, &reference, &resume_cache).unwrap();
+            let _ = cached(&table, warm_cfg, &resume_cache);
+            let resumed = cached(&table, cfg.clone(), &resume_cache);
+            let u = resumed.cache;
             prop_assert_eq!(u.misses, 0, "every view has at least a prefix: {:?}", u);
             assert_bitwise_equal(&direct, &resumed, "prefix-resume");
+        }
+    }
+    /// The pruning-free shapes of every strategy, under `k` views of `funcs`.
+    fn pruning_free(shape: usize, k: usize, funcs: &[AggFunc], parallelism: usize) -> SeeDbConfig {
+        let strategy = [
+            ExecutionStrategy::NoOpt,
+            ExecutionStrategy::Sharing,
+            ExecutionStrategy::Comb,
+            ExecutionStrategy::CombEarly,
+        ][shape];
+        let mut cfg = SeeDbConfig::for_strategy(strategy);
+        cfg.pruning = PruningKind::None;
+        cfg.k = k;
+        cfg.num_phases = 6;
+        cfg.agg_functions = funcs.to_vec();
+        cfg.sharing.parallelism = Knob::Fixed(parallelism);
+        cfg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn cached_runs_are_bit_identical_for_pruning_free_configs(
+            shape in 0usize..4,
+            k in 1usize..8,
+            parallelism in prop_oneof![Just(1usize), Just(8usize)],
+        ) {
+            let table = table();
+            let t = target(table.as_ref());
+            let funcs = [AggFunc::Avg, AggFunc::Sum];
+            let cfg = pruning_free(shape, k, &funcs, parallelism);
+            let label = cfg.strategy;
+            let direct = SeeDb::with_config(table.clone(), cfg.clone())
+                .recommend(&t, &ReferenceSpec::WholeTable)
+                .unwrap();
+
+            // Cold: every view misses and is computed.
+            let cache = Arc::new(MemoryViewCache::new());
+            let cold = cached(&table, cfg.clone(), &cache);
+            prop_assert_eq!(cold.cache.misses, 12, "{}", label);
+            assert_same(&direct, &cold, true, "cold");
+
+            // Warm: nothing is scanned. A configuration that never prunes
+            // takes each view whole and runs no phase at all.
+            let warm = cached(&table, cfg.clone(), &cache);
+            prop_assert!(warm.cache.fully_cached(), "{}: {:?}", label, warm.cache);
+            prop_assert_eq!(warm.stats.rows_scanned, 0);
+            assert_same(&direct, &warm, !cfg.exact_per_view(), "warm");
+
+            // Partial overlap: a cache warmed by the AVG views alone, under
+            // a k so large that COMB_EARLY stops after its first phase and
+            // leaves one-phase prefixes to resume.
+            let overlap = Arc::new(MemoryViewCache::new());
+            let _ = cached(&table, pruning_free(shape, 12, &funcs[..1], parallelism), &overlap);
+            let mixed = cached(&table, cfg.clone(), &overlap);
+            let u = mixed.cache;
+            prop_assert_eq!((u.hits + u.resumed, u.misses), (6, 6), "{}: {:?}", label, u);
+            assert_same(&direct, &mixed, true, "partial overlap");
+        }
+    }
+
+    /// A [`ViewCache`] that logs every key read and written.
+    struct Recording {
+        inner: MemoryViewCache,
+        reads: PLock<Vec<String>>,
+        writes: PLock<Vec<String>>,
+    }
+
+    impl ViewCache for Recording {
+        fn get(&self, key: &str) -> Option<Arc<CachedPartial>> {
+            self.reads.lock().push(key.to_owned());
+            self.inner.get(key)
+        }
+
+        fn put(&self, key: &str, value: Arc<CachedPartial>) {
+            self.writes.lock().push(key.to_owned());
+            self.inner.put(key, value);
+        }
+    }
+
+    impl Recording {
+        fn new() -> Self {
+            Recording {
+                inner: MemoryViewCache::new(),
+                reads: PLock::new("test.recording.reads", Vec::new()),
+                writes: PLock::new("test.recording.writes", Vec::new()),
+            }
+        }
+
+        /// The keys read and written since the last call, each tagged `E`
+        /// (a view's exact entry) or `P` (its phase-prefix entry), sorted.
+        fn take(&self) -> (Vec<String>, Vec<String>) {
+            let tag = |keys: &mut Vec<String>| {
+                let mut tagged: Vec<String> = std::mem::take(keys)
+                    .into_iter()
+                    .map(|key| match key.strip_suffix("|ph6") {
+                        Some(view) => format!("P {}", view.rsplit('|').next().unwrap()),
+                        None => format!("E {}", key.rsplit('|').next().unwrap()),
+                    })
+                    .collect();
+                tagged.sort();
+                tagged
+            };
+            (tag(&mut self.reads.lock()), tag(&mut self.writes.lock()))
+        }
+    }
+
+    /// Pins the keys each row of the README's cache eligibility matrix
+    /// reads and writes, cold and warm.
+    #[test]
+    fn each_configuration_reads_and_writes_its_matrix_keys() {
+        let table = table();
+        let t = target(table.as_ref());
+        let views: Vec<String> = SeeDb::new(table.clone())
+            .views()
+            .iter()
+            .map(|v| v.signature())
+            .collect();
+        let all = |tag: &str| -> Vec<String> {
+            let mut keys: Vec<String> = views.iter().map(|v| format!("{tag} {v}")).collect();
+            keys.sort();
+            keys
+        };
+        let run = |cfg: SeeDbConfig, cache: &Arc<Recording>| {
+            SeeDb::with_config(table.clone(), cfg)
+                .with_cache(cache.clone())
+                .recommend(&t, &ReferenceSpec::WholeTable)
+                .unwrap()
+        };
+        let mut ci = config(1, PruningKind::Ci, 1);
+        ci.strategy = ExecutionStrategy::CombEarly;
+        for (row, cfg) in [
+            ("NO_OPT", pruning_free(0, 2, &[AggFunc::Avg], 1)),
+            ("SHARING", pruning_free(1, 2, &[AggFunc::Avg], 1)),
+            ("COMB + NO_PRU", pruning_free(2, 2, &[AggFunc::Avg], 1)),
+            ("COMB + CI", config(1, PruningKind::Ci, 1)),
+            ("COMB_EARLY + CI", ci),
+            (
+                "COMB_EARLY + NO_PRU",
+                pruning_free(3, 2, &[AggFunc::Avg], 1),
+            ),
+        ] {
+            let cache = Arc::new(Recording::new());
+            let exact = cfg.exact_per_view();
+            let cold = run(cfg.clone(), &cache);
+            let (reads, writes) = cache.take();
+            if exact {
+                // Exact configurations: the unsuffixed key, read and
+                // written for every view.
+                assert_eq!(reads, all("E"), "{row} cold reads");
+                assert_eq!(writes, all("E"), "{row} cold writes");
+            } else {
+                // Pruned configurations: the `|phN` prefix of every view,
+                // plus the exact key of each view that ran every phase.
+                assert_eq!(reads, all("P"), "{row} cold reads");
+                let full = cold.phases_executed == 6 && !cold.early_stopped;
+                let survivors = writes.iter().filter(|k| k.starts_with("E ")).count();
+                assert!(writes.ends_with(&all("P")), "{row} cold writes {writes:?}");
+                assert_eq!(survivors + 6, writes.len(), "{row} cold writes");
+                assert!(!full || survivors >= 1, "{row}: a survivor is exact");
+            }
+            // Warm: the same keys are read again and nothing is written.
+            let _ = run(cfg, &cache);
+            let (reads, writes) = cache.take();
+            assert_eq!(
+                reads,
+                all(if exact { "E" } else { "P" }),
+                "{row} warm reads"
+            );
+            assert!(writes.is_empty(), "{row} warm writes {writes:?}");
         }
     }
 }
