@@ -3,8 +3,10 @@
 //! A [`PhysicalPlan`] is derived once per run, *before* the worker pool is
 //! created, from three inputs:
 //!
-//! 1. **Table statistics** ([`seedb_storage::TableStats`]) — exact row and
-//!    distinct counts, zone-map summaries, dictionary sizes.
+//! 1. **Table statistics**, read off the table — its row count, each
+//!    dimension's distinct count (the §4.1 bin-packing weights) and
+//!    dictionary sizes, which `seedb_engine::cost` turns into the
+//!    dense-vs-hash group index.
 //! 2. **The query's contribution predicate** — the planner asks the zone
 //!    maps which partitions can contribute rows
 //!    ([`seedb_engine::estimate_scan`]) and sizes parallelism to the

@@ -22,7 +22,9 @@ pub struct GroupingPlan {
 /// capacity `log₂ budget`.
 ///
 /// Attributes whose own cardinality exceeds the budget get a dedicated bin
-/// (they must still be queried; they simply cannot be combined).
+/// (they must still be queried; they simply cannot be combined). `attrs`
+/// must be dimension columns: only they carry the build-time distinct
+/// counts ([`Table::distinct_count`]) the weights come from.
 pub fn first_fit(table: &dyn Table, attrs: &[ColumnId], budget: usize) -> GroupingPlan {
     pack(table, attrs, budget)
 }

@@ -112,7 +112,8 @@ mod tests {
     }
 
     /// Upper bound on the number of distinct groups `query` maintains,
-    /// i.e. `∏ |a_i|` over its grouping attributes (§4.1's memory model).
+    /// i.e. `∏ |a_i|` over its grouping attributes (§4.1's memory model),
+    /// which must be dimensions: only they carry a distinct count.
     fn group_upper_bound(query: &CombinedQuery, table: &dyn seedb_storage::Table) -> usize {
         query
             .group_by

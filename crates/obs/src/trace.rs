@@ -107,7 +107,7 @@ impl TraceCtx {
     }
 
     /// [`TraceCtx::span`] on an explicit display lane.
-    pub fn span_on(&self, name: &'static str, lane: u32) -> SpanGuard {
+    fn span_on(&self, name: &'static str, lane: u32) -> SpanGuard {
         SpanGuard {
             ctx: self.clone(),
             name,
@@ -148,7 +148,7 @@ impl TraceCtx {
     }
 
     /// The last value noted under `key`.
-    pub fn note_value(&self, key: &str) -> Option<String> {
+    fn note_value(&self, key: &str) -> Option<String> {
         let inner = self.inner.as_ref()?;
         let notes = inner.notes.lock();
         notes

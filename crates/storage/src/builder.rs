@@ -3,9 +3,9 @@
 //!
 //! The builder stages data column-wise (cheap to convert to a
 //! [`ColumnStore`], and a single packing pass away from a [`RowStore`]),
-//! interns categorical labels, and maintains the per-column statistics
-//! (distinct counts, null counts, min/max) that the engine's memory-budget
-//! planner needs.
+//! interns categorical labels, and maintains the per-column statistics the
+//! engine reads: null counts and min/max for every column, and distinct
+//! counts `|a_i|` for dimensions only — the bin-packing weights of §4.1.
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
@@ -14,34 +14,61 @@ use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::partition::{Partition, DEFAULT_PARTITION_ROWS};
 use crate::row_store::{encode_payload, RowStore};
-use crate::schema::{ColumnDef, ColumnStats, ColumnType, Schema};
+use crate::schema::{ColumnDef, ColumnRole, ColumnStats, ColumnType, Schema};
 use crate::table::{BoxedTable, StoreKind};
 use crate::value::{Cell, Value};
-use crate::zonemap::{DistinctSet, ZoneBuilder};
+use crate::zonemap::ZoneBuilder;
 use std::sync::Arc;
+
+/// Set of value identities (float bit patterns, integer values, booleans)
+/// behind a non-categorical dimension's distinct count.
+///
+/// Identities are folded (`bits ^ bits >> 32`, a bijection, so counts are
+/// unchanged) before they reach the hasher. Fx multiplies the word by an
+/// odd constant and the table indexes buckets by the hash's low bits, so an
+/// identity whose low bits are all zero — every integer-valued `f64`: its
+/// low mantissa bits are empty — hashes to low bits of zero too, and a
+/// high-cardinality column of them piles into a handful of buckets (a
+/// 1M-row build took minutes instead of a second).
+#[derive(Debug, Default)]
+struct DistinctSet(rustc_hash::FxHashSet<u64>);
+
+impl DistinctSet {
+    fn insert(&mut self, identity: u64) {
+        self.0.insert(identity ^ (identity >> 32));
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
 
 /// Staging state for one column.
 struct StagedColumn {
     data: ColumnData,
     validity: Bitmap,
-    distinct: DistinctSet,
+    /// Whole-table distinct values of a non-categorical dimension. A
+    /// categorical dimension counts them in its dictionary, and measure and
+    /// ignored columns count nothing: no reader asks them.
+    distinct: Option<DistinctSet>,
     null_count: usize,
     min: Option<f64>,
     max: Option<f64>,
 }
 
 impl StagedColumn {
-    fn new(ty: ColumnType) -> Self {
-        let data = match ty {
+    fn new(def: &ColumnDef) -> Self {
+        let data = match def.ty {
             ColumnType::Int64 => ColumnData::Int64(Vec::new()),
             ColumnType::Float64 => ColumnData::Float64(Vec::new()),
             ColumnType::Categorical => ColumnData::Categorical(Vec::new()),
             ColumnType::Bool => ColumnData::Bool(Bitmap::new()),
         };
+        let counted = def.role == ColumnRole::Dimension && def.ty != ColumnType::Categorical;
         StagedColumn {
             data,
             validity: Bitmap::new(),
-            distinct: DistinctSet::default(),
+            distinct: counted.then(DistinctSet::default),
             null_count: 0,
             min: None,
             max: None,
@@ -64,9 +91,16 @@ impl StagedColumn {
         self.max = Some(self.max.map_or(x, |m| m.max(x)));
     }
 
-    fn stats(&self) -> ColumnStats {
+    fn stats(&self, def: &ColumnDef, dictionary: Option<&Dictionary>) -> ColumnStats {
+        let distinct = match (&self.distinct, dictionary) {
+            (Some(set), _) => Some(set.len()),
+            // The builder interns only labels it stores, so the dictionary
+            // holds exactly the column's non-NULL distinct values.
+            (None, Some(dict)) if def.role == ColumnRole::Dimension => Some(dict.len()),
+            _ => None,
+        };
         ColumnStats {
-            distinct: self.distinct.len(),
+            distinct,
             null_count: self.null_count,
             min: self.min,
             max: self.max,
@@ -103,11 +137,7 @@ impl TableBuilder {
     /// Fallible constructor.
     pub fn try_new(columns: Vec<ColumnDef>) -> Result<Self, StorageError> {
         let schema = Schema::new(columns)?;
-        let staged = schema
-            .columns()
-            .iter()
-            .map(|c| StagedColumn::new(c.ty))
-            .collect();
+        let staged = schema.columns().iter().map(StagedColumn::new).collect();
         let dictionaries = schema
             .columns()
             .iter()
@@ -194,62 +224,46 @@ impl TableBuilder {
         for (i, value) in row.iter().enumerate() {
             let staged = &mut self.staged[i];
             let zone = &mut self.zones[i];
-            match value {
-                Value::Null => {
+            // (distinct identity, numeric view) of the stored value.
+            let (identity, numeric) = match (value, &mut staged.data) {
+                (Value::Null, _) => {
                     staged.push_null();
                     zone.observe_null();
+                    continue;
                 }
-                Value::Int(v) => match &mut staged.data {
-                    ColumnData::Int64(vec) => {
-                        vec.push(*v);
-                        staged.validity.push(true);
-                        staged.distinct.insert(Cell::Int(*v).group_code());
-                        staged.observe_numeric(*v as f64);
-                        zone.observe(Cell::Int(*v).group_code(), *v as f64);
-                    }
-                    ColumnData::Float64(vec) => {
-                        // Int literals are accepted into float columns.
-                        vec.push(*v as f64);
-                        staged.validity.push(true);
-                        staged.distinct.insert((*v as f64).to_bits());
-                        staged.observe_numeric(*v as f64);
-                        zone.observe((*v as f64).to_bits(), *v as f64);
-                    }
-                    _ => unreachable!("validated above"),
-                },
-                Value::Float(v) => match &mut staged.data {
-                    ColumnData::Float64(vec) => {
-                        vec.push(*v);
-                        staged.validity.push(true);
-                        staged.distinct.insert(v.to_bits());
-                        staged.observe_numeric(*v);
-                        zone.observe(v.to_bits(), *v);
-                    }
-                    _ => unreachable!("validated above"),
-                },
-                Value::Str(s) => {
+                (Value::Int(v), ColumnData::Int64(vec)) => {
+                    vec.push(*v);
+                    (Cell::Int(*v).group_code(), *v as f64)
+                }
+                // Int literals are accepted into float columns.
+                (Value::Int(v), ColumnData::Float64(vec)) => {
+                    vec.push(*v as f64);
+                    ((*v as f64).to_bits(), *v as f64)
+                }
+                (Value::Float(v), ColumnData::Float64(vec)) => {
+                    vec.push(*v);
+                    (v.to_bits(), *v)
+                }
+                (Value::Str(s), ColumnData::Categorical(vec)) => {
                     let dict = self.dictionaries[i].as_mut().expect("categorical column");
                     let code = dict.intern(s);
-                    match &mut staged.data {
-                        ColumnData::Categorical(vec) => {
-                            vec.push(code);
-                            staged.validity.push(true);
-                            staged.distinct.insert(code as u64);
-                            zone.observe(code as u64, code as f64);
-                        }
-                        _ => unreachable!("validated above"),
-                    }
+                    vec.push(code);
+                    (code as u64, code as f64)
                 }
-                Value::Bool(b) => match &mut staged.data {
-                    ColumnData::Bool(bits) => {
-                        bits.push(*b);
-                        staged.validity.push(true);
-                        staged.distinct.insert(*b as u64);
-                        zone.observe(*b as u64, if *b { 1.0 } else { 0.0 });
-                    }
-                    _ => unreachable!("validated above"),
-                },
+                (Value::Bool(b), ColumnData::Bool(bits)) => {
+                    bits.push(*b);
+                    (*b as u64, if *b { 1.0 } else { 0.0 })
+                }
+                _ => unreachable!("validated above"),
+            };
+            staged.validity.push(true);
+            if let Some(set) = &mut staged.distinct {
+                set.insert(identity);
             }
+            if matches!(staged.data, ColumnData::Int64(_) | ColumnData::Float64(_)) {
+                staged.observe_numeric(numeric);
+            }
+            zone.observe(numeric);
         }
         self.num_rows += 1;
         if self.num_rows - self.partition_start >= self.partition_rows {
@@ -278,6 +292,17 @@ impl TableBuilder {
         std::mem::take(&mut self.partitions)
     }
 
+    /// Build-time statistics of every column, in schema order.
+    fn column_stats(&self) -> Vec<ColumnStats> {
+        self.schema
+            .columns()
+            .iter()
+            .zip(&self.staged)
+            .zip(&self.dictionaries)
+            .map(|((def, staged), dict)| staged.stats(def, dict.as_ref()))
+            .collect()
+    }
+
     /// Materializes the staged data as the requested layout.
     pub fn build(self, kind: StoreKind) -> Result<BoxedTable, StorageError> {
         match kind {
@@ -289,7 +314,7 @@ impl TableBuilder {
     /// Materializes a [`ColumnStore`].
     pub fn build_column_store(mut self) -> Result<ColumnStore, StorageError> {
         let partitions = self.finish_partitions();
-        let stats: Vec<ColumnStats> = self.staged.iter().map(StagedColumn::stats).collect();
+        let stats = self.column_stats();
         let columns: Vec<Column> = self
             .staged
             .into_iter()
@@ -307,7 +332,7 @@ impl TableBuilder {
     /// Materializes a [`RowStore`] by packing the staged columns row-wise.
     pub fn build_row_store(mut self) -> Result<RowStore, StorageError> {
         let partitions = self.finish_partitions();
-        let stats: Vec<ColumnStats> = self.staged.iter().map(StagedColumn::stats).collect();
+        let stats = self.column_stats();
         let (stride, null_bytes) = RowStore::layout(&self.schema);
         let mut data = vec![0u8; self.num_rows * stride];
         for (col_idx, staged) in self.staged.iter().enumerate() {
@@ -335,7 +360,6 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnRole;
     use crate::table::Table;
 
     fn defs() -> Vec<ColumnDef> {
@@ -455,22 +479,30 @@ mod tests {
                 .unwrap();
         }
         let t = b.build_column_store().unwrap();
-        assert_eq!(t.stats(crate::ColumnId(0)).distinct, 2);
-        assert_eq!(t.stats(crate::ColumnId(1)).distinct, 2);
-        assert_eq!(t.stats(crate::ColumnId(2)).null_count, 3);
-        assert_eq!(t.stats(crate::ColumnId(2)).distinct, 0);
+        let stats = |c: u32| t.stats(crate::ColumnId(c));
+        // Dimensions count distinct values: the categorical one from its
+        // dictionary, the Bool one (all NULL here) from its own set.
+        assert_eq!(stats(0).distinct, Some(2));
+        assert_eq!(stats(3).distinct, Some(0));
+        assert_eq!(t.distinct_count(crate::ColumnId(3)), 1);
+        // Measures count none, but keep NULL counts and min/max.
+        assert_eq!(stats(1).distinct, None);
+        assert_eq!((stats(1).min, stats(1).max), (Some(1.0), Some(2.0)));
+        assert_eq!(stats(2).null_count, 3);
+        assert_eq!(stats(2).distinct, None);
     }
 
     #[test]
     fn integral_float_column_builds_as_fast_as_int_column() {
-        // 200k distinct integer-valued floats: every bit pattern ends in
-        // 30+ zero bits. Hashed raw through Fx they collapse into a few
-        // buckets and the build goes quadratic (tens of seconds here);
-        // folded first (`DistinctSet`) it costs what the Int64 twin costs.
+        // 200k distinct integer-valued floats in a dimension (the only
+        // non-categorical column that keeps a `DistinctSet`): every bit
+        // pattern ends in 30+ zero bits. Hashed raw through Fx they collapse
+        // into a few buckets and the build goes quadratic (tens of seconds
+        // here); folded first it costs what the Int64 twin costs.
         const ROWS: i64 = 200_000;
         let build = |ty: ColumnType, value: fn(i64) -> Value| {
             let started = std::time::Instant::now();
-            let mut b = TableBuilder::new(vec![ColumnDef::new("x", ty, ColumnRole::Measure)]);
+            let mut b = TableBuilder::new(vec![ColumnDef::new("x", ty, ColumnRole::Dimension)]);
             for i in 0..ROWS {
                 b.push_row(&[value(i)]).unwrap();
             }
@@ -483,17 +515,10 @@ mod tests {
             as_int.stats(crate::ColumnId(0)),
             as_float.stats(crate::ColumnId(0)),
         );
-        assert_eq!(float_stats.distinct, ROWS as usize);
+        assert_eq!(float_stats.distinct, Some(ROWS as usize));
         assert_eq!(float_stats.distinct, int_stats.distinct);
         assert_eq!(float_stats.min, int_stats.min);
         assert_eq!(float_stats.max, int_stats.max);
-        let zone_distinct = |t: &crate::ColumnStore| -> Vec<usize> {
-            t.partitions()
-                .iter()
-                .map(|p| p.zone(crate::ColumnId(0)).unwrap().distinct)
-                .collect()
-        };
-        assert_eq!(zone_distinct(&as_float), zone_distinct(&as_int));
         assert!(
             float_time < int_time * 5 + std::time::Duration::from_millis(200),
             "Float64 build {float_time:?} vs Int64 build {int_time:?}"
@@ -527,8 +552,9 @@ mod tests {
             assert_eq!(parts[0].zone(m).unwrap().max, Some(3.0));
             assert_eq!(parts[2].zone(m).unwrap().min, Some(8.0));
             assert_eq!(parts[2].zone(m).unwrap().rows, 2);
-            // Partition zones carry per-partition distinct counts.
-            assert_eq!(parts[0].zone(crate::ColumnId(0)).unwrap().distinct, 3);
+            // Categorical zones bound dictionary codes per partition.
+            let d = parts[0].zone(crate::ColumnId(0)).unwrap();
+            assert_eq!((d.min, d.max), (Some(0.0), Some(2.0)));
         }
     }
 

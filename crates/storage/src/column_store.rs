@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn stats_and_dictionary() {
         let t = small_table();
-        assert_eq!(t.stats(ColumnId(0)).distinct, 2);
+        assert_eq!(t.stats(ColumnId(0)).distinct, Some(2));
         assert_eq!(t.stats(ColumnId(1)).null_count, 1);
         assert_eq!(t.dictionary(ColumnId(0)).unwrap().label(1), Some("blue"));
     }

@@ -69,6 +69,6 @@ pub use error::StorageError;
 pub use partition::{Partition, DEFAULT_PARTITION_ROWS};
 pub use row_store::RowStore;
 pub use schema::{ColumnDef, ColumnId, ColumnRole, ColumnStats, ColumnType, Schema};
-pub use table::{BoxedTable, ColumnSummary, StoreKind, Table, TableStats};
+pub use table::{BoxedTable, StoreKind, Table};
 pub use value::{Cell, Value};
 pub use zonemap::{ColumnZone, ZoneBuilder, ZoneMatch};

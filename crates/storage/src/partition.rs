@@ -61,7 +61,7 @@ mod tests {
     fn partition(rows: Range<usize>) -> Partition {
         let mut zb = ZoneBuilder::new(ColumnType::Float64);
         for r in rows.clone() {
-            zb.observe((r as f64).to_bits(), r as f64);
+            zb.observe(r as f64);
         }
         Partition {
             rows,

@@ -311,13 +311,15 @@ mod tests {
     fn stats_reflect_data() {
         let t = small_table();
         let s = t.stats(ColumnId(0));
-        assert_eq!(s.distinct, 2);
+        assert_eq!(s.distinct, Some(2));
         assert_eq!(s.null_count, 0);
         let s = t.stats(ColumnId(1));
-        assert_eq!(s.distinct, 2);
+        assert_eq!(s.distinct, None);
         assert_eq!(s.null_count, 1);
         assert_eq!(s.min, Some(-2.0));
         assert_eq!(s.max, Some(1.0));
+        // The Bool dimension counts its own distinct values.
+        assert_eq!(t.stats(ColumnId(3)).distinct, Some(2));
     }
 
     #[test]

@@ -106,8 +106,9 @@ impl ColumnDef {
 /// Per-column statistics collected at build time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ColumnStats {
-    /// Number of distinct non-NULL values (`|a_i|` in the paper).
-    pub distinct: usize,
+    /// Number of distinct non-NULL values (`|a_i|` in the paper), counted
+    /// for dimension columns only: `None` for measure and ignored columns.
+    pub distinct: Option<usize>,
     /// Number of NULLs.
     pub null_count: usize,
     /// Minimum numeric value, if the column is numeric and non-empty.

@@ -162,11 +162,16 @@ pub trait Table: Send + Sync {
         }
     }
 
-    /// Distinct non-NULL value count of a column, `|a_i|` in the paper.
-    /// Never returns 0 (empty columns report 1) so that bin-packing weights
-    /// `log2(|a_i|)` stay finite.
+    /// Distinct non-NULL value count of a dimension column, `|a_i|` in the
+    /// paper. Never returns 0 (empty columns report 1) so that bin-packing
+    /// weights `log2(|a_i|)` stay finite.
+    ///
+    /// Only dimensions carry a count ([`ColumnStats::distinct`]); asking
+    /// about any other column is a caller bug, caught in debug builds.
     fn distinct_count(&self, col: ColumnId) -> usize {
-        self.stats(col).distinct.max(1)
+        let distinct = self.stats(col).distinct;
+        debug_assert!(distinct.is_some(), "distinct_count of non-dimension {col}");
+        distinct.unwrap_or(0).max(1)
     }
 
     /// Human-readable label for a cell of column `col` (dictionary decoding
@@ -186,111 +191,6 @@ pub trait Table: Send + Sync {
     }
 }
 
-/// Table-level summary of one column, used by the planner's cost model.
-///
-/// Folded from the sealed per-partition [`crate::ColumnZone`]s when the
-/// table carries a partition directory; tables without partitions fall back
-/// to the build-time [`ColumnStats`]. `dictionary_size` is the exact
-/// decision input for dense-vs-hash group indexing (zone maps only see
-/// per-partition distinct counts, which under-count the table-wide domain).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnSummary {
-    /// Distinct non-NULL values table-wide (build-time exact count).
-    pub distinct: usize,
-    /// NULL rows table-wide.
-    pub null_count: usize,
-    /// Minimum of the column's numeric view (`None` when all-NULL/NaN).
-    pub min: Option<f64>,
-    /// Maximum of the column's numeric view.
-    pub max: Option<f64>,
-    /// Dictionary cardinality for categorical columns, `None` otherwise.
-    pub dictionary_size: Option<usize>,
-}
-
-/// Compact statistical summary of a whole table, aggregated from its
-/// sealed partition zone maps (see [`Table::table_stats`]). This is the
-/// cost-model input: the planner reads it instead of re-scanning data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableStats {
-    /// Total rows.
-    pub rows: usize,
-    /// Number of sealed partitions (0 when the table has no directory).
-    pub partitions: usize,
-    /// Rows in the largest partition (= `rows` when unpartitioned).
-    pub max_partition_rows: usize,
-    /// One summary per schema column, in ordinal order.
-    pub columns: Vec<ColumnSummary>,
-}
-
-impl TableStats {
-    /// Summary of column `col`. Panics if out of range.
-    pub fn column(&self, col: ColumnId) -> &ColumnSummary {
-        &self.columns[col.index()]
-    }
-}
-
-impl dyn Table + '_ {
-    /// Builds the table's [`TableStats`] by folding its sealed partition
-    /// zone maps: per column, NULL counts sum and min/max intervals union
-    /// across partitions. Distinct counts come from the build-time
-    /// [`ColumnStats`] (exact table-wide; per-partition distincts cannot be
-    /// unioned), as do all three when the table has no partition directory.
-    pub fn table_stats(&self) -> TableStats {
-        let schema = self.schema();
-        let parts = self.partitions();
-        let columns = (0..schema.len())
-            .map(|i| {
-                let col = ColumnId(i as u32);
-                let dictionary_size = self.dictionary(col).map(|d| d.len());
-                let distinct = self.distinct_count(col);
-                if parts.is_empty() {
-                    let s = self.stats(col);
-                    return ColumnSummary {
-                        distinct,
-                        null_count: s.null_count,
-                        min: s.min,
-                        max: s.max,
-                        dictionary_size,
-                    };
-                }
-                let mut null_count = 0usize;
-                let mut min: Option<f64> = None;
-                let mut max: Option<f64> = None;
-                for p in parts {
-                    if let Some(z) = p.zone(col) {
-                        null_count += z.null_count;
-                        min = match (min, z.min) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        max = match (max, z.max) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                }
-                ColumnSummary {
-                    distinct,
-                    null_count,
-                    min,
-                    max,
-                    dictionary_size,
-                }
-            })
-            .collect();
-        TableStats {
-            rows: self.num_rows(),
-            partitions: parts.len(),
-            max_partition_rows: parts
-                .iter()
-                .map(Partition::len)
-                .max()
-                .unwrap_or_else(|| self.num_rows()),
-            columns,
-        }
-    }
-}
-
 /// Shared, dynamically-typed table handle.
 pub type BoxedTable = Arc<dyn Table>;
 
@@ -303,59 +203,5 @@ mod tests {
         assert_eq!(StoreKind::Row.label(), "ROW");
         assert_eq!(StoreKind::Column.label(), "COL");
         assert_eq!(StoreKind::Row.to_string(), "ROW");
-    }
-
-    #[test]
-    fn table_stats_fold_zones_across_partitions() {
-        use crate::builder::TableBuilder;
-        use crate::schema::ColumnDef;
-        use crate::value::Value;
-
-        let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")])
-            .with_partition_rows(4);
-        for i in 0..10 {
-            b.push_row(&[
-                Value::str(format!("v{}", i % 3)),
-                if i == 5 {
-                    Value::Null
-                } else {
-                    Value::Float(i as f64)
-                },
-            ])
-            .unwrap();
-        }
-        let t = b.build(StoreKind::Column).unwrap();
-        let stats = t.as_ref().table_stats();
-        assert_eq!(stats.rows, 10);
-        assert_eq!(stats.partitions, 3); // 4 + 4 + 2
-        assert_eq!(stats.max_partition_rows, 4);
-        let d = stats.column(ColumnId(0));
-        assert_eq!(d.distinct, 3);
-        assert_eq!(d.dictionary_size, Some(3));
-        let m = stats.column(ColumnId(1));
-        assert_eq!(m.null_count, 1);
-        assert_eq!(m.min, Some(0.0));
-        assert_eq!(m.max, Some(9.0));
-        assert_eq!(m.dictionary_size, None);
-    }
-
-    #[test]
-    fn table_stats_without_partitions_use_build_time_stats() {
-        use crate::builder::TableBuilder;
-        use crate::schema::ColumnDef;
-        use crate::value::Value;
-
-        // Default partition size far exceeds the row count, so the table
-        // still has a (single-partition) directory; exercise the no-parts
-        // fallback through a minimal hand-rolled Table instead.
-        let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
-        b.push_row(&[Value::str("a"), Value::Float(2.5)]).unwrap();
-        b.push_row(&[Value::str("b"), Value::Float(7.5)]).unwrap();
-        let t = b.build(StoreKind::Row).unwrap();
-        let stats = t.as_ref().table_stats();
-        assert_eq!(stats.rows, 2);
-        assert_eq!(stats.column(ColumnId(1)).min, Some(2.5));
-        assert_eq!(stats.column(ColumnId(1)).max, Some(7.5));
-        assert!(stats.max_partition_rows >= 2);
     }
 }

@@ -3,8 +3,7 @@
 //! partition's rows.
 //!
 //! A [`ColumnZone`] summarizes one column over one partition: row count,
-//! NULL count, NaN count, distinct-value count, and the min/max of the
-//! column's numeric view (integers and booleans widen to `f64`, categorical
+//! NULL count, NaN count, and the min/max of the column's numeric view (integers and booleans widen to `f64`, categorical
 //! values use their dictionary code — exactly the domain row-level
 //! predicates compare in, so interval reasoning over a zone is sound by
 //! construction).
@@ -79,8 +78,6 @@ pub struct ColumnZone {
     /// Tracked separately because NaN fails every comparison except `<>`
     /// and is excluded from `min`/`max`.
     pub nan_count: usize,
-    /// Distinct non-NULL values (bit-pattern distinct for floats).
-    pub distinct: usize,
     /// Minimum of the column's numeric view over non-NULL, non-NaN rows
     /// (`None` when there are none).
     pub min: Option<f64>,
@@ -205,33 +202,6 @@ impl ColumnZone {
     }
 }
 
-/// Set of value identities (float bit patterns, integer values, dictionary
-/// codes) behind every distinct count.
-///
-/// Identities are folded (`bits ^ bits >> 32`, a bijection, so counts are
-/// unchanged) before they reach the hasher. Fx multiplies the word by an
-/// odd constant and the table indexes buckets by the hash's low bits, so an
-/// identity whose low bits are all zero — every integer-valued `f64`: its
-/// low mantissa bits are empty — hashes to low bits of zero too, and a
-/// high-cardinality column of them piles into a handful of buckets (a
-/// 1M-row build took minutes instead of a second).
-#[derive(Debug, Default)]
-pub(crate) struct DistinctSet(rustc_hash::FxHashSet<u64>);
-
-impl DistinctSet {
-    pub(crate) fn insert(&mut self, identity: u64) {
-        self.0.insert(identity ^ (identity >> 32));
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
 /// Incremental [`ColumnZone`] accumulator used by the table builder: one
 /// per column, reset at each partition boundary.
 #[derive(Debug)]
@@ -240,7 +210,6 @@ pub struct ZoneBuilder {
     rows: usize,
     null_count: usize,
     nan_count: usize,
-    distinct: DistinctSet,
     min: Option<f64>,
     max: Option<f64>,
 }
@@ -253,7 +222,6 @@ impl ZoneBuilder {
             rows: 0,
             null_count: 0,
             nan_count: 0,
-            distinct: DistinctSet::default(),
             min: None,
             max: None,
         }
@@ -265,12 +233,10 @@ impl ZoneBuilder {
         self.null_count += 1;
     }
 
-    /// Records a non-NULL row: `bits` is the value's distinct-identity
-    /// (bit-cast for floats, code for categoricals), `numeric` its numeric
-    /// view (the same view row-level predicates compare in).
-    pub fn observe(&mut self, bits: u64, numeric: f64) {
+    /// Records a non-NULL row by its numeric view (the same view row-level
+    /// predicates compare in: code for categoricals, 0/1 for booleans).
+    pub fn observe(&mut self, numeric: f64) {
         self.rows += 1;
-        self.distinct.insert(bits);
         if numeric.is_nan() {
             self.nan_count += 1;
         } else {
@@ -287,14 +253,12 @@ impl ZoneBuilder {
             rows: self.rows,
             null_count: self.null_count,
             nan_count: self.nan_count,
-            distinct: self.distinct.len(),
             min: self.min,
             max: self.max,
         };
         self.rows = 0;
         self.null_count = 0;
         self.nan_count = 0;
-        self.distinct.clear();
         self.min = None;
         self.max = None;
         zone
@@ -308,7 +272,7 @@ mod tests {
     fn zone(values: &[f64], nulls: usize) -> ColumnZone {
         let mut b = ZoneBuilder::new(ColumnType::Float64);
         for &v in values {
-            b.observe(v.to_bits(), v);
+            b.observe(v);
         }
         for _ in 0..nulls {
             b.observe_null();
@@ -398,12 +362,13 @@ mod tests {
     #[test]
     fn builder_resets_between_partitions() {
         let mut b = ZoneBuilder::new(ColumnType::Float64);
-        b.observe(1.0f64.to_bits(), 1.0);
+        b.observe(1.0);
         b.observe_null();
         let first = b.seal();
         assert_eq!(first.rows, 2);
-        assert_eq!(first.distinct, 1);
-        b.observe(7.0f64.to_bits(), 7.0);
+        assert_eq!(first.null_count, 1);
+        assert_eq!((first.min, first.max), (Some(1.0), Some(1.0)));
+        b.observe(7.0);
         let second = b.seal();
         assert_eq!(second.rows, 1);
         assert_eq!(second.null_count, 0);
