@@ -1,15 +1,25 @@
-//! Figure runner: executes each paper figure's sweep once and emits
-//! per-figure timing JSON (`BENCH_<figure>.json`) so the repo's perf
-//! trajectory is recorded from PR to PR.
+//! Figure runner: runs the paper's Figures 5–9 and 11 and the repo's
+//! ratio probes, writes one timing JSON per figure
+//! (`BENCH_<figure>.json`), then checks [`GATES`] against the results it
+//! holds and exits 1 on any violated or missing gate.
 //!
 //! Usage: `cargo run --release -p seedb-bench --bin figures [out_dir]`
 //! (default `out_dir` is the current directory). Pass `--fast` to run a
 //! reduced sweep for smoke-testing.
+//!
+//! Every timed comparison goes through [`interleave`]: the terms of a
+//! comparison alternate within a round, and a ratio is the median across
+//! rounds of the per-round ratio of the terms' medians. Latency and
+//! throughput in absolute terms are the repo benchmark's job
+//! (`benchmark/`), which compares two commits on one host.
 
 use std::path::Path;
+use std::process::ExitCode;
+use std::time::Instant;
 
+use seedb_bench::Bound::{Ceiling, Floor};
 use seedb_bench::{
-    bench_dataset, cluster_queries, recommend, time_ms, time_ms_prewarmed, BENCH_SEED,
+    bench_dataset, check_gates, cluster_queries, interleave, recommend, Gate, Rounds, BENCH_SEED,
 };
 use seedb_core::{
     accuracy_at_k, utility_distance, ExecMode, ExecutionStrategy, GroupingPolicy, Knob,
@@ -26,7 +36,47 @@ use seedb_storage::{
 };
 use seedb_util::Json;
 
-fn main() {
+/// Every gate, each limit written once. Each compares terms timed in one
+/// run on one host, so the limits hold on any machine.
+const GATES: &[Gate] = &[
+    // The paper's orderings: one shared scan beats a query per view
+    // (Figure 5), and the column store beats the row store (Figure 6), on
+    // every dataset.
+    Gate("fig5_overall", "no_opt_over_sharing", Floor, 1.0),
+    Gate("fig6_baseline", "row_over_col", Floor, 1.0),
+    // Zone maps skip the partitions a 10 % band predicate cannot match.
+    Gate("partitions", "speedup_pruned_over_full_sel10", Floor, 2.0),
+    // The planner's `Auto` knobs match the best hand-pinned grid arm.
+    Gate("planner", "speedup_planned_over_best_fixed", Floor, 1.0),
+    // What `SHARING` adds to its cluster scans (≈ 2.4 when a cluster
+    // aggregates a measure once per member view), what a phase adds in
+    // naive `f64` passes over the measures (≈ 2 when each phase rebuilt
+    // its worker partials), what an exact grouped row·aggregate costs in
+    // naive `f64` adds (≈ 10 with one window update per value), and the
+    // share of DIAB's NULL-free float updates that go to the lanes.
+    Gate(
+        "sharing",
+        "overhead_sharing_over_cluster_scan",
+        Ceiling,
+        1.25,
+    ),
+    Gate("sharing", "phase_constant_over_naive_pass", Ceiling, 1.0),
+    Gate("sharing", "agg_over_naive_sum", Ceiling, 6.0),
+    Gate("sharing", "lane_share_of_updates", Floor, 0.99),
+    // The response cache serves pruned (COMB + CI) runs.
+    Gate("server", "speedup_warm_over_cold_pruned", Floor, 5.0),
+    // Under overload, a shed answers well before a served request does,
+    // and every connection gets an answer.
+    Gate("server_load", "speedup_served_over_shed", Floor, 2.0),
+    Gate("server_load", "no_hung_connections", Floor, 1.0),
+    // What request tracing adds on the warm cache-hit path.
+    Gate("obs", "overhead_traced_over_untraced", Ceiling, 1.10),
+];
+
+/// Rounds per interleaved comparison; an odd count has a middle round.
+const ROUNDS: usize = 5;
+
+fn main() -> ExitCode {
     let mut out_dir = String::from(".");
     let mut fast = false;
     for arg in std::env::args().skip(1) {
@@ -35,31 +85,44 @@ fn main() {
             other if !other.starts_with('-') => out_dir = other.to_owned(),
             other => {
                 eprintln!("unknown flag {other}");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         }
     }
     let out = Path::new(&out_dir);
     std::fs::create_dir_all(out).expect("create output directory");
-    // --fast shrinks datasets ~4x and repeats each measurement twice
-    // instead of five times; figure structure stays identical.
+    // --fast shrinks datasets ~4x and takes 20 samples a term instead of
+    // 50; figure structure stays identical.
     let runs = if fast { 2 } else { 5 };
     let scale = if fast { 4 } else { 1 };
 
-    emit(out, "fig5_overall", fig5(runs, scale));
-    emit(out, "fig6_baseline", fig6(runs, scale));
-    emit(out, "fig7_sharing", fig7(runs, scale));
-    emit(out, "fig8_groupby", fig8(runs, scale));
-    emit(out, "fig9_all_sharing", fig9(runs, scale));
-    emit(out, "fig11_pruning", fig11(runs, scale));
-    emit(out, "engine_modes", engine_modes(runs, scale));
-    emit(out, "morsels", morsels(runs, scale));
-    emit(out, "partitions", partitions(runs, scale));
-    emit(out, "planner", planner(runs, scale));
-    emit(out, "sharing", sharing_overhead(runs, scale));
-    emit(out, "server", server_cache(runs, scale));
-    emit(out, "server_load", server_load(runs, scale));
-    emit(out, "obs", obs_overhead(runs, scale));
+    let figures = [
+        ("fig5_overall", fig5(runs, scale)),
+        ("fig6_baseline", fig6(runs, scale)),
+        ("fig7_sharing", fig7(runs, scale)),
+        ("fig8_groupby", fig8(runs, scale)),
+        ("fig9_all_sharing", fig9(runs, scale)),
+        ("fig11_pruning", fig11(runs, scale)),
+        ("partitions", partitions(runs, scale)),
+        ("planner", planner(runs, scale)),
+        ("sharing", sharing_overhead(runs, scale)),
+        ("server", server_cache(runs, scale)),
+        ("server_load", server_load(runs, scale)),
+        ("obs", obs_overhead(runs, scale)),
+    ];
+    for (figure, results) in &figures {
+        emit(out, figure, results);
+    }
+    let verdicts = check_gates(GATES, &figures);
+    for (_, line) in &verdicts {
+        println!("{line}");
+    }
+    let failed = verdicts.iter().filter(|(passed, _)| !passed).count();
+    if failed > 0 {
+        eprintln!("figures: {failed} gate verdict(s) failed");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 /// `parallelism` tag: the pinned worker count, or `"auto"` when the
@@ -81,75 +144,116 @@ fn morsel_tag(knob: Knob) -> Json {
     }
 }
 
-fn emit(out_dir: &Path, figure: &str, results: Vec<Json>) {
+fn emit(out_dir: &Path, figure: &str, results: &[Json]) {
     let doc = Json::obj()
         .set("figure", figure)
         .set("seed", BENCH_SEED)
         .set("unit", "ms")
-        .set("results", results);
+        .set("results", results.to_vec());
     let path = out_dir.join(format!("BENCH_{figure}.json"));
     std::fs::write(&path, doc.pretty()).expect("write figure JSON");
     println!("wrote {}", path.display());
 }
 
-fn measured(dataset: &Dataset, config: &SeeDbConfig, runs: usize) -> Json {
-    // The stats run doubles as the timing warmup.
-    let rec = recommend(dataset, config);
-    measured_from(dataset, config, runs, &rec)
+/// [`interleave`] at the runner's budget: `ROUNDS × 2·runs` samples a
+/// term.
+fn sample(runs: usize, terms: usize, run: impl FnMut(usize)) -> Rounds {
+    interleave(ROUNDS, 2 * runs, terms, run)
 }
 
-/// Timing JSON for a configuration whose result `rec` was already
-/// computed (that run serves as the warmup).
-fn measured_from(
-    dataset: &Dataset,
-    config: &SeeDbConfig,
+/// Times one recommendation per `(dataset, config)` arm, interleaved.
+/// Returns each arm's last recommendation, its timing entry (tagged with
+/// its knobs and the run's counters), and the rounds for the figure's
+/// ratios.
+fn sweep(
+    arms: &[(&Dataset, SeeDbConfig)],
     runs: usize,
-    rec: &Recommendation,
-) -> Json {
-    let timing = time_ms_prewarmed(runs, || {
-        recommend(dataset, config);
+) -> (Vec<Recommendation>, Vec<Json>, Rounds) {
+    let mut last: Vec<Option<Recommendation>> = arms.iter().map(|_| None).collect();
+    let rounds = sample(runs, arms.len(), |arm| {
+        let (dataset, config) = &arms[arm];
+        last[arm] = Some(recommend(dataset, config));
     });
-    Json::from(timing)
-        .set("engine_mode", config.engine_mode.label())
-        .set("parallelism", parallelism_tag(config.sharing.parallelism))
-        .set("morsel_rows", morsel_tag(config.sharing.morsel_rows))
-        .set("queries_issued", rec.stats.queries_issued)
-        .set("rows_scanned", rec.stats.rows_scanned)
-        .set("phases_executed", rec.phases_executed)
+    let recs: Vec<Recommendation> = last.into_iter().flatten().collect();
+    let timings = arms
+        .iter()
+        .zip(&recs)
+        .enumerate()
+        .map(|(arm, ((_, config), rec))| {
+            Json::from(rounds.timing(arm))
+                .set("engine_mode", config.engine_mode.label())
+                .set("parallelism", parallelism_tag(config.sharing.parallelism))
+                .set("morsel_rows", morsel_tag(config.sharing.morsel_rows))
+                .set("queries_issued", rec.stats.queries_issued)
+                .set("rows_scanned", rec.stats.rows_scanned)
+                .set("phases_executed", rec.phases_executed)
+        })
+        .collect();
+    (recs, timings, rounds)
 }
 
+/// Figure 5: the four execution strategies on three datasets; gated on
+/// `NO_OPT ÷ SHARING` per dataset (see [`GATES`]).
 fn fig5(runs: usize, scale: usize) -> Vec<Json> {
     let mut results = Vec::new();
     for (name, rows) in [("BANK", 4_000), ("DIAB", 4_000), ("CENSUS", 4_200)] {
         let dataset = bench_dataset(name, rows / scale, StoreKind::Column);
-        for strategy in ExecutionStrategy::ALL {
-            let config = SeeDbConfig::for_strategy(strategy);
+        let arms: Vec<_> = ExecutionStrategy::ALL
+            .iter()
+            .map(|s| (&dataset, SeeDbConfig::for_strategy(*s)))
+            .collect();
+        let (_, timings, rounds) = sweep(&arms, runs);
+        for (strategy, timing) in ExecutionStrategy::ALL.iter().zip(timings) {
             results.push(
                 Json::obj()
                     .set("dataset", name)
                     .set("rows", dataset.rows())
                     .set("strategy", strategy.label())
-                    .set("timing", measured(&dataset, &config, runs)),
+                    .set("timing", timing),
             );
         }
+        let arm = |s| ExecutionStrategy::ALL.iter().position(|x| *x == s);
+        let no_opt = arm(ExecutionStrategy::NoOpt).expect("a Figure 5 strategy");
+        let sharing = arm(ExecutionStrategy::Sharing).expect("a Figure 5 strategy");
+        results.push(
+            Json::obj()
+                .set("sweep", "summary")
+                .set("dataset", name)
+                .set("rows", dataset.rows())
+                .set(
+                    "no_opt_over_sharing",
+                    rounds.stat(|r| r[no_opt] / r[sharing]),
+                ),
+        );
     }
     results
 }
 
+/// Figure 6: `NO_OPT` on the row and the column store; gated on
+/// `ROW ÷ COL` per dataset (see [`GATES`]).
 fn fig6(runs: usize, scale: usize) -> Vec<Json> {
     let config = SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt);
     let mut results = Vec::new();
     for (name, rows) in [("BANK", 4_000), ("CENSUS", 4_200), ("MOVIES", 1_000)] {
-        for (kind, store) in [(StoreKind::Row, "ROW"), (StoreKind::Column, "COL")] {
-            let dataset = bench_dataset(name, rows / scale, kind);
+        let row = bench_dataset(name, rows / scale, StoreKind::Row);
+        let col = bench_dataset(name, rows / scale, StoreKind::Column);
+        let (_, timings, rounds) = sweep(&[(&row, config.clone()), (&col, config.clone())], runs);
+        for ((dataset, store), timing) in [(&row, "ROW"), (&col, "COL")].into_iter().zip(timings) {
             results.push(
                 Json::obj()
                     .set("dataset", name)
                     .set("rows", dataset.rows())
                     .set("store", store)
-                    .set("timing", measured(&dataset, &config, runs)),
+                    .set("timing", timing),
             );
         }
+        results.push(
+            Json::obj()
+                .set("sweep", "summary")
+                .set("dataset", name)
+                .set("rows", col.rows())
+                .set("row_over_col", rounds.stat(|r| r[0] / r[1])),
+        );
     }
     results
 }
@@ -165,17 +269,24 @@ fn fig7(runs: usize, scale: usize) -> Vec<Json> {
         seed: BENCH_SEED,
     };
     let agg_ds = syn(&agg_cfg, StoreKind::Column);
-    for nagg in [1usize, 2, 5, 10] {
-        let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-        cfg.sharing.combine_group_bys = false;
-        cfg.sharing.max_aggregates_per_query = Some(nagg);
+    let naggs = [1usize, 2, 5, 10];
+    let arms: Vec<_> = naggs
+        .iter()
+        .map(|&nagg| {
+            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+            cfg.sharing.combine_group_bys = false;
+            cfg.sharing.max_aggregates_per_query = Some(nagg);
+            (&agg_ds, cfg)
+        })
+        .collect();
+    for (nagg, timing) in naggs.iter().zip(sweep(&arms, runs).1) {
         results.push(
             Json::obj()
                 .set("sweep", "7a_aggregates")
                 .set("dataset", agg_ds.name.as_str())
                 .set("rows", agg_ds.rows())
-                .set("nagg", nagg)
-                .set("timing", measured(&agg_ds, &cfg, runs)),
+                .set("nagg", *nagg)
+                .set("timing", timing),
         );
     }
 
@@ -187,16 +298,23 @@ fn fig7(runs: usize, scale: usize) -> Vec<Json> {
         seed: BENCH_SEED,
     };
     let par_ds = syn(&par_cfg, StoreKind::Column);
-    for threads in [1usize, 2, 4, 8] {
-        let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-        cfg.sharing.parallelism = Knob::Fixed(threads);
+    let threads = [1usize, 2, 4, 8];
+    let arms: Vec<_> = threads
+        .iter()
+        .map(|&n| {
+            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+            cfg.sharing.parallelism = Knob::Fixed(n);
+            (&par_ds, cfg)
+        })
+        .collect();
+    for (n, timing) in threads.iter().zip(sweep(&arms, runs).1) {
         results.push(
             Json::obj()
                 .set("sweep", "7b_parallelism")
                 .set("dataset", par_ds.name.as_str())
                 .set("rows", par_ds.rows())
-                .set("threads", threads)
-                .set("timing", measured(&par_ds, &cfg, runs)),
+                .set("threads", *n)
+                .set("timing", timing),
         );
     }
     results
@@ -211,24 +329,31 @@ fn fig8(runs: usize, scale: usize) -> Vec<Json> {
         seed: BENCH_SEED,
     };
     let dataset = syn(&syn_cfg, StoreKind::Column);
-    let mut results = Vec::new();
-    let mut run_policy = |label: String, policy: GroupingPolicy| {
-        let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-        cfg.sharing.combine_group_bys = true;
-        cfg.sharing.grouping_policy = policy;
-        results.push(
+    let mut policies: Vec<(String, GroupingPolicy)> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&n| (format!("MAX_GB({n})"), GroupingPolicy::MaxGb(n)))
+        .collect();
+    policies.push(("BP".to_owned(), GroupingPolicy::BinPack));
+    let arms: Vec<_> = policies
+        .iter()
+        .map(|(_, policy)| {
+            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+            cfg.sharing.combine_group_bys = true;
+            cfg.sharing.grouping_policy = *policy;
+            (&dataset, cfg)
+        })
+        .collect();
+    policies
+        .into_iter()
+        .zip(sweep(&arms, runs).1)
+        .map(|((label, _), timing)| {
             Json::obj()
                 .set("dataset", dataset.name.as_str())
                 .set("rows", dataset.rows())
                 .set("policy", label)
-                .set("timing", measured(&dataset, &cfg, runs)),
-        );
-    };
-    for n in [1usize, 2, 4, 8] {
-        run_policy(format!("MAX_GB({n})"), GroupingPolicy::MaxGb(n));
-    }
-    run_policy("BP".to_owned(), GroupingPolicy::BinPack);
-    results
+                .set("timing", timing)
+        })
+        .collect()
 }
 
 fn fig9(runs: usize, scale: usize) -> Vec<Json> {
@@ -240,182 +365,83 @@ fn fig9(runs: usize, scale: usize) -> Vec<Json> {
         seed: BENCH_SEED,
     };
     let dataset = syn(&syn_cfg, StoreKind::Column);
-    let mut results = Vec::new();
-
-    let mut run_setup = |label: &str, cfg: &SeeDbConfig| {
-        results.push(
-            Json::obj()
-                .set("dataset", dataset.name.as_str())
-                .set("rows", dataset.rows())
-                .set("setup", label)
-                .set("timing", measured(&dataset, cfg, runs)),
-        );
-    };
-
-    run_setup(
-        "NO_OPT",
-        &SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt),
-    );
     let mut combine_tr = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
     combine_tr.sharing = SharingConfig {
         combine_target_reference: true,
         ..SharingConfig::none()
     };
-    run_setup("COMBINE_TR", &combine_tr);
-    run_setup(
-        "SHARING_ALL",
-        &SeeDbConfig::for_strategy(ExecutionStrategy::Sharing),
-    );
-    results
+    let setups = [
+        (
+            "NO_OPT",
+            SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt),
+        ),
+        ("COMBINE_TR", combine_tr),
+        (
+            "SHARING_ALL",
+            SeeDbConfig::for_strategy(ExecutionStrategy::Sharing),
+        ),
+    ];
+    let arms: Vec<_> = setups
+        .iter()
+        .map(|(_, cfg)| (&dataset, cfg.clone()))
+        .collect();
+    setups
+        .iter()
+        .zip(sweep(&arms, runs).1)
+        .map(|((label, _), timing)| {
+            Json::obj()
+                .set("dataset", dataset.name.as_str())
+                .set("rows", dataset.rows())
+                .set("setup", *label)
+                .set("timing", timing)
+        })
+        .collect()
 }
 
-/// Scalar vs vectorized engine mode: the raw single-dimension column-store
-/// scan→aggregate hot path, plus end-to-end recommendation runs. Every
-/// entry is tagged with its engine mode; the micro sweep also records the
-/// vectorized speedup over scalar.
-fn engine_modes(runs: usize, scale: usize) -> Vec<Json> {
-    let mut results = Vec::new();
-
-    // (a) Raw engine hot path: one single-dimension grouped aggregation
-    // over the column store (the dense dictionary-direct case).
+fn fig11(runs: usize, scale: usize) -> Vec<Json> {
     let syn_cfg = SynConfig {
-        rows: 100_000 / scale,
-        dims: 4,
-        measures: 2,
+        rows: 20_000 / scale,
+        dims: 10,
+        measures: 4,
         distinct: Some(10),
         seed: BENCH_SEED,
     };
-    let dataset = syn(&syn_cfg, StoreKind::Column);
-    let dim = dataset.table.schema().dimensions()[0];
-    let measure = dataset.table.schema().measures()[0];
-    let query = CombinedQuery {
-        group_by: vec![dim],
-        aggregates: vec![AggSpec::new(AggFunc::Avg, measure)],
-        filter: None,
-        split: SplitSpec::TargetVsAll(dataset.target.clone()),
-    };
-    let mut means = Vec::new();
-    for mode in ExecMode::ALL {
-        let timing = time_ms(runs.max(3), || {
-            let mut stats = ExecStats::new();
-            std::hint::black_box(execute_combined_with_mode(
-                dataset.table.as_ref(),
-                &query,
-                mode,
-                &mut stats,
-            ));
-        });
-        means.push(timing.mean_ms);
-        results.push(
-            Json::obj()
-                .set("sweep", "scan_aggregate_micro")
-                .set("dataset", dataset.name.as_str())
-                .set("rows", dataset.rows())
-                .set("store", "COL")
-                .set("engine_mode", mode.label())
-                .set("timing", timing),
-        );
-    }
-    results.push(
-        Json::obj()
-            .set("sweep", "scan_aggregate_micro")
-            .set("dataset", dataset.name.as_str())
-            .set("vectorized_speedup", means[0] / means[1]),
-    );
+    let datasets = [
+        bench_dataset("CENSUS", 8_400 / scale, StoreKind::Column),
+        syn(&syn_cfg, StoreKind::Column),
+    ];
+    let mut results = Vec::new();
+    for dataset in &datasets {
+        // Ground truth for accuracy: unpruned phased execution.
+        let mut truth_cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+        truth_cfg.pruning = PruningKind::None;
+        let truth = recommend(dataset, &truth_cfg);
+        let true_top: Vec<usize> = truth.views.iter().map(|v| v.spec.id).collect();
 
-    // (b) End-to-end recommendation latency per mode.
-    for (name, rows) in [("BANK", 4_000), ("CENSUS", 4_200)] {
-        let ds = bench_dataset(name, rows / scale, StoreKind::Column);
-        for mode in ExecMode::ALL {
-            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-            cfg.sharing.parallelism = Knob::Fixed(1);
-            cfg.engine_mode = mode;
+        let arms: Vec<_> = PruningKind::ALL
+            .iter()
+            .map(|&pruning| {
+                let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+                cfg.pruning = pruning;
+                (dataset, cfg)
+            })
+            .collect();
+        let (recs, timings, _) = sweep(&arms, runs);
+        for ((pruning, rec), timing) in PruningKind::ALL.iter().zip(&recs).zip(timings) {
+            let returned: Vec<usize> = rec.views.iter().map(|v| v.spec.id).collect();
             results.push(
                 Json::obj()
-                    .set("sweep", "recommend_end_to_end")
-                    .set("dataset", name)
-                    .set("rows", ds.rows())
-                    .set("engine_mode", mode.label())
-                    .set("timing", measured(&ds, &cfg, runs)),
+                    .set("dataset", dataset.name.as_str())
+                    .set("rows", dataset.rows())
+                    .set("pruning", pruning.label())
+                    .set("accuracy", accuracy_at_k(&true_top, &returned))
+                    .set(
+                        "utility_distance",
+                        utility_distance(&true_top, &returned, &truth.all_utilities),
+                    )
+                    .set("timing", timing),
             );
         }
-    }
-    results
-}
-
-/// Morsel-driven intra-query parallelism on the all-sharing configuration
-/// (combine aggregates + group-bys + target/reference — the Fig 9 winner,
-/// which collapses to a handful of bin-packed clusters and therefore gains
-/// nothing from whole-cluster parallelism alone):
-///
-/// (a) worker sweep at the default morsel size, with the 8-vs-1 speedup
-///     recorded explicitly;
-/// (b) morsel-size sweep at 8 workers, `"whole"` being the pre-morsel
-///     executor's one-scan-per-cluster behavior.
-fn morsels(runs: usize, scale: usize) -> Vec<Json> {
-    let syn_cfg = SynConfig {
-        rows: 100_000 / scale,
-        dims: 10,
-        measures: 5,
-        distinct: Some(10),
-        seed: BENCH_SEED,
-    };
-    let dataset = syn(&syn_cfg, StoreKind::Column);
-    let mut results = Vec::new();
-
-    let all_sharing = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-    let mut min_by_threads = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let mut cfg = all_sharing.clone();
-        cfg.sharing.parallelism = Knob::Fixed(threads);
-        let timing = measured(&dataset, &cfg, runs);
-        min_by_threads.push((
-            threads,
-            timing.get("min_ms").and_then(Json::as_num).unwrap_or(0.0),
-        ));
-        results.push(
-            Json::obj()
-                .set("sweep", "workers_all_sharing")
-                .set("dataset", dataset.name.as_str())
-                .set("rows", dataset.rows())
-                .set("threads", threads)
-                .set("timing", timing),
-        );
-    }
-    let min_of = |threads: usize| {
-        min_by_threads
-            .iter()
-            .find(|(t, _)| *t == threads)
-            .map(|(_, ms)| *ms)
-            .unwrap_or(f64::NAN)
-    };
-    // The measured speedup is bounded by the host's core count (a 1-core
-    // container cannot show any parallel speedup, exactly like the paper's
-    // Fig 7b sweep); record the host parallelism alongside so the number
-    // is interpretable.
-    results.push(
-        Json::obj()
-            .set("sweep", "workers_all_sharing")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
-            .set(
-                "host_parallelism",
-                seedb_engine::parallel::default_parallelism() as u64,
-            )
-            .set("speedup_p8_over_p1", min_of(1) / min_of(8)),
-    );
-
-    for morsel_rows in [usize::MAX, 64 * 1024, 16 * 1024, 4 * 1024] {
-        let mut cfg = all_sharing.clone();
-        cfg.sharing.parallelism = Knob::Fixed(8);
-        cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
-        results.push(
-            Json::obj()
-                .set("sweep", "morsel_size_all_sharing")
-                .set("dataset", dataset.name.as_str())
-                .set("rows", dataset.rows())
-                .set("timing", measured(&dataset, &cfg, runs)),
-        );
     }
     results
 }
@@ -425,11 +451,9 @@ fn morsels(runs: usize, scale: usize) -> Vec<Json> {
 /// partitioned every 2 048 rows and (b) the same rows sealed as a single
 /// whole-table partition that zone maps cannot prune. Sweeps selectivity
 /// 1% → 100%; each selectivity records a within-run
-/// `speedup_pruned_over_full_sel<pct>` ratio. Like the server cache
-/// ratios these are machine-independent (both variants ran on the same
-/// host seconds apart), so `perf_smoke` gates the 10%-selectivity one as
-/// an absolute floor (≥ 2×): if pruned execution stops skipping cold
-/// partitions, the ratio collapses to ~1× and the gate trips.
+/// `speedup_pruned_over_full_sel<pct>` ratio, and [`GATES`] holds the
+/// 10 % one: if pruned execution stops skipping cold partitions, the
+/// ratio collapses to ~1×.
 fn partitions(runs: usize, scale: usize) -> Vec<Json> {
     let rows = 65_536 / scale;
     let partition_rows = 2_048;
@@ -473,32 +497,31 @@ fn partitions(runs: usize, scale: usize) -> Vec<Json> {
                 },
             ])),
         };
-        let mut mins = Vec::new();
-        for (variant, table) in &variants {
-            // One pool per variant, created outside the timed loop —
-            // thread spawn would otherwise swamp the scan itself. One
-            // worker: the comparison is total work (rows touched), not
-            // scheduling — with N workers the full variant hides its
-            // extra rows behind parallelism the pruned variant's single
-            // surviving morsel cannot use.
-            let (stats, timing) = with_pool(1, |pool| {
-                let run = || {
-                    execute_morsels(
-                        pool,
-                        table.as_ref(),
-                        std::slice::from_ref(&query),
-                        0..table.num_rows(),
-                        ScanShape::new(ExecMode::Vectorized, partition_rows),
-                        &seedb_engine::CancelToken::none(),
-                    )
-                };
-                let stats = run()[0].1.clone();
-                let timing = time_ms((runs * 5).max(10), || {
-                    std::hint::black_box(run());
-                });
-                (stats, timing)
+        // One inline pool, created outside the timed loop — thread spawn
+        // would otherwise swamp the scan itself. One worker: the
+        // comparison is total work (rows touched), not scheduling — with
+        // N workers the full variant hides its extra rows behind
+        // parallelism the pruned variant's single surviving morsel cannot
+        // use.
+        let (stats, rounds) = with_pool(1, |pool| {
+            let run = |variant: usize| {
+                let table = variants[variant].1.as_ref();
+                execute_morsels(
+                    pool,
+                    table,
+                    std::slice::from_ref(&query),
+                    0..table.num_rows(),
+                    ScanShape::new(ExecMode::Vectorized, partition_rows),
+                    &CancelToken::none(),
+                )
+            };
+            let stats: Vec<ExecStats> = (0..variants.len()).map(|v| run(v)[0].1.clone()).collect();
+            let rounds = interleave(ROUNDS, runs.max(2), variants.len(), |v| {
+                std::hint::black_box(run(v));
             });
-            mins.push(timing.min_ms);
+            (stats, rounds)
+        });
+        for (v, ((variant, _), stats)) in variants.iter().zip(&stats).enumerate() {
             results.push(
                 Json::obj()
                     .set("sweep", *variant)
@@ -508,7 +531,7 @@ fn partitions(runs: usize, scale: usize) -> Vec<Json> {
                     .set("rows_scanned", stats.rows_scanned)
                     .set("partitions_scanned", stats.partitions_scanned)
                     .set("partitions_pruned", stats.partitions_pruned)
-                    .set("timing", Json::from(timing)),
+                    .set("timing", rounds.timing(v)),
             );
         }
         results.push(
@@ -518,7 +541,7 @@ fn partitions(runs: usize, scale: usize) -> Vec<Json> {
                 .set("rows", rows as u64)
                 .set(
                     format!("speedup_pruned_over_full_sel{pct}").as_str(),
-                    mins[1] / mins[0],
+                    rounds.stat(|r| r[1] / r[0]),
                 ),
         );
     }
@@ -528,15 +551,16 @@ fn partitions(runs: usize, scale: usize) -> Vec<Json> {
 /// Cost-based plan selection vs every fixed-knob configuration: the
 /// default `Auto` knobs (workers and morsel size chosen by the planner
 /// from table stats) against a worker × morsel grid of pinned knobs on
-/// the all-sharing configuration. The headline number is
-/// `speedup_planned_over_best_fixed` = min(best fixed) / min(planned),
-/// gated at ≥ 1.0 by `perf_smoke`: the planner must match the best hand
-/// tuning, because on this workload it derives (workers, morsel) that
-/// land on the same execution shape as the winning grid arm. Both sides
-/// ran on the same host seconds apart, so the ratio is
-/// machine-independent. The planned configuration is sampled once per
-/// fixed-grid sample (same total sample count as the whole grid) so its
-/// min is not noise-disadvantaged against a 12-arm grid's best draw.
+/// the all-sharing configuration, all thirteen arms interleaved. The
+/// headline number, held by [`GATES`], is
+/// `speedup_planned_over_best_fixed`: the best grid arm (lowest median
+/// across rounds) over the planned arm, per round. The planner must match
+/// the best hand tuning, because on this workload it derives (workers,
+/// morsel) that land on the same execution shape as the winning grid arm.
+/// The best arm is picked once, as a hand tuner would pin it: taking the
+/// fastest of twelve arms afresh in every round would set the planner
+/// against whichever arm's noise ran low that round, and several arms
+/// share the planned shape.
 ///
 /// The row count is NOT scaled down in --fast mode: the planner's worker
 /// choice saturates the host only once the estimated post-pruning volume
@@ -552,40 +576,34 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
     };
     let dataset = syn(&syn_cfg, StoreKind::Column);
     let all_sharing = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-    let mut results = Vec::new();
-
-    let mut grid = Vec::new();
+    let mut arms = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         for morsel_rows in [usize::MAX, 16 * 1024, 4 * 1024] {
-            grid.push((workers, morsel_rows));
+            let mut cfg = all_sharing.clone();
+            cfg.sharing.parallelism = Knob::Fixed(workers);
+            cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
+            arms.push((&dataset, cfg));
         }
     }
-    let mut best_fixed = f64::INFINITY;
-    for &(workers, morsel_rows) in &grid {
-        let mut cfg = all_sharing.clone();
-        cfg.sharing.parallelism = Knob::Fixed(workers);
-        cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
-        let timing = measured(&dataset, &cfg, runs);
-        let min_ms = timing.get("min_ms").and_then(Json::as_num).unwrap_or(0.0);
-        best_fixed = best_fixed.min(min_ms);
-        results.push(
+    let grid = arms.len();
+    arms.push((&dataset, all_sharing));
+    let (_, timings, rounds) = sweep(&arms, runs);
+
+    let mut results: Vec<Json> = timings
+        .into_iter()
+        .enumerate()
+        .map(|(arm, timing)| {
             Json::obj()
-                .set("sweep", "fixed_grid")
+                .set("sweep", if arm < grid { "fixed_grid" } else { "planned" })
                 .set("dataset", dataset.name.as_str())
                 .set("rows", dataset.rows())
-                .set("timing", timing),
-        );
-    }
-
-    let planned = measured(&dataset, &all_sharing, runs * grid.len());
-    let planned_min = planned.get("min_ms").and_then(Json::as_num).unwrap_or(0.0);
-    results.push(
-        Json::obj()
-            .set("sweep", "planned")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
-            .set("timing", planned),
-    );
+                .set("timing", timing)
+        })
+        .collect();
+    let best_fixed = (0..grid)
+        .min_by(|a, b| rounds.median_ms(*a).total_cmp(&rounds.median_ms(*b)))
+        .expect("a non-empty grid");
+    let speedup = rounds.stat(|r| r[best_fixed] / r[grid]);
     results.push(
         Json::obj()
             .set("sweep", "summary")
@@ -595,7 +613,7 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
                 "host_parallelism",
                 seedb_engine::parallel::default_parallelism() as u64,
             )
-            .set("speedup_planned_over_best_fixed", best_fixed / planned_min),
+            .set("speedup_planned_over_best_fixed", speedup),
     );
     results
 }
@@ -605,31 +623,28 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
 /// aggregated **once** — the paper's one-query-per-bin shape. The gap is
 /// planning, pool start, roll-ups, the fold into view states and the
 /// utilities (a few percent); a cluster that aggregates a measure once per
-/// member view instead lands at ≈ 2.4×, so `perf_smoke` holds the ratio
-/// under 1.25×. Both sides run on the same host seconds apart.
+/// member view instead lands at ≈ 2.4×.
 ///
 /// Beside it, what phasing costs: `COMB` with no pruner (ten phases, every
 /// view alive throughout) against `SHARING` — the same rows and the same
 /// accumulator updates, so the difference is ten times the per-phase
 /// constant (scan set-up and barriers, the drain and fold into the views'
 /// groups, a round of utility estimates). `comb_nopru_over_sharing` reports
-/// the Figure 5 ordering (≈ 1.3 at a 10.5 ms `SHARING`, ≈ 1.5 at 6 ms: the
-/// same constant over a faster scan), and `phase_constant_over_naive_pass`
-/// what `perf_smoke` gates: `(COMB − SHARING) / phases` in units of the
-/// run's own speed reference, one naive `f64` sum over the table's measure
-/// columns — a quantity that does not move when the scan gets faster.
-/// ≈ 0.65 (0.3 ms a phase) with worker partials kept across phases and one
-/// fold per cluster; ≈ 2 when every phase rebuilt its partials and rolled
-/// up through intermediate results. The ceiling of 1 is the 0.47 ms a
-/// phase that the former `comb_nopru_over_sharing ≤ 1.45` allowed.
+/// the Figure 5 ordering, and `phase_constant_over_naive_pass` is
+/// `(COMB − SHARING) / phases` in units of the run's own speed reference,
+/// one naive `f64` sum over the table's measure columns — a quantity that
+/// does not move when the scan gets faster. ≈ 0.65 (0.3 ms a phase) with
+/// worker partials kept across phases and one fold per cluster; ≈ 2 when
+/// every phase rebuilt its partials and rolled up through intermediate
+/// results.
 ///
 /// And what exactness costs: one combined query per dimension with every
 /// measure (the repo benchmark's `engine.agg_ns_per_row_agg` shape) over
 /// that naive sum, per row·aggregate, as `agg_over_naive_sum` — ≈ 10 with
-/// one window update per value, ≈ 5.5 with fixed-point lanes (gate ≤ 6) —
-/// and `lane_share_of_updates`, the share of the cluster scan's accumulator
+/// one window update per value, less with fixed-point lanes — and
+/// `lane_share_of_updates`, the share of the cluster scan's accumulator
 /// updates that were lane adds (a count: 1.0 on DIAB's NULL-free float
-/// measures, gate ≥ 0.99).
+/// measures). [`GATES`] holds all four.
 ///
 /// The row count is NOT scaled down in --fast mode: at 1k rows the fixed
 /// costs on the executor side would drown the ratios.
@@ -646,24 +661,6 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
         queries.iter().map(|q| q.aggregates.len()).sum::<usize>(),
         "the probe must scan what the executor scans"
     );
-
-    // ~10 ms a sample: enough of them that each side's min is steady.
-    let samples = runs * 10;
-    let mut scanned = ExecStats::new();
-    let scan = time_ms(samples, || {
-        let results = with_pool(plan.workers, |pool| {
-            execute_morsels(
-                pool,
-                table,
-                &queries,
-                0..table.num_rows(),
-                plan.scan_shape(),
-                &CancelToken::none(),
-            )
-        });
-        scanned = ExecStats::new();
-        results.iter().for_each(|(_, stats)| scanned.merge(stats));
-    });
     let (dims, measures) = (table.schema().dimensions(), table.schema().measures());
     let per_dim: Vec<CombinedQuery> = dims
         .iter()
@@ -672,13 +669,41 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
             ..queries[0].clone()
         })
         .collect();
-    let agg = time_ms(samples, || {
-        for query in &per_dim {
-            execute_combined_with_mode(table, query, plan.mode, &mut ExecStats::new());
+    let mut phased = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
+    phased.pruning = PruningKind::None;
+    phased.num_phases = 10;
+
+    let scan = || {
+        with_pool(plan.workers, |pool| {
+            execute_morsels(
+                pool,
+                table,
+                &queries,
+                0..table.num_rows(),
+                plan.scan_shape(),
+                &CancelToken::none(),
+            )
+        })
+    };
+    let mut scanned = ExecStats::new();
+    scan().iter().for_each(|(_, stats)| scanned.merge(stats));
+
+    // The terms, in the order each round runs them.
+    const SCAN: usize = 0;
+    const AGG: usize = 1;
+    const NAIVE: usize = 2;
+    const SHARING: usize = 3;
+    const COMB: usize = 4;
+    let rounds = sample(runs, 5, |term| match term {
+        SCAN => {
+            std::hint::black_box(scan());
         }
-    });
-    let naive = time_ms(samples, || {
-        table.scan_batches(
+        AGG => {
+            for query in &per_dim {
+                execute_combined_with_mode(table, query, plan.mode, &mut ExecStats::new());
+            }
+        }
+        NAIVE => table.scan_batches(
             &measures,
             0..table.num_rows(),
             DEFAULT_BATCH_SIZE,
@@ -689,53 +714,46 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
                     }
                 }
             },
-        );
+        ),
+        SHARING => {
+            recommend(&dataset, &config);
+        }
+        _ => {
+            recommend(&dataset, &phased);
+        }
     });
-    let sharing = time_ms(samples, || {
-        recommend(&dataset, &config);
-    });
-    let mut phased = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
-    phased.pruning = PruningKind::None;
-    phased.num_phases = 10;
-    let comb = time_ms(samples, || {
-        recommend(&dataset, &phased);
-    });
+    let phases = phased.num_phases as f64;
+    let entry = |sweep: &str| {
+        Json::obj()
+            .set("sweep", sweep)
+            .set("dataset", dataset.name.as_str())
+            .set("rows", dataset.rows())
+    };
     vec![
-        Json::obj()
-            .set("sweep", "cluster_scan")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
-            .set("timing", Json::from(scan)),
-        Json::obj()
-            .set("sweep", "sharing")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
-            .set("timing", Json::from(sharing)),
-        Json::obj()
-            .set("sweep", "comb_nopru")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
+        entry("cluster_scan").set("timing", rounds.timing(SCAN)),
+        entry("sharing").set("timing", rounds.timing(SHARING)),
+        entry("comb_nopru")
             .set("phases", phased.num_phases)
-            .set("timing", Json::from(comb)),
-        Json::obj()
-            .set("sweep", "summary")
-            .set("dataset", dataset.name.as_str())
-            .set("rows", dataset.rows())
+            .set("timing", rounds.timing(COMB)),
+        entry("summary")
             .set("plan", plan.summary())
             .set("aggregates_per_row", plan.aggregates)
             .set("views", plan.views)
             .set(
                 "overhead_sharing_over_cluster_scan",
-                sharing.min_ms / scan.min_ms,
+                rounds.stat(|r| r[SHARING] / r[SCAN]),
             )
-            .set("comb_nopru_over_sharing", comb.min_ms / sharing.min_ms)
+            .set(
+                "comb_nopru_over_sharing",
+                rounds.stat(|r| r[COMB] / r[SHARING]),
+            )
             .set(
                 "phase_constant_over_naive_pass",
-                (comb.min_ms - sharing.min_ms) / phased.num_phases as f64 / naive.min_ms,
+                rounds.stat(|r| (r[COMB] - r[SHARING]) / phases / r[NAIVE]),
             )
             .set(
                 "agg_over_naive_sum",
-                agg.min_ms / dims.len() as f64 / naive.min_ms,
+                rounds.stat(|r| r[AGG] / dims.len() as f64 / r[NAIVE]),
             )
             .set(
                 "lane_share_of_updates",
@@ -746,12 +764,12 @@ fn sharing_overhead(runs: usize, _scale: usize) -> Vec<Json> {
 
 /// The serving layer's cross-request cache: cold `/recommend` (engine
 /// executes and fills the cache) vs warm repeats of the same request
-/// (response served straight from the LRU), for both the pruning-free
-/// `SHARING` configuration and the default pruned one (COMB + CI). The
-/// headline numbers are `speedup_warm_over_cold` (ISSUE 4 gate ≥ 10×)
-/// and `speedup_warm_over_cold_pruned` (ISSUE 5 gate ≥ 5×, checked by
-/// `perf_smoke`); `pruned_resume_first` times the prefix-resume path (a
-/// different k over partials warmed by the pruned run).
+/// (response served straight from the LRU), interleaved, for both the
+/// pruning-free `SHARING` configuration and the default pruned one
+/// (COMB + CI). `speedup_warm_over_cold` is reported;
+/// `speedup_warm_over_cold_pruned` is held by [`GATES`].
+/// `pruned_resume_first` times the prefix-resume path (a different k over
+/// partials warmed by the pruned run).
 fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
     use seedb_server::{client, Server, ServerConfig};
 
@@ -776,8 +794,6 @@ fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
     };
 
     let mut results = Vec::new();
-    // Cold: every sample clears the cache first, so the engine runs. The
-    // clear itself is O(entries) and negligible next to the scan.
     // "": the server default (COMB + CI pruning); "_pruned"-suffixed
     // sweeps are redundant with it, so the unpruned baseline pins
     // SHARING explicitly and the pruned sweeps use the default.
@@ -797,13 +813,15 @@ fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
         ),
     ];
     for (suffix, overlap_sweep, body, overlap_body) in sweeps {
-        let cold = time_ms_prewarmed(runs.max(3), || {
-            state.cache.clear();
+        // Term 0 (cold) clears the cache first, so the engine runs — the
+        // clear itself is O(entries) and negligible next to the scan —
+        // and leaves the response behind, so term 1 (warm) is a hit.
+        let rounds = sample(runs, 2, |term| {
+            if term == 0 {
+                state.cache.clear();
+            }
             post(body);
         });
-        // Warm: prime once, then every sample is a response-cache hit.
-        post(body);
-        let warm = time_ms_prewarmed((runs * 10).max(20), || post(body));
         // Partial reuse: a different k over the same predicate reuses
         // this sweep's per-view partials — exact full-table results
         // under SHARING (overlap_first), phase prefixes
@@ -811,39 +829,23 @@ fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
         // (pruned_resume_first). Measured before the next sweep's cold
         // loop clears the cache, while its own deposits are resident;
         // only the first request takes this path — afterwards the
-        // response itself is cached — so it is a single-sample timing.
-        let overlap = time_ms_prewarmed(1, || post(overlap_body));
-        results.push(
+        // response itself is cached — so it is a single sample.
+        let start = Instant::now();
+        post(overlap_body);
+        let overlap_ms = start.elapsed().as_secs_f64() * 1e3;
+        let entry = |sweep: &str| {
             Json::obj()
-                .set("sweep", format!("cold{suffix}").as_str())
+                .set("sweep", sweep)
                 .set("dataset", "CENSUS")
                 .set("rows", handle_rows)
-                .set("timing", Json::from(cold)),
-        );
-        results.push(
-            Json::obj()
-                .set("sweep", format!("warm{suffix}").as_str())
-                .set("dataset", "CENSUS")
-                .set("rows", handle_rows)
-                .set("timing", Json::from(warm)),
-        );
-        results.push(
-            Json::obj()
-                .set("sweep", format!("summary{suffix}").as_str())
-                .set("dataset", "CENSUS")
-                .set("rows", handle_rows)
-                .set(
-                    format!("speedup_warm_over_cold{suffix}").as_str(),
-                    cold.min_ms / warm.min_ms,
-                ),
-        );
-        results.push(
-            Json::obj()
-                .set("sweep", overlap_sweep)
-                .set("dataset", "CENSUS")
-                .set("rows", handle_rows)
-                .set("timing", Json::from(overlap)),
-        );
+        };
+        results.push(entry(&format!("cold{suffix}")).set("timing", rounds.timing(0)));
+        results.push(entry(&format!("warm{suffix}")).set("timing", rounds.timing(1)));
+        results.push(entry(&format!("summary{suffix}")).set(
+            format!("speedup_warm_over_cold{suffix}").as_str(),
+            rounds.stat(|r| r[0] / r[1]),
+        ));
+        results.push(entry(overlap_sweep).set("first_ms", overlap_ms));
     }
     drop(state);
     handle.shutdown();
@@ -852,17 +854,10 @@ fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
 
 /// Observability overhead: warm cache-hit p50 against a fully traced
 /// daemon vs an identical daemon with the flight recorder disabled
-/// (`trace_buffer = 0`). Timed requests alternate between the two
-/// daemons request-by-request, so clock-frequency and scheduler drift
-/// hit both sides identically instead of biasing whichever side a
-/// coarser round measured first; each side reports its best
-/// round-median, and the summary entry carries the `perf_smoke` ceiling
-/// `overhead_traced_over_untraced` (tracing must stay within 1.10× of
-/// untraced on the hot path).
+/// (`trace_buffer = 0`), requests alternating between the two.
+/// `overhead_traced_over_untraced` is held by [`GATES`].
 fn obs_overhead(runs: usize, scale: usize) -> Vec<Json> {
     use seedb_server::{client, Server, ServerConfig};
-    use std::net::SocketAddr;
-    use std::time::Instant;
 
     let rows = 8_400 / scale;
     let bind = |trace_buffer: usize| {
@@ -877,73 +872,35 @@ fn obs_overhead(runs: usize, scale: usize) -> Vec<Json> {
         .spawn()
         .expect("spawn seedbd")
     };
-    let traced = bind(256);
-    let untraced = bind(0);
+    let daemons = [bind(256), bind(0)];
     let body = format!(r#"{{"dataset": "CENSUS", "rows": {rows}, "k": 5}}"#);
-    let timed_post = |addr: SocketAddr| -> f64 {
-        let start = Instant::now();
-        let (status, _) =
-            client::request(addr, "POST", "/recommend", Some(&body)).expect("recommend request");
-        assert_eq!(status, 200);
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    // Prime both response caches (and the connection path) so every
-    // timed request below is a hit.
-    for _ in 0..3 {
-        timed_post(traced.addr());
-        timed_post(untraced.addr());
-    }
-
     // Warm hits are ~0.2 ms, so samples are cheap — buy the gate's
-    // headroom with volume: hundreds of alternating samples per round,
-    // several rounds. The gated ratio is the *median of per-round
-    // ratios*: each round compares the two sides inside the same time
-    // window (so slow drift cancels exactly), and the median across
-    // rounds discards rounds a scheduler spike polluted.
-    let per_round = (runs * 50).max(100);
-    let median = |mut samples: Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let mut t_medians = Vec::new();
-    let mut u_medians = Vec::new();
-    for _ in 0..runs.max(7) {
-        let mut t_samples = Vec::with_capacity(per_round);
-        let mut u_samples = Vec::with_capacity(per_round);
-        for _ in 0..per_round {
-            t_samples.push(timed_post(traced.addr()));
-            u_samples.push(timed_post(untraced.addr()));
-        }
-        t_medians.push(median(t_samples));
-        u_medians.push(median(u_samples));
-    }
+    // headroom with volume: hundreds of samples per round, several
+    // rounds. The warmup call primes both response caches, so every timed
+    // request is a hit.
+    let rounds = interleave(runs.max(7), (runs * 50).max(100), 2, |daemon| {
+        let (status, _) =
+            client::request(daemons[daemon].addr(), "POST", "/recommend", Some(&body))
+                .expect("recommend request");
+        assert_eq!(status, 200);
+    });
+    let [traced, untraced] = daemons;
     traced.shutdown();
     untraced.shutdown();
-    let round_ratios: Vec<f64> = t_medians
-        .iter()
-        .zip(&u_medians)
-        .map(|(t, u)| t / u)
-        .collect();
-    let overhead = median(round_ratios);
-    let traced_p50 = median(t_medians);
-    let untraced_p50 = median(u_medians);
 
+    let entry = |sweep: &str| {
+        Json::obj()
+            .set("sweep", sweep)
+            .set("dataset", "CENSUS")
+            .set("rows", rows as u64)
+    };
     vec![
-        Json::obj()
-            .set("sweep", "traced_warm_hit")
-            .set("dataset", "CENSUS")
-            .set("rows", rows as u64)
-            .set("p50_ms", traced_p50),
-        Json::obj()
-            .set("sweep", "untraced_warm_hit")
-            .set("dataset", "CENSUS")
-            .set("rows", rows as u64)
-            .set("p50_ms", untraced_p50),
-        Json::obj()
-            .set("sweep", "summary")
-            .set("dataset", "CENSUS")
-            .set("rows", rows as u64)
-            .set("overhead_traced_over_untraced", overhead),
+        entry("traced_warm_hit").set("p50_ms", rounds.median_ms(0)),
+        entry("untraced_warm_hit").set("p50_ms", rounds.median_ms(1)),
+        entry("summary").set(
+            "overhead_traced_over_untraced",
+            rounds.stat(|r| r[0] / r[1]),
+        ),
     ]
 }
 
@@ -956,10 +913,10 @@ fn obs_overhead(runs: usize, scale: usize) -> Vec<Json> {
 /// daemon's admission control is what keeps the backlog bounded. Each
 /// level records offered rate, throughput, served-latency quantiles,
 /// shed rate, and shed-latency quantiles; the summary entry carries the
-/// two `perf_smoke` floors: admission sheds must answer much faster than
-/// served requests (`speedup_served_over_shed` — shedding that is as slow
-/// as serving is not load-shedding) and every connection must receive
-/// *some* response (`no_hung_connections`).
+/// two fields [`GATES`] holds: admission sheds must answer much faster
+/// than served requests (`speedup_served_over_shed` — shedding that is as
+/// slow as serving is not load-shedding) and every connection must
+/// receive *some* response (`no_hung_connections`).
 fn server_load(runs: usize, scale: usize) -> Vec<Json> {
     use seedb_server::{client, Server, ServerConfig};
     use std::time::{Duration, Instant};
@@ -1127,46 +1084,4 @@ fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-fn fig11(runs: usize, scale: usize) -> Vec<Json> {
-    let syn_cfg = SynConfig {
-        rows: 20_000 / scale,
-        dims: 10,
-        measures: 4,
-        distinct: Some(10),
-        seed: BENCH_SEED,
-    };
-    let datasets = [
-        bench_dataset("CENSUS", 8_400 / scale, StoreKind::Column),
-        syn(&syn_cfg, StoreKind::Column),
-    ];
-    let mut results = Vec::new();
-    for dataset in &datasets {
-        // Ground truth for accuracy: unpruned phased execution.
-        let mut truth_cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
-        truth_cfg.pruning = PruningKind::None;
-        let truth = recommend(dataset, &truth_cfg);
-        let true_top: Vec<usize> = truth.views.iter().map(|v| v.spec.id).collect();
-
-        for pruning in PruningKind::ALL {
-            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
-            cfg.pruning = pruning;
-            let rec = recommend(dataset, &cfg);
-            let returned: Vec<usize> = rec.views.iter().map(|v| v.spec.id).collect();
-            results.push(
-                Json::obj()
-                    .set("dataset", dataset.name.as_str())
-                    .set("rows", dataset.rows())
-                    .set("pruning", pruning.label())
-                    .set("accuracy", accuracy_at_k(&true_top, &returned))
-                    .set(
-                        "utility_distance",
-                        utility_distance(&true_top, &returned, &truth.all_utilities),
-                    )
-                    .set("timing", measured_from(dataset, &cfg, runs, &rec)),
-            );
-        }
-    }
-    results
 }
