@@ -13,6 +13,8 @@
 //! throughput in absolute terms are the repo benchmark's job
 //! (`benchmark/`), which compares two commits on one host.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;

@@ -5,6 +5,8 @@
 //! themselves: dataset construction at bench scale, one interleaved
 //! sampler for every timed comparison, and the gate evaluator.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use seedb_core::{PhysicalPlan, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig};

@@ -44,6 +44,8 @@
 //! assert!(!rec.views.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod error;

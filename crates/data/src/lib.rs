@@ -22,6 +22,8 @@
 //!
 //! Every generator is deterministic in its seed.
 
+#![forbid(unsafe_code)]
+
 pub mod air;
 pub mod bank;
 pub mod census;

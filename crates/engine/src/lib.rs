@@ -38,6 +38,8 @@
 //! [`DENSE_CARDINALITY_MAX`]) — while the **scalar** mode keeps the
 //! original row-at-a-time path as the bit-identical equivalence oracle.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod agg;
 pub mod binpack;
 pub mod cost;

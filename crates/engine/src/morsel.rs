@@ -28,6 +28,10 @@
 //! `(worker count, morsel size, partition size)` combination and whatever
 //! ranges the session scanned before.
 
+// Clock reads and allocation-prone calls (clippy.toml lists them) are
+// denied in the morsel inner loop; timing goes through the probe types.
+#![deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+
 use crate::cost::ScanShape;
 use crate::parallel::{CancelToken, Pool, WorkerProbes};
 use crate::prune::{pruned_scan, PrunedScan};
@@ -266,6 +270,8 @@ pub fn execute_morsels(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+
     use super::*;
     use crate::agg::AggFunc;
     use crate::expr::{CmpOp, Predicate};

@@ -77,10 +77,14 @@ impl CancelToken {
 #[derive(Clone, Copy)]
 struct TaskRef(*const (dyn Fn(usize, usize) + Sync + 'static));
 
-// SAFETY: the pointee is `Sync` (shared calls are fine) and the pointer is
-// only dereferenced while `Pool::run` — which owns the closure — is blocked
-// waiting for the round to finish.
+// SAFETY: moving the pointer to a worker thread hands that thread a shared
+// reference to the closure, which is sound because the pointee is `Sync`.
+// The pointer is only dereferenced while `Pool::run` — which owns the
+// closure — is blocked waiting for the round to finish, so it never dangles.
 unsafe impl Send for TaskRef {}
+// SAFETY: a `&TaskRef` only lets other threads copy the pointer and call
+// the closure through `&self`; concurrent `Fn` calls are sound because the
+// pointee is `Sync`, and validity is bounded by `Pool::run` as for `Send`.
 unsafe impl Sync for TaskRef {}
 
 /// Round-dispatch state shared between the pool owner and its workers.
@@ -230,13 +234,14 @@ impl Pool<'_> {
             return;
         }
 
-        // Publish the round. SAFETY of the lifetime erasure: `task` lives
-        // until this function returns, and this function does not return
-        // until every worker has checked out of the round (`active == 0`)
-        // and all claimed items completed — after which no worker can
-        // dereference the pointer again (claims of later rounds re-read
-        // `ctl.task`).
+        // Publish the round.
         let wide: *const (dyn Fn(usize, usize) + Sync) = &task;
+        // SAFETY: the transmute only erases the pointee's lifetime. `task`
+        // lives until this function returns, and this function does not
+        // return until every worker has checked out of the round
+        // (`active == 0`) and all claimed items completed — after which no
+        // worker can dereference the pointer again (claims of later rounds
+        // re-read `ctl.task`).
         let task_ref = TaskRef(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize, usize) + Sync),
@@ -332,8 +337,13 @@ impl<T> Clone for SlotWriter<T> {
 }
 impl<T> Copy for SlotWriter<T> {}
 
-// SAFETY: tasks write disjoint indices only (argued at the write site).
+// SAFETY: a worker holding the pointer moves `T` values into the slots,
+// which `T: Send` permits; `map` owns `slots` and does not touch them until
+// `run` returns, so the pointer outlives every write through it.
 unsafe impl<T: Send> Send for SlotWriter<T> {}
+// SAFETY: sharing `&SlotWriter` lets several workers write through the same
+// pointer at once; each item index is claimed exactly once, so their writes
+// target disjoint slots (argued at the write site) and never race.
 unsafe impl<T: Send> Sync for SlotWriter<T> {}
 
 /// Spawns a scoped worker pool of `threads` workers (1 = fully inline, no

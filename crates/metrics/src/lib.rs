@@ -22,6 +22,8 @@
 //! assert!(utility > 0.1); // large deviation => interesting
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod distances;
 mod normalize;
 

@@ -21,6 +21,8 @@
 //!   renders counters/gauges/histograms in Prometheus text exposition
 //!   format, turning the log₂ buckets into cumulative `le` series.
 
+#![forbid(unsafe_code)]
+
 pub mod histo;
 pub mod log;
 pub mod prom;

@@ -13,6 +13,18 @@
 //! the response body and exits non-zero unless the status is 200 — CI
 //! uses it instead of curl.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use seedb_server::{client, Server, ServerConfig};
 use std::process::ExitCode;
 

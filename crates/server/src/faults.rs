@@ -168,6 +168,10 @@ impl<W: Write> Write for TruncatingWriter<W> {
             ));
         }
         let allowed = (self.remaining as usize).min(buf.len());
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "allowed is remaining.min(buf.len()), bounded by construction"
+        )]
         let written = self.inner.write(&buf[..allowed])?;
         self.remaining -= written as u64;
         Ok(written)

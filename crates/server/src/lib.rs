@@ -84,6 +84,18 @@
 //! header (client-sent or generated) correlates the response envelope,
 //! the trace, and the log line.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 pub mod api;
 pub mod cache;
 pub mod catalog;

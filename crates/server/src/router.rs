@@ -1,7 +1,7 @@
 //! Request routing: the API endpoints over shared server state.
 
 use crate::api::{self, RecommendRequest};
-use crate::cache::{CacheValue, PartialCache, RecCache};
+use crate::cache::{CacheStats, CacheValue, PartialCache, RecCache};
 use crate::catalog::Catalog;
 use crate::http::{Request, Response};
 use seedb_core::{
@@ -10,17 +10,13 @@ use seedb_core::{
     ViewCache,
 };
 use seedb_engine::{BudgetLease, ExecStats, Predicate, TraceCtx, WorkerBudget};
-use seedb_obs::{Obs, PromText};
+use seedb_obs::{LatencyHisto, Obs, PromText};
 use seedb_sql::{parser::parse_expr, Planner};
 use seedb_util::{Json, PLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// The log₂ latency histogram lives in `seedb-obs` now (the Prometheus
-// exposition renders its buckets as cumulative `le` series); re-exported
-// so existing `router::LatencyHisto` users keep compiling.
-pub use seedb_obs::LatencyHisto;
+use Kind::{Counter, Gauge, Histogram};
 
 /// How long an admission-starved `/recommend` waits for a single worker
 /// permit before degrading further (bounded by half the remaining
@@ -194,264 +190,175 @@ fn healthz(state: &AppState) -> Response {
     )
 }
 
-fn statz(state: &AppState) -> Response {
-    let s = &state.stats;
-    let c = state.cache.stats();
-    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    // `PLock` recovers from poisoning: a thread that panicked while
-    // holding the lock leaves the data perfectly usable (it's a plain
-    // clone-out), and recovering beats turning every future /statz into a
-    // 500-by-panic.
-    let last_run = s.last_run.lock().clone();
-    Response::json(
-        Json::obj()
-            .set("requests", load(&s.requests))
-            .set("uptime_s", state.start.elapsed().as_secs())
-            .set(
-                "recommend",
-                Json::obj()
-                    .set("ok", load(&s.recommends_ok))
-                    .set("errors", load(&s.recommends_err))
-                    .set("response_hits", load(&s.response_hits))
-                    .set("response_misses", load(&s.response_misses))
-                    .set("bypass", load(&s.response_bypass))
-                    .set("hit_us_total", load(&s.hit_us_total))
-                    .set("miss_us_total", load(&s.miss_us_total))
-                    .set("bypass_us_total", load(&s.bypass_us_total))
-                    .set("last_plan_summary", last_run.0.as_str())
-                    .set(
-                        "last_phase_times_us",
-                        last_run
-                            .1
-                            .iter()
-                            .map(|&t| Json::from(t))
-                            .collect::<Vec<_>>(),
-                    ),
-            )
-            .set(
-                "cache",
-                Json::obj()
-                    .set("entries", state.cache.len())
-                    .set("bytes", state.cache.bytes())
-                    .set("budget_bytes", state.cache.budget())
-                    .set("hits", load(&c.hits))
-                    .set("misses", load(&c.misses))
-                    .set("evictions", load(&c.evictions))
-                    .set("insertions", load(&c.insertions))
-                    .set("rejected", load(&c.rejected))
-                    .set("purged", load(&c.purged))
-                    .set("purged_bytes", load(&c.purged_bytes)),
-            )
-            .set(
-                "workers",
-                Json::obj()
-                    .set("total", state.budget.total())
-                    .set("available", state.budget.available()),
-            )
-            .set(
-                "overload",
-                Json::obj()
-                    .set("sheds", load(&s.sheds))
-                    .set("shed_busy", load(&s.shed_busy))
-                    .set("write_errors", load(&s.write_errors))
-                    .set("deadline_timeouts", load(&s.deadline_timeouts))
-                    .set("degraded", load(&s.degraded))
-                    .set("lease_waits", load(&s.lease_waits)),
-            )
-            .set(
-                "admission",
-                Json::obj()
-                    .set("queue_depth", load(&s.queue_depth))
-                    .set("queue_capacity", load(&s.queue_capacity))
-                    .set("wait", s.admission_wait_histo.json()),
-            )
-            .set(
-                "latency",
-                Json::obj()
-                    .set("recommend", s.recommend_histo.json())
-                    .set("datasets", s.datasets_histo.json())
-                    .set("other", s.other_histo.json()),
-            )
-            .compact(),
-    )
+/// How one exported metric reads and renders.
+enum Kind<'a> {
+    /// A monotonic count: a Prometheus `counter` and a `/statz` number.
+    Counter(u64),
+    /// A level that can fall: a Prometheus `gauge` and a `/statz` number.
+    Gauge(u64),
+    /// A latency histogram: the series with these labels in a Prometheus
+    /// `histogram` family, and a `/statz` count/sum/quantile object.
+    Histogram(&'static [(&'static str, &'static str)], &'a LatencyHisto),
 }
 
-/// `GET /metrics`: every counter, gauge, and histogram the server keeps,
-/// in Prometheus text exposition format. Counters mirror `/statz`;
-/// histograms render their log₂ buckets as cumulative `le` series.
-fn metrics(state: &AppState) -> Response {
-    let s = &state.stats;
-    let c = state.cache.stats();
+/// One metric as both `/statz` and `/metrics` export it.
+struct Metric<'a> {
+    /// Dotted path of its value in the `/statz` document.
+    statz: &'static str,
+    /// Prometheus family name; consecutive histogram series share one.
+    prom: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    kind: Kind<'a>,
+}
+
+/// Every counter, gauge and histogram the server exports, declared once
+/// for both endpoints. The stats structs are destructured with no `..`:
+/// a new field fails to compile until it is bound here, and a bound field
+/// left out of the table is an unused variable, which the clippy gate
+/// (`-D warnings`) rejects. `last_run` is `/statz`-only (see [`statz`]).
+#[rustfmt::skip]
+fn exported(state: &AppState) -> Vec<Metric<'_>> {
+    let ServerStats {
+        requests,
+        recommends_ok,
+        recommends_err,
+        response_hits,
+        response_misses,
+        response_bypass,
+        miss_us_total,
+        hit_us_total,
+        bypass_us_total,
+        last_run: _,
+        sheds,
+        shed_busy,
+        write_errors,
+        deadline_timeouts,
+        degraded,
+        lease_waits,
+        recommend_histo,
+        datasets_histo,
+        other_histo,
+        queue_depth,
+        queue_capacity,
+        admission_wait_histo,
+    } = &state.stats;
+    let CacheStats {
+        hits,
+        misses,
+        evictions,
+        insertions,
+        rejected,
+        purged,
+        purged_bytes,
+    } = state.cache.stats();
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let (cache, budget) = (&state.cache, &state.budget);
+    let route = "Request latency by route, microseconds";
+    let m = |statz, prom, help, kind| Metric { statz, prom, help, kind };
+    vec![
+        m("requests", "seedbd_requests_total", "HTTP requests handled, any route", Counter(load(requests))),
+        m("uptime_s", "seedbd_uptime_seconds", "Seconds since the server started", Gauge(state.start.elapsed().as_secs())),
+        m("recommend.ok", "seedbd_recommends_ok_total", "Successful /recommend responses", Counter(load(recommends_ok))),
+        m("recommend.errors", "seedbd_recommends_err_total", "Failed /recommend requests", Counter(load(recommends_err))),
+        m("recommend.response_hits", "seedbd_response_cache_hits_total", "/recommend responses served from the response cache", Counter(load(response_hits))),
+        m("recommend.response_misses", "seedbd_response_cache_misses_total", "/recommend responses that ran the engine", Counter(load(response_misses))),
+        m("recommend.bypass", "seedbd_response_cache_bypass_total", "/recommend runs that skipped the cache", Counter(load(response_bypass))),
+        m("recommend.hit_us_total", "seedbd_hit_latency_us_total", "Cumulative latency of response-cache hits, microseconds", Counter(load(hit_us_total))),
+        m("recommend.miss_us_total", "seedbd_miss_latency_us_total", "Cumulative latency of cache-miss recommends, microseconds", Counter(load(miss_us_total))),
+        m("recommend.bypass_us_total", "seedbd_bypass_latency_us_total", "Cumulative latency of bypassed recommends, microseconds", Counter(load(bypass_us_total))),
+        m("cache.entries", "seedbd_cache_entries", "Entries currently in the cache", Gauge(cache.len() as u64)),
+        m("cache.bytes", "seedbd_cache_bytes", "Bytes currently held by the cache", Gauge(cache.bytes() as u64)),
+        m("cache.budget_bytes", "seedbd_cache_budget_bytes", "The cache's byte budget", Gauge(cache.budget() as u64)),
+        m("cache.hits", "seedbd_view_cache_hits_total", "View/response cache lookups that hit", Counter(load(hits))),
+        m("cache.misses", "seedbd_view_cache_misses_total", "View/response cache lookups that missed", Counter(load(misses))),
+        m("cache.evictions", "seedbd_view_cache_evictions_total", "Cache entries evicted to stay under budget", Counter(load(evictions))),
+        m("cache.insertions", "seedbd_view_cache_insertions_total", "Cache entries inserted", Counter(load(insertions))),
+        m("cache.rejected", "seedbd_view_cache_rejected_total", "Cache insertions rejected as oversized", Counter(load(rejected))),
+        m("cache.purged", "seedbd_view_cache_purged_total", "Cache entries purged because their dataset upload was replaced", Counter(load(purged))),
+        m("cache.purged_bytes", "seedbd_view_cache_purged_bytes_total", "Bytes held by cache entries purged on re-upload", Counter(load(purged_bytes))),
+        m("workers.total", "seedbd_workers_total", "Morsel worker slots in the admission budget", Gauge(budget.total() as u64)),
+        m("workers.available", "seedbd_workers_available", "Morsel worker slots currently free", Gauge(budget.available() as u64)),
+        m("overload.sheds", "seedbd_sheds_total", "Connections shed because the admission queue was full", Counter(load(sheds))),
+        m("overload.shed_busy", "seedbd_shed_busy_total", "/recommend requests shed because every worker stayed busy", Counter(load(shed_busy))),
+        m("overload.write_errors", "seedbd_write_errors_total", "Response writes that failed", Counter(load(write_errors))),
+        m("overload.deadline_timeouts", "seedbd_deadline_timeouts_total", "/recommend runs cancelled by their deadline", Counter(load(deadline_timeouts))),
+        m("overload.degraded", "seedbd_degraded_total", "Degraded partial answers assembled from cached deltas", Counter(load(degraded))),
+        m("overload.lease_waits", "seedbd_lease_waits_total", "/recommend runs that waited for a worker permit", Counter(load(lease_waits))),
+        m("admission.queue_depth", "seedbd_admission_queue_depth", "Connections parked in the admission queue", Gauge(load(queue_depth))),
+        m("admission.queue_capacity", "seedbd_admission_queue_capacity", "The admission queue's capacity", Gauge(load(queue_capacity))),
+        m("admission.wait", "seedbd_admission_wait_us", "Time connections waited in the admission queue, microseconds", Histogram(&[], admission_wait_histo)),
+        m("latency.recommend", "seedbd_route_latency_us", route, Histogram(&[("route", "recommend")], recommend_histo)),
+        m("latency.datasets", "seedbd_route_latency_us", route, Histogram(&[("route", "datasets")], datasets_histo)),
+        m("latency.other", "seedbd_route_latency_us", route, Histogram(&[("route", "other")], other_histo)),
+    ]
+}
+
+/// Sets `value` at the dotted `path` of a `/statz` object, creating each
+/// group object the first time a path names it.
+fn insert_at(fields: &mut Vec<(String, Json)>, path: &str, value: Json) {
+    let Some((group, rest)) = path.split_once('.') else {
+        fields.push((path.to_owned(), value));
+        return;
+    };
+    if !fields.iter().any(|(key, _)| key == group) {
+        fields.push((group.to_owned(), Json::obj()));
+    }
+    if let Some((_, Json::Obj(inner))) = fields.iter_mut().find(|(key, _)| key == group) {
+        insert_at(inner, rest, value);
+    }
+}
+
+/// `GET /statz`: the [`exported`] table as one JSON document, plus the
+/// plan summary and phase timings of the last engine run.
+fn statz(state: &AppState) -> Response {
+    let mut doc = Vec::new();
+    for metric in exported(state) {
+        let value = match metric.kind {
+            Counter(v) | Gauge(v) => Json::from(v),
+            Histogram(_, histo) => histo.json(),
+        };
+        insert_at(&mut doc, metric.statz, value);
+    }
+    // `PLock` recovers from poisoning: a thread that panicked while
+    // holding the lock leaves a plain clone-out perfectly usable, and that
+    // beats turning every future /statz into a 500-by-panic.
+    let (summary, phases) = state.stats.last_run.lock().clone();
+    let phases: Vec<Json> = phases.into_iter().map(Json::from).collect();
+    insert_at(&mut doc, "recommend.last_plan_summary", summary.into());
+    insert_at(&mut doc, "recommend.last_phase_times_us", phases.into());
+    Response::json(Json::Obj(doc).compact())
+}
+
+/// `GET /metrics`: the [`exported`] table in Prometheus text exposition
+/// format, plus the flight recorder's size. Histograms render their log₂
+/// buckets as cumulative `le` series.
+fn metrics(state: &AppState) -> Response {
+    let table = exported(state);
     let mut p = PromText::new();
-    p.counter(
-        "seedbd_requests_total",
-        "HTTP requests handled, any route",
-        load(&s.requests),
-    );
-    p.counter(
-        "seedbd_recommends_ok_total",
-        "Successful /recommend responses",
-        load(&s.recommends_ok),
-    );
-    p.counter(
-        "seedbd_recommends_err_total",
-        "Failed /recommend requests",
-        load(&s.recommends_err),
-    );
-    p.counter(
-        "seedbd_response_cache_hits_total",
-        "/recommend responses served from the response cache",
-        load(&s.response_hits),
-    );
-    p.counter(
-        "seedbd_response_cache_misses_total",
-        "/recommend responses that ran the engine",
-        load(&s.response_misses),
-    );
-    p.counter(
-        "seedbd_response_cache_bypass_total",
-        "/recommend runs that skipped the cache",
-        load(&s.response_bypass),
-    );
-    p.counter(
-        "seedbd_hit_latency_us_total",
-        "Cumulative latency of response-cache hits, microseconds",
-        load(&s.hit_us_total),
-    );
-    p.counter(
-        "seedbd_miss_latency_us_total",
-        "Cumulative latency of cache-miss recommends, microseconds",
-        load(&s.miss_us_total),
-    );
-    p.counter(
-        "seedbd_bypass_latency_us_total",
-        "Cumulative latency of bypassed recommends, microseconds",
-        load(&s.bypass_us_total),
-    );
-    p.counter(
-        "seedbd_sheds_total",
-        "Connections shed because the admission queue was full",
-        load(&s.sheds),
-    );
-    p.counter(
-        "seedbd_shed_busy_total",
-        "/recommend requests shed because every worker stayed busy",
-        load(&s.shed_busy),
-    );
-    p.counter(
-        "seedbd_write_errors_total",
-        "Response writes that failed",
-        load(&s.write_errors),
-    );
-    p.counter(
-        "seedbd_deadline_timeouts_total",
-        "/recommend runs cancelled by their deadline",
-        load(&s.deadline_timeouts),
-    );
-    p.counter(
-        "seedbd_degraded_total",
-        "Degraded partial answers assembled from cached deltas",
-        load(&s.degraded),
-    );
-    p.counter(
-        "seedbd_lease_waits_total",
-        "/recommend runs that waited for a worker permit",
-        load(&s.lease_waits),
-    );
-    p.counter(
-        "seedbd_view_cache_hits_total",
-        "View/response cache lookups that hit",
-        load(&c.hits),
-    );
-    p.counter(
-        "seedbd_view_cache_misses_total",
-        "View/response cache lookups that missed",
-        load(&c.misses),
-    );
-    p.counter(
-        "seedbd_view_cache_evictions_total",
-        "Cache entries evicted to stay under budget",
-        load(&c.evictions),
-    );
-    p.counter(
-        "seedbd_view_cache_insertions_total",
-        "Cache entries inserted",
-        load(&c.insertions),
-    );
-    p.counter(
-        "seedbd_view_cache_rejected_total",
-        "Cache insertions rejected as oversized",
-        load(&c.rejected),
-    );
-    p.counter(
-        "seedbd_view_cache_purged_total",
-        "Cache entries purged because their dataset upload was replaced",
-        load(&c.purged),
-    );
-    p.counter(
-        "seedbd_view_cache_purged_bytes_total",
-        "Bytes held by cache entries purged on re-upload",
-        load(&c.purged_bytes),
-    );
-    p.gauge(
-        "seedbd_cache_entries",
-        "Entries currently in the cache",
-        state.cache.len() as u64,
-    );
-    p.gauge(
-        "seedbd_cache_bytes",
-        "Bytes currently held by the cache",
-        state.cache.bytes() as u64,
-    );
-    p.gauge(
-        "seedbd_cache_budget_bytes",
-        "The cache's byte budget",
-        state.cache.budget() as u64,
-    );
-    p.gauge(
-        "seedbd_workers_total",
-        "Morsel worker slots in the admission budget",
-        state.budget.total() as u64,
-    );
-    p.gauge(
-        "seedbd_workers_available",
-        "Morsel worker slots currently free",
-        state.budget.available() as u64,
-    );
-    p.gauge(
-        "seedbd_admission_queue_depth",
-        "Connections parked in the admission queue",
-        load(&s.queue_depth),
-    );
-    p.gauge(
-        "seedbd_admission_queue_capacity",
-        "The admission queue's capacity",
-        load(&s.queue_capacity),
-    );
-    p.gauge(
-        "seedbd_uptime_seconds",
-        "Seconds since the server started",
-        state.start.elapsed().as_secs(),
-    );
+    for family in table.chunk_by(|a, b| a.prom == b.prom) {
+        let Some(first) = family.first() else {
+            continue;
+        };
+        match first.kind {
+            Counter(v) => p.counter(first.prom, first.help, v),
+            Gauge(v) => p.gauge(first.prom, first.help, v),
+            Histogram(..) => {
+                let series: Vec<_> = family
+                    .iter()
+                    .filter_map(|m| match m.kind {
+                        Histogram(labels, histo) => Some((labels, histo)),
+                        Counter(_) | Gauge(_) => None,
+                    })
+                    .collect();
+                p.histogram(first.prom, first.help, &series);
+            }
+        }
+    }
     p.gauge(
         "seedbd_flight_recorder_traces",
         "Completed traces currently in the flight recorder",
         state.obs.recorder.len() as u64,
-    );
-    p.histogram(
-        "seedbd_route_latency_us",
-        "Request latency by route, microseconds",
-        &[
-            (&[("route", "recommend")], &s.recommend_histo),
-            (&[("route", "datasets")], &s.datasets_histo),
-            (&[("route", "other")], &s.other_histo),
-        ],
-    );
-    p.histogram(
-        "seedbd_admission_wait_us",
-        "Time connections waited in the admission queue, microseconds",
-        &[(&[], &s.admission_wait_histo)],
     );
     Response::text(p.finish(), seedb_obs::prom::CONTENT_TYPE)
 }
@@ -1774,6 +1681,78 @@ mod tests {
         assert!(r.body.contains("seedbd_recommends_ok_total 1"));
         assert!(r.body.contains("seedbd_workers_total "));
         assert!(r.body.contains("seedbd_uptime_seconds "));
+
+        // Finish the scripted sequence (the recommend above was the miss):
+        // a hit, a bypass, an ingest and a re-ingest of different bytes.
+        let recommend = r#"{"dataset": "HOUSING", "rows": 300, "k": 2}"#;
+        let bypass = r#"{"dataset": "HOUSING", "rows": 300, "k": 2, "cache_mode": "bypass"}"#;
+        for (body, cache) in [(recommend, "hit"), (bypass, "bypass")] {
+            let j = Json::parse(&post(&s, "/recommend", body).body).unwrap();
+            assert_eq!(j.get("cache").unwrap().as_str(), Some(cache));
+        }
+        let mut other = sample_csv();
+        other.push_str("c9,r9,999\n");
+        for csv in [sample_csv(), other] {
+            assert_eq!(post(&s, "/datasets", &ingest_body("d", &csv)).status, 200);
+            assert_eq!(
+                post(&s, "/recommend", r#"{"dataset": "d", "k": 2}"#).status,
+                200
+            );
+        }
+
+        // Every declared metric reads the same value on both endpoints.
+        // Both are rendered directly, so neither scrape counts itself.
+        let doc = Json::parse(&statz(&s).body).unwrap();
+        let prom = metrics(&s).body;
+        let at = |path: &str| {
+            path.split('.')
+                .try_fold(&doc, |j, key| j.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("/statz has no number at {path}"))
+        };
+        let sample = |series: &str| {
+            prom.lines()
+                .find_map(|l| l.strip_prefix(&format!("{series} ")))
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("/metrics has no sample {series}"))
+        };
+        for metric in exported(&s) {
+            match metric.kind {
+                Gauge(_) if metric.statz == "uptime_s" => {
+                    assert!(at(metric.statz).abs_diff(sample(metric.prom)) <= 1);
+                }
+                Counter(_) | Gauge(_) => {
+                    assert_eq!(at(metric.statz), sample(metric.prom), "{}", metric.statz);
+                }
+                Histogram(labels, _) => {
+                    let labels: Vec<String> =
+                        labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                    let labels = if labels.is_empty() {
+                        String::new()
+                    } else {
+                        format!("{{{}}}", labels.join(","))
+                    };
+                    let count = format!("{}_count{labels}", metric.prom);
+                    let sum = format!("{}_sum{labels}", metric.prom);
+                    let path = |key: &str| format!("{}.{key}", metric.statz);
+                    assert_eq!(at(&path("count")), sample(&count), "{count}");
+                    assert_eq!(at(&path("total_us")), sample(&sum), "{sum}");
+                }
+            }
+        }
+        assert_eq!(at("recommend.response_hits"), 1);
+        // The /statz paths CI's server smoke greps, then those the repo
+        // benchmark reads.
+        assert_eq!(at("recommend.bypass"), 1);
+        assert!(at("cache.purged") >= 1);
+        for path in [
+            "cache.evictions",
+            "cache.bytes",
+            "overload.sheds",
+            "admission.wait.p50_us",
+        ] {
+            at(path);
+        }
     }
 
     #[test]

@@ -204,10 +204,13 @@ impl Server {
                 let index = conn_index;
                 conn_index += 1;
                 let trace = self.state.obs.begin();
+                // Count the connection in before a worker can pop (and
+                // count it out), so the gauge never wraps below zero.
+                let depth = &self.state.stats.queue_depth;
+                depth.fetch_add(1, Ordering::Relaxed);
                 if let Err(stream) = queue.push(stream, index, trace) {
+                    depth.fetch_sub(1, Ordering::Relaxed);
                     shed_detached(self.state.clone(), stream);
-                } else {
-                    self.state.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
                 }
             }
             // Workers drain what was already admitted, then exit.

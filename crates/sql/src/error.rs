@@ -27,6 +27,11 @@ impl SqlError {
     ///   SELECT x WHERE y
     ///            ^
     /// ```
+    #[expect(
+        clippy::string_slice,
+        reason = "pos is clamped to source.len() and is a char-boundary lexer offset; \
+                  the line bounds come from find()/rfind() on the same str"
+    )]
     pub fn render(&self, source: &str) -> String {
         let pos = self.pos.min(source.len());
         let line_start = source[..pos].rfind('\n').map(|i| i + 1).unwrap_or(0);

@@ -40,6 +40,12 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenizes `src` into a vector ending with [`TokenKind::Eof`].
+#[expect(
+    clippy::indexing_slicing,
+    clippy::string_slice,
+    reason = "byte-indexed scanner: every index is guarded by an explicit \
+              `i < bytes.len()` loop bound, and slices start and end at ASCII bytes"
+)]
 pub fn lex(src: &str) -> Result<Vec<Token>, SqlError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();

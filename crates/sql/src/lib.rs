@@ -33,6 +33,18 @@
 //! assert_eq!(planned.group_by.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -64,10 +64,18 @@ struct Parser {
 }
 
 impl Parser {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lex() always appends Eof, so tokens.len() >= 1 and the min-clamp stays in bounds"
+    )]
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lex() always appends Eof, so tokens.len() >= 1 and the min-clamp stays in bounds"
+    )]
     fn advance(&mut self) -> Token {
         let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
         self.pos += 1;

@@ -43,6 +43,8 @@
 //! assert_eq!(table.num_rows(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod batch;
 mod bitmap;
 mod builder;

@@ -5,6 +5,8 @@
 //! crates need — most importantly a JSON value type with a parser and a
 //! writer — lives here instead of being pulled in as an external crate.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod plock;
 

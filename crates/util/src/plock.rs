@@ -8,8 +8,9 @@
 //!    hard way). `PLock::lock` recovers from poisoning with
 //!    `unwrap_or_else(PoisonError::into_inner)` — the data may be mid-update,
 //!    but every consumer here tolerates that (counters, caches, rings), and
-//!    a torn read beats a cascading panic. The `seedb-lint` L1 rule bans
-//!    `.lock().unwrap()` / `.lock().expect(...)` tree-wide to keep it that way.
+//!    a torn read beats a cascading panic. `clippy.toml` disallows
+//!    `std::sync::Mutex` everywhere but here, so no raw `.lock().unwrap()`
+//!    can come back.
 //!
 //! 2. **Lock-order detection.** Each lock carries a `&'static str` name (an
 //!    order class, not an instance id — all per-worker probe slots share one
@@ -26,6 +27,11 @@
 //! [`PLockGuard::wait_timeout`] that recover from poisoning and keep the
 //! held-set bookkeeping consistent (the lock stays "held" across the wait —
 //! conservative, and true at both edges of the wait).
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "PLock is the one wrapper around std::sync::Mutex"
+)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -345,7 +351,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn lock_order_inversion_trips_detector() {
-        // Regression test for the runtime half of seedb-lint: a deliberate
+        // Regression test for the lock-order detector: a deliberate
         // A→B then B→A acquisition across two threads must panic, naming
         // both locks. The threads run sequentially (joined), so this never
         // actually deadlocks — the detector fires on the *order*, not on a

@@ -22,7 +22,6 @@
 //! | [`metrics`] | distance functions (EMD, …) |
 //! | [`core`] | view generation, phases, pruning, recommendations |
 //! | [`data`] | Table 1 dataset generators |
-//! | [`study`] | §6 simulated user study |
 //! | [`server`] | `seedbd`: HTTP serving layer + cross-request cache |
 //! | [`util`] | shared dependency-free JSON |
 //!
@@ -48,6 +47,8 @@
 //! assert!(!rec.views.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use seedb_core as core;
 pub use seedb_data as data;
 pub use seedb_engine as engine;
@@ -55,7 +56,6 @@ pub use seedb_metrics as metrics;
 pub use seedb_server as server;
 pub use seedb_sql as sql;
 pub use seedb_storage as storage;
-pub use seedb_study as study;
 pub use seedb_util as util;
 
 use seedb_core::{Recommendation, ReferenceSpec, SeeDb, SeeDbConfig};
