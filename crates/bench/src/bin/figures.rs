@@ -643,7 +643,10 @@ fn planner(runs: usize, _scale: usize) -> Vec<Json> {
 /// And what exactness costs: one combined query per dimension with every
 /// measure (the repo benchmark's `engine.agg_ns_per_row_agg` shape) over
 /// that naive sum, per row·aggregate, as `agg_over_naive_sum` — ≈ 10 with
-/// one window update per value, less with fixed-point lanes — and
+/// one window update per value, less with fixed-point lanes, and less
+/// again since the default AVG keeps no `min`/`max`, so its lane add is the
+/// whole update (each aggregate here is the only one over its measure, so
+/// an update is a row·aggregate) — and
 /// `lane_share_of_updates`, the share of the cluster scan's accumulator
 /// updates that were lane adds (a count: 1.0 on DIAB's NULL-free float
 /// measures). [`GATES`] holds all four.

@@ -4,10 +4,23 @@
 //! functions over the measure attributes (e.g. COUNT, SUM, AVG)."* MIN and
 //! MAX are included for completeness of the SQL surface.
 //!
-//! A single [`Accumulator`] carries enough state (count, sum, min, max) to
-//! finalize *any* of the functions, and merges losslessly — the property
-//! that makes the multi-GROUP-BY rollup, the phased partial execution,
-//! *and* morsel-driven parallel execution correct.
+//! An [`Accumulator`] has room for what every function reads (count, sum,
+//! min, max) and merges losslessly — the property that makes the
+//! multi-GROUP-BY rollup, the phased partial execution, *and* morsel-driven
+//! parallel execution correct.
+//!
+//! ## Only what a function reads
+//!
+//! The engine fills only the parts its query's functions read ([`Needs`]):
+//! COUNT reads the count, SUM and AVG the count and the exact sum, MIN and
+//! MAX the count and the extremes. The aggregates over one measure share
+//! one state, which tracks the union of their needs, so `COUNT`, `SUM` and
+//! `AVG` of one measure cost one update per row, and none of them pays the
+//! `min`/`max` compare. Each aggregate is handed its state's accumulator
+//! [projected](Accumulator::project) on its own function's needs — what a
+//! query of that aggregate alone computes — so a result does not depend on
+//! which aggregates shared the scan. [`Accumulator::update`], for
+//! standalone use, tracks everything.
 //!
 //! ## Order-invariant summation
 //!
@@ -84,29 +97,31 @@
 //! `±m · 2ᵖ` with `unit ≤ p ≤ unit + 36` adds `±m · 2^(p − unit + 18) + 1`
 //! ([`lane_term`]: one table load for range check, sign and shift, one
 //! multiply): its mantissa at the lane's scale and, in the 18 bits beneath,
-//! a **count** of one. No window index, no carry budget, no flags;
-//! `min`/`max` are compared and stored only when widened. *Overflow:* a
-//! term is below `2^(53 + 36 + 18)` and at most [`LANE_BUDGET`] = `2¹⁸ − 1`
-//! are added between folds, so a lane stays below `2¹²⁵` and its count
-//! inside its 18 bits: `53 + spread + 2 · log₂ budget ≤ 126`. A **fold**
+//! a **count** of one. No window index, no carry budget, no flags, and —
+//! unless the state also serves MIN or MAX — no `min`/`max` compare.
+//! *Overflow:* a term is below `2^(53 + 36 + 18)` and at most
+//! [`LANE_BUDGET`] = `2¹⁸ − 1` are added between folds, so a lane stays
+//! below `2¹²⁵` and its count inside its 18 bits:
+//! `53 + spread + 2 · log₂ budget ≤ 126`. A **fold**
 //! ([`Accumulator::fold_lane`]; before any merge, drain, snapshot or result)
 //! reads the count off the low bits and gives the rest to
 //! [`ExactSum::add_fixed`] — one window operation per lane, not per value.
 //! A *stray* (outside the lane's binades, subnormal, non-finite, `-0.0`)
 //! adds a bare count, which a second pass over its batch takes back as it
 //! feeds the value to the window. NULL-able and non-float columns never use
-//! the lanes.
+//! the lanes, and neither does a state that reads no sum.
 //!
 //! **Window** — the two-add update above with its bookkeeping, ≈ 2× a lane
 //! add: the scalar mode, strays, and the columns lanes do not take.
 //! **Spill** — the same on the boxed full-range array, once a column's
 //! span outgrew five chunks; sticky, never reached by ordinary columns.
 //!
-//! COUNT, MIN, and MAX are order-invariant by nature; non-finite inputs
-//! are tracked as flags (any NaN, or both infinities ⇒ NaN; one-sided
-//! infinities saturate), which is again order-independent. A sum is `-0.0`
-//! exactly when every input was `-0.0` (IEEE addition's rule, also kept as
-//! flags).
+//! COUNT, MIN, and MAX are order-invariant by nature — MIN and MAX order
+//! `-0.0` below `+0.0`, so a group holding both zeros has the same extremes
+//! in any order, bit for bit. Non-finite inputs are tracked as flags (any
+//! NaN, or both infinities ⇒ NaN; one-sided infinities saturate), which is
+//! again order-independent. A sum is `-0.0` exactly when every input was
+//! `-0.0` (IEEE addition's rule, also kept as flags).
 
 use std::fmt;
 use std::ops::Range;
@@ -145,6 +160,41 @@ impl AggFunc {
             AggFunc::Avg => "AVG",
             AggFunc::Min => "MIN",
             AggFunc::Max => "MAX",
+        }
+    }
+}
+
+/// The parts of an [`Accumulator`] a set of functions reads. The count is
+/// always kept: every function reads it (MIN, MAX and AVG to tell an empty
+/// group).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Needs {
+    /// The exact sum: SUM and AVG.
+    pub sum: bool,
+    /// `min` and `max`: MIN and MAX.
+    pub extremes: bool,
+}
+
+impl Needs {
+    /// Everything: what [`Accumulator::update`] keeps.
+    pub const ALL: Needs = Needs {
+        sum: true,
+        extremes: true,
+    };
+
+    /// What `func` reads.
+    pub fn of(func: AggFunc) -> Needs {
+        Needs {
+            sum: matches!(func, AggFunc::Sum | AggFunc::Avg),
+            extremes: matches!(func, AggFunc::Min | AggFunc::Max),
+        }
+    }
+
+    /// What either `self` or `other` reads.
+    pub fn union(self, other: Needs) -> Needs {
+        Needs {
+            sum: self.sum || other.sum,
+            extremes: self.extremes || other.extremes,
         }
     }
 }
@@ -556,6 +606,12 @@ impl ExactSum {
         self.flags = 0;
     }
 
+    /// Whether a value other than NaN was added: a finite one or an
+    /// infinity. (Every add sets a flag; a NaN also sets `SAW_NAN`.)
+    fn saw_non_nan(&self) -> bool {
+        self.flags != 0 && self.flags & SAW_NAN == 0
+    }
+
     /// Correctly-rounded value of the exact sum. Depends only on the
     /// multiset of inputs, not the order they were added or merged in.
     fn value(&self) -> f64 {
@@ -621,12 +677,21 @@ impl ExactSum {
     }
 }
 
-/// Mergeable aggregation state sufficient for every [`AggFunc`].
+/// Mergeable aggregation state with room for every [`AggFunc`].
+///
+/// [`Accumulator::update`] keeps all of it. The engine keeps only what the
+/// functions it computes read (see the module docs): the accumulator of a
+/// `SUM` or `AVG` aggregate keeps `min = +∞` and `max = −∞`, and one of a
+/// `COUNT`, `MIN` or `MAX` aggregate keeps a zero sum. Finishing it under a
+/// function it was not kept for is a logic error; for MIN and MAX a debug
+/// build catches it whenever the sum shows a value went in.
 ///
 /// Equality compares *observable* state — count, the rounded sum, min, max
 /// — not the internal chunks, so two accumulators that consumed the same
 /// multiset of values through different partitions compare equal (and NaN
 /// sums compare equal to NaN sums, which the equivalence suites rely on).
+/// It compares `min` and `max` with `==`, under which `-0.0` equals `0.0`;
+/// `finish(..).to_bits()` tells them apart.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     /// Number of non-NULL values observed.
@@ -669,20 +734,50 @@ impl Accumulator {
     /// Feeds one measure value (`None` = NULL, ignored per SQL semantics).
     #[inline]
     pub fn update(&mut self, value: Option<f64>) {
+        self.feed(value, Needs::ALL);
+    }
+
+    /// Feeds one measure value keeping only what `func` reads: the
+    /// accumulator an engine query of `func` alone builds from the same
+    /// values.
+    pub fn update_for(&mut self, value: Option<f64>, func: AggFunc) {
+        self.feed(value, Needs::of(func));
+    }
+
+    /// [`Accumulator::update`] keeping only what `needs` covers.
+    #[inline]
+    pub(crate) fn feed(&mut self, value: Option<f64>, needs: Needs) {
         if let Some(x) = value {
             self.count += 1;
-            self.sum.add(x);
-            self.widen(x);
+            if needs.sum {
+                self.sum.add(x);
+            }
+            if needs.extremes {
+                self.widen(x);
+            }
         }
     }
 
     /// Stretches `min`/`max` to cover `x` (NaN covers nothing).
     #[inline]
     pub(crate) fn widen(&mut self, x: f64) {
-        if x < self.min {
+        self.lower_min(x);
+        self.raise_max(x);
+    }
+
+    /// `min = MIN(min, x)`, with `-0.0` below `+0.0`: without the tie rule
+    /// the minimum of `{0.0, -0.0}` would be whichever came first.
+    #[inline]
+    fn lower_min(&mut self, x: f64) {
+        if x < self.min || (x == self.min && x.is_sign_negative()) {
             self.min = x;
         }
-        if x > self.max {
+    }
+
+    /// `max = MAX(max, x)`, with `+0.0` above `-0.0`.
+    #[inline]
+    fn raise_max(&mut self, x: f64) {
+        if x > self.max || (x == self.max && x.is_sign_positive()) {
             self.max = x;
         }
     }
@@ -694,11 +789,23 @@ impl Accumulator {
     pub fn merge(&mut self, other: &Accumulator) {
         self.count += other.count;
         self.sum.merge(&other.sum);
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
+        self.lower_min(other.min);
+        self.raise_max(other.max);
+    }
+
+    /// A copy keeping only what `needs` covers; the rest is empty, as if
+    /// never tracked.
+    pub(crate) fn project(&self, needs: Needs) -> Accumulator {
+        let empty = Accumulator::default();
+        Accumulator {
+            count: self.count,
+            sum: if needs.sum {
+                self.sum.clone()
+            } else {
+                empty.sum
+            },
+            min: if needs.extremes { self.min } else { empty.min },
+            max: if needs.extremes { self.max } else { empty.max },
         }
     }
 
@@ -756,16 +863,17 @@ impl Accumulator {
                     Some(self.sum.value() / self.count as f64)
                 }
             }
-            AggFunc::Min => {
+            AggFunc::Min | AggFunc::Max => {
+                // A value other than NaN widens the extremes, so a kept pair
+                // is ordered once the sum saw one.
+                debug_assert!(
+                    self.count == 0 || self.min <= self.max || !self.sum.saw_non_nan(),
+                    "{func} of an accumulator that did not keep its extremes"
+                );
                 if self.count == 0 {
                     None
-                } else {
+                } else if func == AggFunc::Min {
                     Some(self.min)
-                }
-            }
-            AggFunc::Max => {
-                if self.count == 0 {
-                    None
                 } else {
                     Some(self.max)
                 }
@@ -1214,6 +1322,69 @@ mod tests {
         assert_eq!(merged.sum().to_bits(), (-0.0f64).to_bits());
         merged.update(Some(0.0));
         assert_eq!(merged.sum().to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn extremes_order_negative_zero_below_positive_zero_in_any_order() {
+        let bits = |a: &Accumulator, func| a.finish(func).map(f64::to_bits);
+        let (neg, pos) = (Some((-0.0f64).to_bits()), Some(0.0f64.to_bits()));
+        for order in [[0.0, -0.0], [-0.0, 0.0]] {
+            let mut fed = Accumulator::new();
+            let mut merged = Accumulator::new();
+            for x in order {
+                fed.update(Some(x));
+                let mut part = Accumulator::new();
+                part.update(Some(x));
+                merged.merge(&part);
+            }
+            for acc in [&fed, &merged] {
+                assert_eq!(bits(acc, AggFunc::Min), neg, "{order:?}");
+                assert_eq!(bits(acc, AggFunc::Max), pos, "{order:?}");
+            }
+        }
+        // One zero is its own MIN and MAX; NaN still widens nothing.
+        for z in [0.0f64, -0.0] {
+            let mut a = Accumulator::new();
+            for x in [z, f64::NAN, z] {
+                a.update(Some(x));
+            }
+            assert_eq!(bits(&a, AggFunc::Min), Some(z.to_bits()));
+            assert_eq!(bits(&a, AggFunc::Max), Some(z.to_bits()));
+        }
+    }
+
+    #[test]
+    fn a_function_keeps_only_what_it_reads() {
+        let values = [2.5, -1.0, f64::NAN, 4.0];
+        let mut all = Accumulator::new();
+        for x in values {
+            all.update(Some(x));
+        }
+        all.update(None);
+        for func in AggFunc::ALL {
+            let mut own = Accumulator::new();
+            for x in values {
+                own.update_for(Some(x), func);
+            }
+            own.update_for(None, func);
+            let needs = Needs::of(func);
+            assert_eq!(own, all.project(needs), "{func}");
+            let bits = |a: &Accumulator| a.finish(func).map(f64::to_bits);
+            assert_eq!(bits(&own), bits(&all), "{func}");
+            assert_eq!(own.count, 4);
+            assert_eq!(own.sum.flags != 0, needs.sum, "{func}");
+            assert_eq!(own.min == f64::INFINITY, !needs.extremes, "{func}");
+        }
+        assert_eq!(all.project(Needs::ALL), all);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "did not keep its extremes")]
+    fn min_of_an_accumulator_without_extremes_fails_a_debug_assertion() {
+        let mut avg = Accumulator::new();
+        avg.update_for(Some(1.0), AggFunc::Avg);
+        avg.finish(AggFunc::Min);
     }
 
     #[test]

@@ -26,12 +26,20 @@
 //!   Stray codes spill to the hash map; non-categorical attributes and
 //!   oversized domains keep the hash path. Each batch resolves its
 //!   selected rows to accumulator slots **once**, then runs one tight loop
-//!   per aggregate over that vector and the measure's typed slice — for a
+//!   per measure over that vector and the measure's typed slice — for a
 //!   NULL-free float column, one integer add per value into the slot's
 //!   fixed-point lane ([`crate::agg`]), folded in before anything reads it.
 //!
+//! Aggregates over one measure share one accumulator **state** per group
+//! and side, which keeps only what their functions read ([`Needs`]): the
+//! exact sum for SUM and AVG, the extremes for MIN and MAX, the count for
+//! all. Every update path — lanes, their stray pass, the per-value path
+//! and the scalar mode — follows those needs, so both modes still build
+//! equal accumulators. A result hands each aggregate its state's
+//! accumulator projected on its own function's needs.
+//!
 //! A `TargetVsAll` split accumulates target and non-target rows into
-//! disjoint sides — one update per selected row and aggregate, not two —
+//! disjoint sides — one update per selected row and state, not two —
 //! and forms reference = target ⊕ non-target by exact merge when a result
 //! is produced.
 //!
@@ -40,7 +48,7 @@
 //! drains, and morsel-parallel execution — a property the equivalence test
 //! suites assert exactly.
 
-use crate::agg::{lane_powers, lane_term, lane_unit, Accumulator, LANE_BUDGET};
+use crate::agg::{lane_powers, lane_term, lane_unit, Accumulator, AggFunc, Needs, LANE_BUDGET};
 use crate::expr::BoundPredicate;
 use crate::groupkey::GroupKey;
 use crate::spec::{CombinedQuery, SplitSpec};
@@ -206,11 +214,11 @@ enum DenseIndex {
     },
 }
 
-/// Every group's key (in discovery order) and accumulators, flat:
-/// `accs[(group * 2 + side) * n_aggs + agg]`. Side 0 is the target; side 1
-/// the reference (or the non-target rest, see
-/// [`BoundSplit::reference_includes_target`]). `group * 2 + side` is a
-/// group-side **slot**.
+/// Every group's key (in discovery order) and accumulator states, flat:
+/// `accs[(group * 2 + side) * n_states + state]`, one state per distinct
+/// measure. Side 0 is the target; side 1 the reference (or the non-target
+/// rest, see [`BoundSplit::reference_includes_target`]). `group * 2 + side`
+/// is a group-side **slot**.
 ///
 /// Beside every accumulator sits its fixed-point **lane** (see
 /// [`crate::agg`]'s module docs): the vectorized path adds a NULL-free float
@@ -221,12 +229,12 @@ enum DenseIndex {
 /// index entries stay, their accumulators are reset and their row counts
 /// zeroed.
 struct Groups {
-    n_aggs: usize,
+    n_states: usize,
     keys: Vec<GroupKey>,
     accs: Vec<Accumulator>,
     /// One lane per accumulator, zero when folded.
     lanes: Vec<i128>,
-    /// Each aggregate's lane unit (`None`: no lanes).
+    /// Each state's lane unit (`None`: no lanes).
     lane_units: Vec<Option<u32>>,
     /// Upper bound on the values any lane absorbed since the last fold.
     lane_adds: u32,
@@ -244,8 +252,9 @@ impl Groups {
         self.keys.push(key);
         let slots = self.keys.len() * 2;
         self.rows.resize(slots, 0);
-        self.lanes.resize(slots * self.n_aggs, 0);
-        self.accs.resize_with(slots * self.n_aggs, Accumulator::new);
+        self.lanes.resize(slots * self.n_states, 0);
+        self.accs
+            .resize_with(slots * self.n_states, Accumulator::new);
         self.keys.len() - 1
     }
 
@@ -285,31 +294,34 @@ impl Groups {
         }
     }
 
-    /// Adds the `selected` values of a NULL-free float column to aggregate
-    /// `agg`'s lanes, one integer add per value, widening each accumulator's
-    /// `min`/`max` as it goes; a stray (see [`lane_term`]) goes to its
-    /// accumulator whole instead. Returns how many values the lanes took,
-    /// or `None` — nothing done — when the aggregate has no lanes (or there
-    /// is no group yet).
+    /// Adds the `selected` values of a NULL-free float column to state
+    /// `state`'s lanes, one integer add per value; a stray (see
+    /// [`lane_term`]) goes to its accumulator whole instead. With
+    /// `EXTREMES` — the state also serves MIN or MAX — each value is
+    /// compared with its accumulator's `min`/`max` as well, which are
+    /// stored only when it widens them; without, the loop touches no
+    /// accumulator. Returns how many values the lanes took, or `None` —
+    /// nothing done — when the state has no lanes (or there is no group
+    /// yet).
     #[inline(never)] // the lane loop wants the registers to itself
-    fn add_to_lanes(
+    fn add_to_lanes<const EXTREMES: bool>(
         &mut self,
-        agg: usize,
+        state: usize,
         values: &[f64],
         selected: &[(u32, u32)],
     ) -> Option<usize> {
-        let unit = self.lane_units[agg]?;
-        let (powers, n_aggs) = (lane_powers(unit), self.n_aggs);
+        let unit = self.lane_units[state]?;
+        let (powers, n_states) = (lane_powers(unit), self.n_states);
         let len = self.lanes.len().min(self.accs.len());
-        let (lanes, accs) = (self.lanes.get_mut(agg..len)?, &mut self.accs[agg..len]);
+        let (lanes, accs) = (self.lanes.get_mut(state..len)?, &mut self.accs[state..len]);
         let mut any_stray = 0;
         for &(row, slot) in selected {
             let x = values[row as usize];
             let (term, stray) = lane_term(x.to_bits(), powers);
             any_stray |= stray;
-            let i = slot as usize * n_aggs;
+            let i = slot as usize * n_states;
             lanes[i] += term;
-            if !(x >= accs[i].min && x <= accs[i].max) {
+            if EXTREMES && !(x > accs[i].min && x < accs[i].max) {
                 accs[i].widen(x);
             }
         }
@@ -320,8 +332,10 @@ impl Groups {
         for &(row, slot) in selected {
             let x = values[row as usize];
             if lane_term(x.to_bits(), powers).1 != 0 {
-                lanes[slot as usize * n_aggs] -= 1;
-                accs[slot as usize * n_aggs].update(Some(x));
+                let i = slot as usize * n_states;
+                lanes[i] -= 1;
+                // The loop above took its extremes; the sum needs the window.
+                accs[i].feed(Some(x), Needs::of(AggFunc::Sum));
                 strays += 1;
             }
         }
@@ -342,7 +356,13 @@ pub struct PartialAggregation {
     query: CombinedQuery,
     projection: Vec<ColumnId>,
     group_slots: Vec<usize>,
-    measure_slots: Vec<usize>,
+    /// One accumulator state per distinct measure, in first-seen order:
+    /// its projection slot and the union of its aggregates' needs.
+    states: Vec<(usize, Needs)>,
+    /// Each aggregate's state and own needs — `None` when every aggregate
+    /// has a state of its own, in list order, so a result hands the states
+    /// over as they are.
+    readers: Option<Vec<(usize, Needs)>>,
     filter: Option<BoundPredicate>,
     split: BoundSplit,
     mode: ExecMode,
@@ -394,11 +414,24 @@ impl PartialAggregation {
                 .expect("column present in projection by construction")
         };
         let group_slots: Vec<usize> = query.group_by.iter().map(|&c| slot_of(c)).collect();
-        let measure_slots: Vec<usize> = query
+        let mut states: Vec<(usize, Needs)> = Vec::new();
+        let readers: Vec<(usize, Needs)> = query
             .aggregates
             .iter()
-            .map(|a| slot_of(a.measure))
+            .map(|a| {
+                let (slot, needs) = (slot_of(a.measure), Needs::of(a.func));
+                let state = match states.iter().position(|&(s, _)| s == slot) {
+                    Some(state) => state,
+                    None => {
+                        states.push((slot, Needs::default()));
+                        states.len() - 1
+                    }
+                };
+                states[state].1 = states[state].1.union(needs);
+                (state, needs)
+            })
             .collect();
+        let readers = (readers.len() > states.len()).then_some(readers);
         let filter = query.filter.as_ref().map(|f| f.bind(&slot_of));
         let split = match &query.split {
             SplitSpec::TargetVsAll(p) => BoundSplit::TargetVsAll(p.bind(&slot_of)),
@@ -410,11 +443,11 @@ impl PartialAggregation {
         };
 
         let groups = Groups {
-            n_aggs: query.aggregates.len(),
+            n_states: states.len(),
             keys: Vec::new(),
             accs: Vec::new(),
             lanes: Vec::new(),
-            lane_units: vec![None; query.aggregates.len()],
+            lane_units: vec![None; states.len()],
             lane_adds: 0,
             rows: Vec::new(),
         };
@@ -422,7 +455,8 @@ impl PartialAggregation {
             query,
             projection,
             group_slots,
-            measure_slots,
+            states,
+            readers,
             filter,
             split,
             mode,
@@ -470,7 +504,7 @@ impl PartialAggregation {
 
     /// Row-at-a-time update through [`Table::scan_range`].
     fn update_scalar(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.groups.n_aggs;
+        let n_states = self.groups.n_states;
         let proj_width = self.projection.len();
         let start = range.start.min(table.num_rows());
         let end = range.end.min(table.num_rows());
@@ -479,7 +513,7 @@ impl PartialAggregation {
         let map = &mut self.map;
         let groups = &mut self.groups;
         let group_slots = &self.group_slots;
-        let measure_slots = &self.measure_slots;
+        let states = &self.states;
         let filter = &self.filter;
         let split = &self.split;
 
@@ -509,15 +543,15 @@ impl PartialAggregation {
             let group = groups.at_key(map, GroupKey::from_codes(&codes));
             groups.rows[group * 2] += u64::from(is_t);
             groups.rows[group * 2 + 1] += u64::from(is_r);
-            let first = group * 2 * n_aggs;
-            let (target, second) = groups.accs[first..first + 2 * n_aggs].split_at_mut(n_aggs);
-            for (agg, &slot) in measure_slots.iter().enumerate() {
+            let first = group * 2 * n_states;
+            let (target, second) = groups.accs[first..first + 2 * n_states].split_at_mut(n_states);
+            for (state, &(slot, needs)) in states.iter().enumerate() {
                 let v = cells[slot].as_f64();
                 if is_t {
-                    target[agg].update(v);
+                    target[state].feed(v, needs);
                 }
                 if is_r {
-                    second[agg].update(v);
+                    second[state].feed(v, needs);
                 }
             }
         });
@@ -527,7 +561,7 @@ impl PartialAggregation {
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
-        stats.accumulator_updates += side_rows * n_aggs as u64;
+        stats.accumulator_updates += side_rows * n_states as u64;
         stats.groups_max = stats.groups_max.max(self.groups.len() as u64);
     }
 
@@ -547,12 +581,14 @@ impl PartialAggregation {
         if !matches!(self.dense, DenseIndex::Undecided) {
             return;
         }
-        // Lanes span the binades under each measure's largest magnitude.
+        // Lanes span the binades under each measure's largest magnitude;
+        // a state that reads no sum has none.
         let units = self.groups.lane_units.iter_mut();
-        for (unit, aggregate) in units.zip(&self.query.aggregates) {
-            let stats = table.stats(aggregate.measure);
+        for (unit, &(slot, needs)) in units.zip(&self.states) {
+            let stats = table.stats(self.projection[slot]);
             let (low, high) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
-            *unit = lane_unit((low.abs().max(high.abs()).to_bits() >> 52) as u32);
+            let top = (low.abs().max(high.abs()).to_bits() >> 52) as u32;
+            *unit = lane_unit(top).filter(|_| needs.sum);
         }
         // The dense-vs-hash decision is the cost model's — the planner
         // calls the same function, so EXPLAIN can never disagree with what
@@ -599,10 +635,9 @@ impl PartialAggregation {
 
     /// Batched update through [`Table::scan_batches`]: per-batch selection
     /// bitmaps, one pass resolving every selected row to its group-side
-    /// slot, then one tight accumulation loop per aggregate over typed
-    /// slices.
+    /// slot, then one tight accumulation loop per state over typed slices.
     fn update_vectorized(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.groups.n_aggs;
+        let n_states = self.groups.n_states;
         let proj_width = self.projection.len();
         let start = range.start.min(table.num_rows());
         let end = range.end.min(table.num_rows());
@@ -614,7 +649,7 @@ impl PartialAggregation {
         let dense = &mut self.dense;
         let groups = &mut self.groups;
         let group_slots = &self.group_slots;
-        let measure_slots = &self.measure_slots;
+        let states = &self.states;
         let filter = &self.filter;
         let split = &self.split;
 
@@ -754,20 +789,26 @@ impl PartialAggregation {
                     groups.rows[slot as usize] += 1;
                 }
 
-                // One loop per aggregate: a dense `f64` column (the common
+                // One loop per state: a dense `f64` column (the common
                 // measure shape) streams into its lanes, one per slot;
                 // anything else feeds the accumulators a value at a time.
-                updates += (selected.len() * n_aggs) as u64;
-                for (agg, &slot) in measure_slots.iter().enumerate() {
+                updates += (selected.len() * n_states) as u64;
+                for (state, &(slot, needs)) in states.iter().enumerate() {
                     let col = batch.column(slot);
                     if let (BatchData::Float(values), None) = (col.data, col.validity) {
-                        if let Some(taken) = groups.add_to_lanes(agg, values, &selected) {
+                        let taken = if needs.extremes {
+                            groups.add_to_lanes::<true>(state, values, &selected)
+                        } else {
+                            groups.add_to_lanes::<false>(state, values, &selected)
+                        };
+                        if let Some(taken) = taken {
                             lane_updates += taken as u64;
                             continue;
                         }
                     }
                     for &(row, gs) in &selected {
-                        groups.accs[gs as usize * n_aggs + agg].update(col.value_f64(row as usize));
+                        let acc = &mut groups.accs[gs as usize * n_states + state];
+                        acc.feed(col.value_f64(row as usize), needs);
                     }
                 }
             },
@@ -850,7 +891,7 @@ impl PartialAggregation {
             self.groups.fold_lanes();
         }
         self.groups.lane_adds += std::mem::take(&mut other.groups.lane_adds);
-        let per_group = 2 * self.groups.n_aggs;
+        let per_group = 2 * self.groups.n_states;
         for group in 0..other.groups.len() {
             if !other.groups.reached(group) {
                 continue;
@@ -887,7 +928,8 @@ impl PartialAggregation {
     /// empties it: accumulators reset, row counters zeroed. Group keys, the
     /// group index and the bound predicates stay, so the next range pays no
     /// set-up and no group re-discovery; a group no later row reaches is
-    /// simply not visited again. The visitor may move accumulators out.
+    /// simply not visited again. The visitor gets one accumulator per
+    /// aggregate, in query order, and may move them out.
     pub fn drain(
         &mut self,
         mut visit: impl FnMut(&GroupKey, &mut [Accumulator], &mut [Accumulator]),
@@ -895,27 +937,38 @@ impl PartialAggregation {
         self.rows_consumed = 0;
         self.target_rows = 0;
         let reference_includes_target = self.split.reference_includes_target();
-        let n_aggs = self.groups.n_aggs;
+        let n_states = self.groups.n_states;
         self.groups.fold_lanes();
+        let (mut shared_target, mut shared_reference) = (Vec::new(), Vec::new());
         for group in 0..self.groups.len() {
             if !self.groups.reached(group) {
                 continue;
             }
             self.groups.rows[group * 2..][..2].fill(0);
-            let sides = &mut self.groups.accs[group * 2 * n_aggs..][..2 * n_aggs];
-            let (target, reference) = sides.split_at_mut(n_aggs);
+            let sides = &mut self.groups.accs[group * 2 * n_states..][..2 * n_states];
+            let (target, reference) = sides.split_at_mut(n_states);
             if reference_includes_target {
                 for (r, t) in reference.iter_mut().zip(target.iter()) {
                     r.merge(t);
                 }
             }
-            visit(&self.groups.keys[group], target, reference);
+            let key = &self.groups.keys[group];
+            match &self.readers {
+                None => visit(key, target, reference),
+                Some(readers) => {
+                    shared_target.clear();
+                    shared_target.extend(per_aggregate(readers, target));
+                    shared_reference.clear();
+                    shared_reference.extend(per_aggregate(readers, reference));
+                    visit(key, &mut shared_target, &mut shared_reference);
+                }
+            }
             sides.iter_mut().for_each(Accumulator::reset);
         }
     }
 
     /// [`PartialAggregation::drain`] into a sorted [`GroupedResult`]: the
-    /// accumulators move, nothing is cloned.
+    /// accumulators move; only aggregates that share a state get copies.
     pub fn drain_result(&mut self) -> GroupedResult {
         let mut groups = Vec::with_capacity(self.touched_groups());
         self.drain(|key, target, reference| {
@@ -942,22 +995,26 @@ impl PartialAggregation {
     /// [`GroupedResult`], leaving the aggregation untouched (for callers
     /// that keep feeding it ranges).
     pub fn snapshot(&self) -> GroupedResult {
-        let n_aggs = self.groups.n_aggs;
+        let n_states = self.groups.n_states;
         let groups: Vec<GroupEntry> = (0..self.groups.len())
             .filter(|&group| self.groups.reached(group))
             .map(|group| {
-                let sides = group * 2 * n_aggs..(group + 1) * 2 * n_aggs;
+                let sides = group * 2 * n_states..(group + 1) * 2 * n_states;
                 let mut target = self.groups.accs[sides.clone()].to_vec();
                 fold_lanes(
                     &self.groups.lanes[sides],
                     &self.groups.lane_units,
                     &mut target,
                 );
-                let mut reference = target.split_off(n_aggs);
+                let mut reference = target.split_off(n_states);
                 if self.split.reference_includes_target() {
                     for (r, t) in reference.iter_mut().zip(&target) {
                         r.merge(t);
                     }
+                }
+                if let Some(readers) = &self.readers {
+                    target = per_aggregate(readers, &target).collect();
+                    reference = per_aggregate(readers, &reference).collect();
                 }
                 GroupEntry {
                     key: self.groups.keys[group].clone(),
@@ -973,6 +1030,18 @@ impl PartialAggregation {
     pub fn finalize(mut self) -> GroupedResult {
         self.drain_result()
     }
+}
+
+/// Each aggregate's accumulator out of one group-side's `states`: its
+/// state's, keeping only what the aggregate's own function reads — what a
+/// query of that aggregate alone would have built.
+fn per_aggregate<'a>(
+    readers: &'a [(usize, Needs)],
+    states: &'a [Accumulator],
+) -> impl Iterator<Item = Accumulator> + 'a {
+    readers
+        .iter()
+        .map(|&(state, needs)| states[state].project(needs))
 }
 
 /// Calls `body(row, on_side_0, on_side_1)` for every row selected on
@@ -1018,7 +1087,6 @@ pub fn execute_combined_with_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggFunc;
     use crate::expr::Predicate;
     use crate::spec::AggSpec;
     use seedb_storage::{
@@ -1525,16 +1593,22 @@ mod tests {
     }
 
     #[test]
-    fn a_group_side_slot_costs_a_lane_per_aggregate_and_a_row_count() {
+    fn a_group_side_slot_costs_a_lane_per_measure_and_a_row_count() {
         // What a live aggregation allocates per group-side slot: an
-        // accumulator (≤ 80 B) and a lane (16 B) per aggregate, and one row
-        // count (8 B) — whichever index found the groups.
+        // accumulator (≤ 80 B) and a lane (16 B) per measure, however many
+        // aggregates read it, and one row count (8 B) — whichever index
+        // found the groups.
         let t = census_mini(StoreKind::Column);
+        let gain = |func| AggSpec::new(func, ColumnId(2));
         for (group_by, n_groups) in [(vec![ColumnId(0)], 2), (vec![ColumnId(0), ColumnId(1)], 4)] {
-            for n_aggs in [1, 8] {
+            for aggregates in [
+                vec![gain(AggFunc::Avg)],
+                vec![gain(AggFunc::Avg); 8],
+                AggFunc::ALL.map(gain).to_vec(),
+            ] {
                 let q = CombinedQuery {
                     group_by: group_by.clone(),
-                    aggregates: vec![AggSpec::new(AggFunc::Avg, ColumnId(2)); n_aggs],
+                    aggregates,
                     filter: None,
                     split: SplitSpec::TargetVsAll(unmarried(t.as_ref())),
                 };
@@ -1544,14 +1618,90 @@ mod tests {
                     let (groups, slots) = (&agg.groups, 2 * n_groups);
                     assert_eq!(groups.len(), n_groups);
                     assert_eq!(groups.rows.len(), slots);
-                    assert_eq!(groups.accs.len(), slots * n_aggs);
-                    assert_eq!(groups.lanes.len(), slots * n_aggs);
+                    assert_eq!(groups.accs.len(), slots);
+                    assert_eq!(groups.lanes.len(), slots);
                     let bytes = std::mem::size_of_val(&groups.accs[..])
                         + std::mem::size_of_val(&groups.lanes[..])
                         + std::mem::size_of_val(&groups.rows[..]);
-                    assert!(bytes <= slots * (n_aggs * (80 + 16) + 8), "{bytes}");
+                    assert!(bytes <= slots * (80 + 16 + 8), "{bytes}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn count_sum_and_avg_of_one_measure_make_one_lane_add_per_row() {
+        let t = census_mini(StoreKind::Column);
+        let q = CombinedQuery {
+            group_by: vec![ColumnId(0)],
+            aggregates: [AggFunc::Count, AggFunc::Sum, AggFunc::Avg]
+                .map(|f| AggSpec::new(f, ColumnId(2)))
+                .to_vec(),
+            filter: None,
+            split: SplitSpec::TargetVsAll(unmarried(t.as_ref())),
+        };
+        let mut stats = ExecStats::default();
+        let result = execute_combined(t.as_ref(), &q, &mut stats);
+        // Six rows, one side each, one shared state: six lane adds, not 18.
+        assert_eq!(
+            (stats.accumulator_updates, stats.fixed_lane_updates),
+            (6, 6)
+        );
+        assert_eq!(result.value_vectors(0), (vec![2.0, 1.0], vec![3.0, 3.0]));
+        assert_eq!(
+            result.value_vectors(1),
+            (vec![1020.0, 480.0], vec![1320.0, 1840.0])
+        );
+        assert_eq!(result.value_vectors(2).0, vec![510.0, 480.0]);
+    }
+
+    #[test]
+    fn an_avg_scan_never_touches_the_extremes() {
+        // `m` is NULL-free with strays (`-0.0`, and 1e-30 far under the
+        // lanes' binades), `p` has NULLs, `n` is an integer: the lane loop,
+        // its stray pass and the per-value path, in both modes.
+        let mut b = TableBuilder::new(vec![
+            ColumnDef::dim("d"),
+            ColumnDef::measure("m"),
+            ColumnDef::measure("p"),
+            ColumnDef::new("n", ColumnType::Int64, ColumnRole::Measure),
+        ]);
+        for (i, m) in [1.5, -0.0, 1e-30, 2.0, -3.0, 0.0].into_iter().enumerate() {
+            let p = if i % 2 == 0 {
+                Value::Null
+            } else {
+                Value::Float(m)
+            };
+            let d = Value::str(["x", "y"][i % 2]);
+            b.push_row(&[d, Value::Float(m), p, Value::Int(i as i64 - 2)])
+                .unwrap();
+        }
+        let t = b.build(StoreKind::Column).unwrap();
+        let q = CombinedQuery {
+            group_by: vec![ColumnId(0)],
+            aggregates: (1..4)
+                .map(|m| AggSpec::new(AggFunc::Avg, ColumnId(m)))
+                .collect(),
+            filter: None,
+            split: SplitSpec::TargetVsAll(Predicate::col_eq_str(t.as_ref(), "d", "x")),
+        };
+        let untouched =
+            |acc: &Accumulator| acc.min == f64::INFINITY && acc.max == f64::NEG_INFINITY;
+        for mode in crate::ExecMode::ALL {
+            let mut agg = PartialAggregation::with_mode(q.clone(), mode);
+            let mut stats = ExecStats::default();
+            agg.update(t.as_ref(), 0..6, &mut stats);
+            if mode == crate::ExecMode::Vectorized {
+                assert!(stats.fixed_lane_updates > 0, "the lanes ran");
+            }
+            assert!(agg.groups.accs.iter().all(untouched), "{mode}");
+            let result = agg.finalize();
+            assert!(result.groups.iter().all(|g| g.target.iter().all(untouched)));
+            assert!(result
+                .groups
+                .iter()
+                .all(|g| g.reference.iter().all(untouched)));
+            assert_eq!(result.value_vectors(2).1, vec![0.0, 1.0]);
         }
     }
 

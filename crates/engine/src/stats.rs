@@ -30,9 +30,11 @@ pub struct ExecStats {
     /// cost proxy.
     pub cells_visited: u64,
     /// Accumulator updates performed: one per selected row (per side it
-    /// feeds) and aggregate of the executing query. `SHARING` over a packed
-    /// cluster pays `rows × distinct aggregates` here, not `rows × views` —
-    /// the quantity §4.1's combining exists to shrink.
+    /// feeds) and distinct measure of the executing query — the aggregates
+    /// over one measure share one accumulator state. `SHARING` over a
+    /// packed cluster pays `rows × distinct measures` here, not
+    /// `rows × views` — the quantity §4.1's combining exists to shrink —
+    /// and COUNT, SUM and AVG of a measure cost what AVG alone does.
     pub accumulator_updates: u64,
     /// Of those, the updates that were one integer add into a fixed-point
     /// lane (see [`crate::agg`]); the rest went through

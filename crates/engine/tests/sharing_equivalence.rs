@@ -10,12 +10,16 @@
 //! 6. 1–3 hold bit for bit against the serial scalar engine when a measure
 //!    changes magnitude mid-scan (the vectorized path's fixed-point lanes
 //!    stray, fold and are placed again) and only one of two measures has
-//!    NULLs.
+//!    NULLs,
+//! 7. every function over one measure, sharing one accumulator state, is
+//!    bit for bit what a query of that function alone computes — in both
+//!    modes, on one and four workers, drained range after range.
 
 use proptest::prelude::*;
 use seedb_engine::{
-    execute_combined, execute_combined_with_mode, rollup, AggFunc, AggSpec, CombinedQuery,
-    ExecMode, ExecStats, GroupedResult, PartialAggregation, Predicate, SplitSpec,
+    execute_combined, execute_combined_with_mode, rollup, with_pool, AggFunc, AggSpec, CancelToken,
+    CombinedQuery, ExecMode, ExecStats, GroupedResult, PartialAggregation, Predicate, ScanSession,
+    ScanShape, SplitSpec, TraceCtx,
 };
 use seedb_storage::{
     BoxedTable, ColumnDef, ColumnId, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -304,6 +308,78 @@ proptest! {
                     prop_assert_eq!(&r.target[i], &d.target[0], "dim {} agg {} target", dim, i);
                     prop_assert_eq!(&r.reference[i], &d.reference[0], "dim {} agg {} reference", dim, i);
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One cluster computing COUNT, SUM, AVG, MIN and MAX of `m` (NULL-free:
+    /// lanes, with strays at the magnitude jump) and of `p` (NULL-able: one
+    /// value at a time) keeps one state per measure, and hands each
+    /// aggregate exactly the accumulator — and the `finish` bits — of a
+    /// query of that aggregate alone. All eleven queries run in one scan
+    /// session, range by range, so the phased drains, both modes and both
+    /// worker counts see the same cuts.
+    #[test]
+    fn one_state_per_measure_serves_every_function_bit_for_bit(
+        rows in 1usize..3000,
+        jump in 0usize..3000,
+        tiny in prop_oneof![Just(1.0), Just(1e-30)],
+        seed in any::<u64>(),
+        cuts in prop::collection::vec(0usize..3000, 0..4),
+    ) {
+        let t = jumping_table(rows, jump, tiny, seed, StoreKind::Column);
+        let split = SplitSpec::TargetVsAll(target_pred(t.as_ref()));
+        let aggregates: Vec<AggSpec> = [ColumnId(3), ColumnId(4)]
+            .into_iter()
+            .flat_map(|m| AggFunc::ALL.map(|f| AggSpec::new(f, m)))
+            .collect();
+        let mut queries = vec![CombinedQuery {
+            group_by: vec![ColumnId(0)],
+            aggregates: aggregates.clone(),
+            filter: None,
+            split: split.clone(),
+        }];
+        queries.extend(aggregates.iter().map(|&a| CombinedQuery::single(ColumnId(0), a, split.clone())));
+        let mut edges: Vec<usize> = cuts.iter().map(|c| c % (rows + 1)).collect();
+        edges.extend([0, rows]);
+        edges.sort_unstable();
+        for mode in ExecMode::ALL {
+            for threads in [1usize, 4] {
+                with_pool(threads, |pool| {
+                    let mut session = ScanSession::new(
+                        pool,
+                        t.as_ref(),
+                        ScanShape::new(mode, 256),
+                        &CancelToken::none(),
+                        &TraceCtx::disabled(),
+                    );
+                    for edge in edges.windows(2) {
+                        let results = session
+                            .scan(&queries, edge[0]..edge[1], |_, partial| partial.drain_result())
+                            .expect("no deadline");
+                        let (shared, shared_stats) = &results[0];
+                        // Two states: one update per selected row, side and measure.
+                        let (_, alone_stats) = &results[1];
+                        prop_assert_eq!(shared_stats.accumulator_updates, 2 * alone_stats.accumulator_updates);
+                        for (i, spec) in aggregates.iter().enumerate() {
+                            let alone = &results[1 + i].0;
+                            let label = format!("{mode} threads={threads} {}({}) over {edge:?}", spec.func, spec.measure.0);
+                            prop_assert_eq!(shared.num_groups(), alone.num_groups(), "{}", label);
+                            for (g, a) in shared.groups.iter().zip(&alone.groups) {
+                                prop_assert_eq!(&g.key, &a.key, "{}", label);
+                                prop_assert_eq!(&g.target[i], &a.target[0], "{} target", label);
+                                prop_assert_eq!(&g.reference[i], &a.reference[0], "{} reference", label);
+                                let bits = |acc: &seedb_engine::Accumulator| acc.finish(spec.func).map(f64::to_bits);
+                                prop_assert_eq!(bits(&g.target[i]), bits(&a.target[0]), "{} target bits", label);
+                                prop_assert_eq!(bits(&g.reference[i]), bits(&a.reference[0]), "{} reference bits", label);
+                            }
+                        }
+                    }
+                });
             }
         }
     }

@@ -9,7 +9,9 @@
 //! mixed-radix index, *and* the hash fallback), arbitrary phase
 //! partitions, and every `(worker count, morsel size)` combination, every
 //! accumulator — count, sum, min, max — must be identical under `==`
-//! (which for sums compares the correctly-rounded exact value). A
+//! (which for sums compares the correctly-rounded exact value), and the
+//! one-shot and morsel properties also compare every aggregate's
+//! `finish` bits, which tell `-0.0` from `0.0` where `==` does not. A
 //! [`ScanSession`] that drains one set of worker partials range after range
 //! must hand back, for every range, what a fresh scalar run of that range
 //! computes.
@@ -23,9 +25,9 @@
 
 use proptest::prelude::*;
 use seedb_engine::{
-    execute_morsels, with_pool, AggFunc, AggSpec, CancelToken, CmpOp, CombinedQuery, ExecMode,
-    ExecStats, GroupedResult, PartialAggregation, Predicate, ScanSession, ScanShape, SplitSpec,
-    TraceCtx,
+    execute_morsels, with_pool, Accumulator, AggFunc, AggSpec, CancelToken, CmpOp, CombinedQuery,
+    ExecMode, ExecStats, GroupedResult, PartialAggregation, Predicate, ScanSession, ScanShape,
+    SplitSpec, TraceCtx,
 };
 use seedb_storage::{
     BoxedTable, ColumnDef, ColumnId, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -46,7 +48,13 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             prop::option::of(0u8..5),
             0u8..3,
             prop::option::of(any::<bool>()),
-            prop::option::of(-100.0f64..100.0),
+            // Both zeros too: MIN and MAX must order them the same way
+            // whichever partial saw which first.
+            prop::option::of(prop_oneof![
+                8 => -100.0f64..100.0,
+                1 => Just(0.0),
+                1 => Just(-0.0),
+            ]),
             prop::option::of(-50i64..50),
         ),
         1..250,
@@ -209,6 +217,27 @@ macro_rules! prop_assert_identical {
     }};
 }
 
+/// [`prop_assert_identical`] plus equal `finish` bits for every aggregate
+/// of every group: `==` compares `min`/`max` as numbers, under which `-0.0`
+/// equals `0.0`.
+macro_rules! prop_assert_bit_identical {
+    ($a:expr, $b:expr, $label:expr) => {{
+        let (a, b) = (&$a, &$b);
+        prop_assert_identical!(a, b, $label);
+        for (ga, gb) in a.groups.iter().zip(&b.groups) {
+            for (i, spec) in a.aggregates.iter().enumerate() {
+                let bits = |acc: &Accumulator| acc.finish(spec.func).map(f64::to_bits);
+                for (side, x, y) in [
+                    ("target", &ga.target[i], &gb.target[i]),
+                    ("reference", &ga.reference[i], &gb.reference[i]),
+                ] {
+                    prop_assert_eq!(bits(x), bits(y), "{}: {} {} bits", $label, spec.func, side);
+                }
+            }
+        }
+    }};
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -219,7 +248,7 @@ proptest! {
             let t = build(&ds, kind);
             let scalar = run(&t, &query, ExecMode::Scalar, 1);
             let vectorized = run(&t, &query, ExecMode::Vectorized, 1);
-            prop_assert_identical!(scalar, vectorized, format!("{kind}"));
+            prop_assert_bit_identical!(scalar, vectorized, format!("{kind}"));
         }
     }
 
@@ -294,7 +323,7 @@ proptest! {
                     } else {
                         prop_assert!(stats.rows_scanned < t.num_rows() as u64);
                     }
-                    prop_assert_identical!(
+                    prop_assert_bit_identical!(
                         serial,
                         *morsel_result,
                         format!("{kind} threads={threads} morsel={morsel_rows}")
@@ -783,5 +812,97 @@ fn composite_fast_path_and_fallbacks_agree_with_scalar() {
                 assert_eq!(ga.reference, gb.reference, "{phases} phases");
             }
         }
+    }
+}
+
+/// MIN and MAX over both zeros are `-0.0` and `+0.0`, bit for bit, however
+/// the rows are cut into morsels and whichever worker's partial saw which
+/// zero first: with one-row morsels on four workers, partials merge in
+/// every order. `m` is NULL-free and also summed, so its extremes are
+/// widened in the lane loop (`-0.0` is a stray there, `+0.0` a lane term);
+/// `p` has NULLs and goes one value at a time.
+#[test]
+fn extremes_of_signed_zeros_are_bit_identical_across_morsel_shapes() {
+    // Group z0 sees +0 before -0, z1 the reverse, z2 only +0 and z3 only
+    // -0; group x holds the ordinary values that place the lanes.
+    let mut b = TableBuilder::new(vec![
+        ColumnDef::dim("g"),
+        ColumnDef::new("m", ColumnType::Float64, ColumnRole::Measure),
+        ColumnDef::new("p", ColumnType::Float64, ColumnRole::Measure),
+    ]);
+    let zeros = |group: usize, i: usize| match group {
+        0 => [0.0, -0.0][usize::from(i >= 20)],
+        1 => [-0.0, 0.0][usize::from(i >= 20)],
+        2 => 0.0,
+        _ => -0.0,
+    };
+    for i in 0..40 {
+        for group in 0..4 {
+            let z = zeros(group, i);
+            let p = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Float(z)
+            };
+            b.push_row(&[Value::str(format!("z{group}")), Value::Float(z), p])
+                .unwrap();
+        }
+        let x = i as f64 - 19.5;
+        b.push_row(&[Value::str("x"), Value::Float(x), Value::Float(x)])
+            .unwrap();
+    }
+    let t = b.build(StoreKind::Column).unwrap();
+    let query = CombinedQuery {
+        group_by: vec![ColumnId(0)],
+        aggregates: vec![
+            AggSpec::new(AggFunc::Sum, ColumnId(1)),
+            AggSpec::new(AggFunc::Min, ColumnId(1)),
+            AggSpec::new(AggFunc::Max, ColumnId(1)),
+            AggSpec::new(AggFunc::Min, ColumnId(2)),
+            AggSpec::new(AggFunc::Max, ColumnId(2)),
+        ],
+        filter: None,
+        split: SplitSpec::TargetOnly(Predicate::True),
+    };
+    let (neg, pos) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+    // (MIN, MAX) bits of z0 ..= z3, groups in first-seen order.
+    let want = [(neg, pos), (neg, pos), (pos, pos), (neg, neg)];
+    let check = |result: &GroupedResult, label: &str| {
+        for (group, &(min, max)) in want.iter().enumerate() {
+            let target = &result.groups[group].target;
+            for (agg, func, bits) in [
+                (1, AggFunc::Min, min),
+                (2, AggFunc::Max, max),
+                (3, AggFunc::Min, min),
+                (4, AggFunc::Max, max),
+            ] {
+                let got = target[agg].finish(func).map(f64::to_bits);
+                assert_eq!(
+                    got,
+                    Some(bits),
+                    "{label}: z{group} {func} (aggregate {agg})"
+                );
+            }
+        }
+    };
+    for mode in ExecMode::ALL {
+        check(&run(&t, &query, mode, 1), &format!("{mode} one-shot"));
+    }
+    for threads in [1usize, 4] {
+        with_pool(threads, |pool| {
+            for morsel_rows in [1usize, 7, 64] {
+                let (result, _) = execute_morsels(
+                    pool,
+                    t.as_ref(),
+                    std::slice::from_ref(&query),
+                    0..t.num_rows(),
+                    ScanShape::new(ExecMode::Vectorized, morsel_rows),
+                    &CancelToken::none(),
+                )
+                .pop()
+                .expect("one query in, one result out");
+                check(&result, &format!("threads={threads} morsel={morsel_rows}"));
+            }
+        });
     }
 }
