@@ -828,8 +828,8 @@ fn server_cache(runs: usize, scale: usize) -> Vec<Json> {
             post(body);
         });
         // Partial reuse: a different k over the same predicate reuses
-        // this sweep's per-view partials — exact full-table results
-        // under SHARING (overlap_first), phase prefixes
+        // this sweep's per-view partials — one-phase entries replayed
+        // whole under SHARING (overlap_first), per-phase prefixes
         // replayed/resumed under the pruned default
         // (pruned_resume_first). Measured before the next sweep's cold
         // loop clears the cache, while its own deposits are resident;

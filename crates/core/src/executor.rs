@@ -25,23 +25,23 @@
 //! which leaves two serial full-table queries per view — exactly the
 //! paper's basic execution engine (2·f·a·m queries).
 //!
-//! A run seeded from a cross-request cache ([`crate::cache`]) takes each
-//! cached view in one of two ways. A configuration that never prunes takes
-//! it whole: the view sits every phase out. A pruned one replays the cached
-//! phases without scanning and resumes the scan where they end, so the
-//! pruner sees the estimates an unseeded run would.
+//! A run seeded from a cross-request cache ([`crate::cache`]) replays each
+//! cached view's phases without scanning and resumes the scan where they
+//! end, so the pruner sees the estimates an unseeded run would. A run with
+//! a cache attached also keeps every view's groups of each phase it took
+//! part in — what it folded into the view's state — for the cache.
 
 use crate::cache::CachedPartial;
 use crate::config::SeeDbConfig;
 use crate::phase::phase_ranges;
-use crate::plan::{build_clusters, shape, Cluster, Member, PhysicalPlan};
+use crate::plan::{build_clusters, phase_count, shape, Cluster, Member, PhysicalPlan};
 use crate::pruning::{make_pruner, Pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
 use crate::state::{Side, ViewGroups, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
-    with_pool, CancelToken, CombinedQuery, ExecStats, GroupedResult, PartialAggregation, Predicate,
-    ScanSession, SplitSpec, TraceCtx,
+    with_pool, CancelToken, CombinedQuery, ExecStats, PartialAggregation, Predicate, ScanSession,
+    SplitSpec, TraceCtx,
 };
 use seedb_storage::Table;
 use std::sync::Arc;
@@ -72,11 +72,11 @@ pub struct ExecutionReport {
     pub total_phases: usize,
     /// Per-view count of phases answered by scanning (vs seed replay).
     pub scanned_phases: Vec<usize>,
-    /// Per-view, per-phase combined deltas over exactly the phases each
-    /// view took part in (view-id indexed; replayed phases share the
-    /// seed's `Arc`s). Captured only by a seeded run of a pruned
-    /// configuration — what the cache keeps of it; empty otherwise.
-    pub deltas: Vec<Vec<Arc<GroupedResult>>>,
+    /// Per-view groups of each phase the view took part in, in phase
+    /// order (view-id indexed; replayed phases share the seed's `Arc`s).
+    /// Captured only by a run with a cache — what the cache keeps of it;
+    /// empty otherwise.
+    pub deltas: Vec<Vec<Arc<ViewGroups>>>,
 }
 
 impl ExecutionReport {
@@ -198,11 +198,11 @@ impl<'a> Executor<'a> {
 
     /// Runs the configured strategy over `views`, seeded from `seeds`
     /// (view-id indexed; empty for a run without a cache — which then
-    /// captures nothing). See the module docs for how a seed is taken.
+    /// captures nothing). See the module docs for how a seed is replayed.
     ///
-    /// A [`PhysicalPlan`] is derived first over the views that take part
-    /// (stats-driven worker count, morsel size, and index choice, with
-    /// `Knob::Fixed` overrides honored), then a single scoped worker pool
+    /// A [`PhysicalPlan`] is derived first (stats-driven worker count,
+    /// morsel size, and index choice, with `Knob::Fixed` overrides
+    /// honored), then a single scoped worker pool
     /// ([`with_pool`]) lives for the whole run: every phase's `(cluster,
     /// morsel)` work items execute on the same workers instead of spawning
     /// fresh threads per phase. Empty tail ranges (`phases > rows`) are
@@ -237,38 +237,30 @@ impl<'a> Executor<'a> {
         let shape = shape(self.config);
         // Only non-empty ranges are phases: an empty range would advance
         // the pruner's sample count m — tightening the Hoeffding–Serfling
-        // interval — without contributing a single row of evidence.
-        let ranges: Vec<std::ops::Range<usize>> = phase_ranges(self.table.num_rows(), shape.phases)
-            .into_iter()
-            .filter(|r| !r.is_empty())
-            .collect();
-        let total_phases = ranges.len();
+        // interval — without contributing a single row of evidence. Empty
+        // ranges only ever trail the non-empty ones.
+        let total_phases = phase_count(self.table, self.config);
+        let mut ranges = phase_ranges(self.table.num_rows(), shape.phases);
+        ranges.truncate(total_phases);
         let k = self.config.k;
         let metric = self.config.metric;
         let ref_pred = reference.reference_predicate(target);
 
-        // A configuration that never prunes takes a seed whole; a pruned
-        // one replays it phase by phase (see the module docs), and only its
-        // per-phase deltas are worth keeping for the cache.
-        let whole = self.config.exact_per_view();
-        let capture = !seeds.is_empty() && !whole;
+        let capture = !seeds.is_empty();
         let mut states: Vec<ViewState> = views
             .iter()
             .map(|v| ViewState::for_table(*v, self.table))
             .collect();
-        // The views taking part in the phases, and the phase each resumes
-        // scanning at (after replaying its seed's prefix).
-        let mut runs: Vec<ViewId> = Vec::with_capacity(views.len());
-        let mut resume_phase = vec![0; views.len()];
-        for (i, state) in states.iter_mut().enumerate() {
-            match seeds.get(i).and_then(Option::as_ref) {
-                Some(seed) if whole => state.merge_both(&seed.deltas[0], 0),
-                seed => {
-                    resume_phase[i] = seed.map_or(0, |p| p.phases_done());
-                    runs.push(i);
-                }
-            }
-        }
+        // The phase each view resumes scanning at, after replaying its
+        // seed's prefix.
+        let resume_phase: Vec<usize> = (0..views.len())
+            .map(|i| {
+                seeds
+                    .get(i)
+                    .and_then(Option::as_ref)
+                    .map_or(0, |p| p.phases_done())
+            })
+            .collect();
         let mut report = ExecutionReport {
             states: Vec::new(),
             stats: ExecStats::new(),
@@ -280,14 +272,8 @@ impl<'a> Executor<'a> {
             scanned_phases: vec![0; views.len()],
             deltas: vec![Vec::new(); if capture { views.len() } else { 0 }],
         };
-        // Every view came whole from the cache: nothing to plan or scan.
-        if runs.is_empty() {
-            report.states = states;
-            return report;
-        }
 
-        let run_views: Vec<ViewSpec> = runs.iter().map(|&i| views[i]).collect();
-        let plan = PhysicalPlan::derive(self.table, self.config, &run_views, target, reference);
+        let plan = PhysicalPlan::derive(self.table, self.config, views, target, reference);
         report.stats.plan_summary = plan.summary();
         let queries_per_cluster = if shape.sharing.combine_target_reference {
             1
@@ -312,12 +298,10 @@ impl<'a> Executor<'a> {
                     break;
                 }
                 let phase_start = Instant::now();
-                // Scan for the participating views whose seed does not
-                // cover this phase (all of them, in an unseeded run), and
-                // replay the cached delta of the others.
-                let (scanning, replaying): (Vec<ViewId>, Vec<ViewId>) = runs
-                    .iter()
-                    .copied()
+                // Scan for the live views whose seed does not cover this
+                // phase (all of them, in an unseeded run), and replay the
+                // cached delta of the others.
+                let (scanning, replaying): (Vec<ViewId>, Vec<ViewId>) = (0..views.len())
                     .filter(|&i| states[i].alive || states[i].accepted)
                     .partition(|&i| phase_idx >= resume_phase[i]);
                 if scanning.is_empty() && replaying.is_empty() {
@@ -325,10 +309,10 @@ impl<'a> Executor<'a> {
                 }
                 for i in replaying {
                     let seed = seeds[i].as_ref().expect("resume_phase implies a seed");
-                    let delta = seed.deltas[phase_idx].clone();
-                    states[i].merge_both(&delta, 0);
+                    let delta = &seed.deltas[phase_idx];
+                    states[i].merge_groups(delta);
                     if capture {
-                        report.deltas[i].push(delta);
+                        report.deltas[i].push(delta.clone());
                     }
                 }
                 let PhaseQueries {
@@ -395,7 +379,7 @@ impl<'a> Executor<'a> {
                     report.scanned_phases[id] += 1;
                     if capture {
                         let delta = phase_groups[id].take().unwrap_or_default();
-                        report.deltas[id].push(Arc::new(delta.into_combined_result(&views[id])));
+                        report.deltas[id].push(Arc::new(delta));
                     }
                 }
 
@@ -415,8 +399,7 @@ impl<'a> Executor<'a> {
 
                 // Utility estimates for live, unaccepted views.
                 let mut estimates = Vec::new();
-                for &i in &runs {
-                    let state = &mut states[i];
+                for state in states.iter_mut() {
                     if state.alive && !state.accepted {
                         let _ = state.record_estimate(metric);
                         estimates.push(ViewEstimate {
@@ -942,15 +925,10 @@ mod tests {
         )
     }
 
-    fn assert_same_deltas(a: &[Arc<GroupedResult>], b: &[Arc<GroupedResult>], label: &str) {
+    fn assert_same_deltas(a: &[Arc<ViewGroups>], b: &[Arc<ViewGroups>], label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: phases captured");
         for (phase, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.num_groups(), y.num_groups(), "{label} phase {phase}");
-            for (gx, gy) in x.groups.iter().zip(&y.groups) {
-                assert_eq!(gx.key, gy.key, "{label} phase {phase}");
-                assert_eq!(gx.target, gy.target, "{label} phase {phase}");
-                assert_eq!(gx.reference, gy.reference, "{label} phase {phase}");
-            }
+            assert_eq!(x, y, "{label} phase {phase}");
         }
     }
 

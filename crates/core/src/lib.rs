@@ -60,7 +60,7 @@ pub mod signature;
 pub mod state;
 pub mod view;
 
-pub use cache::{CacheUse, CachedPartial, Exactness, MemoryViewCache, ViewCache};
+pub use cache::{CacheUse, CachedPartial, MemoryViewCache, ViewCache};
 pub use config::{
     ExecutionStrategy, GroupingPolicy, Knob, PruningKind, SeeDbConfig, SharingConfig,
 };

@@ -23,6 +23,7 @@
 //! *results*.
 
 use crate::config::{ExecutionStrategy, GroupingPolicy, PruningKind, SeeDbConfig, SharingConfig};
+use crate::phase::effective_phases;
 use crate::reference::ReferenceSpec;
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
@@ -178,6 +179,14 @@ pub(crate) fn shape(config: &SeeDbConfig) -> Shape {
         early,
         sharing,
     }
+}
+
+/// The phases a run of `config` over `table` executes: the non-empty
+/// ranges of its strategy's partition. The executor loops over exactly
+/// these, and every cache key carries the count, so a cached prefix is
+/// only ever replayed under the partition it was computed in.
+pub(crate) fn phase_count(table: &dyn Table, config: &SeeDbConfig) -> usize {
+    effective_phases(table.num_rows(), shape(config).phases)
 }
 
 /// The execution shape chosen for one run. See the module docs for how it

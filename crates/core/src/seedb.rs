@@ -9,8 +9,7 @@ use crate::cache::{CacheUse, CachedPartial, ViewCache};
 use crate::config::SeeDbConfig;
 use crate::error::CoreError;
 use crate::executor::{ExecutionReport, Executor};
-use crate::phase::effective_phases;
-use crate::plan::PhysicalPlan;
+use crate::plan::{phase_count, PhysicalPlan};
 use crate::reference::ReferenceSpec;
 use crate::signature::{predicate_signature, reference_signature};
 use crate::state::ViewState;
@@ -111,36 +110,27 @@ impl SeeDb {
     /// Reuses per-view aggregates across runs through `cache` (see
     /// [`crate::cache`]).
     ///
-    /// **Exact configurations** ([`SeeDbConfig::exact_per_view`]): each
-    /// view is probed under its canonical signature (target predicate ×
-    /// reference × view identity — deliberately *excluding* `k` and the
-    /// metric, which don't change aggregates); a cached view skips every
-    /// phase, and the full-table result of every other view is stored
-    /// back.
+    /// Each view is probed under one key: its canonical signature (target
+    /// predicate × reference × view identity — deliberately *excluding*
+    /// `k` and the metric, which don't change aggregates) plus the run's
+    /// phase count. A cached entry holds the view's groups of each phase
+    /// over the prefix it accumulated before being pruned (or all phases,
+    /// if it survived): covered phases are **replayed** without scanning
+    /// and a view that outlives its prefix **resumes** scanning at
+    /// `phases_done` instead of row 0. Deltas carry no pruning decisions,
+    /// so entries are reusable across runs differing in `k`, `delta`, or
+    /// pruning scheme. A view whose run covered more phases than its entry
+    /// had is stored back.
     ///
-    /// **Pruned configurations** (`COMB`/`COMB_EARLY` with any pruning
-    /// scheme): each view is probed under a phase-partition key (the same
-    /// signature plus the effective phase count). A cached entry holds
-    /// the view's *per-phase* deltas over the prefix it accumulated
-    /// before being pruned (or all phases, tagged
-    /// [`Exact`](crate::cache::Exactness::Exact), if it survived):
-    /// covered phases are **replayed** without scanning and a view that
-    /// outlives its prefix **resumes** scanning at `phases_done` instead
-    /// of row 0. Deltas carry no pruning decisions, so entries are
-    /// reusable across runs differing in `k`, `delta`, or pruning scheme;
-    /// views that end a run with full-table coverage are additionally
-    /// deposited under the exact key for the pruning-free configurations
-    /// to reuse.
-    ///
-    /// Either way the recommendation is **bit-identical** to a run without
-    /// the cache: exports round-trip exactly, each view's aggregates are
-    /// independent of which other views execute alongside it, and replayed
-    /// cumulative states reproduce every utility estimate — and therefore
-    /// every pruning decision — bit for bit. (Seeding a pruned run from a
-    /// bare full-table aggregate would *break* that guarantee: without the
-    /// per-phase structure the pruner would see a zero-width interval from
-    /// phase 1, changing decisions relative to the uncached run, so plain
-    /// exact entries are deliberately invisible to pruned runs.)
+    /// The recommendation is **bit-identical** to a run without the cache:
+    /// accumulator merges are exact, each view's aggregates are
+    /// independent of which other views execute alongside it, and
+    /// replayed cumulative states reproduce every utility estimate — and
+    /// therefore every pruning decision — bit for bit. (Seeding a pruned
+    /// run from a bare full-table aggregate would *break* that guarantee:
+    /// without the per-phase structure the pruner would see a zero-width
+    /// interval from phase 1. Hence the phase count in the key: strategies
+    /// partitioned differently never read each other's entries.)
     pub fn with_cache(mut self, cache: Arc<dyn ViewCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -183,21 +173,9 @@ impl SeeDb {
     ) -> Result<Recommendation, CoreError> {
         self.check_runnable()?;
         let views = self.views();
-        let whole = self.config.exact_per_view();
         let cached = (self.cache.as_deref()).map(|c| (c, ViewKeys::new(self, target, reference)));
         let seeds: Vec<Option<Arc<CachedPartial>>> = match &cached {
-            Some((cache, keys)) => views
-                .iter()
-                .map(|v| {
-                    if whole {
-                        cache
-                            .get(&keys.exact(v))
-                            .filter(|p| p.as_exact_result().is_some())
-                    } else {
-                        keys.phased(*cache, v)
-                    }
-                })
-                .collect(),
+            Some((cache, keys)) => views.iter().map(|v| keys.get(*cache, v)).collect(),
             None => Vec::new(),
         };
 
@@ -216,15 +194,8 @@ impl SeeDb {
 
         let mut usage = CacheUse::default();
         if let Some((cache, keys)) = &cached {
-            let total = report.total_phases;
             for (i, view) in views.iter().enumerate() {
-                let scanned = report.scanned_phases[i];
-                // Phases the cache already covered: all of them for a view
-                // an exact configuration took whole.
-                let prev = seeds[i]
-                    .as_ref()
-                    .map_or(0, |p| if whole { total } else { p.phases_done() });
-                match (&seeds[i], scanned) {
+                match (&seeds[i], report.scanned_phases[i]) {
                     (Some(_), 0) => usage.hits += 1,
                     (Some(_), _) => usage.resumed += 1,
                     (None, _) => usage.misses += 1,
@@ -232,16 +203,10 @@ impl SeeDb {
                 // Deposit: never shrink an existing prefix — a run that
                 // pruned this view earlier than the cached run did has
                 // nothing new to contribute.
+                let prev = seeds[i].as_ref().map_or(0, |p| p.phases_done());
                 if let Some(deltas) = report.deltas.get_mut(i).filter(|d| d.len() > prev) {
                     let partial = CachedPartial::prefix(std::mem::take(deltas), keys.total);
-                    cache.put(&keys.phased_key(view), Arc::new(partial));
-                }
-                // A view with full-table coverage is exact: deposit it
-                // under the unphased key so pruning-free configurations
-                // skip its scan.
-                if prev < total && prev + scanned == total {
-                    let full = Arc::new(report.states[i].to_combined_result());
-                    cache.put(&keys.exact(view), Arc::new(CachedPartial::exact(full)));
+                    cache.put(&keys.key(view), Arc::new(partial));
                 }
             }
         }
@@ -250,9 +215,8 @@ impl SeeDb {
 
     /// Best-effort degraded answer assembled *purely from the attached
     /// cache* — no scanning, no waiting. Probes the same per-view keys
-    /// [`SeeDb::recommend`] deposits under (phase-prefix entries first,
-    /// plain exact entries as fallback), merges whatever deltas exist, and
-    /// ranks the result. Views with no cached data stay empty (utility 0,
+    /// [`SeeDb::recommend`] deposits under, merges whatever deltas exist,
+    /// and ranks the result. Views with no cached data stay empty (utility 0,
     /// ranked last); returns `None` when *no* view has any data, or no
     /// cache is attached.
     ///
@@ -276,24 +240,14 @@ impl SeeDb {
         let mut covered_slots = 0usize;
         let mut covered_views = 0usize;
         for (i, v) in views.iter().enumerate() {
-            let covered = if let Some(partial) = keys.phased(cache, v) {
-                for delta in &partial.deltas {
-                    states[i].merge_both(delta, 0);
-                }
-                partial.phases_done().min(total)
-            } else if let Some(full) = cache
-                .get(&keys.exact(v))
-                .and_then(|p| p.as_exact_result().cloned())
-            {
-                states[i].merge_both(&full, 0);
-                total
-            } else {
-                0
+            let Some(partial) = keys.get(cache, v) else {
+                continue;
             };
-            if covered > 0 {
-                covered_views += 1;
+            for delta in &partial.deltas {
+                states[i].merge_groups(delta);
             }
-            covered_slots += covered;
+            covered_views += 1;
+            covered_slots += partial.phases_done().min(total);
         }
         if covered_views == 0 {
             return None;
@@ -382,9 +336,8 @@ impl SeeDb {
     }
 }
 
-/// The cache keys of one query's views: `{predicate}|{reference}|{view}`
-/// for a view's exact full-table entry, plus `|ph{N}` for its phase-prefix
-/// entry over an `N`-phase partition.
+/// The cache keys of one query's views: `{predicate}|{reference}|{view}|ph{N}`,
+/// `N` the run's phase count.
 struct ViewKeys {
     query: String,
     total: usize,
@@ -398,23 +351,19 @@ impl ViewKeys {
                 predicate_signature(target),
                 reference_signature(reference)
             ),
-            total: effective_phases(seedb.table.num_rows(), seedb.config.num_phases),
+            total: phase_count(seedb.table.as_ref(), &seedb.config),
         }
     }
 
-    fn exact(&self, view: &ViewSpec) -> String {
-        format!("{}|{}", self.query, view.signature())
+    fn key(&self, view: &ViewSpec) -> String {
+        format!("{}|{}|ph{}", self.query, view.signature(), self.total)
     }
 
-    fn phased_key(&self, view: &ViewSpec) -> String {
-        format!("{}|ph{}", self.exact(view), self.total)
-    }
-
-    /// `view`'s phase-prefix entry, when it is replayable at this
-    /// partition's granularity.
-    fn phased(&self, cache: &dyn ViewCache, view: &ViewSpec) -> Option<Arc<CachedPartial>> {
+    /// `view`'s entry, when it is replayable at this partition's
+    /// granularity.
+    fn get(&self, cache: &dyn ViewCache, view: &ViewSpec) -> Option<Arc<CachedPartial>> {
         cache
-            .get(&self.phased_key(view))
+            .get(&self.key(view))
             .filter(|p| p.total_phases == self.total && !p.deltas.is_empty())
     }
 }
@@ -772,8 +721,6 @@ mod tests {
 
     #[test]
     fn pruned_cache_deposits_prefixes_for_pruned_views() {
-        use crate::cache::Exactness;
-        use crate::signature::{predicate_signature, reference_signature};
         let table = separated();
         let target = separated_target(table.as_ref());
         let mut cfg = SeeDbConfig::default();
@@ -782,27 +729,23 @@ mod tests {
         let cache = Arc::new(MemoryViewCache::new());
         let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
 
-        let pred_sig = predicate_signature(&target);
-        let ref_sig = reference_signature(&ReferenceSpec::WholeTable);
-        let total = crate::phase::effective_phases(seedb.table().num_rows(), cfg.num_phases);
-        let mut exact = 0;
+        let keys = ViewKeys::new(&seedb, &target, &ReferenceSpec::WholeTable);
+        assert_eq!(keys.total, cfg.num_phases);
+        let mut full = 0;
         let mut prefix = 0;
         for v in seedb.views() {
-            let key = format!("{pred_sig}|{ref_sig}|{}|ph{total}", v.signature());
-            let entry = cache.get(&key).expect("every view deposits an entry");
-            match entry.exactness() {
-                Exactness::Exact => exact += 1,
-                Exactness::Prefix {
-                    phases_done,
-                    total_phases,
-                } => {
-                    assert!(phases_done > 0 && phases_done < total_phases);
-                    assert_eq!(total_phases, total);
-                    prefix += 1;
-                }
+            let entry = cache
+                .get(&keys.key(&v))
+                .expect("every view deposits an entry");
+            assert_eq!(entry.total_phases, keys.total);
+            assert!(entry.phases_done() > 0);
+            if entry.phases_done() == keys.total {
+                full += 1;
+            } else {
+                prefix += 1;
             }
         }
-        assert!(exact >= 1, "the surviving view covers every phase");
+        assert!(full >= 1, "the surviving view covers every phase");
         assert!(
             prefix >= 1,
             "pruned views must keep their prefix work instead of discarding it"
@@ -811,7 +754,6 @@ mod tests {
 
     #[test]
     fn pruned_cache_resumes_truncated_prefixes_bit_identically() {
-        use crate::signature::{predicate_signature, reference_signature};
         let table = separated();
         let target = separated_target(table.as_ref());
         let cfg = SeeDbConfig::default(); // COMB + CI
@@ -827,14 +769,12 @@ mod tests {
 
         // Truncate every cached entry to its first 4 phases: the warm run
         // must replay those and resume scanning at phase 4, not row 0.
-        let pred_sig = predicate_signature(&target);
-        let ref_sig = reference_signature(&ReferenceSpec::WholeTable);
-        let total = crate::phase::effective_phases(seedb.table().num_rows(), cfg.num_phases);
+        let keys = ViewKeys::new(&seedb, &target, &ReferenceSpec::WholeTable);
         for v in seedb.views() {
-            let key = format!("{pred_sig}|{ref_sig}|{}|ph{total}", v.signature());
+            let key = keys.key(&v);
             let entry = cache.get(&key).expect("deposited by the cold run");
             let cut: Vec<_> = entry.deltas.iter().take(4).cloned().collect();
-            cache.put(&key, Arc::new(CachedPartial::prefix(cut, total)));
+            cache.put(&key, Arc::new(CachedPartial::prefix(cut, keys.total)));
         }
 
         let (resumed, usage) =
@@ -887,29 +827,40 @@ mod tests {
     }
 
     #[test]
-    fn pruned_survivors_feed_the_exact_cache() {
+    fn deposits_carry_the_runs_own_phase_count() {
+        // One function gives the executor its partition and the cache its
+        // keys: every strategy deposits entries over the phase count its
+        // own run executes (one for the unphased strategies, whatever
+        // `num_phases` says).
         let table = separated();
         let target = separated_target(table.as_ref());
-        let cache = Arc::new(MemoryViewCache::new());
+        for strategy in ExecutionStrategy::ALL {
+            let mut cfg = SeeDbConfig::for_strategy(strategy);
+            cfg.num_phases = 5;
+            let seedb = SeeDb::with_config(table.clone(), cfg.clone());
+            let views = seedb.views();
+            let report = Executor::new(table.as_ref(), &cfg).run(
+                &views,
+                &target,
+                &ReferenceSpec::WholeTable,
+                &[],
+            );
+            let phased = matches!(
+                strategy,
+                ExecutionStrategy::Comb | ExecutionStrategy::CombEarly
+            );
+            let want = if phased { 5 } else { 1 };
+            assert_eq!(report.total_phases, want, "{strategy}");
 
-        // A pruned run whose survivors cover the full table…
-        let mut cfg = SeeDbConfig::default();
-        cfg.k = 2;
-        let seedb = SeeDb::with_config(table.clone(), cfg);
-        let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
-
-        // …lets a pruning-free SHARING run skip those views' scans.
-        let sharing = SeeDb::with_config(
-            table.clone(),
-            SeeDbConfig::for_strategy(ExecutionStrategy::Sharing),
-        );
-        let direct = sharing
-            .recommend(&target, &ReferenceSpec::WholeTable)
-            .unwrap();
-        let (rec, usage) =
-            recommend_cached(&sharing, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
-        assert!(usage.hits >= 1, "{usage:?}");
-        assert_same_recommendation(&direct, &rec);
+            let cache = Arc::new(MemoryViewCache::new());
+            let _ = recommend_cached(&seedb, &target, &ReferenceSpec::WholeTable, &cache).unwrap();
+            let keys = ViewKeys::new(&seedb, &target, &ReferenceSpec::WholeTable);
+            for v in &views {
+                let entry = cache.get(&keys.key(v)).expect("every view deposits");
+                assert_eq!(entry.total_phases, report.total_phases, "{strategy}");
+            }
+            assert_eq!(cache.len(), views.len(), "{strategy}: one entry a view");
+        }
     }
 
     #[test]

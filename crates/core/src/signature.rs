@@ -14,10 +14,10 @@
 //! * [`reference_signature`] — the same for a [`ReferenceSpec`].
 //! * [`ViewSpec::signature`] — identifies a view `(a, m, f)` independent
 //!   of its enumeration id. Per-view cache keys compose
-//!   `predicate|reference|view`; pruned runs append a `|phN` suffix (the
-//!   effective phase count, [`crate::phase::effective_phases`]) because
-//!   their phase-prefix entries are only replayable under the same
-//!   partition granularity (see [`crate::cache`]).
+//!   `predicate|reference|view|phN`, `N` the run's effective phase count
+//!   (1 for the unphased strategies), because a view's per-phase entry is
+//!   only replayable under the same partition granularity (see
+//!   [`crate::cache`]).
 //! * [`SeeDbConfig::result_signature`] — exactly the configuration knobs
 //!   that can change the *content* of a recommendation. Knobs that are
 //!   bit-identical by engine contract (`engine_mode`, every sharing knob,
@@ -190,23 +190,6 @@ impl SeeDbConfig {
         }
         sig
     }
-
-    /// Whether a run under this configuration computes **exact full-table
-    /// results for every view** — the precondition for caching per-view
-    /// aggregates and reusing them across requests bit-identically.
-    ///
-    /// True for the pruning-free configurations: `NO_OPT`, `SHARING`, and
-    /// `COMB` with `NO_PRU` (phased accumulation is exact, so running all
-    /// phases with no discards equals a single full scan bit-for-bit).
-    /// False whenever pruning can leave a view with partial data, and for
-    /// `COMB_EARLY`, which may stop before scanning everything.
-    pub fn exact_per_view(&self) -> bool {
-        match self.strategy {
-            ExecutionStrategy::NoOpt | ExecutionStrategy::Sharing => true,
-            ExecutionStrategy::Comb => self.pruning == PruningKind::None,
-            ExecutionStrategy::CombEarly => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -374,19 +357,6 @@ mod tests {
         let mut mab = comb.clone();
         mab.pruning = PruningKind::Mab;
         assert_ne!(comb.result_signature(), mab.result_signature());
-    }
-
-    #[test]
-    fn exact_per_view_matches_pruning_semantics() {
-        assert!(SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt).exact_per_view());
-        assert!(SeeDbConfig::for_strategy(ExecutionStrategy::Sharing).exact_per_view());
-        let mut comb = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
-        assert!(!comb.exact_per_view()); // default pruning is CI
-        comb.pruning = PruningKind::None;
-        assert!(comb.exact_per_view());
-        let mut early = SeeDbConfig::for_strategy(ExecutionStrategy::CombEarly);
-        early.pruning = PruningKind::None;
-        assert!(!early.exact_per_view());
     }
 
     #[test]

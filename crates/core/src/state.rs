@@ -10,14 +10,18 @@
 //! codes of a dictionary-coded attribute index a dense table
 //! ([`ViewGroups`]); everything else lives in an ordered map. Either way
 //! groups are read back in `GroupKey` order — EMD is order-sensitive.
+//!
+//! One phase's [`ViewGroups`] of a view is also what the cross-request
+//! cache keeps of it ([`crate::cache::CachedPartial`]), so this module is
+//! the one place that knows how large a cached delta is
+//! (`ViewGroups::heap_bytes`).
 
 use crate::view::ViewSpec;
-use seedb_engine::{
-    group_index_for, Accumulator, AggSpec, GroupEntry, GroupIndexKind, GroupKey, GroupedResult,
-};
+use seedb_engine::{group_index_for, Accumulator, GroupIndexKind, GroupKey};
 use seedb_metrics::{normalize, DistanceKind};
 use seedb_storage::Table;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
 /// Which side of the deviation comparison a partial result feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +33,7 @@ pub enum Side {
 }
 
 /// Target/reference accumulator pair for one group.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SidePair {
     pub(crate) target: Accumulator,
     pub(crate) reference: Accumulator,
@@ -40,12 +44,38 @@ impl SidePair {
         self.target.merge(&other.target);
         self.reference.merge(&other.reference);
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.target.heap_bytes() + self.reference.heap_bytes()
+    }
+}
+
+/// Heap of a `BTreeMap<u64, SidePair>` of `len` entries, counted in std's
+/// nodes: a leaf holds up to 11 entries (parent link, two `u16`s, keys and
+/// values), an inner node a leaf plus 12 child links. Up to 11 entries
+/// the map is exactly one leaf — a lone NULL group costs all of it. Past
+/// that the node count depends on insertion order; entries inserted in
+/// hash order average about 8.5 a leaf and 8 leaves an inner node, which
+/// this charges (measured within ≈ 10 % from 200 entries up, ≈ 20 %
+/// between 12 and 200).
+fn map_bytes(len: usize) -> usize {
+    const CAPACITY: usize = 11;
+    const LEAF: usize = (size_of::<usize>()
+        + 2 * size_of::<u16>()
+        + CAPACITY * (size_of::<u64>() + size_of::<SidePair>()))
+    .next_multiple_of(size_of::<usize>());
+    const INNER: usize = LEAF + (CAPACITY + 1) * size_of::<usize>();
+    match len {
+        0 => 0,
+        1..=CAPACITY => LEAF,
+        _ => (len * (8 * LEAF + INNER) / 68).max(2 * LEAF + INNER),
+    }
 }
 
 /// One view's groups — a whole run's, or one phase's delta — keyed by the
 /// grouping attribute's code and iterated in code order, which is
 /// `GroupKey` order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ViewGroups {
     /// Codes below this index `dense`: the attribute's dictionary size (0
     /// without a dictionary).
@@ -116,26 +146,13 @@ impl ViewGroups {
         self.dense.iter().flatten().count() + self.sparse.len()
     }
 
-    /// The groups as a combined (target + reference) single-aggregate
-    /// [`GroupedResult`] for `spec`, accumulators moved.
-    pub(crate) fn into_combined_result(self, spec: &ViewSpec) -> GroupedResult {
-        let dense = self
-            .dense
-            .into_iter()
-            .enumerate()
-            .filter_map(|(code, pair)| Some((code as u64, pair?)));
-        GroupedResult {
-            group_by: vec![spec.dim],
-            aggregates: vec![AggSpec::new(spec.func, spec.measure)],
-            groups: dense
-                .chain(self.sparse)
-                .map(|(code, pair)| GroupEntry {
-                    key: GroupKey::One(code),
-                    target: vec![pair.target],
-                    reference: vec![pair.reference],
-                })
-                .collect(),
-        }
+    /// Heap bytes these groups own: the dense table's whole capacity, the
+    /// map's nodes, and whatever an accumulator spilled to the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let spilled: usize = self.iter().map(|(_, pair)| pair.heap_bytes()).sum();
+        self.dense.capacity() * size_of::<Option<SidePair>>()
+            + map_bytes(self.sparse.len())
+            + spilled
     }
 }
 
@@ -187,30 +204,12 @@ impl ViewState {
     }
 
     /// Folds one phase's groups of this view (see
-    /// [`fold_into_views`](crate::executor::fold_into_views)) into the
-    /// state.
+    /// [`fold_into_views`](crate::executor::fold_into_views)), or a cached
+    /// copy of them, into the state. Accumulator merges are exact, so
+    /// folding the same deltas in the same order reproduces the state bit
+    /// for bit — what makes per-phase deltas safe to cache across requests.
     pub fn merge_groups(&mut self, delta: &ViewGroups) {
         self.groups.merge(delta);
-    }
-
-    /// Folds a combined (target+reference) result into this view.
-    /// `agg_idx` selects this view's aggregate within the shared result.
-    pub fn merge_both(&mut self, result: &GroupedResult, agg_idx: usize) {
-        for entry in &result.groups {
-            let pair = self.groups.pair(entry.key.code(0));
-            pair.target.merge(&entry.target[agg_idx]);
-            pair.reference.merge(&entry.reference[agg_idx]);
-        }
-    }
-
-    /// Exports the accumulated state as a combined (target + reference)
-    /// [`GroupedResult`] for this view's single dimension and aggregate —
-    /// the shape [`ViewState::merge_both`] re-imports losslessly.
-    /// Accumulator merges are exact, so `export → merge_both` into a fresh
-    /// state reproduces this state's value vectors bit-for-bit; this is
-    /// what makes per-view results safe to cache across requests.
-    pub fn to_combined_result(&self) -> GroupedResult {
-        self.groups.clone().into_combined_result(&self.spec)
     }
 
     /// Number of groups observed so far.
@@ -274,7 +273,8 @@ impl ViewState {
 mod tests {
     use super::*;
     use seedb_engine::{
-        execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, Predicate, SplitSpec,
+        execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, GroupEntry, GroupedResult,
+        Predicate, SplitSpec,
     };
     use seedb_storage::{BoxedTable, ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 
@@ -293,6 +293,16 @@ mod tests {
             b.push_row(&[Value::str(d), Value::Float(m)]).unwrap();
         }
         b.build(StoreKind::Column).unwrap()
+    }
+
+    /// Folds a combined (target + reference) result into `state`;
+    /// `agg_idx` selects the view's aggregate within the shared result.
+    fn merge_both(state: &mut ViewState, result: &GroupedResult, agg_idx: usize) {
+        for entry in &result.groups {
+            let pair = state.groups.pair(entry.key.code(0));
+            pair.target.merge(&entry.target[agg_idx]);
+            pair.reference.merge(&entry.reference[agg_idx]);
+        }
     }
 
     /// Folds a single-sided result (from a separate target-only or
@@ -323,7 +333,7 @@ mod tests {
         let pred = Predicate::col_eq_str(t.as_ref(), "d", "a");
         let result = run(SplitSpec::TargetVsAll(pred));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
         let (tv, rv) = state.value_vectors();
         assert_eq!(tv, vec![15.0, 0.0]); // target only has "a" rows
         assert_eq!(rv, vec![15.0, 40.0]); // reference = everything
@@ -341,7 +351,7 @@ mod tests {
 
         // Must equal the combined-split execution.
         let mut combined = ViewState::new(spec());
-        combined.merge_both(&run(SplitSpec::TargetVsAll(target_pred)), 0);
+        merge_both(&mut combined, &run(SplitSpec::TargetVsAll(target_pred)), 0);
         assert_eq!(state.value_vectors(), combined.value_vectors());
     }
 
@@ -349,7 +359,7 @@ mod tests {
     fn utility_zero_when_target_equals_reference() {
         let result = run(SplitSpec::TargetVsAll(Predicate::True));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
         assert!(state.utility(DistanceKind::Emd).abs() < 1e-12);
     }
 
@@ -359,7 +369,7 @@ mod tests {
         let pred = Predicate::col_eq_str(t.as_ref(), "d", "a");
         let result = run(SplitSpec::TargetVsAll(pred));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
         assert!(state.utility(DistanceKind::Emd) > 0.1);
     }
 
@@ -377,7 +387,7 @@ mod tests {
         let pred = Predicate::col_eq_str(t.as_ref(), "d", "a");
         let result = run(SplitSpec::TargetVsAll(pred));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
         let u1 = state.record_estimate(DistanceKind::Emd);
         let u2 = state.record_estimate(DistanceKind::Emd);
         assert_eq!(u1, u2);
@@ -391,14 +401,13 @@ mod tests {
         let pred = Predicate::col_eq_str(t.as_ref(), "d", "a");
         let result = run(SplitSpec::TargetVsAll(pred));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
 
-        let exported = state.to_combined_result();
-        assert_eq!(exported.group_by, vec![ColumnId(0)]);
-        assert_eq!(exported.aggregates.len(), 1);
-
+        // What the cache keeps: a copy of the groups, folded into a fresh
+        // state.
+        let exported = state.groups().clone();
         let mut reimported = ViewState::new(spec());
-        reimported.merge_both(&exported, 0);
+        reimported.merge_groups(&exported);
         assert_eq!(state.value_vectors(), reimported.value_vectors());
         assert_eq!(state.group_keys(), reimported.group_keys());
         assert_eq!(
@@ -441,8 +450,8 @@ mod tests {
         let mut dense = ViewState::for_table(spec(), t.as_ref());
         let mut map = ViewState::new(spec());
         for state in [&mut dense, &mut map] {
-            state.merge_both(&coded_result(&codes[..3]), 0);
-            state.merge_both(&coded_result(&codes[2..]), 0);
+            merge_both(state, &coded_result(&codes[..3]), 0);
+            merge_both(state, &coded_result(&codes[2..]), 0);
         }
         let mut sorted: Vec<GroupKey> = codes.iter().map(|&c| GroupKey::One(c)).collect();
         sorted.sort();
@@ -454,8 +463,7 @@ mod tests {
             dense.utility(DistanceKind::Emd).to_bits(),
             map.utility(DistanceKind::Emd).to_bits()
         );
-        // Export, and a phase's groups merged as such, keep the order too.
-        assert_eq!(dense.to_combined_result(), map.to_combined_result());
+        // A phase's groups merged as such keep the order too.
         let mut again = ViewState::for_table(spec(), t.as_ref());
         again.merge_groups(dense.groups());
         again.merge_groups(dense.groups());
@@ -467,7 +475,7 @@ mod tests {
     fn group_keys_align_with_vectors() {
         let result = run(SplitSpec::TargetVsAll(Predicate::True));
         let mut state = ViewState::new(spec());
-        state.merge_both(&result, 0);
+        merge_both(&mut state, &result, 0);
         assert_eq!(state.group_keys().len(), state.value_vectors().0.len());
     }
 }

@@ -73,7 +73,7 @@
 //! which the same two-add update keeps running. `size_of::<Accumulator>()`
 //! is 80 bytes, the same as the expansion-based accumulator it replaces.
 //!
-//! **Exactness.** Every add and merge is integer arithmetic that cannot
+//! **No bit lost.** Every add and merge is integer arithmetic that cannot
 //! overflow (carry budget) and never discards a bit (the window only moves
 //! over chunks that are zero), so the chunks always represent the exact
 //! real sum of all finite inputs — including sums whose *intermediate*
@@ -846,6 +846,16 @@ impl Accumulator {
     /// Table 1 twins to that.
     pub fn sum_spilled(&self) -> bool {
         self.sum.spill.is_some()
+    }
+
+    /// Heap bytes the accumulator owns: the full-range array once the sum
+    /// spilled, nothing before.
+    pub fn heap_bytes(&self) -> usize {
+        if self.sum_spilled() {
+            std::mem::size_of::<[i64; FULL_CHUNKS]>()
+        } else {
+            0
+        }
     }
 
     /// Finalizes the accumulator under `func`. Returns `None` when the

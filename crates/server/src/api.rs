@@ -8,8 +8,7 @@
 //! exposes `exec_mode` only for benchmarking and nothing else.
 
 use seedb_core::{
-    DistanceKind, ExecMode, ExecutionStrategy, PruningKind, Recommendation, ReferenceSpec,
-    SeeDbConfig,
+    DistanceKind, ExecMode, ExecutionStrategy, PruningKind, Recommendation, SeeDbConfig,
 };
 use seedb_data::Dataset;
 use seedb_engine::AggFunc;
@@ -205,16 +204,6 @@ fn parse_exec_mode(name: &str) -> Result<ExecMode, String> {
         .ok_or_else(|| format!("unknown exec_mode '{name}' (expected SCALAR or VECTORIZED)"))
 }
 
-/// Renders the reference for the response/signature (`whole`,
-/// `complement`, or the raw SQL).
-pub fn reference_label(reference: &ReferenceSpec, raw: &str) -> String {
-    match reference {
-        ReferenceSpec::WholeTable => "whole".to_owned(),
-        ReferenceSpec::Complement => "complement".to_owned(),
-        ReferenceSpec::Query(_) => raw.to_owned(),
-    }
-}
-
 /// Renders the deterministic part of a `/recommend` response: everything
 /// except per-request fields (latency, cache disposition, the request's
 /// own WHERE spelling), which the router adds around this payload. The
@@ -377,10 +366,11 @@ mod tests {
 
     #[test]
     fn default_config_is_cache_eligible() {
-        // COMB + CI is not exact-per-view — it is cacheable through the
-        // phased resume path, which the core asserts is bit-identical.
+        // The default is the paper's COMB + CI: cached per phase and
+        // resumed where a cached prefix ends, which the core asserts is
+        // bit-identical.
         let cfg = default_config();
-        assert!(!cfg.exact_per_view());
+        assert_eq!(cfg.pruning, PruningKind::Ci);
         assert!(matches!(
             cfg.strategy,
             ExecutionStrategy::Comb | ExecutionStrategy::CombEarly

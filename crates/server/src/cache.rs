@@ -4,13 +4,12 @@
 //!
 //! Keys are canonical signatures (`seedb_core::signature`) namespaced by
 //! kind — `R|…` for rendered responses, `P|…` for per-view
-//! [`GroupedResult`] partials — so the two layers share one budget and
+//! [`CachedPartial`]s — so the two layers share one budget and
 //! one eviction order. Recency is tracked with a monotonic clock and a
 //! `BTreeMap` index, which makes eviction order fully deterministic: the
 //! entry with the oldest last-touch tick always goes first.
 
 use seedb_core::cache::{CachedPartial, ViewCache};
-use seedb_engine::GroupedResult;
 use seedb_util::PLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,27 +21,21 @@ pub enum CacheValue {
     /// A rendered `/recommend` response payload (the deterministic part of
     /// the body, shared verbatim on every future hit).
     Response(Arc<String>),
-    /// A per-view combined aggregate — exact full-table, or a resumable
-    /// phase prefix from a pruned run — reusable by any overlapping
-    /// request (see `SeeDb::with_cache`).
+    /// A view's per-phase aggregates over the phases its run covered,
+    /// reusable by any overlapping request (see `SeeDb::with_cache`).
     Partial(Arc<CachedPartial>),
 }
 
 impl CacheValue {
-    /// Approximate heap footprint in bytes, for budget accounting. An
-    /// estimate is fine: the budget bounds order-of-magnitude memory use,
-    /// not exact allocation.
-    fn approx_size(&self) -> usize {
+    /// Heap footprint in bytes, for budget accounting: a response's body
+    /// length, or what a partial owns on the heap
+    /// ([`CachedPartial::heap_bytes`], measured within 10 % by the
+    /// `cache_footprint` test). The budget is only as true as this figure:
+    /// an undercount lets the resident set outgrow it.
+    pub fn approx_size(&self) -> usize {
         match self {
             CacheValue::Response(body) => body.len(),
-            CacheValue::Partial(partial) => {
-                let result_size = |result: &GroupedResult| {
-                    let per_group =
-                        32 + result.group_by.len() * 8 + result.aggregates.len() * 2 * 48;
-                    64 + result.groups.len() * per_group
-                };
-                32 + partial.deltas.iter().map(|d| result_size(d)).sum::<usize>()
-            }
+            CacheValue::Partial(partial) => partial.heap_bytes(),
         }
     }
 }
@@ -348,15 +341,7 @@ mod tests {
         let shared = Arc::new(RecCache::new(100_000));
         let a = PartialCache::new(shared.clone(), "DS@100".into());
         let b = PartialCache::new(shared.clone(), "DS@200".into());
-        let result = Arc::new(GroupedResult {
-            group_by: vec![seedb_storage::ColumnId(0)],
-            aggregates: vec![seedb_engine::AggSpec::new(
-                seedb_engine::AggFunc::Avg,
-                seedb_storage::ColumnId(1),
-            )],
-            groups: Vec::new(),
-        });
-        let partial = Arc::new(CachedPartial::exact(result));
+        let partial = Arc::new(CachedPartial::prefix(vec![Arc::default()], 1));
         a.put("key", partial.clone());
         assert!(a.get("key").is_some());
         assert!(b.get("key").is_none(), "prefixes must isolate instances");
@@ -399,19 +384,9 @@ mod tests {
     fn partial_sizes_scale_with_phase_deltas() {
         // Budget accounting must see every per-phase delta, not just one
         // result, or pruned-run prefixes would be under-billed.
-        let result = || {
-            Arc::new(GroupedResult {
-                group_by: vec![seedb_storage::ColumnId(0)],
-                aggregates: vec![seedb_engine::AggSpec::new(
-                    seedb_engine::AggFunc::Avg,
-                    seedb_storage::ColumnId(1),
-                )],
-                groups: Vec::new(),
-            })
-        };
-        let one = CacheValue::Partial(Arc::new(CachedPartial::prefix(vec![result()], 10)));
+        let one = CacheValue::Partial(Arc::new(CachedPartial::prefix(vec![Arc::default()], 10)));
         let five = CacheValue::Partial(Arc::new(CachedPartial::prefix(
-            (0..5).map(|_| result()).collect(),
+            (0..5).map(|_| Arc::default()).collect(),
             10,
         )));
         assert!(five.approx_size() > one.approx_size());

@@ -57,13 +57,6 @@ pub struct ConnFaults {
     pub starve_ms: Option<u64>,
 }
 
-impl ConnFaults {
-    /// True when no fault applies to this connection.
-    pub fn is_clean(&self) -> bool {
-        *self == ConnFaults::default()
-    }
-}
-
 impl FaultPlan {
     /// Parses a spec string. Every error is a human-readable message for
     /// the `--faults` flag to print.

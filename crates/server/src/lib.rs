@@ -39,9 +39,8 @@
 //! without touching the engine, and an *overlapping* query (same dataset +
 //! predicate, different `k`/metric/pruning knobs) reuses the cached
 //! per-view partials ([`CachedPartial`](seedb_core::CachedPartial)) —
-//! exact full-table results for the pruning-free configurations, replay-
-//! and-resume phase prefixes for the pruned ones (the server default,
-//! COMB + CI) — by attaching the cache to the run
+//! each view's aggregates of every phase its run covered, replayed and
+//! resumed under the same phase count — by attaching the cache to the run
 //! ([`SeeDb::with_cache`](seedb_core::SeeDb::with_cache)).
 //! Responses are bit-identical to direct library calls in every case; a
 //! request can opt out with `"cache_mode": "bypass"` — the same run with

@@ -1339,7 +1339,7 @@ mod tests {
         assert!(s.stats.lease_waits.load(Ordering::Relaxed) >= 1);
         drop(hold);
 
-        // Warm the per-view partials with an exact (NO_OPT) run, then
+        // Warm the per-view partials with a one-phase NO_OPT run, then
         // starve again: an overlapping request (different k, so the
         // response cache misses) degrades to a cached-partial answer.
         let warm = post(
@@ -1362,7 +1362,7 @@ mod tests {
         let coverage = j.get("coverage").unwrap().as_num().unwrap();
         assert!(
             coverage > 0.99,
-            "exact partials cover everything: {coverage}"
+            "full-table partials cover everything: {coverage}"
         );
         assert_eq!(j.get("views").unwrap().as_arr().unwrap().len(), 5);
         assert_eq!(s.stats.degraded.load(Ordering::Relaxed), 1);
@@ -1376,7 +1376,7 @@ mod tests {
         );
         let j2 = Json::parse(&r2.body).unwrap();
         assert_ne!(j2.get("cache").unwrap().as_str(), Some("hit"));
-        // The degraded answer came from exact full-table partials, so it
+        // The degraded answer came from full-table partials, so it
         // matches the real computation bit for bit.
         assert_eq!(j.get("views"), j2.get("views"));
         assert_eq!(j.get("all_utilities"), j2.get("all_utilities"));

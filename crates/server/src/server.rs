@@ -304,13 +304,10 @@ impl ConnQueue {
     }
 }
 
-/// Sheds a connection the admission queue refused: a fast inline `503`
-/// with a retry hint, written with a short timeout so a peer that won't
-/// read can't stall the accept thread either.
 /// Sheds one connection on a short-lived detached thread so the accept
-/// loop never waits on a slow peer; falls back to shedding on the
-/// calling thread if the spawn itself fails (the shed path is bounded
-/// either way).
+/// loop never waits on a slow peer. If the thread cannot be spawned the
+/// stream is dropped unanswered (the peer sees a plain close) and counted
+/// as both a shed and a write error.
 fn shed_detached(state: Arc<AppState>, stream: TcpStream) {
     let spawned = std::thread::Builder::new()
         .name("seedbd-shed".to_owned())
@@ -327,6 +324,9 @@ fn shed_detached(state: Arc<AppState>, stream: TcpStream) {
     }
 }
 
+/// Sheds a connection the admission queue refused: a `503` envelope with
+/// a retry hint, written and drained under a short timeout so a peer that
+/// won't read cannot pin the shedding thread.
 fn shed(state: &AppState, mut stream: TcpStream) {
     use std::io::Read;
 

@@ -6,8 +6,8 @@
 //! 3. responses under 8 parallel clients bit-identical to direct
 //!    `SeeDb::recommend` on the same inputs,
 //! 4. a run with a cache attached bit-identical to one without, for every
-//!    configuration, reading and writing the keys the README's eligibility
-//!    matrix names.
+//!    configuration, reading and writing the one `|phN` key per view the
+//!    README's cache section names.
 
 use proptest::prelude::*;
 use seedb_core::{
@@ -246,10 +246,10 @@ mod pruned_equivalence {
             .unwrap()
     }
 
-    /// Bit-level equality of everything a recommendation reports;
-    /// `phases` also compares the phase count and early stop (a warm run
-    /// of a pruning-free configuration executes no phase at all).
-    fn assert_same(a: &Recommendation, b: &Recommendation, phases: bool, ctx: &str) {
+    /// Bit-level equality of everything a recommendation reports, the
+    /// phase count and early stop included (a warm run replays every phase
+    /// the cold run executed).
+    fn assert_same(a: &Recommendation, b: &Recommendation, ctx: &str) {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(a.views.len(), b.views.len(), "{ctx}");
         for (x, y) in a.views.iter().zip(&b.views) {
@@ -274,14 +274,8 @@ mod pruned_equivalence {
             );
         }
         assert_eq!(bits(&a.all_utilities), bits(&b.all_utilities), "{ctx}");
-        if phases {
-            assert_eq!(a.phases_executed, b.phases_executed, "{ctx}");
-            assert_eq!(a.early_stopped, b.early_stopped, "{ctx}");
-        }
-    }
-
-    fn assert_bitwise_equal(a: &Recommendation, b: &Recommendation, ctx: &str) {
-        assert_same(a, b, true, ctx);
+        assert_eq!(a.phases_executed, b.phases_executed, "{ctx}");
+        assert_eq!(a.early_stopped, b.early_stopped, "{ctx}");
     }
 
     proptest! {
@@ -305,7 +299,7 @@ mod pruned_equivalence {
             // Cold: an empty cache.
             let cache = Arc::new(MemoryViewCache::new());
             let cold = cached(&table, cfg.clone(), &cache);
-            assert_bitwise_equal(&direct, &cold, "cold");
+            assert_same(&direct, &cold, "cold");
 
             // Warm: the same configuration replays everything — zero rows
             // scanned — and still matches bit for bit.
@@ -313,7 +307,7 @@ mod pruned_equivalence {
             let u = warm.cache;
             prop_assert!(u.fully_cached(), "{u:?}");
             prop_assert_eq!(warm.stats.rows_scanned, 0);
-            assert_bitwise_equal(&direct, &warm, "warm");
+            assert_same(&direct, &warm, "warm");
 
             // Prefix-resume: a cache warmed under a *different* k (and CI)
             // holds shorter prefixes for views that k prunes later; the
@@ -324,7 +318,7 @@ mod pruned_equivalence {
             let resumed = cached(&table, cfg.clone(), &resume_cache);
             let u = resumed.cache;
             prop_assert_eq!(u.misses, 0, "every view has at least a prefix: {:?}", u);
-            assert_bitwise_equal(&direct, &resumed, "prefix-resume");
+            assert_same(&direct, &resumed, "prefix-resume");
         }
     }
     /// The pruning-free shapes of every strategy, under `k` views of `funcs`.
@@ -366,14 +360,13 @@ mod pruned_equivalence {
             let cache = Arc::new(MemoryViewCache::new());
             let cold = cached(&table, cfg.clone(), &cache);
             prop_assert_eq!(cold.cache.misses, 12, "{}", label);
-            assert_same(&direct, &cold, true, "cold");
+            assert_same(&direct, &cold, "cold");
 
-            // Warm: nothing is scanned. A configuration that never prunes
-            // takes each view whole and runs no phase at all.
+            // Warm: nothing is scanned; every phase is replayed.
             let warm = cached(&table, cfg.clone(), &cache);
             prop_assert!(warm.cache.fully_cached(), "{}: {:?}", label, warm.cache);
             prop_assert_eq!(warm.stats.rows_scanned, 0);
-            assert_same(&direct, &warm, !cfg.exact_per_view(), "warm");
+            assert_same(&direct, &warm, "warm");
 
             // Partial overlap: a cache warmed by the AVG views alone, under
             // a k so large that COMB_EARLY stops after its first phase and
@@ -383,7 +376,7 @@ mod pruned_equivalence {
             let mixed = cached(&table, cfg.clone(), &overlap);
             let u = mixed.cache;
             prop_assert_eq!((u.hits + u.resumed, u.misses), (6, 6), "{}: {:?}", label, u);
-            assert_same(&direct, &mixed, true, "partial overlap");
+            assert_same(&direct, &mixed, "partial overlap");
         }
     }
 
@@ -415,26 +408,27 @@ mod pruned_equivalence {
             }
         }
 
-        /// The keys read and written since the last call, each tagged `E`
-        /// (a view's exact entry) or `P` (its phase-prefix entry), sorted.
+        /// The keys read and written since the last call, each as
+        /// `{view}|ph{N}` (the query's predicate and reference dropped),
+        /// sorted.
         fn take(&self) -> (Vec<String>, Vec<String>) {
-            let tag = |keys: &mut Vec<String>| {
-                let mut tagged: Vec<String> = std::mem::take(keys)
+            let tail = |keys: &mut Vec<String>| {
+                let mut tails: Vec<String> = std::mem::take(keys)
                     .into_iter()
-                    .map(|key| match key.strip_suffix("|ph6") {
-                        Some(view) => format!("P {}", view.rsplit('|').next().unwrap()),
-                        None => format!("E {}", key.rsplit('|').next().unwrap()),
+                    .map(|key| {
+                        let parts: Vec<&str> = key.rsplitn(3, '|').collect();
+                        format!("{}|{}", parts[1], parts[0])
                     })
                     .collect();
-                tagged.sort();
-                tagged
+                tails.sort();
+                tails
             };
-            (tag(&mut self.reads.lock()), tag(&mut self.writes.lock()))
+            (tail(&mut self.reads.lock()), tail(&mut self.writes.lock()))
         }
     }
 
-    /// Pins the keys each row of the README's cache eligibility matrix
-    /// reads and writes, cold and warm.
+    /// Pins the one key per view each configuration reads and writes, cold
+    /// and warm: `|ph1` for the unphased strategies, `|ph6` otherwise.
     #[test]
     fn each_configuration_reads_and_writes_its_matrix_keys() {
         let table = table();
@@ -444,8 +438,8 @@ mod pruned_equivalence {
             .iter()
             .map(|v| v.signature())
             .collect();
-        let all = |tag: &str| -> Vec<String> {
-            let mut keys: Vec<String> = views.iter().map(|v| format!("{tag} {v}")).collect();
+        let all = |phases: usize| -> Vec<String> {
+            let mut keys: Vec<String> = views.iter().map(|v| format!("{v}|ph{phases}")).collect();
             keys.sort();
             keys
         };
@@ -457,44 +451,27 @@ mod pruned_equivalence {
         };
         let mut ci = config(1, PruningKind::Ci, 1);
         ci.strategy = ExecutionStrategy::CombEarly;
-        for (row, cfg) in [
-            ("NO_OPT", pruning_free(0, 2, &[AggFunc::Avg], 1)),
-            ("SHARING", pruning_free(1, 2, &[AggFunc::Avg], 1)),
-            ("COMB + NO_PRU", pruning_free(2, 2, &[AggFunc::Avg], 1)),
-            ("COMB + CI", config(1, PruningKind::Ci, 1)),
-            ("COMB_EARLY + CI", ci),
+        for (row, cfg, phases) in [
+            ("NO_OPT", pruning_free(0, 2, &[AggFunc::Avg], 1), 1),
+            ("SHARING", pruning_free(1, 2, &[AggFunc::Avg], 1), 1),
+            ("COMB + NO_PRU", pruning_free(2, 2, &[AggFunc::Avg], 1), 6),
+            ("COMB + CI", config(1, PruningKind::Ci, 1), 6),
+            ("COMB_EARLY + CI", ci, 6),
             (
                 "COMB_EARLY + NO_PRU",
                 pruning_free(3, 2, &[AggFunc::Avg], 1),
+                6,
             ),
         ] {
             let cache = Arc::new(Recording::new());
-            let exact = cfg.exact_per_view();
-            let cold = run(cfg.clone(), &cache);
+            let _ = run(cfg.clone(), &cache);
             let (reads, writes) = cache.take();
-            if exact {
-                // Exact configurations: the unsuffixed key, read and
-                // written for every view.
-                assert_eq!(reads, all("E"), "{row} cold reads");
-                assert_eq!(writes, all("E"), "{row} cold writes");
-            } else {
-                // Pruned configurations: the `|phN` prefix of every view,
-                // plus the exact key of each view that ran every phase.
-                assert_eq!(reads, all("P"), "{row} cold reads");
-                let full = cold.phases_executed == 6 && !cold.early_stopped;
-                let survivors = writes.iter().filter(|k| k.starts_with("E ")).count();
-                assert!(writes.ends_with(&all("P")), "{row} cold writes {writes:?}");
-                assert_eq!(survivors + 6, writes.len(), "{row} cold writes");
-                assert!(!full || survivors >= 1, "{row}: a survivor is exact");
-            }
+            assert_eq!(reads, all(phases), "{row} cold reads");
+            assert_eq!(writes, all(phases), "{row} cold writes");
             // Warm: the same keys are read again and nothing is written.
             let _ = run(cfg, &cache);
             let (reads, writes) = cache.take();
-            assert_eq!(
-                reads,
-                all(if exact { "E" } else { "P" }),
-                "{row} warm reads"
-            );
+            assert_eq!(reads, all(phases), "{row} warm reads");
             assert!(writes.is_empty(), "{row} warm writes {writes:?}");
         }
     }
