@@ -14,10 +14,13 @@
 //!    (combine-target-reference) or as two separate queries.
 //! 3. Fold each cluster's partial results into per-view
 //!    [`ViewState`]s — one pass from the cluster's groups to every member
-//!    view's groups of the phase, run as pool items beside the scan
-//!    ([`seedb_engine::ScanSession`], which also keeps the worker partials
-//!    from phase to phase) — re-estimate utilities, and let the pruner
-//!    discard or accept views.
+//!    view's groups of the phase, run by the worker that scans the
+//!    cluster's last morsel while the others keep scanning: the phase is
+//!    one pool round ([`seedb_engine::ScanSession`], which also keeps the
+//!    worker partials from phase to phase). The fold owns what it reads —
+//!    the phase's clusters and a snapshot of each view's group layout — so
+//!    the states stay the executor's alone. Then re-estimate utilities, and
+//!    let the pruner discard or accept views.
 //! 4. `COMB_EARLY` stops as soon as top-k membership is decided.
 //!
 //! `NO_OPT` and `SHARING` are the loop at one phase with no pruner;
@@ -37,7 +40,7 @@ use crate::phase::phase_ranges;
 use crate::plan::{build_clusters, phase_count, shape, Cluster, Member, PhysicalPlan};
 use crate::pruning::{make_pruner, Pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
-use crate::state::{Side, ViewGroups, ViewState};
+use crate::state::{GroupLayout, Side, ViewGroups, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
     with_pool, CancelToken, CombinedQuery, ExecStats, PartialAggregation, Predicate, ScanSession,
@@ -143,17 +146,16 @@ struct PhaseQueries {
 /// accumulator of the cluster merged exactly once, straight into the view
 /// it belongs to. `side` is `None` for a combined target+reference query,
 /// or the one side a `TargetOnly` query computed (which it accumulates on
-/// its *target* side). `states` is indexed by view id and only says how
-/// each view lays its groups out.
-pub fn fold_into_views(
+/// its *target* side). `layouts` is indexed by view id.
+fn fold_into_views(
     partial: &mut PartialAggregation,
     members: &[Member],
     side: Option<Side>,
-    states: &[ViewState],
+    layouts: &[GroupLayout],
 ) -> Vec<ViewGroups> {
     let mut deltas: Vec<ViewGroups> = members
         .iter()
-        .map(|&(view_id, ..)| states[view_id].groups().empty_like())
+        .map(|&(view_id, ..)| layouts[view_id].empty())
         .collect();
     partial.drain(|key, target, reference| {
         for (delta, &(_, agg_idx, dim_pos)) in deltas.iter_mut().zip(members) {
@@ -203,9 +205,10 @@ impl<'a> Executor<'a> {
     /// A [`PhysicalPlan`] is derived first (stats-driven worker count,
     /// morsel size, and index choice, with `Knob::Fixed` overrides
     /// honored), then a single scoped worker pool
-    /// ([`with_pool`]) lives for the whole run: every phase's `(cluster,
-    /// morsel)` work items execute on the same workers instead of spawning
-    /// fresh threads per phase. Empty tail ranges (`phases > rows`) are
+    /// ([`with_pool`]) lives for the whole run: each phase is one pool
+    /// round of `(cluster, morsel)` work items on the same workers, and the
+    /// worker that completes a cluster's last morsel folds it into its
+    /// views' groups of the phase. Empty tail ranges (`phases > rows`) are
     /// skipped entirely so they never advance the pruner's sample count
     /// `m`.
     ///
@@ -291,7 +294,7 @@ impl<'a> Executor<'a> {
             // The run's wall clock covers its phases and what lies between
             // them, not planning or the pool's start-up and teardown.
             let start = Instant::now();
-            let mut planned: Option<PhaseQueries> = None;
+            let mut planned: Option<Arc<PhaseQueries>> = None;
             for (phase_idx, range) in ranges.iter().enumerate() {
                 if self.cancel.is_expired() {
                     report.deadline_exceeded = true;
@@ -315,35 +318,35 @@ impl<'a> Executor<'a> {
                         report.deltas[i].push(delta.clone());
                     }
                 }
-                let PhaseQueries {
-                    scanning,
-                    clusters,
-                    queries,
-                } = match &mut planned {
-                    Some(current) if current.scanning == scanning => current,
-                    stale => stale.insert(self.phase_queries(
+                let phase = match &planned {
+                    Some(current) if current.scanning == scanning => Arc::clone(current),
+                    _ => Arc::clone(planned.insert(Arc::new(self.phase_queries(
                         &shape.sharing,
                         views,
                         scanning,
                         target,
                         &ref_pred,
                         reference,
-                    )),
+                    )))),
                 };
 
                 // Execute this phase's clusters: every cluster query is
                 // split into morsels and all `(cluster, morsel)` work items
-                // share the run-wide worker pool, so even a single
-                // bin-packed all-sharing cluster uses every worker; each
-                // query's result is then folded into its member views'
-                // groups of this phase, one pool item per query.
-                let results = session.scan(queries, range.clone(), |job, partial| {
+                // share the run-wide worker pool in one round, so even a
+                // single bin-packed all-sharing cluster uses every worker;
+                // the worker that completes a query's last morsel folds its
+                // result into its member views' groups of this phase. The
+                // dense-code counts in the layouts size each delta's table.
+                let layouts: Vec<GroupLayout> =
+                    states.iter().map(|s| s.groups().layout()).collect();
+                let folded = Arc::clone(&phase);
+                let results = session.scan(&phase.queries, range.clone(), move |job, partial| {
                     let side = match queries_per_cluster {
                         1 => None,
                         _ => Some([Side::Target, Side::Reference][job % 2]),
                     };
-                    let members = &clusters[job / queries_per_cluster].members;
-                    fold_into_views(partial, members, side, &states)
+                    let members = &folded.clusters[job / queries_per_cluster].members;
+                    fold_into_views(partial, members, side, &layouts)
                 });
                 // A deadline that expired during the scan makes this
                 // phase's results garbage (workers skipped an arbitrary
@@ -359,7 +362,7 @@ impl<'a> Executor<'a> {
                 let mut phase_groups: Vec<Option<ViewGroups>> = vec![None; views.len()];
                 for (job, (deltas, job_stats)) in results.into_iter().enumerate() {
                     report.stats.merge(&job_stats);
-                    let members = &clusters[job / queries_per_cluster].members;
+                    let members = &phase.clusters[job / queries_per_cluster].members;
                     for (&(view_id, ..), delta) in members.iter().zip(deltas) {
                         states[view_id].merge_groups(&delta);
                         if capture {
@@ -375,7 +378,7 @@ impl<'a> Executor<'a> {
                 // Every scanned view covered one more phase — even a view
                 // whose groups were absent from this range must occupy the
                 // phase slot, or replay indices would shift.
-                for &id in scanning.iter() {
+                for &id in &phase.scanning {
                     report.scanned_phases[id] += 1;
                     if capture {
                         let delta = phase_groups[id].take().unwrap_or_default();

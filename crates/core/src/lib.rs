@@ -65,7 +65,7 @@ pub use config::{
     ExecutionStrategy, GroupingPolicy, Knob, PruningKind, SeeDbConfig, SharingConfig,
 };
 pub use error::CoreError;
-pub use executor::{fold_into_views, ExecutionReport, Executor};
+pub use executor::{ExecutionReport, Executor};
 pub use phase::{effective_phases, phase_ranges};
 pub use plan::{Member, PhysicalPlan};
 pub use quality::{accuracy_at_k, utility_distance};

@@ -101,13 +101,11 @@ impl ViewGroups {
         }
     }
 
-    /// Empty groups over the same domain, with room for as many dense
-    /// codes as this one has seen.
-    pub(crate) fn empty_like(&self) -> Self {
-        ViewGroups {
+    /// How these groups are laid out, for empty groups like them.
+    pub(crate) fn layout(&self) -> GroupLayout {
+        GroupLayout {
             domain: self.domain,
-            dense: Vec::with_capacity(self.dense.len()),
-            sparse: BTreeMap::new(),
+            dense: self.dense.len(),
         }
     }
 
@@ -153,6 +151,25 @@ impl ViewGroups {
         self.dense.capacity() * size_of::<Option<SidePair>>()
             + map_bytes(self.sparse.len())
             + spilled
+    }
+}
+
+/// A view's group layout at some point: its dense domain and how many dense
+/// codes it had seen.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupLayout {
+    domain: usize,
+    dense: usize,
+}
+
+impl GroupLayout {
+    /// Empty groups over this domain, with room for the dense codes seen.
+    pub(crate) fn empty(self) -> ViewGroups {
+        ViewGroups {
+            domain: self.domain,
+            dense: Vec::with_capacity(self.dense),
+            sparse: BTreeMap::new(),
+        }
     }
 }
 
@@ -203,11 +220,11 @@ impl ViewState {
         &self.groups
     }
 
-    /// Folds one phase's groups of this view (see
-    /// [`fold_into_views`](crate::executor::fold_into_views)), or a cached
-    /// copy of them, into the state. Accumulator merges are exact, so
-    /// folding the same deltas in the same order reproduces the state bit
-    /// for bit — what makes per-phase deltas safe to cache across requests.
+    /// Folds one phase's groups of this view (what the executor folded from
+    /// the phase's cluster partials), or a cached copy of them, into the
+    /// state. Accumulator merges are exact, so folding the same deltas in
+    /// the same order reproduces the state bit for bit — what makes
+    /// per-phase deltas safe to cache across requests.
     pub fn merge_groups(&mut self, delta: &ViewGroups) {
         self.groups.merge(delta);
     }

@@ -16,13 +16,16 @@
 //!   scanned row as target and/or reference, so one scan feeds both sides
 //!   of the deviation computation.
 //! * **Parallel query execution** — a persistent scoped worker pool
-//!   ([`parallel::with_pool`]) executes `(query, morsel)` work items
-//!   ([`morsel::ScanSession`], or [`morsel::execute_morsels`] for a single
-//!   call): every query's scan range splits into fixed-size morsels,
-//!   workers aggregate thread-local partials, and
-//!   [`PartialAggregation::merge`] folds them — bit-identically to a
-//!   serial scan, because accumulator sums are exact
-//!   (see [`Accumulator`]).
+//!   ([`parallel::with_pool`]) executes a scan's `(query, morsel)` work
+//!   items as one round ([`morsel::ScanSession`], or
+//!   [`morsel::execute_morsels`] for a single call): every query's scan
+//!   range splits into fixed-size morsels, workers aggregate thread-local
+//!   partials, and the worker that completes a query's last morsel folds
+//!   them with [`PartialAggregation::merge`] — bit-identically to a serial
+//!   scan, because accumulator sums are exact (see [`Accumulator`]). A
+//!   round owns its task, which owns what it reads or borrows it from
+//!   outside the pool's scope, so the compiler checks every borrow a
+//!   worker makes.
 //!
 //! Execution is *phase-aware*: a [`PartialAggregation`] accepts any number
 //! of row ranges and can be snapshotted or drained between ranges — a
@@ -38,7 +41,7 @@
 //! [`DENSE_CARDINALITY_MAX`]) — while the **scalar** mode keeps the
 //! original row-at-a-time path as the bit-identical equivalence oracle.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod agg;
 pub mod binpack;
@@ -65,7 +68,7 @@ pub use hashagg::{
     execute_combined, execute_combined_with_mode, PartialAggregation, DENSE_CARDINALITY_MAX,
 };
 pub use morsel::{execute_morsels, ScanSession, DEFAULT_MORSEL_ROWS};
-pub use parallel::{with_pool, BudgetLease, CancelToken, Pool, WorkerBudget, WorkerProbes};
+pub use parallel::{with_pool, BudgetLease, CancelToken, Pool, WorkerBudget};
 pub use prune::{contribution_predicate, pruned_scan, zone_match, PrunedScan};
 pub use rollup::rollup;
 pub use seedb_obs::TraceCtx;

@@ -9,11 +9,12 @@
 //! distribution: zone-map-pruned partitions are dropped before any worker
 //! runs, and the surviving rows are carved into fixed-size **morsels**.
 //! The per-job morsel lists are flattened into one job-major item space and
-//! scheduled over a shared worker pool ([`crate::parallel::Pool`]): every
-//! worker aggregates the morsels it claims into a **thread-local
-//! [`PartialAggregation`]** per job, and once the pool drains a second
-//! round of pool items — one per job — folds that job's worker partials and
-//! hands the folded partial to the caller's consumer.
+//! run as **one round** of a shared worker pool ([`crate::parallel::Pool`]):
+//! every worker aggregates the morsels it claims into a **thread-local
+//! [`PartialAggregation`]** per job, and a per-job countdown lets the worker
+//! that completes a job's last morsel fold that job's worker partials and
+//! hand the folded partial to the caller's consumer, while the others keep
+//! scanning. A job with no surviving morsel is one fold-only item.
 //!
 //! A [`ScanSession`] keeps those worker partials between calls: a phased
 //! run scans the same queries over one range after another, so each call
@@ -42,6 +43,8 @@ use seedb_obs::TraceCtx;
 use seedb_storage::Table;
 use seedb_util::PLock;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 pub use seedb_storage::DEFAULT_MORSEL_ROWS;
 
@@ -54,25 +57,28 @@ struct WorkerPartial {
     scanned: bool,
 }
 
+/// `partials[job][worker]`. Each worker only ever touches its own slot
+/// while scanning, and a job's slots are folded once all its morsels are
+/// done, so the mutexes are uncontended; they keep the hot path in safe
+/// code.
+type Partials = Vec<Vec<PLock<Option<WorkerPartial>>>>;
+
 /// A run-scoped morsel scanner: one pool, table, [`ScanShape`], deadline
 /// and trace, any number of [`ScanSession::scan`] calls. Worker partials
 /// live as long as consecutive calls pass the same query list.
-pub struct ScanSession<'a> {
-    pool: &'a Pool<'a>,
-    table: &'a dyn Table,
+pub struct ScanSession<'a, 'env> {
+    pool: &'a Pool<'env>,
+    table: &'env dyn Table,
     shape: ScanShape,
     cancel: CancelToken,
     trace: TraceCtx,
     /// The query list `partials` is bound to.
-    queries: Vec<CombinedQuery>,
-    /// `partials[job][worker]`. Each worker only ever touches its own slot
-    /// while scanning, and a job's slots are folded by one pool item, so
-    /// the mutexes are uncontended; they exist to keep the hot path in safe
-    /// code.
-    partials: Vec<Vec<PLock<Option<WorkerPartial>>>>,
+    queries: Arc<[CombinedQuery]>,
+    /// Shared with each scan's round, which owns what it reads.
+    partials: Arc<Partials>,
 }
 
-impl<'a> ScanSession<'a> {
+impl<'a, 'env> ScanSession<'a, 'env> {
     /// A session over `table` on `pool`. `cancel` is the cooperative
     /// deadline of every scan; when `trace` is enabled, each worker that
     /// claims at least one morsel of a scan emits one aggregated `morsels`
@@ -82,8 +88,8 @@ impl<'a> ScanSession<'a> {
     /// adds as span arguments). A disabled trace costs one branch per morsel and
     /// allocates nothing; results are bit-identical either way.
     pub fn new(
-        pool: &'a Pool<'a>,
-        table: &'a dyn Table,
+        pool: &'a Pool<'env>,
+        table: &'env dyn Table,
         shape: ScanShape,
         cancel: &CancelToken,
         trace: &TraceCtx,
@@ -94,17 +100,19 @@ impl<'a> ScanSession<'a> {
             shape,
             cancel: *cancel,
             trace: trace.clone(),
-            queries: Vec::new(),
-            partials: Vec::new(),
+            queries: Arc::new([]),
+            partials: Arc::default(),
         }
     }
 
     /// Aggregates rows `range` for every query in `queries`, morsel-parallel,
-    /// then runs `consume(job, folded partial)` as one pool item per query
-    /// and returns its results with the job's stats, in input order. The
-    /// folded partial holds exactly the groups and values of `range` (for
-    /// the consumer to [`PartialAggregation::drain`]); whatever the
-    /// consumer leaves in it is drained before the next call.
+    /// in one pool round: the worker that completes a query's last morsel
+    /// runs `consume(job, folded partial)` for it. Returns the results with
+    /// each job's stats, in input order. The folded partial holds exactly
+    /// the groups and values of `range` (for the consumer to
+    /// [`PartialAggregation::drain`]); whatever the consumer leaves in it is
+    /// drained before the next call. `consume` owns what it reads, or
+    /// borrows it from outside the pool's scope.
     ///
     /// Each query's scan is planned independently: partitions whose zone
     /// maps prove the query can match no row are pruned up front (tallied
@@ -113,95 +121,104 @@ impl<'a> ScanSession<'a> {
     /// reflects the number of morsel scans.
     ///
     /// Once the deadline expires, workers stop aggregating before each
-    /// newly claimed morsel (in-flight morsels finish), so the call returns
-    /// within one morsel of the deadline — with `None`, because partially
-    /// scanned aggregates are not a prefix of anything well-defined. The
-    /// session drops every partial it holds at that point: nothing of a
-    /// cancelled scan reaches a later call.
-    pub fn scan<R: Send>(
+    /// newly claimed morsel (in-flight morsels finish) and consume nothing
+    /// more, so the call returns within one morsel of the deadline — with
+    /// `None`, because partially scanned aggregates are not a prefix of
+    /// anything well-defined. The session drops every partial it holds at
+    /// that point: nothing of a cancelled scan reaches a later call.
+    pub fn scan<R: Send + 'env>(
         &mut self,
         queries: &[CombinedQuery],
         range: Range<usize>,
-        consume: impl Fn(usize, &mut PartialAggregation) -> R + Sync,
+        consume: impl Fn(usize, &mut PartialAggregation) -> R + Send + Sync + 'env,
     ) -> Option<Vec<(R, ExecStats)>> {
         let n_jobs = queries.len();
         let workers = self.pool.threads();
-        if self.queries != queries {
-            self.queries.clear();
-            self.queries.extend_from_slice(queries);
-            self.partials = (0..n_jobs)
-                .map(|_| {
-                    (0..workers)
-                        .map(|_| PLock::new("engine.morsel.partials", None))
-                        .collect()
-                })
-                .collect();
+        if *self.queries != *queries {
+            self.queries = queries.iter().cloned().collect();
+            self.partials = Arc::new(
+                (0..n_jobs)
+                    .map(|_| {
+                        (0..workers)
+                            .map(|_| PLock::new("engine.morsel.partials", None))
+                            .collect()
+                    })
+                    .collect(),
+            );
         }
-        let (table, shape, cancel) = (self.table, self.shape, self.cancel);
-        let partials = &self.partials;
+        let (table, mode, cancel) = (self.table, self.shape.mode, self.cancel);
 
         // Per-job scan plans: prune partitions against each query's
         // contribution predicate, then flatten the surviving morsel lists
         // into one job-major item space. `job_offsets[j]..job_offsets[j + 1]`
-        // are job j's items; a job with no surviving morsel occupies an
-        // empty stretch.
+        // are job j's items: its morsels, or one fold-only item when none
+        // survived. `pending[j]` counts job j's items still running.
         let plans: Vec<PrunedScan> = queries
             .iter()
-            .map(|q| pruned_scan(table, q, range.clone(), shape.morsel_rows))
+            .map(|q| pruned_scan(table, q, range.clone(), self.shape.morsel_rows))
             .collect();
         let mut job_offsets = Vec::with_capacity(n_jobs + 1);
         job_offsets.push(0usize);
         for plan in &plans {
-            job_offsets.push(job_offsets.last().unwrap() + plan.morsels.len());
+            job_offsets.push(job_offsets[job_offsets.len() - 1] + plan.morsels.len().max(1));
         }
-        let n_items = *job_offsets.last().unwrap();
+        let n_items = job_offsets[n_jobs];
+        let pending: Vec<AtomicUsize> = plans
+            .iter()
+            .map(|plan| AtomicUsize::new(plan.morsels.len().max(1)))
+            .collect();
+        let results: Arc<Vec<_>> = Arc::new(
+            (0..n_jobs)
+                .map(|_| PLock::new("engine.morsel.results", None))
+                .collect(),
+        );
+        let probes = Arc::new(WorkerProbes::new(workers, self.trace.is_enabled()));
 
-        let fresh = |job: usize| WorkerPartial {
-            agg: PartialAggregation::with_mode(queries[job].clone(), shape.mode),
+        let (queries, partials) = (Arc::clone(&self.queries), Arc::clone(&self.partials));
+        let (out, round_probes) = (Arc::clone(&results), Arc::clone(&probes));
+        let fresh = move |job: usize| WorkerPartial {
+            agg: PartialAggregation::with_mode(queries[job].clone(), mode),
             stats: ExecStats::new(),
             scanned: false,
         };
-        let probes = WorkerProbes::new(workers, self.trace.is_enabled());
-        self.pool.run(n_items, |worker, item| {
-            if cancel.is_expired() {
+        self.pool.run(n_items, move |worker, item| {
+            let job = job_offsets.partition_point(|&off| off <= item) - 1;
+            let plan = &plans[job];
+            if let Some(morsel) = plan.morsels.get(item - job_offsets[job]) {
+                if cancel.is_expired() {
+                    return;
+                }
+                let probe_start = round_probes.start();
+                let mut slot = partials[job][worker].lock();
+                let partial = slot.get_or_insert_with(|| fresh(job));
+                partial.scanned = true;
+                let before = (
+                    partial.stats.accumulator_updates,
+                    partial.stats.fixed_lane_updates,
+                );
+                partial
+                    .agg
+                    .update(table, morsel.clone(), &mut partial.stats);
+                round_probes.record(
+                    worker,
+                    probe_start,
+                    partial.stats.accumulator_updates - before.0,
+                    partial.stats.fixed_lane_updates - before.1,
+                );
+            }
+            // The job's last item folds it: the lowest worker that scanned
+            // for the job takes the others' partials in. (Accumulator merges
+            // are exact, so any order yields the same bits.) Workers that
+            // claimed nothing for the job this call are left alone. Each
+            // decrement releases its worker's partial; the last one acquires
+            // them all.
+            if pending[job].fetch_sub(1, Ordering::AcqRel) != 1 || cancel.is_expired() {
                 return;
             }
-            let probe_start = probes.start();
-            let job = job_offsets.partition_point(|&off| off <= item) - 1;
-            let morsel = &plans[job].morsels[item - job_offsets[job]];
-            let mut slot = partials[job][worker].lock();
-            let partial = slot.get_or_insert_with(|| fresh(job));
-            partial.scanned = true;
-            let before = (
-                partial.stats.accumulator_updates,
-                partial.stats.fixed_lane_updates,
-            );
-            partial
-                .agg
-                .update(table, morsel.clone(), &mut partial.stats);
-            probes.record(
-                worker,
-                probe_start,
-                partial.stats.accumulator_updates - before.0,
-                partial.stats.fixed_lane_updates - before.1,
-            );
-        });
-        probes.emit(&self.trace, "morsels");
-        if cancel.is_expired() {
-            self.queries.clear();
-            self.partials.clear();
-            return None;
-        }
-
-        // Fold, one pool item per job: the lowest worker that scanned for
-        // the job takes the others' partials in. (Accumulator merges are
-        // exact, so any order yields the same bits.) Workers that claimed
-        // nothing for the job this call are left alone.
-        Some(self.pool.map(n_jobs, |_, job| {
             let mut stats = ExecStats::new();
             stats.queries_issued = 1;
-            stats.partitions_scanned = plans[job].partitions_scanned;
-            stats.partitions_pruned = plans[job].partitions_pruned;
+            stats.partitions_scanned = plan.partitions_scanned;
+            stats.partitions_pruned = plan.partitions_pruned;
             let mut slots: Vec<_> = partials[job].iter().map(|slot| slot.lock()).collect();
             let mut scanned = slots.iter_mut().filter_map(|slot| {
                 let part = slot.as_mut()?;
@@ -229,8 +246,21 @@ impl<'a> ScanSession<'a> {
                     consume(job, &mut slots[0].get_or_insert_with(|| fresh(job)).agg)
                 }
             };
-            (result, stats)
-        }))
+            drop(slots);
+            *out[job].lock() = Some((result, stats));
+        });
+        probes.emit(&self.trace, "morsels");
+        if cancel.is_expired() {
+            self.queries = Arc::new([]);
+            self.partials = Arc::default();
+            return None;
+        }
+        Some(
+            results
+                .iter()
+                .map(|slot| slot.lock().take().expect("a live scan folds every job"))
+                .collect(),
+        )
     }
 }
 
@@ -245,9 +275,9 @@ impl<'a> ScanSession<'a> {
 ///
 /// `cancel` is the cooperative deadline (see [`ScanSession::scan`]); a scan
 /// it cuts short returns every query's empty result.
-pub fn execute_morsels(
-    pool: &Pool<'_>,
-    table: &dyn Table,
+pub fn execute_morsels<'env>(
+    pool: &Pool<'env>,
+    table: &'env dyn Table,
     queries: &[CombinedQuery],
     range: Range<usize>,
     shape: ScanShape,
@@ -547,6 +577,84 @@ mod tests {
                 assert!(cut.is_none(), "threads {threads}");
                 assert!(session.partials.is_empty() && session.queries.is_empty());
             });
+        }
+    }
+
+    /// Every job is consumed exactly once a scan — by the worker that
+    /// completes its last morsel, or by its one fold-only item when no
+    /// morsel survived — and the results are the serial engine's, bit for
+    /// bit. An expired token consumes nothing.
+    #[test]
+    fn each_job_is_consumed_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let t = table(501);
+        let mut qs = queries(t.as_ref());
+        // No partition holds an `m` above 1e9: zero morsels survive.
+        qs.push(CombinedQuery::single(
+            ColumnId(0),
+            AggSpec::new(AggFunc::Count, ColumnId(2)),
+            SplitSpec::TargetOnly(Predicate::NumCmp {
+                col: ColumnId(2),
+                op: CmpOp::Gt,
+                value: 1e9,
+            }),
+        ));
+        let serial = |range: Range<usize>| -> Vec<GroupedResult> {
+            qs.iter()
+                .map(|q| {
+                    if range.is_empty() {
+                        return PartialAggregation::with_mode(q.clone(), ExecMode::Scalar)
+                            .finalize();
+                    }
+                    crate::execute_combined_with_mode(
+                        t.as_ref(),
+                        q,
+                        ExecMode::Vectorized,
+                        &mut ExecStats::new(),
+                    )
+                })
+                .collect()
+        };
+        let counts: Vec<AtomicUsize> = qs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let counts = &counts;
+        let take =
+            || -> Vec<usize> { counts.iter().map(|c| c.swap(0, Ordering::SeqCst)).collect() };
+        for threads in [1usize, 2, 4] {
+            for morsel in [1usize, 7, t.num_rows()] {
+                for range in [0..t.num_rows(), 5..5] {
+                    let label = format!("threads {threads} morsel {morsel} range {range:?}");
+                    let got = with_pool(threads, |pool| {
+                        let shape = ScanShape::new(ExecMode::Vectorized, morsel);
+                        let cancel = CancelToken::none();
+                        ScanSession::new(pool, t.as_ref(), shape, &cancel, &TraceCtx::disabled())
+                            .scan(&qs, range.clone(), move |job, partial| {
+                                counts[job].fetch_add(1, Ordering::SeqCst);
+                                partial.drain_result()
+                            })
+                    })
+                    .expect("no deadline");
+                    assert_eq!(take(), vec![1; qs.len()], "{label}");
+                    let pruned = &got[2].1;
+                    assert_eq!(pruned.partitions_scanned, 0, "{label}");
+                    assert_eq!(pruned.partitions_pruned > 0, !range.is_empty(), "{label}");
+                    let results: Vec<GroupedResult> = got.into_iter().map(|(r, _)| r).collect();
+                    assert_eq!(results, serial(range), "{label}");
+                }
+            }
+            let expired = CancelToken::after(std::time::Duration::ZERO);
+            let cut = with_pool(threads, |pool| {
+                let shape = ScanShape::new(ExecMode::Vectorized, 7);
+                ScanSession::new(pool, t.as_ref(), shape, &expired, &TraceCtx::disabled()).scan(
+                    &qs,
+                    0..t.num_rows(),
+                    move |job, partial| {
+                        counts[job].fetch_add(1, Ordering::SeqCst);
+                        partial.drain_result()
+                    },
+                )
+            });
+            assert!(cut.is_none(), "threads {threads}");
+            assert_eq!(take(), vec![0; qs.len()], "threads {threads}");
         }
     }
 

@@ -2,20 +2,26 @@
 //!
 //! §4.1: *"SeeDB executes multiple view queries in parallel … however, the
 //! precise number of parallel queries needs to be tuned."* Fig 7b sweeps
-//! the degree of parallelism and finds ≈ #cores optimal. Earlier revisions
-//! spawned fresh OS threads for every batch of tasks (per cluster batch,
-//! per phase); this module now provides a **persistent scoped pool**
-//! ([`with_pool`]): workers are spawned once, live for the whole scope
-//! (e.g. an entire phased execution), and pull work items from a shared
-//! atomic queue round after round. Tasks may borrow the environment (the
-//! table, cluster plans, scratch buffers) because the workers are
-//! `std::thread::scope` threads.
+//! the degree of parallelism and finds ≈ #cores optimal. [`with_pool`]
+//! spawns its workers once; they live for the whole scope (e.g. an entire
+//! phased execution) and run every round the scope issues.
+//!
+//! A round ([`Pool::run`]) owns its task, the task's item count and the
+//! cursor its items are claimed from. It goes to every worker it needs on
+//! that worker's own channel, and each worker reports on one shared channel
+//! once it has drained the round, ok or panicked. A task owns what it reads
+//! or borrows it from outside `with_pool` (the pool's `'env`), so the
+//! compiler checks that nothing a worker reads dies before it. Dropping the
+//! pool hangs up every worker, which ends the scope even when the closure
+//! passed to `with_pool` unwinds.
 
 use seedb_obs::TraceCtx;
 use seedb_util::PLock;
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Condvar;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// A cooperative deadline token threaded from the serving layer down into
@@ -69,307 +75,123 @@ impl CancelToken {
     }
 }
 
-/// Type-erased pointer to the current round's task closure.
-///
-/// The lifetime is erased so persistent workers (spawned before any round's
-/// closure exists) can call it; soundness is argued at the single
-/// `transmute` site in [`Pool::run`].
-#[derive(Clone, Copy)]
-struct TaskRef(*const (dyn Fn(usize, usize) + Sync + 'static));
+/// A task's outcome on one worker: the payload of the first item that
+/// panicked, if any.
+type Outcome = Result<(), Box<dyn Any + Send>>;
 
-// SAFETY: moving the pointer to a worker thread hands that thread a shared
-// reference to the closure, which is sound because the pointee is `Sync`.
-// The pointer is only dereferenced while `Pool::run` — which owns the
-// closure — is blocked waiting for the round to finish, so it never dangles.
-unsafe impl Send for TaskRef {}
-// SAFETY: a `&TaskRef` only lets other threads copy the pointer and call
-// the closure through `&self`; concurrent `Fn` calls are sound because the
-// pointee is `Sync`, and validity is bounded by `Pool::run` as for `Send`.
-unsafe impl Sync for TaskRef {}
-
-/// Round-dispatch state shared between the pool owner and its workers.
-struct Ctl {
-    /// Monotonic round counter; workers join a round when it changes.
-    round: u64,
-    /// Number of work items in the current round.
-    total: usize,
-    /// The current round's task, present only while a round is live.
-    task: Option<TaskRef>,
-    /// Work items finished so far in the current round.
-    completed: usize,
-    /// Workers currently inside the current round's claim loop.
-    active: usize,
-    /// A task panicked during the current round.
-    panicked: bool,
-    /// The scope is ending; workers must exit.
-    shutdown: bool,
-}
-
-struct Shared {
-    ctl: PLock<Ctl>,
-    /// Wakes workers when a round is published (or on shutdown).
-    work_cv: Condvar,
-    /// Wakes the owner when the round completes and workers quiesce.
-    done_cv: Condvar,
-    /// Next unclaimed work-item index of the current round.
+/// One [`Pool::run`] call: the task, its item count and the cursor its
+/// items are claimed from.
+struct Round<'env> {
+    task: Box<dyn Fn(usize, usize) + Send + Sync + 'env>,
+    items: usize,
     next: AtomicUsize,
 }
 
-impl Shared {
-    fn new() -> Self {
-        Shared {
-            ctl: PLock::new(
-                "engine.pool.ctl",
-                Ctl {
-                    round: 0,
-                    total: 0,
-                    task: None,
-                    completed: 0,
-                    active: 0,
-                    panicked: false,
-                    shutdown: false,
-                },
-            ),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    fn shutdown(&self) {
-        self.ctl.lock().shutdown = true;
-        self.work_cv.notify_all();
-    }
-}
-
-/// Ends the worker scope even if the closure passed to [`with_pool`]
-/// unwinds — otherwise `std::thread::scope` would join workers that are
-/// still waiting for work, deadlocking the panic.
-struct ShutdownGuard<'a>(&'a Shared);
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    let mut seen_round = 0u64;
-    loop {
-        // Wait for a new round (or shutdown), then check in as active.
-        let (task, total) = {
-            let mut ctl = shared.ctl.lock();
-            loop {
-                if ctl.shutdown {
-                    return;
-                }
-                if ctl.round != seen_round && ctl.task.is_some() {
-                    seen_round = ctl.round;
-                    ctl.active += 1;
-                    break (ctl.task.expect("checked above"), ctl.total);
-                }
-                ctl = ctl.wait(&shared.work_cv);
-            }
-        };
-        // Claim and run work items until the round is drained.
+impl Round<'_> {
+    /// Claims and runs items as `worker` until none is left. A panicking
+    /// item does not stop the others: every item runs once either way.
+    fn drain(&self, worker: usize) -> Outcome {
+        let mut outcome = Ok(());
         loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
+            // The cursor publishes nothing: the round reached this worker
+            // through a channel, and a task orders its own writes.
+            let item = self.next.fetch_add(1, Ordering::Relaxed);
+            if item >= self.items {
+                return outcome;
             }
-            // SAFETY: `Pool::run` keeps the closure alive (it blocks until
-            // this worker checks out of the round) — see that method.
-            let ok = catch_unwind(AssertUnwindSafe(|| (unsafe { &*task.0 })(worker, i))).is_ok();
-            let mut ctl = shared.ctl.lock();
-            if !ok {
-                ctl.panicked = true;
-            }
-            ctl.completed += 1;
-            if ctl.completed == total {
-                shared.done_cv.notify_all();
-            }
-        }
-        // Check out; the round owner waits for active == 0 before returning.
-        let mut ctl = shared.ctl.lock();
-        ctl.active -= 1;
-        if ctl.active == 0 {
-            shared.done_cv.notify_all();
+            let ran = catch_unwind(AssertUnwindSafe(|| (self.task)(worker, item)));
+            outcome = outcome.and(ran);
         }
     }
 }
 
-/// Handle to a live worker pool (see [`with_pool`]). `None` shared state
-/// means the single-threaded pool, which runs everything inline.
-pub struct Pool<'env> {
-    shared: Option<&'env Shared>,
-    threads: usize,
+/// A spawned worker: drains every round it is sent, drops it and reports,
+/// until the pool hangs up.
+fn worker_loop(worker: usize, rounds: Receiver<Arc<Round<'_>>>, done: Sender<Outcome>) {
+    for round in rounds {
+        let outcome = round.drain(worker);
+        drop(round);
+        if done.send(outcome).is_err() {
+            return;
+        }
+    }
 }
 
-impl Pool<'_> {
+/// Handle to a live worker pool (see [`with_pool`]): one round channel per
+/// spawned worker and the channel they all report on. A pool without
+/// spawned workers runs everything inline.
+pub struct Pool<'env> {
+    workers: Vec<Sender<Arc<Round<'env>>>>,
+    done: Receiver<Outcome>,
+}
+
+impl<'env> Pool<'env> {
     /// Number of workers, including the calling thread (≥ 1).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len() + 1
     }
 
     /// Runs `num_tasks` work items of `task(worker, item)` across the pool,
     /// returning once all have finished. The calling thread participates as
-    /// worker 0; spawned workers are `1..threads()`. Item indices are
-    /// claimed in ascending order, so the items a given worker executes for
-    /// any subsequence are ascending — the property the morsel scheduler's
-    /// deterministic fold relies on.
+    /// worker 0; spawned workers are `1..threads()`, and no more of them
+    /// are woken than there are items besides the caller's first. Item
+    /// indices are claimed in ascending order.
     ///
-    /// Not reentrant: `task` must not call back into this pool.
+    /// `task` owns what it reads or borrows it from outside [`with_pool`];
+    /// it cannot reach the pool itself, so rounds never nest.
     ///
     /// # Panics
-    /// Propagates a panic from any task after the round has fully drained
-    /// (no task is silently lost).
-    pub fn run(&self, num_tasks: usize, task: impl Fn(usize, usize) + Sync) {
-        let Some(shared) = self.shared else {
-            for i in 0..num_tasks {
-                task(0, i);
-            }
-            return;
-        };
+    /// Propagates the first panic of any item after the round has fully
+    /// drained (no item is silently lost).
+    pub fn run(&self, num_tasks: usize, task: impl Fn(usize, usize) + Send + Sync + 'env) {
         if num_tasks == 0 {
             return;
         }
-
-        // Publish the round.
-        let wide: *const (dyn Fn(usize, usize) + Sync) = &task;
-        // SAFETY: the transmute only erases the pointee's lifetime. `task`
-        // lives until this function returns, and this function does not
-        // return until every worker has checked out of the round
-        // (`active == 0`) and all claimed items completed — after which no
-        // worker can dereference the pointer again (claims of later rounds
-        // re-read `ctl.task`).
-        let task_ref = TaskRef(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize, usize) + Sync),
-                *const (dyn Fn(usize, usize) + Sync + 'static),
-            >(wide)
+        let round = Arc::new(Round {
+            task: Box::new(task),
+            items: num_tasks,
+            next: AtomicUsize::new(0),
         });
-        {
-            let mut ctl = shared.ctl.lock();
-            debug_assert!(ctl.task.is_none() && ctl.active == 0, "pool is reentrant");
-            ctl.round += 1;
-            ctl.total = num_tasks;
-            ctl.completed = 0;
-            ctl.panicked = false;
-            shared.next.store(0, Ordering::Relaxed);
-            ctl.task = Some(task_ref);
+        let helpers = self
+            .workers
+            .iter()
+            .take(num_tasks - 1)
+            .filter(|worker| worker.send(Arc::clone(&round)).is_ok())
+            .count();
+        let mut outcome = round.drain(0);
+        for _ in 0..helpers {
+            let reported = self
+                .done
+                .recv()
+                .expect("a live worker reports every round it is sent");
+            outcome = outcome.and(reported);
         }
-        shared.work_cv.notify_all();
-
-        // Participate as worker 0.
-        let mut caller_panic = None;
-        loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= num_tasks {
-                break;
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| task(0, i)));
-            let mut ctl = shared.ctl.lock();
-            if let Err(payload) = result {
-                ctl.panicked = true;
-                caller_panic.get_or_insert(payload);
-            }
-            ctl.completed += 1;
-            if ctl.completed == num_tasks {
-                shared.done_cv.notify_all();
-            }
-        }
-
-        // Wait for completion AND worker check-out (a worker may still be
-        // between its last claim attempt and checking out; the next round
-        // must not start until it has).
-        let mut ctl = shared.ctl.lock();
-        while ctl.completed < num_tasks || ctl.active > 0 {
-            ctl = ctl.wait(&shared.done_cv);
-        }
-        ctl.task = None;
-        let panicked = ctl.panicked;
-        drop(ctl);
-        if let Some(payload) = caller_panic {
+        if let Err(payload) = outcome {
             resume_unwind(payload);
         }
-        if panicked {
-            panic!("pool worker task panicked");
-        }
-    }
-
-    /// [`Pool::run`] collecting each item's result, in item order.
-    pub fn map<T, F>(&self, num_tasks: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-    {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(num_tasks);
-        slots.resize_with(num_tasks, || None);
-        {
-            let out = SlotWriter(slots.as_mut_ptr());
-            self.run(num_tasks, move |worker, i| {
-                // Bind the wrapper itself so the closure captures the
-                // `Sync` `SlotWriter`, not its raw-pointer field (Rust 2021
-                // disjoint capture would otherwise grab `out.0`).
-                let out = out;
-                let value = task(worker, i);
-                // SAFETY: each item index is claimed exactly once, so the
-                // writes target disjoint slots; `slots` is not touched
-                // until `run` returns.
-                unsafe { (*out.0.add(i)) = Some(value) };
-            });
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every task index executed exactly once"))
-            .collect()
     }
 }
-
-/// Raw slot pointer made shareable for disjoint-index writes.
-struct SlotWriter<T>(*mut Option<T>);
-
-// Manual impls: the derive would add an unwanted `T: Copy` bound.
-impl<T> Clone for SlotWriter<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SlotWriter<T> {}
-
-// SAFETY: a worker holding the pointer moves `T` values into the slots,
-// which `T: Send` permits; `map` owns `slots` and does not touch them until
-// `run` returns, so the pointer outlives every write through it.
-unsafe impl<T: Send> Send for SlotWriter<T> {}
-// SAFETY: sharing `&SlotWriter` lets several workers write through the same
-// pointer at once; each item index is claimed exactly once, so their writes
-// target disjoint slots (argued at the write site) and never race.
-unsafe impl<T: Send> Sync for SlotWriter<T> {}
 
 /// Spawns a scoped worker pool of `threads` workers (1 = fully inline, no
 /// threads spawned) and runs `f` with a handle to it. Workers persist for
 /// the whole call, executing every [`Pool::run`] round `f` issues — this is
 /// what lets a phased execution reuse one set of OS threads across all of
-/// its phases and cluster batches.
-pub fn with_pool<R>(threads: usize, f: impl FnOnce(&Pool<'_>) -> R) -> R {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return f(&Pool {
-            shared: None,
-            threads: 1,
-        });
-    }
-    let shared = Shared::new();
+/// its phases.
+pub fn with_pool<'env, R>(threads: usize, f: impl FnOnce(&Pool<'env>) -> R) -> R {
     std::thread::scope(|scope| {
-        let _guard = ShutdownGuard(&shared);
-        for worker in 1..threads {
-            let shared = &shared;
-            scope.spawn(move || worker_loop(shared, worker));
-        }
-        f(&Pool {
-            shared: Some(&shared),
-            threads,
-        })
+        let (report, done) = channel();
+        let workers = (1..threads.max(1))
+            .map(|worker| {
+                let (send, rounds) = channel();
+                let report = report.clone();
+                scope.spawn(move || worker_loop(worker, rounds, report));
+                send
+            })
+            .collect();
+        drop(report);
+        // `f`'s pool drops before the scope joins its workers, unwinding or
+        // not, and that hangs every worker up.
+        f(&Pool { workers, done })
     })
 }
 
@@ -390,7 +212,7 @@ struct ProbeSlot {
 /// cost one branch per item, keeping the untraced hot path untouched.
 /// Each worker only locks its own slot, so the mutexes are uncontended —
 /// the same safe-code pattern as the morsel scheduler's partials.
-pub struct WorkerProbes {
+pub(crate) struct WorkerProbes {
     slots: Vec<PLock<ProbeSlot>>,
 }
 
@@ -594,15 +416,36 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// [`Pool::run`] collecting each item's result, in item order.
+    fn map<'env, T: Send + 'env>(
+        pool: &Pool<'env>,
+        num_tasks: usize,
+        task: impl Fn(usize, usize) -> T + Send + Sync + 'env,
+    ) -> Vec<T> {
+        let slots: Arc<Vec<PLock<Option<T>>>> = Arc::new(
+            (0..num_tasks)
+                .map(|_| PLock::new("test.pool.slot", None))
+                .collect(),
+        );
+        let out = Arc::clone(&slots);
+        pool.run(num_tasks, move |worker, i| {
+            *out[i].lock() = Some(task(worker, i));
+        });
+        slots
+            .iter()
+            .map(|slot| slot.lock().take().expect("every item runs exactly once"))
+            .collect()
+    }
+
     /// One round of `num_tasks` tasks on a pool of at most `threads`
     /// workers (never more than there are tasks); results in task order.
     fn run_parallel<T: Send>(
         num_tasks: usize,
         threads: usize,
-        task: impl Fn(usize) -> T + Sync,
+        task: impl Fn(usize) -> T + Send + Sync,
     ) -> Vec<T> {
         let threads = threads.max(1).min(num_tasks.max(1));
-        with_pool(threads, |pool| pool.map(num_tasks, |_, i| task(i)))
+        with_pool(threads, |pool| map(pool, num_tasks, move |_, i| task(i)))
     }
 
     #[test]
@@ -660,9 +503,10 @@ mod tests {
         use std::collections::HashSet;
         let seen: PLock<HashSet<std::thread::ThreadId>> =
             PLock::new("test.pool.seen", HashSet::new());
+        let seen = &seen;
         with_pool(4, |pool| {
             for round in 0..50 {
-                let sums: Vec<usize> = pool.map(8, |_, i| {
+                let sums: Vec<usize> = map(pool, 8, move |_, i| {
                     seen.lock().insert(std::thread::current().id());
                     round * 8 + i
                 });
@@ -678,7 +522,7 @@ mod tests {
     #[test]
     fn pool_worker_ids_are_in_range() {
         with_pool(3, |pool| {
-            let ids = pool.map(64, |worker, _| worker);
+            let ids = map(pool, 64, |worker, _| worker);
             assert!(ids.iter().all(|&w| w < 3));
         });
     }
@@ -821,13 +665,68 @@ mod tests {
 
     #[test]
     fn inline_pool_is_deterministic_and_ordered() {
+        let order = PLock::new("test.pool.order", Vec::new());
         with_pool(1, |pool| {
-            let order = PLock::new("test.pool.order", Vec::new());
             pool.run(5, |worker, i| {
                 assert_eq!(worker, 0);
                 order.lock().push(i);
             });
             assert_eq!(*order.lock(), vec![0, 1, 2, 3, 4]);
         });
+    }
+
+    #[test]
+    fn a_panic_outside_any_task_ends_the_scope() {
+        for threads in [1, 4] {
+            let result = std::panic::catch_unwind(|| {
+                with_pool(threads, |pool| {
+                    pool.run(8, |_, _| {});
+                    panic!("the scope's own code panicked");
+                })
+            });
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"the scope's own code panicked"),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fresh_pool_runs_after_a_worker_task_panicked() {
+        // Item 0 holds the caller until a spawned worker has claimed item 1
+        // and is about to panic on it.
+        let claimed = std::sync::atomic::AtomicBool::new(false);
+        let result = std::panic::catch_unwind(|| {
+            with_pool(2, |pool| {
+                pool.run(2, |worker, _| {
+                    if worker == 0 {
+                        let t0 = Instant::now();
+                        while !claimed.load(Ordering::SeqCst)
+                            && t0.elapsed() < Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        claimed.store(true, Ordering::SeqCst);
+                        panic!("a spawned worker's task exploded");
+                    }
+                });
+            })
+        });
+        assert!(
+            claimed.load(Ordering::SeqCst),
+            "a spawned worker claimed an item"
+        );
+        let payload = result.expect_err("the worker's panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"a spawned worker's task exploded")
+        );
+        assert_eq!(
+            run_parallel(16, 2, |i| i * 3),
+            (0..16).map(|i| i * 3).collect::<Vec<_>>()
+        );
     }
 }
