@@ -24,7 +24,7 @@
 //! 4. `COMB_EARLY` stops as soon as top-k membership is decided.
 //!
 //! `NO_OPT` and `SHARING` are the loop at one phase with no pruner;
-//! `NO_OPT` also switches every sharing rewrite off ([`crate::plan::shape`]),
+//! `NO_OPT` also switches every sharing rewrite off (`crate::plan::shape`),
 //! which leaves two serial full-table queries per view — exactly the
 //! paper's basic execution engine (2·f·a·m queries).
 //!

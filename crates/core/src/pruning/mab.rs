@@ -1,6 +1,6 @@
 //! Multi-armed-bandit pruning (§4.2): the Successive Accepts and Rejects
 //! strategy adapted from Bubeck et al., "Multiple identifications in
-//! multi-armed bandits" (the paper's [5]).
+//! multi-armed bandits" (the paper's reference 5).
 //!
 //! At the end of every phase, live views are ranked by their running
 //! utility means. Two gaps are computed:

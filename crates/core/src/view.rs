@@ -2,8 +2,9 @@
 //!
 //! §2: a visualization is an *aggregate view* `V = (a, m, f)`. The view
 //! generator enumerates `A × M × F` from table metadata, exactly as the
-//! SeeDB middleware queries DBMS metadata (§3). Each view can render itself
-//! as the paper's target/reference/combined SQL view queries.
+//! SeeDB middleware queries DBMS metadata (§3). The engine executes a view's
+//! target and reference queries directly, as one shared scan, so a view is
+//! never rendered as SQL.
 
 use seedb_engine::AggFunc;
 use seedb_storage::{ColumnId, Table};
@@ -35,19 +36,6 @@ impl ViewSpec {
             self.func,
             schema.column(self.measure).name,
             schema.column(self.dim).name
-        )
-    }
-
-    /// The target view query as SQL (§2's `Q_T`), for a WHERE fragment
-    /// `target_where` (pass `"TRUE"` for the whole table). The reference
-    /// view query `Q_R` is the same query over the reference's WHERE.
-    pub fn target_sql(&self, table: &dyn Table, table_name: &str, target_where: &str) -> String {
-        let schema = table.schema();
-        let a = &schema.column(self.dim).name;
-        let m = &schema.column(self.measure).name;
-        format!(
-            "SELECT {a}, {}({m}) FROM {table_name} WHERE {target_where} GROUP BY {a}",
-            self.func
         )
     }
 }
@@ -163,24 +151,8 @@ mod tests {
         let views = enumerate_views(t.as_ref(), &[AggFunc::Avg]);
         let v = &views[0];
         assert_eq!(v.describe(t.as_ref()), "AVG(gain) BY sex");
-        let sql = v.target_sql(t.as_ref(), "census", "marital = 'single'");
-        assert_eq!(
-            sql,
-            "SELECT sex, AVG(gain) FROM census WHERE marital = 'single' GROUP BY sex"
-        );
-        let rsql = v.target_sql(t.as_ref(), "census", "TRUE");
-        assert!(rsql.contains("WHERE TRUE"));
-    }
-
-    #[test]
-    fn generated_sql_parses_back() {
-        let t = table();
-        let views = enumerate_views(t.as_ref(), &[AggFunc::Avg, AggFunc::Sum]);
-        for v in &views {
-            let sql = v.target_sql(t.as_ref(), "t", "TRUE");
-            let parsed = seedb_sql::parse_query(&sql)
-                .unwrap_or_else(|e| panic!("generated SQL failed to parse: {sql}: {e}"));
-            assert_eq!(parsed.group_by.len(), 1);
-        }
+        // The aggregate is spelled as SQL spells it.
+        let views = enumerate_views(t.as_ref(), &[AggFunc::Count]);
+        assert_eq!(views[3].describe(t.as_ref()), "COUNT(hours) BY race");
     }
 }

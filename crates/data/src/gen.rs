@@ -19,11 +19,6 @@ pub fn gaussian(rng: &mut StdRng, mean: f64, sd: f64) -> f64 {
     mean + sd * normal(rng)
 }
 
-/// Log-normal sample (`exp` of a Gaussian with parameters `mu`, `sigma`).
-pub fn log_normal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
-    gaussian(rng, mu, sigma).exp()
-}
-
 /// Zipf weights `1/rank^s` for `n` categories (unnormalized).
 pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     (1..=n).map(|rank| 1.0 / (rank as f64).powf(s)).collect()
@@ -69,12 +64,6 @@ mod tests {
         let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut r, 50.0, 5.0)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         assert!((mean - 50.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
-    fn log_normal_is_positive() {
-        let mut r = rng();
-        assert!((0..1000).all(|_| log_normal(&mut r, 0.0, 1.0) > 0.0));
     }
 
     #[test]

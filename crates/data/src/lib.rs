@@ -17,8 +17,8 @@
 //! Performance experiments (Figures 5–9) depend only on data *shape* (rows,
 //! attribute counts, distinct values), which the twins match exactly at
 //! `scale = 1.0`; the generators accept a scale factor so tests can run on
-//! smaller instances. Accuracy experiments (Figures 10–13) depend on the
-//! utility gap structure, which the planted effects control.
+//! smaller instances. The accuracy experiment (Figure 11) depends on the
+//! utility gap structure, which each twin's planted effects control.
 //!
 //! Every generator is deterministic in its seed.
 

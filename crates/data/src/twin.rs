@@ -202,46 +202,6 @@ impl TwinSpec {
             task: self.task.clone(),
         }
     }
-
-    /// A decreasing ladder of effect strengths shaped like the paper's
-    /// Figure 10: `leaders` well-separated strong effects, a cluster of
-    /// near-equal mid effects around the top-k boundary, then nothing (the
-    /// tail deviates only by noise).
-    pub fn figure10_effects(
-        dims: usize,
-        measures: usize,
-        leaders: usize,
-        clustered: usize,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let mut slot = 0usize;
-        // Spread effects over distinct (dim, measure) pairs, skipping dim 0
-        // (reserved for the target flag).
-        let next_pair = |slot: usize| -> (usize, usize) {
-            let dim = 1 + (slot % (dims - 1).max(1));
-            let measure = (slot / (dims - 1).max(1)) % measures;
-            (dim, measure)
-        };
-        for i in 0..leaders {
-            let (dim, measure) = next_pair(slot);
-            slot += 1;
-            effects.push(Effect {
-                dim,
-                measure,
-                strength: 0.9 - 0.15 * i as f64,
-            });
-        }
-        for i in 0..clustered {
-            let (dim, measure) = next_pair(slot);
-            slot += 1;
-            effects.push(Effect {
-                dim,
-                measure,
-                strength: 0.35 - 0.004 * i as f64,
-            });
-        }
-        effects
-    }
 }
 
 #[cfg(test)]
@@ -340,26 +300,6 @@ mod tests {
             u_planted > 3.0 * u_unplanted,
             "planted {u_planted} should dominate unplanted {u_unplanted}"
         );
-    }
-
-    #[test]
-    fn figure10_ladder_is_decreasing_with_cluster() {
-        let effects = TwinSpec::figure10_effects(11, 7, 2, 7);
-        assert_eq!(effects.len(), 9);
-        let strengths: Vec<f64> = effects.iter().map(|e| e.strength).collect();
-        for pair in strengths.windows(2) {
-            assert!(pair[0] > pair[1]);
-        }
-        // Leaders well separated, cluster tight.
-        assert!(strengths[0] - strengths[1] > 0.1);
-        assert!(strengths[2] - strengths[3] < 0.01);
-        // Effects land on distinct (dim, measure) pairs.
-        let mut pairs: Vec<(usize, usize)> = effects.iter().map(|e| (e.dim, e.measure)).collect();
-        pairs.sort();
-        pairs.dedup();
-        assert_eq!(pairs.len(), 9);
-        // Never on the target dim.
-        assert!(effects.iter().all(|e| e.dim != 0));
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //!
 //! ## Only what a function reads
 //!
-//! The engine fills only the parts its query's functions read ([`Needs`]):
+//! The engine fills only the parts its query's functions read (`Needs`):
 //! COUNT reads the count, SUM and AVG the count and the exact sum, MIN and
 //! MAX the count and the extremes. The aggregates over one measure share
 //! one state, which tracks the union of their needs, so `COUNT`, `SUM` and
 //! `AVG` of one measure cost one update per row, and none of them pays the
 //! `min`/`max` compare. Each aggregate is handed its state's accumulator
-//! [projected](Accumulator::project) on its own function's needs — what a
+//! projected (`Accumulator::project`) on its own function's needs — what a
 //! query of that aggregate alone computes — so a result does not depend on
 //! which aggregates shared the scan. [`Accumulator::update`], for
 //! standalone use, tracks everything.
@@ -28,7 +28,7 @@
 //! execution (phases, morsels, rollups) would drift from the serial result
 //! by a few ULPs depending on where the partition boundaries fall. The
 //! engine promises **bit-identical** results across execution shapes, so
-//! SUM is kept *exactly*, as a fixed-point superaccumulator ([`ExactSum`];
+//! SUM is kept *exactly*, as a fixed-point superaccumulator (`ExactSum`;
 //! Neal, "Fast exact summation using small and large superaccumulators",
 //! 2015), and rounded once at finalization. The rounded value therefore
 //! depends only on the multiset of inputs — never on accumulation or merge
@@ -79,7 +79,7 @@
 //! real sum of all finite inputs — including sums whose *intermediate*
 //! value exceeds `f64::MAX`: `[1e308, 1e308, -1e308]` is `1e308` in any
 //! order, and ±∞ results only when the exact total rounds to it.
-//! [`ExactSum::value`] propagates carries once, takes the sign from the
+//! `ExactSum::value` propagates carries once, takes the sign from the
 //! top digit, and rounds the magnitude to 53 bits half-to-even (exactly,
 //! when the result is subnormal). `merge` is a chunk-wise add of aligned
 //! windows, so it commutes and associates with `add`.
@@ -91,21 +91,21 @@
 //!
 //! **Lane** — one 128-bit integer add. Beside every accumulator the
 //! vectorized scan keeps an `i128` in units of `2^(unit − 1074)`; `unit` is
-//! placed per aggregate, [`LANE_SPREAD`] = 36 binades under the largest
+//! placed per aggregate, `LANE_SPREAD` = 36 binades under the largest
 //! magnitude the table's statistics report for the column — the same for
 //! every partial of a scan, so their lanes add up as they are. A value
 //! `±m · 2ᵖ` with `unit ≤ p ≤ unit + 36` adds `±m · 2^(p − unit + 18) + 1`
-//! ([`lane_term`]: one table load for range check, sign and shift, one
+//! (`lane_term`: one table load for range check, sign and shift, one
 //! multiply): its mantissa at the lane's scale and, in the 18 bits beneath,
 //! a **count** of one. No window index, no carry budget, no flags, and —
 //! unless the state also serves MIN or MAX — no `min`/`max` compare.
 //! *Overflow:* a term is below `2^(53 + 36 + 18)` and at most
-//! [`LANE_BUDGET`] = `2¹⁸ − 1` are added between folds, so a lane stays
+//! `LANE_BUDGET` = `2¹⁸ − 1` are added between folds, so a lane stays
 //! below `2¹²⁵` and its count inside its 18 bits:
 //! `53 + spread + 2 · log₂ budget ≤ 126`. A **fold**
-//! ([`Accumulator::fold_lane`]; before any merge, drain, snapshot or result)
+//! (`Accumulator::fold_lane`; before any merge, drain, snapshot or result)
 //! reads the count off the low bits and gives the rest to
-//! [`ExactSum::add_fixed`] — one window operation per lane, not per value.
+//! `ExactSum::add_fixed` — one window operation per lane, not per value.
 //! A *stray* (outside the lane's binades, subnormal, non-finite, `-0.0`)
 //! adds a bare count, which a second pass over its batch takes back as it
 //! feeds the value to the window. NULL-able and non-float columns never use

@@ -4,8 +4,7 @@
 //! `A₁, …, A_l` such that a query grouping by any `A_i` keeps its distinct
 //! -group count under the memory budget `𝓜`. With item weight
 //! `log₂|a_i|` and bin capacity `log₂𝓜`, this is exactly bin packing; the
-//! paper uses the standard **first-fit** algorithm, with first-fit-
-//! decreasing provided for ablation (Fig 8b compares packing policies).
+//! paper uses the standard **first-fit** algorithm.
 
 use seedb_storage::{ColumnId, Table};
 
@@ -26,23 +25,6 @@ pub struct GroupingPlan {
 /// must be dimension columns: only they carry the build-time distinct
 /// counts ([`Table::distinct_count`]) the weights come from.
 pub fn first_fit(table: &dyn Table, attrs: &[ColumnId], budget: usize) -> GroupingPlan {
-    pack(table, attrs, budget)
-}
-
-/// First-fit-decreasing: sorts attributes by descending weight first, which
-/// classically wastes less capacity. Exposed for the packing-policy ablation.
-pub fn first_fit_decreasing(table: &dyn Table, attrs: &[ColumnId], budget: usize) -> GroupingPlan {
-    let mut sorted: Vec<ColumnId> = attrs.to_vec();
-    sorted.sort_by(|a, b| {
-        table
-            .distinct_count(*b)
-            .cmp(&table.distinct_count(*a))
-            .then(a.cmp(b))
-    });
-    pack(table, &sorted, budget)
-}
-
-fn pack(table: &dyn Table, attrs: &[ColumnId], budget: usize) -> GroupingPlan {
     let budget = budget.max(1);
     let capacity = (budget as f64).log2();
     let mut bins: Vec<Vec<ColumnId>> = Vec::new();
@@ -185,17 +167,6 @@ mod tests {
                 "budget {budget}: {plan:?}"
             );
             assert_eq!(num_attributes(&plan), 6);
-        }
-    }
-
-    #[test]
-    fn ffd_never_uses_more_bins_than_ff_on_these_inputs() {
-        let t = table_with_cardinalities(&[50, 3, 40, 4, 30, 5, 20, 6]);
-        for budget in [100, 500, 2000] {
-            let ff = first_fit(t.as_ref(), &ids(8), budget);
-            let ffd = first_fit_decreasing(t.as_ref(), &ids(8), budget);
-            assert!(ffd.bins.len() <= ff.bins.len(), "budget {budget}");
-            assert!(respects_budget(&ffd, t.as_ref()));
         }
     }
 

@@ -179,10 +179,10 @@ pub fn choose_workers(est_rows: usize, host_parallelism: usize) -> usize {
 /// for each of `queries` queries on `workers` workers: serial runs take one
 /// morsel per run of surviving partitions (`usize::MAX` — no scheduling
 /// overhead at all); parallel runs cut a query's rows into as many
-/// batch-aligned pieces as [`LONG_SCAN_MORSEL_ROWS`] fits into them — one,
+/// batch-aligned pieces as `LONG_SCAN_MORSEL_ROWS` fits into them — one,
 /// for anything shorter than two of those: a phase of a phased run stays
 /// whole — and at least as many as it takes for the call as a whole to
-/// offer [`ITEMS_PER_WORKER`] items per worker (none extra, when the
+/// offer `ITEMS_PER_WORKER` items per worker (none extra, when the
 /// queries alone are that many).
 pub fn choose_morsel_rows(call_rows: usize, queries: usize, workers: usize) -> usize {
     if workers <= 1 {

@@ -31,7 +31,7 @@
 //!   fixed-point lane ([`crate::agg`]), folded in before anything reads it.
 //!
 //! Aggregates over one measure share one accumulator **state** per group
-//! and side, which keeps only what their functions read ([`Needs`]): the
+//! and side, which keeps only what their functions read (`Needs`): the
 //! exact sum for SUM and AVG, the extremes for MIN and MAX, the count for
 //! all. Every update path — lanes, their stray pass, the per-value path
 //! and the scalar mode — follows those needs, so both modes still build
@@ -466,16 +466,6 @@ impl PartialAggregation {
             rows_consumed: 0,
             target_rows: 0,
         }
-    }
-
-    /// The query this aggregation executes.
-    pub fn query(&self) -> &CombinedQuery {
-        &self.query
-    }
-
-    /// The execution mode this aggregation runs in.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Rows consumed since the last drain (across all `update` calls).

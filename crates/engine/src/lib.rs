@@ -7,7 +7,7 @@
 //! * **Combine multiple aggregates** — a [`CombinedQuery`] carries any
 //!   number of [`AggSpec`]s, all evaluated in one scan.
 //! * **Combine multiple GROUP BYs** — a `CombinedQuery` may group by several
-//!   dimension attributes at once; [`rollup`] recovers each
+//!   dimension attributes at once; [`rollup`](fn@rollup) recovers each
 //!   single-attribute view from the multi-attribute result (COUNT/SUM/MIN/
 //!   MAX/AVG all decompose losslessly because accumulators merge).
 //!   [`binpack`] chooses which attributes to combine under a memory budget
@@ -57,7 +57,7 @@ pub mod spec;
 pub mod stats;
 
 pub use agg::{Accumulator, AggFunc};
-pub use binpack::{first_fit, first_fit_decreasing, GroupingPlan};
+pub use binpack::{first_fit, GroupingPlan};
 pub use cost::{
     choose_group_index, choose_morsel_rows, choose_workers, estimate_scan, group_index_for,
     GroupIndexKind, ScanEstimate, ScanShape, PARALLEL_ROWS_MIN,

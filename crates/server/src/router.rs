@@ -951,6 +951,25 @@ mod tests {
         assert_eq!(s.stats.recommends_err.load(Ordering::Relaxed), 5);
     }
 
+    #[test]
+    fn where_errors_put_the_caret_under_the_column() {
+        let s = state();
+        let body = r#"{"dataset": "HOUSING", "where": "price > 1 AND ghost = 1"}"#;
+        let r = post(&s, "/recommend", body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        let j = Json::parse(&r.body).unwrap();
+        let message = j.get("error").unwrap().as_str().unwrap();
+        let lines: Vec<&str> = message.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "error: unknown column 'ghost'",
+                "  price > 1 AND ghost = 1",
+                "                ^",
+            ]
+        );
+    }
+
     /// A small but non-trivial CSV: 2 dimensions × 1 measure, 60 rows.
     fn sample_csv() -> String {
         let mut csv = String::from("city,region,sales\n");

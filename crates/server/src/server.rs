@@ -5,7 +5,7 @@
 //! ## Admission control
 //!
 //! The accept thread never blocks on connection handling: each accepted
-//! socket is pushed onto a bounded [`ConnQueue`]; a fixed set of worker
+//! socket is pushed onto a bounded `ConnQueue`; a fixed set of worker
 //! threads pops and serves. When the queue is full the connection is
 //! shed on a short-lived side thread — a `503` with a `Retry-After` hint
 //! and a structured `{"error", "code"}` envelope, followed by a bounded

@@ -1,7 +1,7 @@
-//! Abstract syntax tree for the SQL subset, with a pretty-printer whose
-//! output re-parses to the same AST (property-tested in the parser module).
+//! Abstract syntax tree of a `WHERE` body, with a pretty-printer whose
+//! output re-parses to the same AST (tested in the parser module).
 
-use seedb_engine::{AggFunc, CmpOp};
+use seedb_engine::CmpOp;
 use std::fmt;
 
 /// A literal value in a predicate.
@@ -38,12 +38,18 @@ impl fmt::Display for Literal {
 }
 
 /// A boolean expression (`WHERE` clause body).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A leaf keeps its column token's byte offset (`pos`) so that the planner
+/// can point its errors at the column. Where a node was read is not what it
+/// is: equality ignores `pos`.
+#[derive(Debug, Clone)]
 pub enum Expr {
     /// `col op literal`
     Cmp {
         /// Column name.
         col: String,
+        /// Byte offset of the column token.
+        pos: usize,
         /// Comparison operator.
         op: CmpOp,
         /// Right-hand literal.
@@ -53,6 +59,8 @@ pub enum Expr {
     In {
         /// Column name.
         col: String,
+        /// Byte offset of the column token.
+        pos: usize,
         /// Member literals.
         list: Vec<Literal>,
     },
@@ -60,6 +68,8 @@ pub enum Expr {
     IsNull {
         /// Column name.
         col: String,
+        /// Byte offset of the column token.
+        pos: usize,
         /// True for `IS NOT NULL`.
         negated: bool,
     },
@@ -71,6 +81,38 @@ pub enum Expr {
     Not(Box<Expr>),
     /// `TRUE` / `FALSE`
     BoolLit(bool),
+}
+
+impl PartialEq for Expr {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (
+                Expr::Cmp { col, op, lit, .. },
+                Expr::Cmp {
+                    col: c,
+                    op: o,
+                    lit: l,
+                    ..
+                },
+            ) => col == c && op == o && lit == l,
+            (
+                Expr::In { col, list, .. },
+                Expr::In {
+                    col: c, list: l, ..
+                },
+            ) => col == c && list == l,
+            (
+                Expr::IsNull { col, negated, .. },
+                Expr::IsNull {
+                    col: c, negated: n, ..
+                },
+            ) => col == c && negated == n,
+            (Expr::And(a), Expr::And(b)) | (Expr::Or(a), Expr::Or(b)) => a == b,
+            (Expr::Not(a), Expr::Not(b)) => a == b,
+            (Expr::BoolLit(a), Expr::BoolLit(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Expr {
@@ -90,12 +132,12 @@ impl Expr {
             write!(f, "(")?;
         }
         match self {
-            Expr::Cmp { col, op, lit } => write!(f, "{col} {} {lit}", op.sql())?,
-            Expr::In { col, list } => {
+            Expr::Cmp { col, op, lit, .. } => write!(f, "{col} {} {lit}", op.sql())?,
+            Expr::In { col, list, .. } => {
                 let items: Vec<String> = list.iter().map(Literal::to_string).collect();
                 write!(f, "{col} IN ({})", items.join(", "))?;
             }
-            Expr::IsNull { col, negated } => {
+            Expr::IsNull { col, negated, .. } => {
                 write!(f, "{col} IS {}NULL", if *negated { "NOT " } else { "" })?;
             }
             Expr::And(parts) => {
@@ -133,59 +175,6 @@ impl fmt::Display for Expr {
     }
 }
 
-/// One item of a SELECT list.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
-    /// `*`
-    Star,
-    /// A bare column reference.
-    Column(String),
-    /// `FUNC(col)`
-    Aggregate {
-        /// Aggregate function.
-        func: AggFunc,
-        /// Measure column name.
-        arg: String,
-    },
-}
-
-impl fmt::Display for SelectItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SelectItem::Star => write!(f, "*"),
-            SelectItem::Column(c) => write!(f, "{c}"),
-            SelectItem::Aggregate { func, arg } => write!(f, "{func}({arg})"),
-        }
-    }
-}
-
-/// A parsed `SELECT` statement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Query {
-    /// Select list (≥ 1 item).
-    pub select: Vec<SelectItem>,
-    /// Table name after `FROM`.
-    pub from: String,
-    /// Optional `WHERE` clause.
-    pub where_clause: Option<Expr>,
-    /// `GROUP BY` column names (possibly empty).
-    pub group_by: Vec<String>,
-}
-
-impl fmt::Display for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let items: Vec<String> = self.select.iter().map(SelectItem::to_string).collect();
-        write!(f, "SELECT {} FROM {}", items.join(", "), self.from)?;
-        if let Some(w) = &self.where_clause {
-            write!(f, " WHERE {w}")?;
-        }
-        if !self.group_by.is_empty() {
-            write!(f, " GROUP BY {}", self.group_by.join(", "))?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +193,7 @@ mod tests {
     fn expr_display_inserts_parens_only_when_needed() {
         let cmp = |c: &str| Expr::Cmp {
             col: c.into(),
+            pos: 0,
             op: CmpOp::Eq,
             lit: Literal::Int(1),
         };
@@ -213,40 +203,5 @@ mod tests {
         assert_eq!(e.to_string(), "a = 1 AND b = 1 OR c = 1");
         let e = Expr::Not(Box::new(Expr::And(vec![cmp("a"), cmp("b")])));
         assert_eq!(e.to_string(), "NOT (a = 1 AND b = 1)");
-    }
-
-    #[test]
-    fn query_display_full_form() {
-        let q = Query {
-            select: vec![
-                SelectItem::Column("sex".into()),
-                SelectItem::Aggregate {
-                    func: AggFunc::Avg,
-                    arg: "gain".into(),
-                },
-            ],
-            from: "census".into(),
-            where_clause: Some(Expr::Cmp {
-                col: "marital".into(),
-                op: CmpOp::Eq,
-                lit: Literal::Str("unmarried".into()),
-            }),
-            group_by: vec!["sex".into()],
-        };
-        assert_eq!(
-            q.to_string(),
-            "SELECT sex, AVG(gain) FROM census WHERE marital = 'unmarried' GROUP BY sex"
-        );
-    }
-
-    #[test]
-    fn query_display_minimal_form() {
-        let q = Query {
-            select: vec![SelectItem::Star],
-            from: "t".into(),
-            where_clause: None,
-            group_by: vec![],
-        };
-        assert_eq!(q.to_string(), "SELECT * FROM t");
     }
 }

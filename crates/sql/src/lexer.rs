@@ -1,4 +1,4 @@
-//! SQL tokenizer.
+//! Tokenizer for `WHERE` bodies.
 //!
 //! Produces a flat token stream with byte offsets (used for caret
 //! diagnostics). Keywords are case-insensitive; identifiers preserve case.
@@ -8,10 +8,10 @@ use crate::error::SqlError;
 /// Kinds of tokens the parser consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
-    /// Keyword (uppercased spelling): SELECT, FROM, WHERE, GROUP, BY, AND,
-    /// OR, NOT, IN, IS, NULL, TRUE, FALSE, AS, CASE, WHEN, THEN, ELSE, END.
+    /// Keyword (uppercased spelling): one of the eight words the expression
+    /// grammar reads, AND, OR, NOT, IN, IS, NULL, TRUE and FALSE.
     Keyword(String),
-    /// Identifier (column/table name).
+    /// Identifier (a column name; any other word, `SELECT` included).
     Ident(String),
     /// Integer literal.
     Int(i64),
@@ -19,7 +19,7 @@ pub enum TokenKind {
     Float(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
     Str(String),
-    /// Punctuation / operators: `( ) , * = <> != < <= > >= ;`
+    /// Punctuation / operators: `( ) , = <> != < <= > >= ;`
     Symbol(&'static str),
     /// End of input.
     Eof,
@@ -34,10 +34,11 @@ pub struct Token {
     pub pos: usize,
 }
 
-const KEYWORDS: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "GROUP", "BY", "AND", "OR", "NOT", "IN", "IS", "NULL", "TRUE",
-    "FALSE", "AS", "CASE", "WHEN", "THEN", "ELSE", "END",
-];
+const KEYWORDS: &[&str] = &["AND", "OR", "NOT", "IN", "IS", "NULL", "TRUE", "FALSE"];
+
+/// Punctuation and operators, two-byte spellings first so that `<=` is not
+/// read as `<` then `=`.
+const SYMBOLS: &[&str] = &["<>", "<=", ">=", "!=", "(", ")", ",", ";", "=", "<", ">"];
 
 /// Tokenizes `src` into a vector ending with [`TokenKind::Eof`].
 #[expect(
@@ -57,75 +58,19 @@ pub fn lex(src: &str) -> Result<Vec<Token>, SqlError> {
             continue;
         }
         let start = i;
+        if let Some(&sym) = SYMBOLS
+            .iter()
+            .find(|s| bytes[i..].starts_with(s.as_bytes()))
+        {
+            tokens.push(Token {
+                kind: TokenKind::Symbol(sym),
+                pos: start,
+            });
+            i += sym.len();
+            continue;
+        }
         match c {
-            '(' | ')' | ',' | '*' | ';' => {
-                let sym = match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '*' => "*",
-                    _ => ";",
-                };
-                tokens.push(Token {
-                    kind: TokenKind::Symbol(sym),
-                    pos: start,
-                });
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Symbol("="),
-                    pos: start,
-                });
-                i += 1;
-            }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol("<>"),
-                        pos: start,
-                    });
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol("<="),
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol("<"),
-                        pos: start,
-                    });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol(">="),
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol(">"),
-                        pos: start,
-                    });
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Symbol("!="),
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    return Err(SqlError::new(start, "unexpected '!'"));
-                }
-            }
+            '!' => return Err(SqlError::new(start, "unexpected '!'")),
             '\'' => {
                 // String literal with '' escaping. Content is consumed one
                 // UTF-8 scalar at a time so multi-byte labels survive
@@ -245,30 +190,41 @@ mod tests {
 
     #[test]
     fn lexes_basic_select() {
-        let k = kinds("SELECT a, AVG(m) FROM t");
+        // Statement words are not keywords of a WHERE body: they lex as
+        // identifiers, and `*` is no symbol.
+        let k = kinds("SELECT a, AVG(m) FROM t WHERE b IN (1)");
         assert_eq!(
             k,
             vec![
-                TokenKind::Keyword("SELECT".into()),
+                TokenKind::Ident("SELECT".into()),
                 TokenKind::Ident("a".into()),
                 TokenKind::Symbol(","),
                 TokenKind::Ident("AVG".into()),
                 TokenKind::Symbol("("),
                 TokenKind::Ident("m".into()),
                 TokenKind::Symbol(")"),
-                TokenKind::Keyword("FROM".into()),
+                TokenKind::Ident("FROM".into()),
                 TokenKind::Ident("t".into()),
+                TokenKind::Ident("WHERE".into()),
+                TokenKind::Ident("b".into()),
+                TokenKind::Keyword("IN".into()),
+                TokenKind::Symbol("("),
+                TokenKind::Int(1),
+                TokenKind::Symbol(")"),
                 TokenKind::Eof,
             ]
         );
+        assert_eq!(lex("SELECT *").unwrap_err().pos, 7);
     }
 
     #[test]
     fn keywords_case_insensitive_idents_preserved() {
-        let k = kinds("select MyCol from T");
-        assert_eq!(k[0], TokenKind::Keyword("SELECT".into()));
+        let k = kinds("not MyCol is Null");
+        assert_eq!(k[0], TokenKind::Keyword("NOT".into()));
         assert_eq!(k[1], TokenKind::Ident("MyCol".into()));
-        assert_eq!(k[2], TokenKind::Keyword("FROM".into()));
+        assert_eq!(k[2], TokenKind::Keyword("IS".into()));
+        assert_eq!(k[3], TokenKind::Keyword("NULL".into()));
+        assert_eq!(kinds("group")[0], TokenKind::Ident("group".into()));
     }
 
     #[test]
@@ -327,9 +283,10 @@ mod tests {
 
     #[test]
     fn positions_track_byte_offsets() {
-        let toks = lex("SELECT a").unwrap();
+        let toks = lex("age >= 18").unwrap();
         assert_eq!(toks[0].pos, 0);
-        assert_eq!(toks[1].pos, 7);
+        assert_eq!(toks[1].pos, 4);
+        assert_eq!(toks[2].pos, 7);
     }
 
     #[test]

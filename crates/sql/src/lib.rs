@@ -1,22 +1,23 @@
 //! # seedb-sql
 //!
-//! A SQL subset frontend for SeeDB's middleware layer.
+//! `WHERE`-body predicates: lexer, parser, binder.
 //!
-//! The paper positions SeeDB as *"a middleware layer that can run on top of
-//! any SQL-compliant DBMS"* (§3): the view generator emits SQL view queries,
-//! and the sharing optimizer rewrites them. This crate provides the SQL
-//! surface of that story for our embedded substrate:
+//! The paper positions SeeDB as middleware that writes SQL view queries for
+//! a DBMS (§3). This reproduction executes its view queries directly, so the
+//! one piece of SQL a request carries is a filter: `/recommend`'s `where`
+//! and `reference` fields and `seedb::recommend_sql`'s target. This crate
+//! turns that text into an engine predicate:
 //!
-//! * [`lex`](lexer::lex) — tokenizer with byte-offset positions,
-//! * [`parse_query`](parser::parse_query) — recursive-descent parser for
-//!   `SELECT … FROM … [WHERE …] [GROUP BY …]`,
+//! * [`lex`] — tokenizer with byte-offset positions,
+//! * [`parse_expr`] — recursive-descent parser for a boolean expression,
 //! * AST pretty-printing (`Display`) that round-trips through the parser,
-//! * [`Planner`] — binds an AST against a table schema, lowering `WHERE`
-//!   clauses to engine [`Predicate`](seedb_engine::Predicate)s and aggregate
-//!   select lists to engine [`CombinedQuery`](seedb_engine::CombinedQuery)s.
+//! * [`Planner`] — binds an expression against a table schema, lowering it
+//!   to an engine [`Predicate`](seedb_engine::Predicate),
+//! * [`SqlError::render`] — an error with a caret under the offending token.
 //!
 //! ```
-//! use seedb_sql::{parse_query, Planner};
+//! use seedb_engine::Predicate;
+//! use seedb_sql::{parse_expr, Planner};
 //! use seedb_storage::{ColumnDef, StoreKind, TableBuilder, Value};
 //!
 //! let mut b = TableBuilder::new(vec![
@@ -25,12 +26,16 @@
 //! ]);
 //! b.push_row(&[Value::str("F"), Value::Float(510.0)]).unwrap();
 //! let table = b.build(StoreKind::Column).unwrap();
+//! let planner = Planner::new(table.as_ref());
 //!
-//! let q = parse_query(
-//!     "SELECT sex, AVG(capital_gain) FROM census WHERE sex = 'F' GROUP BY sex",
-//! ).unwrap();
-//! let planned = Planner::new(table.as_ref()).plan(&q).unwrap();
-//! assert_eq!(planned.group_by.len(), 1);
+//! let filter = parse_expr("sex = 'F' AND capital_gain > 500").unwrap();
+//! let predicate = planner.plan_predicate(&filter).unwrap();
+//! assert!(matches!(predicate, Predicate::And(parts) if parts.len() == 2));
+//!
+//! let src = "sex = 'F' AND ghost > 500";
+//! let err = planner.plan_predicate(&parse_expr(src).unwrap()).unwrap_err();
+//! assert_eq!(err.pos, 14);
+//! assert!(err.render(src).ends_with("\n                ^"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,8 +56,8 @@ pub mod lexer;
 pub mod parser;
 pub mod planner;
 
-pub use ast::{Expr, Literal, Query, SelectItem};
+pub use ast::{Expr, Literal};
 pub use error::SqlError;
 pub use lexer::{lex, Token, TokenKind};
-pub use parser::parse_query;
-pub use planner::{PlannedQuery, Planner};
+pub use parser::parse_expr;
+pub use planner::Planner;

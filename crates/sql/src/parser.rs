@@ -1,11 +1,9 @@
-//! Recursive-descent parser for the SQL subset.
+//! Recursive-descent parser for a `WHERE` body.
 //!
 //! Grammar (keywords case-insensitive):
 //!
 //! ```text
-//! query    := SELECT items FROM ident [WHERE expr] [GROUP BY idents] [';']
-//! items    := '*' | item (',' item)*
-//! item     := ident | func '(' ident ')'
+//! input    := expr [';']
 //! expr     := or
 //! or       := and (OR and)*
 //! and      := not (AND not)*
@@ -18,26 +16,13 @@
 //! literal  := int | float | string | TRUE | FALSE | NULL
 //! ```
 
-use crate::ast::{Expr, Literal, Query, SelectItem};
+use crate::ast::{Expr, Literal};
 use crate::error::SqlError;
 use crate::lexer::{lex, Token, TokenKind};
 use seedb_engine::CmpOp;
 
-/// Parses a single `SELECT` statement.
-pub fn parse_query(src: &str) -> Result<Query, SqlError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
-    let q = p.query()?;
-    p.expect_eof()?;
-    Ok(q)
-}
-
-/// Parses a standalone boolean expression (a bare `WHERE` body) — used by
-/// the interactive front-ends to parse user filters.
+/// Parses a boolean expression: the body of a `WHERE` clause, as
+/// `/recommend`'s `where` and `reference` fields carry it.
 pub fn parse_expr(src: &str) -> Result<Expr, SqlError> {
     let tokens = lex(src)?;
     let mut p = Parser {
@@ -120,12 +105,14 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, SqlError> {
-        match &self.peek().kind {
+    /// Consumes an identifier, returning it with its byte offset.
+    fn expect_ident(&mut self) -> Result<(String, usize), SqlError> {
+        let t = self.peek();
+        match &t.kind {
             TokenKind::Ident(name) => {
-                let name = name.clone();
+                let ident = (name.clone(), t.pos);
                 self.pos += 1;
-                Ok(name)
+                Ok(ident)
             }
             _ => Err(self.err_here("expected identifier")),
         }
@@ -138,55 +125,6 @@ impl Parser {
             Ok(())
         } else {
             Err(self.err_here("unexpected trailing input"))
-        }
-    }
-
-    fn query(&mut self) -> Result<Query, SqlError> {
-        self.expect_keyword("SELECT")?;
-        let select = self.select_items()?;
-        self.expect_keyword("FROM")?;
-        let from = self.expect_ident()?;
-        let where_clause = if self.eat_keyword("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        let mut group_by = Vec::new();
-        if self.eat_keyword("GROUP") {
-            self.expect_keyword("BY")?;
-            group_by.push(self.expect_ident()?);
-            while self.eat_symbol(",") {
-                group_by.push(self.expect_ident()?);
-            }
-        }
-        Ok(Query {
-            select,
-            from,
-            where_clause,
-            group_by,
-        })
-    }
-
-    fn select_items(&mut self) -> Result<Vec<SelectItem>, SqlError> {
-        if self.eat_symbol("*") {
-            return Ok(vec![SelectItem::Star]);
-        }
-        let mut items = vec![self.select_item()?];
-        while self.eat_symbol(",") {
-            items.push(self.select_item()?);
-        }
-        Ok(items)
-    }
-
-    fn select_item(&mut self) -> Result<SelectItem, SqlError> {
-        let name = self.expect_ident()?;
-        if self.eat_symbol("(") {
-            let func = name.parse().map_err(|e: String| self.err_here(e))?;
-            let arg = self.expect_ident()?;
-            self.expect_symbol(")")?;
-            Ok(SelectItem::Aggregate { func, arg })
-        } else {
-            Ok(SelectItem::Column(name))
         }
     }
 
@@ -259,7 +197,7 @@ impl Parser {
         if self.eat_keyword("FALSE") {
             return Ok(Expr::BoolLit(false));
         }
-        let col = self.expect_ident()?;
+        let (col, pos) = self.expect_ident()?;
         // IN list
         if self.eat_keyword("IN") {
             self.expect_symbol("(")?;
@@ -268,13 +206,13 @@ impl Parser {
                 list.push(self.literal()?);
             }
             self.expect_symbol(")")?;
-            return Ok(Expr::In { col, list });
+            return Ok(Expr::In { col, pos, list });
         }
         // IS [NOT] NULL
         if self.eat_keyword("IS") {
             let negated = self.eat_keyword("NOT");
             self.expect_keyword("NULL")?;
-            return Ok(Expr::IsNull { col, negated });
+            return Ok(Expr::IsNull { col, pos, negated });
         }
         // comparison
         let op = match &self.peek().kind {
@@ -288,7 +226,7 @@ impl Parser {
         };
         self.advance();
         let lit = self.literal()?;
-        Ok(Expr::Cmp { col, op, lit })
+        Ok(Expr::Cmp { col, pos, op, lit })
     }
 
     fn literal(&mut self) -> Result<Literal, SqlError> {
@@ -308,47 +246,11 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seedb_engine::AggFunc;
-
-    #[test]
-    fn parses_star_query() {
-        let q = parse_query("SELECT * FROM census").unwrap();
-        assert_eq!(q.select, vec![SelectItem::Star]);
-        assert_eq!(q.from, "census");
-        assert!(q.where_clause.is_none());
-        assert!(q.group_by.is_empty());
-    }
-
-    #[test]
-    fn parses_aggregate_view_query() {
-        let q = parse_query(
-            "SELECT sex, AVG(capital_gain), COUNT(age) FROM census \
-             WHERE marital = 'unmarried' GROUP BY sex",
-        )
-        .unwrap();
-        assert_eq!(q.select.len(), 3);
-        assert_eq!(
-            q.select[1],
-            SelectItem::Aggregate {
-                func: AggFunc::Avg,
-                arg: "capital_gain".into()
-            }
-        );
-        assert_eq!(q.group_by, vec!["sex".to_owned()]);
-        assert!(matches!(q.where_clause, Some(Expr::Cmp { .. })));
-    }
-
-    #[test]
-    fn parses_multi_group_by() {
-        let q = parse_query("SELECT a, b, SUM(m) FROM t GROUP BY a, b").unwrap();
-        assert_eq!(q.group_by, vec!["a".to_owned(), "b".to_owned()]);
-    }
 
     #[test]
     fn parses_boolean_structure_with_precedence() {
-        let q = parse_query("SELECT * FROM t WHERE a = 1 OR b = 2 AND c = 3").unwrap();
         // AND binds tighter than OR.
-        match q.where_clause.unwrap() {
+        match parse_expr("a = 1 OR b = 2 AND c = 3").unwrap() {
             Expr::Or(parts) => {
                 assert_eq!(parts.len(), 2);
                 assert!(matches!(parts[1], Expr::And(_)));
@@ -359,16 +261,13 @@ mod tests {
 
     #[test]
     fn parses_parenthesized_override() {
-        let q = parse_query("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3").unwrap();
-        assert!(matches!(q.where_clause.unwrap(), Expr::And(_)));
+        let e = parse_expr("(a = 1 OR b = 2) AND c = 3").unwrap();
+        assert!(matches!(e, Expr::And(_)));
     }
 
     #[test]
     fn parses_in_is_null_not() {
-        let q =
-            parse_query("SELECT * FROM t WHERE x IN ('a', 'b') AND y IS NOT NULL AND NOT z = 3")
-                .unwrap();
-        match q.where_clause.unwrap() {
+        match parse_expr("x IN ('a', 'b') AND y IS NOT NULL AND NOT z = 3").unwrap() {
             Expr::And(parts) => {
                 assert!(matches!(&parts[0], Expr::In { list, .. } if list.len() == 2));
                 assert!(matches!(&parts[1], Expr::IsNull { negated: true, .. }));
@@ -380,29 +279,26 @@ mod tests {
 
     #[test]
     fn trailing_semicolon_accepted() {
-        assert!(parse_query("SELECT * FROM t;").is_ok());
+        assert!(parse_expr("a = 1;").is_ok());
+        assert!(parse_expr("a = 1;;").is_err());
     }
 
     #[test]
     fn error_positions_are_precise() {
-        let err = parse_query("SELECT a FRM t").unwrap_err();
+        let err = parse_expr("a = 1 AND b IS NUL").unwrap_err();
+        assert_eq!(err.pos, 15);
+        assert!(err.message.contains("NULL"));
+
+        let err = parse_expr("a = 1 AND").unwrap_err();
         assert_eq!(err.pos, 9);
-        assert!(err.message.contains("FROM"));
-
-        let err = parse_query("SELECT a FROM t WHERE").unwrap_err();
-        assert!(err.message.contains("identifier") || err.message.contains("expected"));
-    }
-
-    #[test]
-    fn unknown_aggregate_function_rejected() {
-        let err = parse_query("SELECT MEDIAN(x) FROM t").unwrap_err();
-        assert!(err.message.contains("MEDIAN"));
+        assert!(err.message.contains("identifier"));
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let err = parse_query("SELECT * FROM t GROUP BY a b").unwrap_err();
+        let err = parse_expr("a = 1 b").unwrap_err();
         assert!(err.message.contains("trailing"));
+        assert_eq!(err.pos, 6);
     }
 
     #[test]
@@ -431,19 +327,21 @@ mod tests {
     #[test]
     fn pretty_print_round_trips() {
         let sources = [
-            "SELECT * FROM t",
-            "SELECT a, AVG(m) FROM t GROUP BY a",
-            "SELECT sex, AVG(capital_gain) FROM census WHERE marital = 'unmarried' GROUP BY sex",
-            "SELECT * FROM t WHERE (a = 1 OR b = 2) AND NOT c IN (1, 2, 3)",
-            "SELECT * FROM t WHERE x IS NOT NULL AND y <= 2.5",
-            "SELECT COUNT(m), SUM(m), MIN(m), MAX(m) FROM t GROUP BY a, b, c",
+            "TRUE",
+            "marital = 'unmarried'",
+            "a = 1 OR b = 2 AND c = 3",
+            "(a = 1 OR b = 2) AND NOT c IN (1, 2, 3)",
+            "x IS NOT NULL AND y <= 2.5",
+            "NOT (s <> 'it''s' OR f = FALSE) AND g IS NULL",
+            // Spacing moves every column offset; the AST must not change.
+            "a>=-7   AND(b!=1e3 OR c IN('x','y'))",
         ];
         for src in sources {
-            let q1 = parse_query(src).unwrap();
-            let printed = q1.to_string();
-            let q2 = parse_query(&printed)
+            let e1 = parse_expr(src).unwrap();
+            let printed = e1.to_string();
+            let e2 = parse_expr(&printed)
                 .unwrap_or_else(|e| panic!("re-parse failed for '{printed}': {e}"));
-            assert_eq!(q1, q2, "round trip changed AST for '{src}'");
+            assert_eq!(e1, e2, "round trip changed AST for '{src}'");
         }
     }
 }

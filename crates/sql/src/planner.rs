@@ -1,43 +1,16 @@
-//! Binding parsed queries against a table schema.
+//! Binding a parsed `WHERE` body against a table schema.
 //!
-//! The planner lowers AST expressions into engine
-//! [`Predicate`]s (resolving string literals through per-column
-//! dictionaries) and aggregate select lists into engine
-//! [`CombinedQuery`]s. This is the layer at which SeeDB's generated view
-//! queries become executable plans.
+//! The planner lowers an [`Expr`] into an engine [`Predicate`], resolving
+//! column names through the schema and string literals through per-column
+//! dictionaries. Every error it raises points at the offending column's
+//! token, so a rendered error puts its caret under that column.
 
-use crate::ast::{Expr, Literal, Query, SelectItem};
+use crate::ast::{Expr, Literal};
 use crate::error::SqlError;
-use seedb_engine::{AggFunc, AggSpec, CmpOp, CombinedQuery, Predicate, SplitSpec};
+use seedb_engine::{CmpOp, Predicate};
 use seedb_storage::{ColumnId, ColumnType, Table};
 
-/// A validated, schema-bound aggregate query.
-#[derive(Debug, Clone)]
-pub struct PlannedQuery {
-    /// Grouping columns (resolved).
-    pub group_by: Vec<ColumnId>,
-    /// Aggregates (resolved).
-    pub aggregates: Vec<AggSpec>,
-    /// Bare (non-aggregate) select columns.
-    pub projection: Vec<ColumnId>,
-    /// Lowered WHERE clause.
-    pub filter: Option<Predicate>,
-}
-
-impl PlannedQuery {
-    /// Converts into an engine query with a plain `TargetOnly` split (the
-    /// form the unoptimized baseline issues).
-    pub fn into_combined(self) -> CombinedQuery {
-        CombinedQuery {
-            group_by: self.group_by,
-            aggregates: self.aggregates,
-            filter: None,
-            split: SplitSpec::TargetOnly(self.filter.unwrap_or(Predicate::True)),
-        }
-    }
-}
-
-/// Schema-aware lowering of parsed SQL.
+/// Schema-aware lowering of a parsed `WHERE` body.
 pub struct Planner<'a> {
     table: &'a dyn Table,
 }
@@ -46,81 +19,6 @@ impl<'a> Planner<'a> {
     /// Creates a planner over `table`'s schema and dictionaries.
     pub fn new(table: &'a dyn Table) -> Self {
         Planner { table }
-    }
-
-    /// Plans a full `SELECT` statement.
-    ///
-    /// Enforces the SQL aggregation rule: when any aggregate appears in the
-    /// select list, every bare select column must also appear in `GROUP BY`.
-    pub fn plan(&self, q: &Query) -> Result<PlannedQuery, SqlError> {
-        let schema = self.table.schema();
-        let mut group_by = Vec::new();
-        for name in &q.group_by {
-            group_by.push(
-                schema
-                    .column_id(name)
-                    .ok_or_else(|| SqlError::new(0, format!("unknown column '{name}'")))?,
-            );
-        }
-
-        let mut aggregates = Vec::new();
-        let mut projection = Vec::new();
-        for item in &q.select {
-            match item {
-                SelectItem::Star => {
-                    for (id, _) in schema.iter() {
-                        projection.push(id);
-                    }
-                }
-                SelectItem::Column(name) => {
-                    let id = schema
-                        .column_id(name)
-                        .ok_or_else(|| SqlError::new(0, format!("unknown column '{name}'")))?;
-                    projection.push(id);
-                }
-                SelectItem::Aggregate { func, arg } => {
-                    let id = schema
-                        .column_id(arg)
-                        .ok_or_else(|| SqlError::new(0, format!("unknown column '{arg}'")))?;
-                    let ty = schema.column(id).ty;
-                    let numeric = matches!(ty, ColumnType::Int64 | ColumnType::Float64);
-                    if !numeric && *func != AggFunc::Count {
-                        return Err(SqlError::new(
-                            0,
-                            format!("{func} requires a numeric column, '{arg}' is {ty}"),
-                        ));
-                    }
-                    aggregates.push(AggSpec::new(*func, id));
-                }
-            }
-        }
-
-        if !aggregates.is_empty() {
-            for &col in &projection {
-                if !group_by.contains(&col) {
-                    return Err(SqlError::new(
-                        0,
-                        format!(
-                            "column '{}' must appear in GROUP BY or an aggregate",
-                            schema.column(col).name
-                        ),
-                    ));
-                }
-            }
-        }
-
-        let filter = q
-            .where_clause
-            .as_ref()
-            .map(|e| self.plan_predicate(e))
-            .transpose()?;
-
-        Ok(PlannedQuery {
-            group_by,
-            aggregates,
-            projection,
-            filter,
-        })
     }
 
     /// Lowers a boolean expression to an engine predicate.
@@ -142,21 +40,17 @@ impl<'a> Planner<'a> {
                     .map(|p| self.plan_predicate(p))
                     .collect::<Result<_, _>>()?,
             )),
-            Expr::IsNull { col, negated } => {
-                let id = schema
-                    .column_id(col)
-                    .ok_or_else(|| SqlError::new(0, format!("unknown column '{col}'")))?;
+            Expr::IsNull { col, pos, negated } => {
+                let id = self.column(col, *pos)?;
                 let p = Predicate::IsNull { col: id };
                 Ok(if *negated { p.negate() } else { p })
             }
-            Expr::In { col, list } => {
-                let id = schema
-                    .column_id(col)
-                    .ok_or_else(|| SqlError::new(0, format!("unknown column '{col}'")))?;
+            Expr::In { col, pos, list } => {
+                let id = self.column(col, *pos)?;
                 match schema.column(id).ty {
                     ColumnType::Categorical => {
                         let dict = self.table.dictionary(id).ok_or_else(|| {
-                            SqlError::new(0, format!("no dictionary for categorical '{col}'"))
+                            SqlError::new(*pos, format!("no dictionary for categorical '{col}'"))
                         })?;
                         let mut codes = Vec::new();
                         for lit in list {
@@ -169,7 +63,7 @@ impl<'a> Planner<'a> {
                                 }
                                 other => {
                                     return Err(SqlError::new(
-                                        0,
+                                        *pos,
                                         format!("IN list for '{col}' expects strings, got {other}"),
                                     ))
                                 }
@@ -184,7 +78,7 @@ impl<'a> Planner<'a> {
                     ColumnType::Int64 | ColumnType::Float64 => {
                         let mut arms = Vec::new();
                         for lit in list {
-                            let v = numeric_literal(col, lit)?;
+                            let v = numeric_literal(col, *pos, lit)?;
                             arms.push(Predicate::NumCmp {
                                 col: id,
                                 op: CmpOp::Eq,
@@ -194,18 +88,16 @@ impl<'a> Planner<'a> {
                         Ok(Predicate::Or(arms))
                     }
                     ColumnType::Bool => Err(SqlError::new(
-                        0,
+                        *pos,
                         format!("IN is not supported for boolean column '{col}'"),
                     )),
                 }
             }
-            Expr::Cmp { col, op, lit } => {
-                let id = schema
-                    .column_id(col)
-                    .ok_or_else(|| SqlError::new(0, format!("unknown column '{col}'")))?;
+            Expr::Cmp { col, pos, op, lit } => {
+                let id = self.column(col, *pos)?;
                 if matches!(lit, Literal::Null) {
                     return Err(SqlError::new(
-                        0,
+                        *pos,
                         format!("comparison with NULL is always false; use '{col} IS NULL'"),
                     ));
                 }
@@ -215,19 +107,19 @@ impl<'a> Planner<'a> {
                             Literal::Str(s) => s,
                             other => {
                                 return Err(SqlError::new(
-                                    0,
+                                    *pos,
                                     format!("'{col}' is categorical, expected string, got {other}"),
                                 ))
                             }
                         };
                         if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
                             return Err(SqlError::new(
-                                0,
+                                *pos,
                                 format!("only = and <> are supported for categorical '{col}'"),
                             ));
                         }
                         let dict = self.table.dictionary(id).ok_or_else(|| {
-                            SqlError::new(0, format!("no dictionary for categorical '{col}'"))
+                            SqlError::new(*pos, format!("no dictionary for categorical '{col}'"))
                         })?;
                         let base = match dict.code(s) {
                             Some(code) => Predicate::CatEq { col: id, code },
@@ -244,14 +136,14 @@ impl<'a> Planner<'a> {
                             Literal::Bool(b) => *b,
                             other => {
                                 return Err(SqlError::new(
-                                    0,
+                                    *pos,
                                     format!("'{col}' is boolean, got {other}"),
                                 ))
                             }
                         };
                         if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
                             return Err(SqlError::new(
-                                0,
+                                *pos,
                                 format!("only = and <> are supported for boolean '{col}'"),
                             ));
                         }
@@ -263,7 +155,7 @@ impl<'a> Planner<'a> {
                         })
                     }
                     ColumnType::Int64 | ColumnType::Float64 => {
-                        let v = numeric_literal(col, lit)?;
+                        let v = numeric_literal(col, *pos, lit)?;
                         Ok(Predicate::NumCmp {
                             col: id,
                             op: *op,
@@ -274,15 +166,23 @@ impl<'a> Planner<'a> {
             }
         }
     }
+
+    /// Resolves a column name read at byte `pos`.
+    fn column(&self, col: &str, pos: usize) -> Result<ColumnId, SqlError> {
+        self.table
+            .schema()
+            .column_id(col)
+            .ok_or_else(|| SqlError::new(pos, format!("unknown column '{col}'")))
+    }
 }
 
-fn numeric_literal(col: &str, lit: &Literal) -> Result<f64, SqlError> {
+fn numeric_literal(col: &str, pos: usize, lit: &Literal) -> Result<f64, SqlError> {
     match lit {
         Literal::Int(v) => Ok(*v as f64),
         Literal::Float(v) => Ok(*v),
         other => Err(SqlError::new(
-            0,
-            format!("'{col}' is numeric, expected number, got {other}"),
+            pos,
+            format!("\'{col}\' is numeric, expected number, got {other}"),
         )),
     }
 }
@@ -290,8 +190,8 @@ fn numeric_literal(col: &str, lit: &Literal) -> Result<f64, SqlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_expr, parse_query};
-    use seedb_engine::{execute_combined, ExecStats};
+    use crate::parser::parse_expr;
+    use seedb_engine::{execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, SplitSpec};
     use seedb_storage::{BoxedTable, ColumnDef, ColumnRole, StoreKind, TableBuilder, Value};
 
     fn census() -> BoxedTable {
@@ -325,25 +225,6 @@ mod tests {
         let t = census();
         let e = parse_expr(src).unwrap();
         Planner::new(t.as_ref()).plan_predicate(&e)
-    }
-
-    #[test]
-    fn plans_full_view_query_and_executes() {
-        let t = census();
-        let q = parse_query(
-            "SELECT sex, AVG(gain) FROM census WHERE marital = 'unmarried' GROUP BY sex",
-        )
-        .unwrap();
-        let planned = Planner::new(t.as_ref()).plan(&q).unwrap();
-        assert_eq!(planned.group_by, vec![ColumnId(0)]);
-        assert_eq!(
-            planned.aggregates,
-            vec![AggSpec::new(AggFunc::Avg, ColumnId(2))]
-        );
-        let combined = planned.into_combined();
-        let r = execute_combined(t.as_ref(), &combined, &mut ExecStats::new());
-        let (target, _) = r.value_vectors(0);
-        assert_eq!(target, vec![500.0, 480.0]);
     }
 
     #[test]
@@ -431,42 +312,60 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_rule_enforced() {
-        let t = census();
-        let q = parse_query("SELECT marital, AVG(gain) FROM c GROUP BY sex").unwrap();
-        let err = Planner::new(t.as_ref()).plan(&q).unwrap_err();
-        assert!(err.message.contains("GROUP BY"));
+    fn errors_point_at_the_column() {
+        // Unknown column, a categorical compared with a number, and an
+        // operator a categorical does not support: each caret sits under
+        // the column at byte 14.
+        for (src, message) in [
+            ("age >= 18 AND ghost = 'x'", "unknown column 'ghost'"),
+            ("age >= 18 AND sex = 3", "categorical"),
+            ("age >= 18 AND sex < 'F'", "only = and <>"),
+        ] {
+            let err = plan_pred(src).unwrap_err();
+            assert_eq!(err.pos, 14, "{src}");
+            assert!(err.message.contains(message), "{src}: {}", err.message);
+            let caret = err.render(src).lines().last().unwrap().to_owned();
+            assert_eq!(caret, format!("  {}^", " ".repeat(14)), "{src}");
+        }
+        assert_eq!(plan_pred("citizen IN (TRUE)").unwrap_err().pos, 0);
+        assert_eq!(plan_pred("sex = 'F' OR age IN ('x')").unwrap_err().pos, 13);
+        assert_eq!(plan_pred("NOT (ghost IS NULL)").unwrap_err().pos, 5);
     }
 
     #[test]
-    fn aggregate_type_checking() {
-        let t = census();
-        let q = parse_query("SELECT sex, AVG(marital) FROM c GROUP BY sex").unwrap();
-        assert!(Planner::new(t.as_ref()).plan(&q).is_err());
-        // COUNT works on any column.
-        let q = parse_query("SELECT sex, COUNT(marital) FROM c GROUP BY sex").unwrap();
-        assert!(Planner::new(t.as_ref()).plan(&q).is_ok());
-    }
-
-    #[test]
-    fn star_projection_expands_schema() {
-        let t = census();
-        let q = parse_query("SELECT * FROM c").unwrap();
-        let planned = Planner::new(t.as_ref()).plan(&q).unwrap();
-        assert_eq!(planned.projection.len(), 5);
-        assert!(planned.aggregates.is_empty());
+    fn a_column_named_group_can_be_filtered_on() {
+        let mut b = TableBuilder::new(vec![ColumnDef::dim("group"), ColumnDef::measure("m")]);
+        b.push_row(&[Value::str("a"), Value::Float(1.0)]).unwrap();
+        let t = b.build(StoreKind::Column).unwrap();
+        let e = parse_expr("group = 'a' AND m > 0").unwrap();
+        assert_eq!(
+            Planner::new(t.as_ref()).plan_predicate(&e).unwrap(),
+            Predicate::And(vec![
+                Predicate::CatEq {
+                    col: ColumnId(0),
+                    code: 0
+                },
+                Predicate::NumCmp {
+                    col: ColumnId(1),
+                    op: CmpOp::Gt,
+                    value: 0.0
+                },
+            ])
+        );
     }
 
     #[test]
     fn complex_where_executes_correctly() {
         let t = census();
-        let q = parse_query(
-            "SELECT marital, COUNT(gain) FROM c \
-             WHERE (age >= 40 OR sex = 'F') AND citizen = TRUE GROUP BY marital",
-        )
-        .unwrap();
-        let planned = Planner::new(t.as_ref()).plan(&q).unwrap();
-        let r = execute_combined(t.as_ref(), &planned.into_combined(), &mut ExecStats::new());
+        let filter = plan_pred("(age >= 40 OR sex = 'F') AND citizen = TRUE").unwrap();
+        // COUNT(gain) GROUP BY marital over the filtered rows.
+        let query = CombinedQuery {
+            group_by: vec![ColumnId(1)],
+            aggregates: vec![AggSpec::new(AggFunc::Count, ColumnId(2))],
+            filter: None,
+            split: SplitSpec::TargetOnly(filter),
+        };
+        let r = execute_combined(t.as_ref(), &query, &mut ExecStats::new());
         // Matching rows: (F,unmarried,30,T), (F,married,45,T), (M,married,50,T)
         let (counts, _) = r.value_vectors(0);
         assert_eq!(counts, vec![1.0, 2.0]); // unmarried=1, married=2

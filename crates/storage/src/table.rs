@@ -109,7 +109,7 @@ pub trait Table: Send + Sync {
 
     /// Scans rows `range` in fixed-size [`Batch`]es of up to `batch_size`
     /// rows, invoking `visitor` once per batch with typed per-column slices
-    /// (see [`crate::batch`]).
+    /// (see `crate::batch`).
     ///
     /// The default implementation materializes each batch through
     /// [`Table::scan_range`], which is correct for any layout; the column

@@ -14,7 +14,7 @@ fn main() {
         dataset.rows(),
         dataset.shape()
     );
-    let target_sql = "subscribed = 'yes'";
+    let target_where = "subscribed = 'yes'";
 
     println!("execution strategies (k = 10, EMD):");
     println!(
@@ -24,7 +24,7 @@ fn main() {
     let mut baseline_top: Vec<usize> = Vec::new();
     for strategy in ExecutionStrategy::ALL {
         let config = SeeDbConfig::for_strategy(strategy);
-        let rec = run(&dataset, target_sql, config);
+        let rec = run(&dataset, target_where, config);
         let top: Vec<usize> = rec.views.iter().map(|v| v.spec.id).collect();
         if baseline_top.is_empty() {
             baseline_top = top.clone();
@@ -44,7 +44,7 @@ fn main() {
     let truth = {
         let mut config = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
         config.pruning = PruningKind::None;
-        run(&dataset, target_sql, config)
+        run(&dataset, target_where, config)
     };
     let true_top: Vec<usize> = truth.views.iter().map(|v| v.spec.id).collect();
     println!(
@@ -54,7 +54,7 @@ fn main() {
     for pruning in PruningKind::ALL {
         let mut config = SeeDbConfig::for_strategy(ExecutionStrategy::Comb);
         config.pruning = pruning;
-        let rec = run(&dataset, target_sql, config);
+        let rec = run(&dataset, target_where, config);
         let top: Vec<usize> = rec.views.iter().map(|v| v.spec.id).collect();
         println!(
             "  {:<8} {:>10.2?} {:>12} {:>9.0}%",
@@ -66,10 +66,10 @@ fn main() {
     }
 }
 
-fn run(dataset: &seedb::data::Dataset, target_sql: &str, config: SeeDbConfig) -> Recommendation {
+fn run(dataset: &seedb::data::Dataset, target_where: &str, config: SeeDbConfig) -> Recommendation {
     seedb::recommend_sql_with(
         dataset.table.clone(),
-        target_sql,
+        target_where,
         config,
         ReferenceSpec::Complement,
     )

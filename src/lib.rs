@@ -17,7 +17,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`storage`] | row-store & column-store substrate |
-//! | [`sql`] | SQL subset: lexer, parser, planner |
+//! | [`sql`] | `WHERE`-body predicates: lexer, parser, binder |
 //! | [`engine`] | shared-scan aggregation engine |
 //! | [`metrics`] | distance functions (EMD, …) |
 //! | [`core`] | view generation, phases, pruning, recommendations |
