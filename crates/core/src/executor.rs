@@ -1141,7 +1141,7 @@ mod tests {
         // The morsel-driven executor promises *bit-identical* utilities for
         // every (worker count, morsel size, store layout, engine mode)
         // combination — the all-sharing configuration exercises the
-        // composite dense index (vectorized) and the hash path (scalar).
+        // mixed-radix dense index (vectorized) and the hash path (scalar).
         for kind in [StoreKind::Row, StoreKind::Column] {
             let mut baseline: Option<Vec<f64>> = None;
             for mode in seedb_engine::ExecMode::ALL {

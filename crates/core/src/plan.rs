@@ -532,11 +532,11 @@ mod tests {
             &Predicate::True,
             &ReferenceSpec::WholeTable,
         );
-        // Both dims fit one bin (4 × 5 « budget) and the composite domain
+        // Both dims fit one bin (4 × 5 « budget) and the mixed-radix domain
         // 5 × 6 = 30 is dense-indexable.
         assert_eq!(plan.clusters.len(), 1);
         assert!(plan.packed);
-        assert_eq!(plan.index, GroupIndexKind::DenseComposite);
+        assert_eq!(plan.index, GroupIndexKind::Dense);
 
         // The scalar oracle never uses a dense index.
         cfg.engine_mode = ExecMode::Scalar;

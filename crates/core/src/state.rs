@@ -92,7 +92,7 @@ impl ViewGroups {
     /// the engine would index that attribute densely too.
     fn for_view(table: &dyn Table, spec: &ViewSpec) -> Self {
         let domain = match group_index_for(table, &[spec.dim]) {
-            GroupIndexKind::DenseSingle => table.dictionary(spec.dim).map_or(0, |d| d.len()),
+            GroupIndexKind::Dense => table.dictionary(spec.dim).map_or(0, |d| d.len()),
             _ => 0,
         };
         ViewGroups {

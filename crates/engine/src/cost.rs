@@ -32,8 +32,9 @@ use crate::prune::zone_match;
 use crate::ExecMode;
 use seedb_storage::{ColumnId, Table, ZoneMatch, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_ROWS};
 
-/// Largest dictionary cardinality for which the vectorized path uses a
-/// dense dictionary-direct group index (see [`choose_group_index`]).
+/// Largest dictionary cardinality for which the vectorized path uses the
+/// dense group index: a grouping qualifies while its mixed-radix domain
+/// `Π (|aᵢ| + 1)` is at most this plus one (see [`choose_group_index`]).
 pub const DENSE_CARDINALITY_MAX: usize = 1 << 16;
 
 /// Minimum estimated post-prune row volume before a scan fans out to more
@@ -59,10 +60,9 @@ const LONG_SCAN_MORSEL_ROWS: usize = DEFAULT_MORSEL_ROWS / 2;
 /// Group-index strategy of the vectorized aggregation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupIndexKind {
-    /// Single-attribute dictionary-direct dense index.
-    DenseSingle,
-    /// Mixed-radix composite dense index (bin-packed multi-GROUP-BY).
-    DenseComposite,
+    /// Mixed-radix dense index over every grouping attribute's dictionary
+    /// codes (a single-attribute view or a bin-packed multi-GROUP-BY).
+    Dense,
     /// Hash-map lookups (non-categorical attribute or oversized domain).
     Hash,
 }
@@ -71,8 +71,7 @@ impl GroupIndexKind {
     /// Short label for EXPLAIN output and figures.
     pub fn label(&self) -> &'static str {
         match self {
-            GroupIndexKind::DenseSingle => "dense",
-            GroupIndexKind::DenseComposite => "dense-composite",
+            GroupIndexKind::Dense => "dense",
             GroupIndexKind::Hash => "hash",
         }
     }
@@ -80,36 +79,30 @@ impl GroupIndexKind {
 
 /// Picks the group-index strategy for a grouping whose attributes have the
 /// given dictionary cardinalities (`None` = not dictionary-encoded):
-///
-/// * one attribute with a dictionary of ≤ [`DENSE_CARDINALITY_MAX`]
-///   entries → [`GroupIndexKind::DenseSingle`];
-/// * several attributes, all dictionary-encoded, whose mixed-radix domain
-///   `Π (|aᵢ| + 1)` (the `+ 1` is each attribute's NULL slot) fits the
-///   dense cap → [`GroupIndexKind::DenseComposite`];
-/// * anything else → [`GroupIndexKind::Hash`].
+/// attributes all dictionary-encoded, whose mixed-radix domain
+/// `Π (|aᵢ| + 1)` (the `+ 1` is each attribute's NULL slot) is at most
+/// [`DENSE_CARDINALITY_MAX`] + 1, get [`GroupIndexKind::Dense`] — for one
+/// attribute, a dictionary of at most [`DENSE_CARDINALITY_MAX`] entries;
+/// anything else gets [`GroupIndexKind::Hash`].
 ///
 /// This is the engine's *actual* decision rule — the vectorized
 /// aggregation path routes through it — so planner EXPLAIN output and
 /// execution can never disagree.
 pub fn choose_group_index(dict_sizes: &[Option<usize>]) -> GroupIndexKind {
-    match dict_sizes {
-        [] => GroupIndexKind::Hash,
-        [Some(d)] if *d <= DENSE_CARDINALITY_MAX => GroupIndexKind::DenseSingle,
-        [_] => GroupIndexKind::Hash,
-        many => {
-            let mut domain: u128 = 1;
-            for d in many {
-                match d {
-                    Some(d) => domain = domain.saturating_mul(*d as u128 + 1),
-                    None => return GroupIndexKind::Hash,
-                }
-            }
-            if domain <= DENSE_CARDINALITY_MAX as u128 + 1 {
-                GroupIndexKind::DenseComposite
-            } else {
-                GroupIndexKind::Hash
-            }
+    if dict_sizes.is_empty() {
+        return GroupIndexKind::Hash;
+    }
+    let mut domain: u128 = 1;
+    for d in dict_sizes {
+        match d {
+            Some(d) => domain = domain.saturating_mul(*d as u128 + 1),
+            None => return GroupIndexKind::Hash,
         }
+    }
+    if domain <= DENSE_CARDINALITY_MAX as u128 + 1 {
+        GroupIndexKind::Dense
+    } else {
+        GroupIndexKind::Hash
     }
 }
 
@@ -226,17 +219,14 @@ mod tests {
     fn group_index_choice_matches_engine_rules() {
         use GroupIndexKind::*;
         assert_eq!(choose_group_index(&[]), Hash);
-        assert_eq!(choose_group_index(&[Some(5)]), DenseSingle);
-        assert_eq!(
-            choose_group_index(&[Some(DENSE_CARDINALITY_MAX)]),
-            DenseSingle
-        );
+        assert_eq!(choose_group_index(&[Some(5)]), Dense);
+        assert_eq!(choose_group_index(&[Some(DENSE_CARDINALITY_MAX)]), Dense);
         assert_eq!(choose_group_index(&[Some(DENSE_CARDINALITY_MAX + 1)]), Hash);
         assert_eq!(choose_group_index(&[None]), Hash);
-        assert_eq!(choose_group_index(&[Some(3), Some(4)]), DenseComposite);
+        assert_eq!(choose_group_index(&[Some(3), Some(4)]), Dense);
         assert_eq!(choose_group_index(&[Some(3), None]), Hash);
-        // (255+1) * (255+1) = 65536 ≤ cap + 1 → composite; one more bursts it.
-        assert_eq!(choose_group_index(&[Some(255), Some(255)]), DenseComposite);
+        // (255+1) * (255+1) = 65536 ≤ cap + 1 → dense; one more bursts it.
+        assert_eq!(choose_group_index(&[Some(255), Some(255)]), Dense);
         assert_eq!(choose_group_index(&[Some(255), Some(256)]), Hash);
     }
 

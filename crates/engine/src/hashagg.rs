@@ -16,19 +16,20 @@
 //!   yields a `Cell` slice per row and every row pays a hash lookup.
 //! * **Vectorized** (default) — `Table::scan_batches` yields typed column
 //!   slices; predicates evaluate to selection bitmaps
-//!   ([`BoundPredicate::eval_batch`]), and group lookups go through a
-//!   **dense index** whenever the grouping domain fits
-//!   [`DENSE_CARDINALITY_MAX`]: dictionary-direct for single-attribute
-//!   group-bys, **mixed-radix composite** for bin-packed multi-GROUP-BY
-//!   clusters (per-attribute codes encode into one slot index,
-//!   column-at-a-time over the batch's code slices — no `GroupKey`
-//!   allocation, no hash probe and no per-attribute dispatch per row).
-//!   Stray codes spill to the hash map; non-categorical attributes and
-//!   oversized domains keep the hash path. Each batch resolves its
-//!   selected rows to accumulator slots **once**, then runs one tight loop
-//!   per measure over that vector and the measure's typed slice — for a
-//!   NULL-free float column, one integer add per value into the slot's
-//!   fixed-point lane ([`crate::agg`]), folded in before anything reads it.
+//!   ([`BoundPredicate::eval_batch`]), and group lookups go through one
+//!   **mixed-radix dense index** whenever every grouping attribute is
+//!   dictionary-coded and the domain `Π (|aᵢ| + 1)` fits
+//!   [`DENSE_CARDINALITY_MAX`] + 1 — a single-attribute view and a
+//!   bin-packed multi-GROUP-BY cluster alike (per-attribute codes encode
+//!   into one slot index, column-at-a-time over the batch's code slices —
+//!   no `GroupKey` allocation, no hash probe and no per-attribute dispatch
+//!   per row). Stray codes spill to the hash map; non-categorical
+//!   attributes and oversized domains keep the hash path. Each batch
+//!   resolves its selected rows to accumulator slots **once**, then runs
+//!   one tight loop per measure over that vector and the measure's typed
+//!   slice — for a NULL-free float column, one integer add per value into
+//!   the slot's fixed-point lane ([`crate::agg`]), folded in before anything
+//!   reads it.
 //!
 //! Aggregates over one measure share one accumulator **state** per group
 //! and side, which keeps only what their functions read (`Needs`): the
@@ -59,11 +60,12 @@ use seedb_storage::{Batch, BatchData, Bitmap, ColumnId, Table, DEFAULT_BATCH_SIZ
 use std::ops::Range;
 
 /// Largest dictionary cardinality for which the vectorized path uses the
-/// dense dictionary-direct group index. Beyond this (64 Ki distinct
-/// values), a mostly-empty dense table would waste more cache than the
-/// hash probes it avoids, so the engine falls back to hashing. The
-/// decision rule itself lives in [`crate::cost::choose_group_index`] so
-/// the planner's EXPLAIN output reports the engine's literal choice.
+/// dense group index (a domain of this many slots plus NULL's). Beyond
+/// this (64 Ki distinct values), a mostly-empty dense table would waste
+/// more cache than the hash probes it avoids, so the engine falls back to
+/// hashing. The decision rule itself lives in
+/// [`crate::cost::choose_group_index`] so the planner's EXPLAIN output
+/// reports the engine's literal choice.
 pub use crate::cost::DENSE_CARDINALITY_MAX;
 use crate::cost::{group_index_for, GroupIndexKind};
 
@@ -124,9 +126,9 @@ impl BoundSplit {
     }
 }
 
-/// One grouping attribute's place in a composite (mixed-radix) dense
-/// index: `base` radix values per attribute (dictionary cardinality + 1
-/// for the NULL slot) and the attribute's positional `stride`.
+/// One grouping attribute's place in the mixed-radix dense index: `base`
+/// radix values per attribute (dictionary cardinality + 1 for the NULL
+/// slot) and the attribute's positional `stride`.
 #[derive(Debug, Clone, Copy)]
 struct RadixDim {
     base: u64,
@@ -137,7 +139,7 @@ struct RadixDim {
 /// its planned radix (a stray code — e.g. from a different table instance —
 /// which must spill to the hash map instead).
 #[inline]
-fn composite_slot(dims: &[RadixDim], codes: impl IntoIterator<Item = u64>) -> Option<usize> {
+fn radix_slot(dims: &[RadixDim], codes: impl IntoIterator<Item = u64>) -> Option<usize> {
     let mut slot = 0u64;
     for (d, code) in dims.iter().zip(codes) {
         // NULL (code u64::MAX) owns sub-slot 0; code c owns c + 1.
@@ -158,12 +160,12 @@ fn row_codes(batch: &Batch<'_>, group_slots: &[usize], i: usize, codes: &mut [u6
     }
 }
 
-/// [`composite_slot`] for a whole batch, one grouping column at a time:
+/// [`radix_slot`] for a whole batch, one grouping column at a time:
 /// `out[i] = Σ (codeᵢ + 1) · strideᵢ` over the columns' code slices.
 /// Returns `false` — leaving `out` unspecified — unless every grouping
 /// column is a dense (NULL-free) dictionary-code slice whose codes all fall
 /// inside the planned radix; the caller then resolves the batch row by row.
-fn composite_slots(
+fn radix_slots(
     batch: &Batch<'_>,
     group_slots: &[usize],
     dims: &[RadixDim],
@@ -196,19 +198,15 @@ fn composite_slots(
 enum DenseIndex {
     /// Not yet decided (no batch seen); resolved on the first update.
     Undecided,
-    /// Hash lookups (non-categorical attribute or cardinality above
-    /// [`DENSE_CARDINALITY_MAX`]).
+    /// Hash lookups (non-categorical attribute or domain above the dense
+    /// cap).
     Disabled,
-    /// Single-attribute dictionary-direct index: `slots[code + 1]` holds
-    /// `entry_index + 1` (0 = group not yet observed); `slots[0]` is the
-    /// NULL group's slot. Grows on demand for codes past the planning-time
-    /// dictionary, up to the dense cap.
-    Single { slots: Vec<u32> },
-    /// Composite dense index for bin-packed multi-GROUP-BY clusters: the
-    /// per-attribute dictionary codes are mixed-radix-encoded into one slot
-    /// index (`Σ (codeᵢ + 1) · strideᵢ`, NULL = 0). Fixed-size — codes
-    /// beyond an attribute's planned radix spill to the hash map.
-    Composite {
+    /// Mixed-radix dense index over one or more grouping attributes: the
+    /// per-attribute dictionary codes encode into one slot index
+    /// (`Σ (codeᵢ + 1) · strideᵢ`, NULL = 0), whose entry holds
+    /// `group + 1` (0 = not yet observed). Fixed-size — codes beyond an
+    /// attribute's planned radix spill to the hash map.
+    Radix {
         slots: Vec<u32>,
         dims: Vec<RadixDim>,
     },
@@ -370,7 +368,6 @@ pub struct PartialAggregation {
     dense: DenseIndex,
     groups: Groups,
     rows_consumed: u64,
-    target_rows: u64,
 }
 
 impl PartialAggregation {
@@ -464,18 +461,12 @@ impl PartialAggregation {
             dense: DenseIndex::Undecided,
             groups,
             rows_consumed: 0,
-            target_rows: 0,
         }
     }
 
     /// Rows consumed since the last drain (across all `update` calls).
     pub fn rows_consumed(&self) -> u64 {
         self.rows_consumed
-    }
-
-    /// Rows since the last drain that were classified as target rows.
-    pub fn target_rows(&self) -> u64 {
-        self.target_rows
     }
 
     /// Number of groups currently maintained (the memory-budget quantity);
@@ -509,7 +500,6 @@ impl PartialAggregation {
 
         let mut codes: Vec<u64> = vec![0; group_slots.len()];
         let mut rows = 0u64;
-        let mut target_rows = 0u64;
         let mut side_rows = 0u64;
 
         table.scan_range(&self.projection, start..end, &mut |cells| {
@@ -522,9 +512,6 @@ impl PartialAggregation {
             let (is_t, is_r) = split.classify(cells);
             if !is_t && !is_r {
                 return;
-            }
-            if is_t {
-                target_rows += 1;
             }
             side_rows += u64::from(is_t) + u64::from(is_r);
             for (dst, &slot) in codes.iter_mut().zip(group_slots) {
@@ -547,7 +534,6 @@ impl PartialAggregation {
         });
 
         self.rows_consumed += rows;
-        self.target_rows += target_rows;
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
@@ -556,17 +542,11 @@ impl PartialAggregation {
     }
 
     /// Places the lanes and picks the vectorized path's group index on the
-    /// first batch:
-    ///
-    /// * one categorical attribute of cardinality ≤
-    ///   [`DENSE_CARDINALITY_MAX`] → the growable single-attribute
-    ///   dictionary-direct index;
-    /// * several attributes, all dictionary-encoded, whose mixed-radix
-    ///   domain `Π (|aᵢ| + 1)` fits the dense cap → the composite
-    ///   dense index (the bin-packed cluster case: the §4.1 memory budget
-    ///   already bounds `Π |aᵢ|`, so packed clusters qualify whenever the
-    ///   budget is within the cap);
-    /// * anything else → hash lookups.
+    /// first batch: attributes all dictionary-encoded, whose mixed-radix
+    /// domain `Π (|aᵢ| + 1)` fits the dense cap, get the dense index (for a
+    /// bin-packed cluster, the §4.1 memory budget already bounds `Π |aᵢ|`,
+    /// so packed clusters qualify whenever the budget is within the cap);
+    /// anything else gets hash lookups.
     fn ensure_group_index(&mut self, table: &dyn Table) {
         if !matches!(self.dense, DenseIndex::Undecided) {
             return;
@@ -584,37 +564,18 @@ impl PartialAggregation {
         // calls the same function, so EXPLAIN can never disagree with what
         // actually runs. This method only materializes the chosen index.
         self.dense = match group_index_for(table, &self.query.group_by) {
-            GroupIndexKind::DenseSingle => {
-                let d = table
-                    .dictionary(self.query.group_by[0])
-                    .expect("DenseSingle implies a dictionary");
-                DenseIndex::Single {
-                    // Slot 0 is the NULL group; code c maps to slot c + 1.
-                    slots: vec![0; d.len() + 1],
-                }
-            }
-            GroupIndexKind::DenseComposite => {
-                let bases: Vec<u64> = self
-                    .query
-                    .group_by
-                    .iter()
-                    .map(|&col| {
-                        table
-                            .dictionary(col)
-                            .expect("DenseComposite implies dictionaries")
-                            .len() as u64
-                            + 1 // + NULL slot
-                    })
-                    .collect();
+            GroupIndexKind::Dense => {
                 // Last attribute varies fastest (row-major radix layout);
                 // the final stride is the full domain Π (|aᵢ| + 1).
-                let mut dims = vec![RadixDim { base: 0, stride: 0 }; bases.len()];
+                let mut dims = vec![RadixDim { base: 0, stride: 0 }; self.group_slots.len()];
                 let mut stride = 1u64;
-                for (i, &base) in bases.iter().enumerate().rev() {
-                    dims[i] = RadixDim { base, stride };
+                for (dim, &col) in dims.iter_mut().zip(&self.query.group_by).rev() {
+                    let d = table.dictionary(col).expect("Dense implies dictionaries");
+                    let base = d.len() as u64 + 1; // + NULL slot
+                    *dim = RadixDim { base, stride };
                     stride *= base;
                 }
-                DenseIndex::Composite {
+                DenseIndex::Radix {
                     slots: vec![0; stride as usize],
                     dims,
                 }
@@ -644,7 +605,6 @@ impl PartialAggregation {
         let split = &self.split;
 
         let mut rows = 0u64;
-        let mut target_rows = 0u64;
         let mut updates = 0u64;
         let mut lane_updates = 0u64;
 
@@ -653,7 +613,7 @@ impl PartialAggregation {
         let mut r_bits = Bitmap::new();
         let mut f_bits = Bitmap::new();
         let mut codes: Vec<u64> = vec![0; group_slots.len()];
-        // Composite slot of every batch row (column-at-a-time pass).
+        // Dense slot of every batch row (column-at-a-time pass).
         let mut row_slots: Vec<u32> = Vec::new();
         // (row in batch, group-side slot) of every update the batch owes,
         // in row order.
@@ -678,62 +638,21 @@ impl PartialAggregation {
                 selected.resize(2 * batch.len(), (0, 0));
                 let mut owed = 0;
                 let mut select = |row: usize, group: usize, is_t: bool, is_r: bool| {
-                    target_rows += u64::from(is_t);
                     selected[owed] = (row as u32, group as u32 * 2);
                     owed += usize::from(is_t);
                     selected[owed] = (row as u32, group as u32 * 2 + 1);
                     owed += usize::from(is_r);
                 };
                 match dense {
-                    DenseIndex::Single { slots } => {
-                        // Dense dictionary-direct path: one group attribute,
-                        // group looked up by dictionary code. The common
-                        // case — a dense categorical batch slice — reads codes
-                        // straight from the slice without per-row dispatch.
-                        let gcol = *batch.column(group_slots[0]);
-                        let cat_codes = match (gcol.data, gcol.validity) {
-                            (BatchData::Cat(v), None) => Some(v),
-                            _ => None,
-                        };
-                        for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            let code = match cat_codes {
-                                Some(v) => v[i] as u64,
-                                None => gcol.group_code(i),
-                            };
-                            let si = if code == u64::MAX {
-                                0
-                            } else {
-                                code as usize + 1
-                            };
-                            let group = if si <= DENSE_CARDINALITY_MAX + 1 {
-                                if si >= slots.len() {
-                                    // A code beyond the planning-time dictionary
-                                    // (e.g. a different table instance): grow,
-                                    // bounded by the dense cardinality cap.
-                                    slots.resize(si + 1, 0);
-                                }
-                                groups.at_dense_slot(&mut slots[si], || GroupKey::One(code))
-                            } else {
-                                // A stray code past the dense cap must not
-                                // force a huge, mostly-empty dense table:
-                                // overflow such groups into the hash map (keys
-                                // stay disjoint — the dense table owns every
-                                // code at or below the cap).
-                                groups.at_key(map, GroupKey::One(code))
-                            };
-                            select(i, group, is_t, is_r);
-                        });
-                    }
-                    DenseIndex::Composite { slots, dims } => {
-                        // Composite dense path: the bin-packed multi-GROUP-BY
-                        // cluster. Per-attribute codes are mixed-radix-encoded
-                        // into one slot — no `GroupKey` allocation and no hash
-                        // probe per row. The usual batch (every grouping
-                        // column a dense code slice, every code in radix)
-                        // encodes column-at-a-time, leaving one slot read per
-                        // selected row; its key is only materialised on a
-                        // group's first sight.
-                        if composite_slots(batch, group_slots, dims, &mut row_slots) {
+                    DenseIndex::Radix { slots, dims } => {
+                        // Dense path: per-attribute codes are mixed-radix-
+                        // encoded into one slot — no `GroupKey` allocation
+                        // and no hash probe per row. The usual batch (every
+                        // grouping column a dense code slice, every code in
+                        // radix) encodes column-at-a-time, leaving one slot
+                        // read per selected row; its key is only materialised
+                        // on a group's first sight.
+                        if radix_slots(batch, group_slots, dims, &mut row_slots) {
                             for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
                                 let entry = &mut slots[row_slots[i] as usize];
                                 let group = groups.at_dense_slot(entry, || {
@@ -750,7 +669,7 @@ impl PartialAggregation {
                             // exactly the in-radix tuples.
                             for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
                                 row_codes(batch, group_slots, i, &mut codes);
-                                let group = match composite_slot(dims, codes.iter().copied()) {
+                                let group = match radix_slot(dims, codes.iter().copied()) {
                                     Some(si) => groups.at_dense_slot(&mut slots[si], || {
                                         GroupKey::from_codes(&codes)
                                     }),
@@ -805,7 +724,6 @@ impl PartialAggregation {
         );
 
         self.rows_consumed += rows;
-        self.target_rows += target_rows;
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
@@ -821,22 +739,8 @@ impl PartialAggregation {
     /// plan keeps the two key spaces disjoint.
     fn group_for_key(&mut self, key: &GroupKey) -> usize {
         let dense_slot = match &mut self.dense {
-            DenseIndex::Single { slots } => {
-                let code = key.code(0);
-                let si = if code == u64::MAX {
-                    0
-                } else {
-                    code as usize + 1
-                };
-                (si <= DENSE_CARDINALITY_MAX + 1).then(|| {
-                    if si >= slots.len() {
-                        slots.resize(si + 1, 0);
-                    }
-                    &mut slots[si]
-                })
-            }
-            DenseIndex::Composite { slots, dims } => {
-                composite_slot(dims, (0..key.arity()).map(|i| key.code(i))).map(|si| &mut slots[si])
+            DenseIndex::Radix { slots, dims } => {
+                radix_slot(dims, (0..key.arity()).map(|i| key.code(i))).map(|si| &mut slots[si])
             }
             DenseIndex::Disabled | DenseIndex::Undecided => None,
         };
@@ -863,7 +767,6 @@ impl PartialAggregation {
             "plan mismatch"
         );
         self.rows_consumed += std::mem::take(&mut other.rows_consumed);
-        self.target_rows += std::mem::take(&mut other.target_rows);
         if self.groups.len() == 0 && matches!(self.dense, DenseIndex::Undecided) {
             // This side never consumed a batch: trade states wholesale
             // (index structure included).
@@ -925,7 +828,6 @@ impl PartialAggregation {
         mut visit: impl FnMut(&GroupKey, &mut [Accumulator], &mut [Accumulator]),
     ) {
         self.rows_consumed = 0;
-        self.target_rows = 0;
         let reference_includes_target = self.split.reference_includes_target();
         let n_states = self.groups.n_states;
         self.groups.fold_lanes();
@@ -1304,9 +1206,10 @@ mod tests {
     #[test]
     fn dense_index_overflow_codes_spill_to_hash() {
         // Plan the dense index against a tiny dictionary, then feed a table
-        // whose dictionary codes run past DENSE_CARDINALITY_MAX: the stray
-        // codes must spill into the hash map (bounding the dense table's
-        // growth at the cap) while producing exactly the scalar result.
+        // whose dictionary codes run past DENSE_CARDINALITY_MAX: every code
+        // outside the planned radix must spill into the hash map (the dense
+        // table keeps its planned size) while producing exactly the scalar
+        // result.
         let build_with_card = |card: usize| -> BoxedTable {
             let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
             for i in 0..card {
@@ -1343,7 +1246,7 @@ mod tests {
     #[test]
     fn composite_dense_matches_scalar_for_multi_group_by() {
         // sex × marital fits the mixed-radix dense cap easily, so the
-        // vectorized path uses the composite index; results must be
+        // vectorized path uses the dense index; results must be
         // bit-identical to the (hash-only) scalar oracle.
         for kind in [StoreKind::Row, StoreKind::Column] {
             let t = census_mini(kind);
@@ -1380,7 +1283,7 @@ mod tests {
 
     #[test]
     fn composite_dense_stray_codes_spill_to_hash() {
-        // Plan the composite index against tiny dictionaries, then feed a
+        // Plan the dense index against tiny dictionaries, then feed a
         // table whose codes exceed the planned radix on both attributes:
         // the strays must spill to the hash map while matching the scalar
         // result exactly.
@@ -1429,7 +1332,7 @@ mod tests {
     fn merge_of_disjoint_partials_equals_single_pass() {
         // Split the table into three ranges, aggregate each into its own
         // partial, merge in order — must equal the one-shot result bitwise,
-        // for both the dense single-dim and composite shapes.
+        // for both a one- and a two-attribute dense index.
         for group_by in [vec![ColumnId(0)], vec![ColumnId(0), ColumnId(1)]] {
             let t = census_mini(StoreKind::Column);
             let q = CombinedQuery {

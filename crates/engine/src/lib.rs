@@ -35,11 +35,11 @@
 //!
 //! Execution is also *mode-aware* ([`ExecMode`]): the default **vectorized**
 //! mode drives the storage layer's batched scan API — selection bitmaps
-//! from [`BoundPredicate::eval_batch`], a dense dictionary-direct group
-//! index for single-attribute group-bys, and a composite mixed-radix dense
-//! index for bin-packed multi-GROUP-BY clusters (see
-//! [`DENSE_CARDINALITY_MAX`]) — while the **scalar** mode keeps the
-//! original row-at-a-time path as the bit-identical equivalence oracle.
+//! from [`BoundPredicate::eval_batch`] and one mixed-radix dense group
+//! index, for single-attribute views and bin-packed multi-GROUP-BY
+//! clusters alike (see [`DENSE_CARDINALITY_MAX`]) — while the **scalar**
+//! mode keeps the original row-at-a-time path as the bit-identical
+//! equivalence oracle.
 
 #![forbid(unsafe_code)]
 
@@ -81,15 +81,14 @@ pub use stats::ExecStats;
 /// neither row order nor partition boundaries can perturb a single bit);
 /// `Vectorized` is the default and is substantially faster on the column
 /// store, where batches are zero-copy slices and group lookups go through
-/// the dense dictionary-direct or composite mixed-radix index (see
-/// [`DENSE_CARDINALITY_MAX`]).
+/// the mixed-radix dense index (see [`DENSE_CARDINALITY_MAX`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Row-at-a-time execution through `Table::scan_range` (the original
     /// `dyn FnMut(&[Cell])` path; kept as the equivalence oracle).
     Scalar,
     /// Batched execution through `Table::scan_batches`: vectorized
-    /// predicate bitmaps and dictionary-direct dense aggregation.
+    /// predicate bitmaps and mixed-radix dense aggregation.
     #[default]
     Vectorized,
 }

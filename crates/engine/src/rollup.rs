@@ -12,7 +12,7 @@
 //! Position codes are read straight out of each group key (no sub-key
 //! re-projection/allocation per group), and when the position's codes are
 //! small — always true for the dictionary-coded attributes bin-packing
-//! produces, whose radix the composite dense index already bounded — the
+//! produces, whose radix the mixed-radix dense index already bounded — the
 //! merge goes through a dense code-indexed table instead of a hash map, so
 //! the bin-packed cluster path stays hash-free end to end.
 
@@ -38,7 +38,7 @@ pub fn rollup(result: &GroupedResult, position: usize) -> GroupedResult {
 
     // Dense merge when every code at `position` is small (dictionary codes
     // are; float-bit or wide integer codes are not). NULL (u64::MAX) owns
-    // slot 0, code c owns slot c + 1 — the radix layout the composite dense
+    // slot 0, code c owns slot c + 1 — the radix layout the dense group
     // index uses.
     let max_code = result
         .groups

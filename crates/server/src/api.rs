@@ -2,14 +2,11 @@
 //!
 //! A request names a catalog dataset and a target selection (a SQL
 //! `WHERE`-clause body) and may override any *result-affecting* config
-//! knob. Execution-shape knobs (parallelism, morsel size, engine
-//! batching) are the daemon's business — they are bit-identical by
-//! engine contract and governed by the admission budget, so the API
-//! exposes `exec_mode` only for benchmarking and nothing else.
+//! knob. Execution-shape knobs (parallelism, morsel size, engine mode)
+//! are the daemon's business — they are bit-identical by engine contract
+//! and governed by the admission budget, so the API exposes none of them.
 
-use seedb_core::{
-    DistanceKind, ExecMode, ExecutionStrategy, PruningKind, Recommendation, SeeDbConfig,
-};
+use seedb_core::{DistanceKind, ExecutionStrategy, PruningKind, Recommendation, SeeDbConfig};
 use seedb_data::Dataset;
 use seedb_engine::AggFunc;
 use seedb_util::Json;
@@ -135,10 +132,6 @@ impl RecommendRequest {
         if let Some(v) = doc.get("delta") {
             config.delta = v.as_num().ok_or("'delta' must be a number")?;
         }
-        if let Some(v) = doc.get("exec_mode") {
-            let name = v.as_str().ok_or("'exec_mode' must be a string")?;
-            config.engine_mode = parse_exec_mode(name)?;
-        }
         if let Some(v) = doc.get("agg") {
             let items = v.as_arr().ok_or("'agg' must be an array of strings")?;
             let mut funcs = Vec::with_capacity(items.len());
@@ -194,14 +187,6 @@ fn parse_pruning(name: &str) -> Result<PruningKind, String> {
             let names: Vec<&str> = PruningKind::ALL.iter().map(|p| p.label()).collect();
             format!("unknown pruning '{name}' (expected one of {names:?})")
         })
-}
-
-fn parse_exec_mode(name: &str) -> Result<ExecMode, String> {
-    let upper = name.to_ascii_uppercase();
-    ExecMode::ALL
-        .into_iter()
-        .find(|m| m.label() == upper)
-        .ok_or_else(|| format!("unknown exec_mode '{name}' (expected SCALAR or VECTORIZED)"))
 }
 
 /// Renders the deterministic part of a `/recommend` response: everything
@@ -324,7 +309,7 @@ mod tests {
             r#"{"dataset": "BANK", "rows": 1000, "where": "age >= 40",
                 "reference": "complement", "k": 3, "metric": "l1",
                 "strategy": "comb", "pruning": "mab", "num_phases": 4,
-                "delta": 0.1, "exec_mode": "scalar", "agg": ["AVG", "SUM"]}"#,
+                "delta": 0.1, "agg": ["AVG", "SUM"]}"#,
         )
         .unwrap();
         assert_eq!(r.rows, Some(1000));
@@ -336,7 +321,6 @@ mod tests {
         assert_eq!(r.config.pruning, PruningKind::Mab);
         assert_eq!(r.config.num_phases, 4);
         assert_eq!(r.config.delta, 0.1);
-        assert_eq!(r.config.engine_mode, ExecMode::Scalar);
         assert_eq!(r.config.agg_functions, vec![AggFunc::Avg, AggFunc::Sum]);
     }
 
@@ -350,7 +334,6 @@ mod tests {
             (r#"{"dataset": "X", "metric": "COSINE"}"#, "metric"),
             (r#"{"dataset": "X", "strategy": "TURBO"}"#, "strategy"),
             (r#"{"dataset": "X", "pruning": "YOLO"}"#, "pruning"),
-            (r#"{"dataset": "X", "exec_mode": "GPU"}"#, "exec_mode"),
             (r#"{"dataset": "X", "agg": ["MEDIAN"]}"#, "MEDIAN"),
             (r#"{"dataset": "X", "delta": 2.0}"#, "delta"),
             (r#"not json"#, "JSON"),

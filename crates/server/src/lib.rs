@@ -28,7 +28,7 @@
 //! {"dataset": "CENSUS", "rows": 5000,
 //!  "where": "marital_status = 'unmarried'",
 //!  "reference": "whole", "k": 5, "metric": "EMD",
-//!  "strategy": "SHARING", "exec_mode": "VECTORIZED"}
+//!  "strategy": "SHARING"}
 //! ```
 //!
 //! ## Cross-request cache

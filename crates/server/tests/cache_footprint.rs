@@ -129,7 +129,7 @@ fn approx_size_matches_the_heap_a_partial_frees() {
     );
     assert_eq!(
         group_index_for(table.as_ref(), &[region]),
-        GroupIndexKind::DenseSingle
+        GroupIndexKind::Dense
     );
 
     let mut cfg = SeeDbConfig::default(); // COMB + CI

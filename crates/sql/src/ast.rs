@@ -23,13 +23,12 @@ impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Int(v) => write!(f, "{v}"),
-            Literal::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() {
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
+            // An overflowing literal reads as ±∞; print one that does too.
+            Literal::Float(v) if v.is_infinite() => {
+                write!(f, "{}1e999", if *v < 0.0 { "-" } else { "" })
             }
+            Literal::Float(v) if v.fract() == 0.0 => write!(f, "{v:.1}"),
+            Literal::Float(v) => write!(f, "{v}"),
             Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Literal::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
             Literal::Null => write!(f, "NULL"),

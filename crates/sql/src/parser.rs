@@ -335,6 +335,9 @@ mod tests {
             "NOT (s <> 'it''s' OR f = FALSE) AND g IS NULL",
             // Spacing moves every column offset; the AST must not change.
             "a>=-7   AND(b!=1e3 OR c IN('x','y'))",
+            // Literals past f64's range read as ±∞.
+            "gain > 1e999",
+            "gain < -1e999",
         ];
         for src in sources {
             let e1 = parse_expr(src).unwrap();
